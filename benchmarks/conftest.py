@@ -26,15 +26,17 @@ def world():
 
 
 @pytest.fixture(scope="session")
-def parsed_monlist(world):
-    from repro.analysis import parse_sample
+def analysis_context(world):
+    from repro.analysis import AnalysisContext
 
-    return [parse_sample(s) for s in world.onp.monlist_samples]
+    return AnalysisContext(world)
 
 
 @pytest.fixture(scope="session")
-def victim_report(world, parsed_monlist):
-    from repro.analysis import analyze_dataset
-    from repro.attack import ONP_PROBER_IP
+def parsed_monlist(analysis_context):
+    return analysis_context.parsed_samples()
 
-    return analyze_dataset(parsed_monlist, onp_ip=ONP_PROBER_IP)
+
+@pytest.fixture(scope="session")
+def victim_report(analysis_context):
+    return analysis_context.victim_report()

@@ -10,7 +10,7 @@
    monitor tables; a naive "latest attack only" table loses victims.
 """
 
-from repro.analysis import on_wire_baf, payload_baf, parse_sample
+from repro.analysis import on_wire_baf, payload_baf
 from repro.ntp.constants import IMPL_XNTPD, IMPL_XNTPD_OLD
 
 
@@ -59,22 +59,17 @@ def test_ablation_mru_fidelity(benchmark, world):
     sample = world.onp.monlist_samples[6]
 
     def victims_lost():
-        from repro.analysis import CLASS_VICTIM, classify_entry
+        from repro.analysis import CLASS_VICTIM, classify_entry, reconstruct_table
 
         full = set()
         degenerate = set()
         for capture in sample.captures:
-            table = parse_sample_one(capture)
+            table = reconstruct_table(capture)
             victims = [e for e in table.entries if classify_entry(e) == CLASS_VICTIM]
             full.update(e.addr for e in victims)
             if victims:
                 degenerate.add(victims[0].addr)
         return len(full), len(degenerate)
-
-    def parse_sample_one(capture):
-        from repro.analysis import reconstruct_table
-
-        return reconstruct_table(capture)
 
     full, degenerate = benchmark(victims_lost)
     assert full > degenerate  # the MRU history carries real information

@@ -16,15 +16,13 @@ import sys
 
 from repro import PaperWorld
 from repro.analysis import (
+    AnalysisContext,
     amplifier_counts,
-    analyze_dataset,
     churn_report,
-    parse_sample,
     peak_traffic_date,
     sample_baf_boxplot,
     version_sample_baf_boxplot,
 )
-from repro.attack import ONP_PROBER_IP
 from repro.util import format_sim
 
 
@@ -42,7 +40,8 @@ def main():
     print(f"  (paper: ~1e-5 rising ~3 orders of magnitude to ~1e-2)")
     print(f"Peak date: {peak_traffic_date(world.arbor)}  (paper: 2014-02-11)")
 
-    parsed = [parse_sample(s) for s in world.onp.monlist_samples]
+    context = AnalysisContext(world)
+    parsed = context.parsed_samples()
     rows = amplifier_counts(parsed, world.table, world.pbl)
     print(f"\nAmplifier pool: {rows[0].ips} -> {rows[-1].ips} "
           f"({100 * (1 - rows[-1].ips / rows[0].ips):.0f}% remediated; paper: 92%)")
@@ -57,7 +56,7 @@ def main():
     print(f"version BAF: {vbox.q1:.1f}/{vbox.median:.1f}/{vbox.q3:.1f} "
           f"(paper: 3.5/4.6/6.9)")
 
-    report = analyze_dataset(parsed, onp_ip=ONP_PROBER_IP)
+    report = context.victim_report()
     victims = report.all_victim_ips()
     packets = report.total_attack_packets()
     print(f"\nVictims observed through the monlist lens: {len(victims)} "

@@ -15,9 +15,9 @@ import sys
 
 from repro import PaperWorld
 from repro.analysis import (
+    AnalysisContext,
     amplifier_counts,
     continent_remediation,
-    parse_sample,
     pool_relative_to_peak,
     subgroup_reductions,
     weeks_since,
@@ -34,7 +34,7 @@ def sparkline(fractions, width=40):
 def main():
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.001
     world = PaperWorld.build(seed=99, scale=scale, quiet=False)
-    parsed = [parse_sample(s) for s in world.onp.monlist_samples]
+    parsed = AnalysisContext(world).parsed_samples()
 
     monlist = pool_relative_to_peak([(p.t, len(p.amplifier_ips())) for p in parsed])
     version = pool_relative_to_peak([(s.t, len(s)) for s in world.onp.version_samples])

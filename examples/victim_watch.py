@@ -14,26 +14,23 @@ import sys
 
 from repro import PaperWorld
 from repro.analysis import (
-    analyze_dataset,
-    as_concentration,
-    parse_sample,
+    AnalysisContext,
     top_amplifier_table,
     top_victim_table,
     ttl_forensics,
 )
-from repro.attack import ONP_PROBER_IP
 from repro.reporting import render_table4, render_table5, render_table6
 
 
 def main():
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.001
     world = PaperWorld.build(seed=77, scale=scale, quiet=False)
-    parsed = [parse_sample(s) for s in world.onp.monlist_samples]
-    report = analyze_dataset(parsed, onp_ip=ONP_PROBER_IP)
+    context = AnalysisContext(world)
+    report = context.victim_report()
 
     print("\n" + render_table4(report.port_table(top=15)))
 
-    concentration = as_concentration(report, world.table)
+    concentration = context.concentration()
     ovh = world.registry.special["HOSTING-FR-1"]
     cdn = world.registry.special["CDN-MITIGATION"]
     print("\n=== Figure 5: AS concentration ===")

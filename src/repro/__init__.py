@@ -23,9 +23,9 @@ Quick start::
 
     from repro import PaperWorld
     world = PaperWorld.build(seed=2014, scale=0.001)
-    from repro.analysis import parse_sample, analyze_dataset
-    parsed = [parse_sample(s) for s in world.onp.monlist_samples]
-    report = analyze_dataset(parsed)
+    from repro.analysis import AnalysisContext
+    context = AnalysisContext(world)
+    report = context.victim_report()
 """
 
 from repro.scenario import PaperWorld, WorldParams

@@ -26,18 +26,14 @@ from repro.analysis.local import (
     ttl_forensics,
 )
 from repro.analysis.monlist_parse import (
-    ParsedSample,
     ParseStats,
     ReconstructedTable,
     add_parse_calls,
     parse_call_count,
-    parse_corpus,
-    parse_sample,
     reconstruct_table,
-    reconstruct_table_fast,
     reconstruct_table_lenient,
 )
-from repro.analysis.parse_cache import load_or_parse_corpus
+from repro.analysis.parse_cache import load_or_decode_corpus
 from repro.analysis.quality import QualityReport, ReconciliationCheck, quality_report
 from repro.analysis.remediation import (
     AmplifierCountRow,
@@ -63,7 +59,6 @@ from repro.analysis.victimology import (
     CLASS_VICTIM,
     VictimologyReport,
     analyze_dataset,
-    analyze_sample,
     classify_entry,
 )
 
@@ -86,17 +81,13 @@ __all__ = [
     "top_amplifier_table",
     "top_victim_table",
     "ttl_forensics",
-    "ParsedSample",
     "ParseStats",
     "ReconstructedTable",
     "add_parse_calls",
     "parse_call_count",
-    "parse_corpus",
-    "parse_sample",
     "reconstruct_table",
-    "reconstruct_table_fast",
     "reconstruct_table_lenient",
-    "load_or_parse_corpus",
+    "load_or_decode_corpus",
     "QualityReport",
     "ReconciliationCheck",
     "quality_report",
@@ -123,6 +114,5 @@ __all__ = [
     "CLASS_VICTIM",
     "VictimologyReport",
     "analyze_dataset",
-    "analyze_sample",
     "classify_entry",
 ]

@@ -60,16 +60,14 @@ def payload_baf(table_or_capture):
 
 def sample_baf_boxplot(parsed_sample):
     """Figure 4b: the five-number BAF summary of one monlist sample."""
-    columns = getattr(parsed_sample, "columns", None)
-    if columns is not None:
-        lo, hi = columns.sample_table_span(parsed_sample.sample_index)
-        totals = (
-            columns.table_native("wire_once")[lo:hi]
-            * columns.table_native("n_repeats")[lo:hi]
-        )
-        bafs = totals.astype(np.float64) / float(QUERY_ON_WIRE)
-        return boxplot_summary(bafs.tolist())
-    return boxplot_summary([on_wire_baf(t) for t in parsed_sample.tables])
+    columns = parsed_sample.columns
+    lo, hi = columns.sample_table_span(parsed_sample.sample_index)
+    totals = (
+        columns.table_native("wire_once")[lo:hi]
+        * columns.table_native("n_repeats")[lo:hi]
+    )
+    bafs = totals.astype(np.float64) / float(QUERY_ON_WIRE)
+    return boxplot_summary(bafs.tolist())
 
 
 def version_sample_baf_boxplot(version_sample):

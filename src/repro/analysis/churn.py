@@ -5,7 +5,6 @@ first sample held only ~60% of them; about half of all unique IPs appeared
 in exactly one weekly scan (rapid remediation plus DHCP churn).
 """
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,13 +24,12 @@ class ChurnReport:
         return all(n > 0 for n in self.new_per_sample[1:])
 
 
-def _churn_report_columnar(parsed_samples):
-    """Churn over the amplifier columns without building per-sample sets.
+def churn_report(parsed_samples):
+    """Churn statistics over the weekly amplifier-IP sets.
 
-    One lexsort over (ip, sample) replaces the cumulative-set walk: the
+    One lexsort over (ip, sample) replaces a cumulative-set walk: the
     first row of each ip run is its discovery sample, and the run length
-    is its seen-count — both identical to the scalar loop's Counter/set
-    accounting.
+    is its seen-count.
     """
     per_sample = []
     for parsed in parsed_samples:
@@ -59,36 +57,4 @@ def _churn_report_columnar(parsed_samples):
         first_sample_share=len(per_sample[0]) / total,
         seen_once_fraction=int((run_lengths == 1).sum()) / total,
         new_per_sample=tuple(int(n) for n in new_per_sample),
-    )
-
-
-def churn_report(parsed_samples):
-    """Churn statistics over the weekly amplifier-IP sets."""
-    from repro.analysis.event_columns import ColumnarSample
-
-    parsed_samples = list(parsed_samples)
-    if parsed_samples and all(isinstance(p, ColumnarSample) for p in parsed_samples):
-        return _churn_report_columnar(parsed_samples)
-    seen_counts = Counter()
-    cumulative = set()
-    new_per_sample = []
-    first_sample_ips = None
-    for parsed in parsed_samples:
-        ips = parsed.amplifier_ips()
-        if first_sample_ips is None:
-            first_sample_ips = set(ips)
-        new = len(ips - cumulative)
-        new_per_sample.append(new)
-        cumulative |= ips
-        for ip in ips:
-            seen_counts[ip] += 1
-    total = len(cumulative)
-    if total == 0:
-        return ChurnReport(0, 0.0, 0.0, tuple(new_per_sample))
-    once = sum(1 for n in seen_counts.values() if n == 1)
-    return ChurnReport(
-        total_unique=total,
-        first_sample_share=len(first_sample_ips) / total,
-        seen_once_fraction=once / total,
-        new_per_sample=tuple(new_per_sample),
     )

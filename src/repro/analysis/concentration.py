@@ -6,7 +6,6 @@ the paper plots: the top 100 amplifier ASes source ~60% of victim packets,
 and the top 100 victim ASes absorb ~75%.
 """
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,14 +41,13 @@ class ConcentrationReport:
         return None
 
 
-def _as_packets_columnar(ips, packets, table):
+def _as_packets(ips, packets, table):
     """{asn: packets} by group-by, keys in first-observation order.
 
     The AS lookup runs once per *unique* IP (a Python call per IP would
     dominate); per-AS packet sums are exact in float64 accumulation and
-    returned as ints, and the dict is built in the same first-occurrence
-    order the scalar defaultdict loop would produce — ``sorted`` ties in
-    the rank methods above resolve identically.
+    returned as ints, and the dict is built in first-observation order,
+    which is how ``sorted`` ties in the rank methods above resolve.
     """
     unique_ips = np.unique(ips)
     asn_lookup = np.array(
@@ -73,32 +71,14 @@ def _as_packets_columnar(ips, packets, table):
 def as_concentration(report, table):
     """Build the Figure-5 view from a victimology report and a routing
     table (IPs outside the plan are dropped, as unrouted junk would be)."""
-    from repro.analysis.victimology import ColumnarVictimologyReport
-
-    if isinstance(report, ColumnarVictimologyReport):
-        parts = [(s._victim, s._amplifier, s._packets) for s in report.samples]
-        parts = [p for p in parts if len(p[0])]
-        if not parts:
-            return ConcentrationReport(victim_as_packets={}, amplifier_as_packets={})
-        victims = np.concatenate([p[0] for p in parts])
-        amplifiers = np.concatenate([p[1] for p in parts])
-        packets = np.concatenate([p[2] for p in parts])
-        return ConcentrationReport(
-            victim_as_packets=_as_packets_columnar(victims, packets, table),
-            amplifier_as_packets=_as_packets_columnar(amplifiers, packets, table),
-        )
-
-    victim_packets = defaultdict(int)
-    amplifier_packets = defaultdict(int)
-    for sample in report.samples:
-        for obs in sample.observations:
-            victim_asn = table.asn_of(obs.victim_ip)
-            amp_asn = table.asn_of(obs.amplifier_ip)
-            if victim_asn is not None:
-                victim_packets[victim_asn] += obs.packets
-            if amp_asn is not None:
-                amplifier_packets[amp_asn] += obs.packets
+    parts = [(s._victim, s._amplifier, s._packets) for s in report.samples]
+    parts = [p for p in parts if len(p[0])]
+    if not parts:
+        return ConcentrationReport(victim_as_packets={}, amplifier_as_packets={})
+    victims = np.concatenate([p[0] for p in parts])
+    amplifiers = np.concatenate([p[1] for p in parts])
+    packets = np.concatenate([p[2] for p in parts])
     return ConcentrationReport(
-        victim_as_packets=dict(victim_packets),
-        amplifier_as_packets=dict(amplifier_packets),
+        victim_as_packets=_as_packets(victims, packets, table),
+        amplifier_as_packets=_as_packets(amplifiers, packets, table),
     )

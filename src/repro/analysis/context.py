@@ -21,7 +21,7 @@ parses *this context* triggered, and the module-level counter in
 tests pin the parse-once contract on both.
 """
 
-from repro.analysis.parse_cache import load_or_parse_corpus
+from repro.analysis.parse_cache import load_or_decode_corpus
 
 __all__ = ["AnalysisContext"]
 
@@ -57,7 +57,7 @@ class AnalysisContext:
         """
         if self._parsed is None:
             samples = self.world.onp.monlist_samples
-            self._parsed, n_parses = load_or_parse_corpus(samples, jobs=self.jobs)
+            self._parsed, n_parses = load_or_decode_corpus(samples, jobs=self.jobs)
             self.parse_calls += n_parses
         return self._parsed
 

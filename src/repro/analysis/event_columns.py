@@ -11,14 +11,16 @@ versions, timeseries) then run as NumPy group-bys over these columns, and
 object views are materialized lazily only where a renderer still asks for
 them.
 
-Fast path and fallback mirror :func:`~repro.analysis.monlist_parse
-.reconstruct_table_fast` exactly: a single vectorized validation pass over
-all packet headers classifies each capture, well-formed captures are
-block-decoded straight out of the payload blob (entry *objects* are never
-built), and any capture failing a check is re-parsed from scratch by
+:func:`decode_capture_batch` is the only capture decoder; the batch
+corpus and the streaming engine both call it.  A single vectorized
+validation pass over all packet headers classifies each capture,
+well-formed captures are block-decoded straight out of the payload blob
+(entry *objects* are never built), and any capture failing a check is
+re-parsed from scratch by the salvage path,
 :func:`~repro.analysis.monlist_parse.reconstruct_table_lenient` — so
-hostile corpora produce tables and :class:`ParseStats` identical to the
-object pipeline, entry for entry and counter for counter.
+hostile corpora produce the tables and :class:`ParseStats` that path
+alone would, entry for entry and counter for counter.  A sample without
+a packed store is packed first and decoded the same way.
 
 The entries array is the memory ceiling at scale; :meth:`EventColumns
 .maybe_spill` moves it through the same integrity-checked ``np.memmap``
@@ -34,6 +36,7 @@ import numpy as np
 
 from repro.measurement.capture_store import (
     map_spill,
+    pack_captures,
     spill_threshold_bytes,
     sweep_stale_spills,
     write_spill,
@@ -44,7 +47,6 @@ from repro.ntp.wire import MonitorEntry, monitor_dtype_for
 from repro.analysis.monlist_parse import (
     ParseStats,
     add_parse_calls,
-    reconstruct_table_fast,
     reconstruct_table_lenient,
 )
 
@@ -225,8 +227,8 @@ class EventColumns:
     def sample_views(self):
         """One :class:`ColumnarSample` per sample row (memoized).
 
-        These are the drop-in replacements for ``ParsedSample`` objects:
-        same attributes, lazily materialized tables and entries.
+        Each exposes the sample's flags, :class:`ParseStats`, and lazily
+        materialized tables and entries.
         """
         if self._views is None:
             self._views = [ColumnarSample(self, i) for i in range(self.n_samples)]
@@ -437,7 +439,7 @@ class _TableList:
 
 
 class ColumnarSample:
-    """A ``ParsedSample``-shaped view of one samples row."""
+    """A view of one samples row: flags, stats, and lazy tables."""
 
     __slots__ = ("_cols", "_index", "_stats", "_tables", "_ip_cache")
 
@@ -528,12 +530,16 @@ class CaptureBatch:
 def decode_capture_batch(packed, cap_idx, stats):
     """Vectorized fast/lenient decode of captures ``cap_idx`` of ``packed``.
 
-    The vectorized header pass applies exactly the checks of
-    :func:`reconstruct_table_fast` to every selected packet at once;
-    captures that pass are block-copied into the entries array, captures
-    that fail are handed — whole — to :func:`reconstruct_table_lenient`,
-    so ``stats`` advances identically to the object pipeline (the
-    counters are additive, hence order-free).  ``cap_idx`` may be any
+    The vectorized header pass checks every selected packet at once for
+    what makes a capture regular: response+mode-7 bits, one
+    implementation, one supported item size, contiguous ascending
+    sequence numbers, and a data area exactly ``n_items * item_size``
+    long.  Regular captures are block-copied into the entries array and
+    advance ``stats`` exactly as the lenient path would on them (one ok
+    capture, all entries recovered, nothing discarded); captures that
+    fail are handed — whole — to :func:`reconstruct_table_lenient`, so
+    ``stats`` advances identically to that path alone (the counters are
+    additive, hence order-free).  ``cap_idx`` may be any
     subset in any order — all gathers run over explicit index arrays with
     batch-local segment offsets — which is what lets the streaming engine
     decode whatever landed in one window without re-slicing the store.
@@ -626,7 +632,7 @@ def decode_capture_batch(packed, cap_idx, stats):
     stats.entries_recovered += int(items_per_cap[regular].sum())
 
     # Irregular captures: the whole capture re-parses through the lenient
-    # salvage path, exactly as reconstruct_table_fast bails per capture.
+    # salvage path, whose bookkeeping starts from scratch.
     fallback = {}
     for pos in np.flatnonzero(~empty & ~regular).tolist():
         table = reconstruct_table_lenient(packed.view(int(cap_idx[pos])), stats)
@@ -711,8 +717,17 @@ def decode_capture_batch(packed, cap_idx, stats):
     )
 
 
-def _columns_for_packed_sample(sample, packed):
-    """Decode one packed sample's captures straight into column rows."""
+def columns_for_sample(sample):
+    """Decode one ONP sample into a single-sample :class:`EventColumns`.
+
+    A sample without a packed store (an outage gap, a test fixture) is
+    packed first, so every sample goes through the one decoder.  Advances
+    the parse-once ledger by one.
+    """
+    add_parse_calls(1)
+    packed = getattr(sample, "packed", None)
+    if packed is None:
+        packed = pack_captures(sample.captures, sample.t)
     stats = ParseStats()
     batch = decode_capture_batch(packed, np.arange(len(packed), dtype=np.int64), stats)
     n_tbl = len(batch.amplifier)
@@ -728,86 +743,15 @@ def _columns_for_packed_sample(sample, packed):
         tables["entry_start"] = batch.entry_start[:-1]
         tables["entry_count"] = batch.entry_counts
 
-    samples_arr = _sample_row(sample, stats, n_tbl)
-    return EventColumns(samples_arr, tables, batch.entries)
-
-
-def _sample_row(sample, stats, n_tables):
     row = np.zeros(1, dtype=SAMPLE_DTYPE)
     row["t"] = sample.t
     row["outage"] = 1 if getattr(sample, "outage", False) else 0
     row["coverage"] = getattr(sample, "coverage", 1.0)
     row["table_start"] = 0
-    row["table_count"] = n_tables
+    row["table_count"] = n_tbl
     for name in _STAT_FIELDS:
         row[name] = getattr(stats, name)
-    return row
-
-
-def _columns_for_object_sample(sample):
-    """Column conversion for samples without a packed store.
-
-    Runs the per-capture object pipeline (fast path with lenient
-    fallback, same as :func:`parse_sample`) and converts the resulting
-    tables row by row.  Only synthetic test samples land here; real ONP
-    samples always carry a :class:`PackedCaptures`.
-    """
-    stats = ParseStats()
-    tables_obj = []
-    for capture in sample.captures:
-        table = reconstruct_table_fast(capture, stats)
-        if table is not None:
-            tables_obj.append(table)
-
-    n_tbl = len(tables_obj)
-    tables = np.zeros(n_tbl, dtype=TABLE_DTYPE)
-    n_entries = sum(len(t.entries) for t in tables_obj)
-    entries = np.zeros(n_entries, dtype=ENTRY_DTYPE)
-    base = 0
-    for pos, table in enumerate(tables_obj):
-        tables[pos] = (
-            0,
-            table.amplifier_ip,
-            table.entry_size,
-            table.n_packets_once,
-            table.n_repeats,
-            table.payload_bytes_once,
-            table.on_wire_bytes_once,
-            base,
-            len(table.entries),
-        )
-        seg = entries[base : base + len(table.entries)]
-        for j, e in enumerate(table.entries):
-            seg[j] = (
-                e.last_int,
-                e.first_int,
-                e.restr,
-                e.count,
-                e.addr,
-                e.daddr,
-                e.flags,
-                e.port,
-                e.mode,
-                e.version,
-            )
-        base += len(table.entries)
-
-    samples_arr = _sample_row(sample, stats, n_tbl)
-    return EventColumns(samples_arr, tables, entries)
-
-
-def columns_for_sample(sample):
-    """Decode one ONP sample into a single-sample :class:`EventColumns`.
-
-    Advances the parse-once ledger by one, exactly as
-    :func:`~repro.analysis.monlist_parse.parse_sample` does — the
-    columnar path replaces it one-for-one.
-    """
-    add_parse_calls(1)
-    packed = getattr(sample, "packed", None)
-    if packed is not None:
-        return _columns_for_packed_sample(sample, packed)
-    return _columns_for_object_sample(sample)
+    return EventColumns(row, tables, batch.entries)
 
 
 def _columns_task(samples, index):
@@ -818,11 +762,10 @@ def _columns_task(samples, index):
 def build_event_columns(samples, jobs=1, runner=None):
     """Decode a corpus of ONP samples into one :class:`EventColumns`.
 
-    Mirrors :func:`~repro.analysis.monlist_parse.parse_corpus`: per-sample
-    decodes run through the supervised shard pool in input order (results
-    identical at any ``--jobs``), pooled workers' parse-call increments
-    are mirrored into the parent ledger, and the merged entries blob
-    spills past ``REPRO_SPILL_MB``.
+    Per-sample decodes run through the supervised shard pool in input
+    order (results identical at any ``--jobs``), pooled workers'
+    parse-call increments are mirrored into the parent ledger, and the
+    merged entries blob spills past ``REPRO_SPILL_MB``.
     """
     from repro.util.pool import ShardRunner
 

@@ -6,50 +6,39 @@ the request, and reassemble the multi-packet table in sequence order.  When
 an amplifier sent repeated copies of the table (a mega amplifier), the
 *final* table received is used, as in the paper — our captures store
 exactly that rendition plus the repeat count.
+
+Corpora are decoded in bulk by
+:func:`~repro.analysis.event_columns.decode_capture_batch`; this module
+holds the per-capture pieces it builds on: the lenient salvage path every
+irregular capture falls back to, the strict reference parser, and the
+:class:`ParseStats` ledger of what was discarded.
 """
 
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.net.framing import (
-    ETHERNET_FCS,
-    ETHERNET_HEADER,
-    ETHERNET_OVERHEAD,
-    MIN_FRAME,
-    MIN_ONWIRE_FRAME,
-    UDP_IP_HEADERS,
-    on_wire_bytes,
-)
-from repro.ntp.constants import MODE7_HEADER_SIZE, MON_ENTRY_V1_SIZE, MON_ENTRY_V2_SIZE
-from repro.ntp.wire import (
-    WireError,
-    decode_mode7,
-    decode_mode7_stream,
-    decode_monitor_entries_block,
-)
+from repro.net.framing import on_wire_bytes
+from repro.ntp.constants import MON_ENTRY_V1_SIZE, MON_ENTRY_V2_SIZE
+from repro.ntp.wire import WireError, decode_mode7, decode_mode7_stream
 
 __all__ = [
     "ReconstructedTable",
     "reconstruct_table",
-    "reconstruct_table_fast",
     "reconstruct_table_lenient",
     "ParseStats",
-    "ParsedSample",
-    "parse_sample",
-    "parse_corpus",
     "parse_call_count",
     "add_parse_calls",
 ]
 
-#: Process-wide count of :func:`parse_sample` calls.  Corpus decoding is
-#: the analysis layer's dominant cost; the counter lets tests assert the
-#: parse-once contract ("one CLI invocation decodes the corpus exactly
-#: once") instead of trusting the plumbing.
+#: Process-wide count of sample decodes
+#: (:func:`~repro.analysis.event_columns.columns_for_sample` calls).
+#: Corpus decoding is the analysis layer's dominant cost; the counter lets
+#: tests assert the parse-once contract ("one CLI invocation decodes the
+#: corpus exactly once") instead of trusting the plumbing.
 _PARSE_CALLS = 0
 
 
 def parse_call_count():
-    """How many times :func:`parse_sample` ran in this process."""
+    """How many sample decodes ran in this process."""
     return _PARSE_CALLS
 
 
@@ -277,188 +266,3 @@ def reconstruct_table_lenient(capture, stats=None):
         payload_bytes_once=payload,
         on_wire_bytes_once=wire,
     )
-
-
-_MODE7_HEADER = struct.Struct(">BBBBHH")
-
-# on_wire_bytes() in affine form, constants spelled out from the framing
-# model: max(64, 14 + 28 + L + 4) + 20.  Payloads below the threshold pad
-# to the 84-byte minimum; above it each payload byte costs one wire byte
-# plus the fixed 66 bytes of headers, FCS, preamble, and IPG.
-_OW_FIXED = ETHERNET_HEADER + UDP_IP_HEADERS + ETHERNET_FCS + ETHERNET_OVERHEAD
-_OW_PAD_THRESHOLD = MIN_FRAME - (ETHERNET_HEADER + UDP_IP_HEADERS + ETHERNET_FCS)
-
-assert on_wire_bytes(_OW_PAD_THRESHOLD - 1) == MIN_ONWIRE_FRAME
-assert on_wire_bytes(_OW_PAD_THRESHOLD) == _OW_PAD_THRESHOLD + _OW_FIXED
-
-
-def reconstruct_table_fast(capture, stats=None):
-    """Reconstruct one capture via the vectorized fast path.
-
-    A single validation pass over the packet headers checks everything the
-    lenient path would have to account for: response+mode-7 bits, one
-    implementation, one supported item size, contiguous ascending sequence
-    numbers, and a data area exactly ``n_items * item_size`` long.  When
-    all of it holds — every capture of a fault-free corpus — the bodies
-    are concatenated and block-decoded in one :func:`np.frombuffer` pass,
-    and ``stats`` advances exactly as the lenient path would on the same
-    capture (one ok capture, all entries recovered, nothing discarded).
-
-    The moment any packet fails a check, the *whole* capture is re-parsed
-    by :func:`reconstruct_table_lenient`, whose salvage bookkeeping then
-    runs from scratch — fault-injected corpora therefore produce tables
-    and :class:`ParseStats` byte-identical to the lenient path alone.
-    """
-    packets = capture.packets
-    if not packets:
-        return reconstruct_table_lenient(capture, stats)
-    unpack = _MODE7_HEADER.unpack_from
-    item_size = 0
-    impl = -1
-    seq0 = 0
-    total_items = 0
-    payload = 0
-    wire = 0
-    for index, packet in enumerate(packets):
-        length = len(packet)
-        if length < MODE7_HEADER_SIZE:
-            return reconstruct_table_lenient(capture, stats)
-        byte0, byte1, pkt_impl, _req, err_items, size_field = unpack(packet)
-        # 0x87 = response bit | mode 7: anything else is either a
-        # non-response or not private-mode at all.
-        if byte0 & 0x87 != 0x87:
-            return reconstruct_table_lenient(capture, stats)
-        n_items = err_items & 0x0FFF
-        if index == 0:
-            impl = pkt_impl
-            seq0 = byte1 & 0x7F
-            item_size = size_field & 0x0FFF
-            if item_size not in (MON_ENTRY_V1_SIZE, MON_ENTRY_V2_SIZE):
-                return reconstruct_table_lenient(capture, stats)
-        elif (
-            pkt_impl != impl
-            or size_field & 0x0FFF != item_size
-            or byte1 & 0x7F != seq0 + index
-        ):
-            return reconstruct_table_lenient(capture, stats)
-        if length - MODE7_HEADER_SIZE != n_items * item_size:
-            return reconstruct_table_lenient(capture, stats)
-        total_items += n_items
-        payload += length
-        wire += MIN_ONWIRE_FRAME if length < _OW_PAD_THRESHOLD else length + _OW_FIXED
-    if stats is None:
-        stats = ParseStats()
-    stats.captures_total += 1
-    stats.captures_ok += 1
-    stats.entries_recovered += total_items
-    if len(packets) == 1:
-        data = packets[0][MODE7_HEADER_SIZE:]
-    else:
-        data = b"".join(p[MODE7_HEADER_SIZE:] for p in packets)
-    entries = decode_monitor_entries_block(data, item_size, total_items)
-    return ReconstructedTable(
-        amplifier_ip=capture.target_ip,
-        t=capture.t,
-        entries=tuple(entries),
-        entry_size=item_size,
-        n_packets_once=len(packets),
-        n_repeats=capture.n_repeats,
-        payload_bytes_once=payload,
-        on_wire_bytes_once=wire,
-    )
-
-
-@dataclass
-class ParsedSample:
-    """All reconstructed tables of one weekly ONP monlist sample."""
-
-    t: float
-    tables: list = field(default_factory=list)
-    #: What the parse layer discarded for this sample.
-    stats: ParseStats = field(default_factory=ParseStats)
-    #: Mirrors of the apparatus-level sample flags (see
-    #: :class:`~repro.measurement.onp.OnpSample`).
-    outage: bool = False
-    coverage: float = 1.0
-    #: Length-guarded memo for :meth:`amplifier_ips` (tables are
-    #: append-only during the parse, fixed afterwards).
-    _ip_cache: tuple = field(default=None, repr=False, compare=False)
-
-    def __len__(self):
-        return len(self.tables)
-
-    def amplifier_ips(self):
-        """The set of amplifier IPs with a parsed table (cached).
-
-        The churn/remediation analyses each walk every sample's IP set;
-        the cache makes those walks reuse one set per sample.  Callers
-        must not mutate the returned set.
-        """
-        cache = self._ip_cache
-        n = len(self.tables)
-        if cache is None or cache[0] != n:
-            cache = (n, {table.amplifier_ip for table in self.tables})
-            self._ip_cache = cache
-        return cache[1]
-
-
-def parse_sample(sample):
-    """Reconstruct every capture of an ONP sample, best-effort.
-
-    Unparseable material is salvaged where possible and *accounted* in
-    ``parsed.stats`` — never silently skipped, so a systematically
-    unparseable amplifier shows up in the quality report rather than
-    vanishing from every downstream figure without a trace.
-    """
-    global _PARSE_CALLS
-    _PARSE_CALLS += 1
-    parsed = ParsedSample(
-        t=sample.t,
-        outage=getattr(sample, "outage", False),
-        coverage=getattr(sample, "coverage", 1.0),
-    )
-    for capture in sample.captures:
-        table = reconstruct_table_fast(capture, parsed.stats)
-        if table is not None:
-            parsed.tables.append(table)
-    return parsed
-
-
-def _parse_task(samples, index):
-    """One shard-pool task: parse sample ``index`` of the shared list."""
-    return parse_sample(samples[index])
-
-
-def parse_corpus(samples, jobs=1, runner=None):
-    """Parse a list of ONP samples, optionally across processes.
-
-    Results are returned in input order regardless of worker count, so the
-    output is identical at any ``jobs`` value (each sample's parse is a
-    pure function of its captures).  Pool engagement is decided by the
-    shared :func:`repro.util.pool.fork_pool_gate` (fork start method,
-    enough tasks to amortize result pickling, more than one usable CPU) —
-    otherwise the serial path runs.  The pooled path runs under the
-    supervised :class:`~repro.util.pool.ShardRunner` (pass ``runner`` to
-    configure timeouts/retries and to collect the "parse" shard stats),
-    so a crashed or hung parse worker retries and finally falls back to
-    an in-process parse instead of losing the corpus.
-
-    The parent's parse-call counter advances by one per sample either
-    way, preserving the parse-once accounting: serial and fallback
-    parses increment it directly, and pooled tasks — whose workers
-    incremented their own forked counters — are mirrored into this
-    process's ledger afterward.
-    """
-    from repro.util.pool import ShardRunner
-
-    samples = list(samples)
-    if runner is None:
-        runner = ShardRunner(jobs)
-    parsed = runner.map(
-        "parse", _parse_task, samples, len(samples), min_tasks=2 * max(1, runner.jobs)
-    )
-    stat = runner.stats["parse"]
-    pooled = sum(1 for source in stat["task_source"] if source == "pooled")
-    if pooled:
-        add_parse_calls(pooled)
-    return parsed

@@ -37,7 +37,7 @@ __all__ = [
     "cached_corpus_path",
     "save_parsed_corpus",
     "load_parsed_corpus",
-    "load_or_parse_corpus",
+    "load_or_decode_corpus",
 ]
 
 #: Environment variable naming the parsed-corpus cache directory.
@@ -45,8 +45,8 @@ PARSE_CACHE_ENV_VAR = "REPRO_PARSE_CACHE"
 
 #: Bumped when the envelope or digest schema itself changes.  Format 2:
 #: the cached payload is an :class:`~repro.analysis.event_columns
-#: .EventColumns` (three structured arrays) instead of a list of
-#: ``ParsedSample`` objects; format-1 files from older builds simply miss.
+#: .EventColumns` (three structured arrays) instead of a list of per-sample
+#: objects; format-1 files from older builds simply miss.
 _ENVELOPE_FORMAT = 2
 
 _PACK_SAMPLE = struct.Struct(">dBd")
@@ -68,7 +68,7 @@ def corpus_digest(samples):
 
     Covers each sample's timestamp and apparatus flags and each capture's
     target, timestamp, repeat count, and raw packet bytes — i.e. the full
-    input domain of :func:`~repro.analysis.monlist_parse.parse_sample`.
+    input domain of :func:`~repro.analysis.event_columns.columns_for_sample`.
     Two corpora with equal digests parse to equal results; anything else
     (different faults, seeds, scales, versions of the apparatus) differs
     in at least one hashed byte.
@@ -149,13 +149,14 @@ def load_parsed_corpus(path, digest):
     return payload["parsed"]
 
 
-def load_or_parse_corpus(samples, jobs=1, cache_dir=None):
+def load_or_decode_corpus(samples, jobs=1, cache_dir=None):
     """Parse ``samples`` through the keyed directory cache (if configured).
 
     The decode runs through the columnar path: one
     :class:`~repro.analysis.event_columns.EventColumns` batch per corpus,
-    returned as its list of ``ParsedSample``-shaped per-sample views (all
-    views share the one column store, which is what the cache pickles).
+    returned as its list of per-sample
+    :class:`~repro.analysis.event_columns.ColumnarSample` views (all views
+    share the one column store, which is what the cache pickles).
 
     Returns ``(parsed, n_parses)`` where ``n_parses`` is how many sample
     decodes actually ran: ``0`` on a cache hit, ``len(samples)`` otherwise

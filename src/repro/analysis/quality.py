@@ -19,7 +19,8 @@ Reconciliation checks come in two flavors:
 
 from dataclasses import dataclass, field
 
-from repro.analysis.monlist_parse import ParseStats, parse_sample
+from repro.analysis.context import AnalysisContext
+from repro.analysis.monlist_parse import ParseStats
 
 __all__ = ["ReconciliationCheck", "QualityReport", "quality_report"]
 
@@ -190,7 +191,7 @@ def quality_report(world, parsed_samples=None):
     )
 
     if parsed_samples is None:
-        parsed_samples = [parse_sample(s) for s in world.onp.monlist_samples]
+        parsed_samples = AnalysisContext(world).parsed_samples()
     report.monlist_samples = len(parsed_samples)
     for parsed in parsed_samples:
         report.monlist_stats.merge(parsed.stats)

@@ -13,8 +13,7 @@ duration estimate (count x inter-arrival), and a derived start time; the
 aggregations reproduce Table 1 (right half), Table 4, and Figures 5-7.
 """
 
-import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,10 +25,14 @@ __all__ = [
     "CLASS_NON_VICTIM",
     "CLASS_SCANNER",
     "CLASS_VICTIM",
+    "CODE_EXCLUDED",
+    "CODE_NON_VICTIM",
+    "CODE_SCANNER",
+    "CODE_VICTIM",
     "classify_entry",
+    "classify_columns",
     "VictimObservation",
     "SampleVictimology",
-    "analyze_sample",
     "VictimologyReport",
     "analyze_dataset",
 ]
@@ -37,6 +40,10 @@ __all__ = [
 CLASS_NON_VICTIM = "non-victim"
 CLASS_SCANNER = "scanner/low-volume"
 CLASS_VICTIM = "victim"
+
+#: Per-entry class codes of :func:`classify_columns`; ``CODE_EXCLUDED``
+#: marks the prober's own address, which is never classified.
+CODE_EXCLUDED, CODE_NON_VICTIM, CODE_SCANNER, CODE_VICTIM = range(4)
 
 _MIN_PACKETS = 3
 _MAX_INTERARRIVAL = 3600.0
@@ -51,6 +58,29 @@ def classify_entry(entry):
     if entry.avg_interval > _MAX_INTERARRIVAL:
         return CLASS_SCANNER
     return CLASS_VICTIM
+
+
+def classify_columns(addr, mode, count, first, last, onp_ip=None):
+    """The §4.2 filter over entry columns: :func:`classify_entry` per row.
+
+    Takes native int64 columns and returns ``(codes, avg)``: an int8
+    ``CODE_*`` per entry and the float64 mean inter-arrival ntpdc derives.
+    Every operand is exact in float64, so ``avg`` and the classes are
+    bit-identical to the per-entry helper.  ``onp_ip``: the prober's own
+    address is excluded outright (an artifact of measurement, though the
+    filter would bin it as a scanner anyway).
+    """
+    avg = np.zeros(len(count), dtype=np.float64)
+    multi = count > 1
+    avg[multi] = (first[multi] - last[multi]).astype(np.float64) / (
+        count[multi].astype(np.float64) - 1.0
+    )
+    codes = np.full(len(count), CODE_SCANNER, dtype=np.int8)
+    codes[mode < 6] = CODE_NON_VICTIM
+    codes[(mode >= 6) & (count >= _MIN_PACKETS) & (avg <= _MAX_INTERARRIVAL)] = CODE_VICTIM
+    if onp_ip is not None:
+        codes[addr == onp_ip] = CODE_EXCLUDED
+    return codes, avg
 
 
 @dataclass(frozen=True)
@@ -80,185 +110,8 @@ class VictimObservation:
         return self.end_time - self.duration
 
 
-@dataclass
 class SampleVictimology:
-    """Classification results for one weekly sample."""
-
-    t: float
-    observations: list = field(default_factory=list)
-    n_non_victim: int = 0
-    n_scanner: int = 0
-    max_last_seen: list = field(default_factory=list)
-
-    @property
-    def n_victim_pairs(self):
-        return len(self.observations)
-
-    def victim_ips(self):
-        return {o.victim_ip for o in self.observations}
-
-    def packets_per_victim(self):
-        """{victim ip: total packets received across amplifiers}."""
-        out = defaultdict(int)
-        for obs in self.observations:
-            out[obs.victim_ip] += obs.packets
-        return dict(out)
-
-    def median_view_window_hours(self):
-        """Median (over tables) largest last-seen, in hours (§4.2: ~44 h)."""
-        if not self.max_last_seen:
-            return 0.0
-        return percentile(self.max_last_seen, 50) / HOUR
-
-
-def analyze_sample(parsed_sample, onp_ip=None):
-    """Classify every entry of every reconstructed table in a sample.
-
-    ``onp_ip``: the prober's own address is excluded from classification
-    outright (it is an artifact of measurement, though the filter would
-    bin it as a scanner anyway).
-    """
-    result = SampleVictimology(t=parsed_sample.t)
-    for table in parsed_sample.tables:
-        largest = 0
-        for entry in table.entries:
-            largest = max(largest, entry.last_int)
-            if onp_ip is not None and entry.addr == onp_ip:
-                continue
-            kind = classify_entry(entry)
-            if kind == CLASS_NON_VICTIM:
-                result.n_non_victim += 1
-            elif kind == CLASS_SCANNER:
-                result.n_scanner += 1
-            else:
-                result.observations.append(
-                    VictimObservation(
-                        sample_t=parsed_sample.t,
-                        amplifier_ip=table.amplifier_ip,
-                        victim_ip=entry.addr,
-                        port=entry.port,
-                        mode=entry.mode,
-                        packets=entry.count,
-                        avg_interval=entry.avg_interval,
-                        last_seen_ago=entry.last_int,
-                    )
-                )
-        if table.entries:
-            result.max_last_seen.append(largest)
-    return result
-
-
-@dataclass
-class VictimologyReport:
-    """Dataset-wide victimology: the paper's §4.3 aggregates."""
-
-    samples: list = field(default_factory=list)
-
-    def all_victim_ips(self):
-        out = set()
-        for sample in self.samples:
-            out |= sample.victim_ips()
-        return out
-
-    def total_attack_packets(self):
-        """§4.3.3's headline: ~2.92 trillion packets at full scale."""
-        return sum(o.packets for s in self.samples for o in s.observations)
-
-    def total_attack_bytes(self, median_packet_bytes=420):
-        """Packets x the 420-byte median on-wire response packet."""
-        return self.total_attack_packets() * median_packet_bytes
-
-    def victim_packet_stats(self):
-        """Per-sample (mean, median, 95th) of per-victim packets (Fig. 6)."""
-        rows = []
-        for sample in self.samples:
-            per_victim = list(sample.packets_per_victim().values())
-            if not per_victim:
-                rows.append((sample.t, 0.0, 0.0, 0.0))
-                continue
-            rows.append(
-                (
-                    sample.t,
-                    sum(per_victim) / len(per_victim),
-                    percentile(per_victim, 50),
-                    percentile(per_victim, 95),
-                )
-            )
-        return rows
-
-    def port_table(self, top=20):
-        """Table 4: top attacked ports by fraction of amplifier/victim
-        pairs."""
-        counts = Counter()
-        for sample in self.samples:
-            for obs in sample.observations:
-                counts[obs.port] += 1
-        total = sum(counts.values())
-        if total == 0:
-            return []
-        return [(port, n / total) for port, n in counts.most_common(top)]
-
-    def attacks_per_hour(self):
-        """Figure 7: attack counts binned by derived (median) start hour.
-
-        Each victim in each weekly sample counts as one attack; its start
-        time is the median of the per-amplifier derived start times.
-        """
-        per_attack_starts = defaultdict(list)
-        for sample in self.samples:
-            for obs in sample.observations:
-                per_attack_starts[(sample.t, obs.victim_ip)].append(obs.start_time)
-        hours = Counter()
-        for starts in per_attack_starts.values():
-            starts.sort()
-            median_start = starts[len(starts) // 2]
-            hours[int(median_start // HOUR)] += 1
-        return dict(sorted(hours.items()))
-
-    def durations(self, since=None):
-        """Per-attack duration estimates (median across amplifiers)."""
-        per_attack = defaultdict(list)
-        for sample in self.samples:
-            if since is not None and sample.t < since:
-                continue
-            for obs in sample.observations:
-                per_attack[(sample.t, obs.victim_ip)].append(obs.duration)
-        out = []
-        for values in per_attack.values():
-            values.sort()
-            out.append(values[len(values) // 2])
-        return out
-
-    def amplifiers_per_victim(self):
-        """Per-sample median amplifiers seen attacking each victim (§6.3)."""
-        rows = []
-        for sample in self.samples:
-            per_victim = Counter()
-            for obs in sample.observations:
-                per_victim[obs.victim_ip] += 1
-            if per_victim:
-                rows.append((sample.t, percentile(list(per_victim.values()), 50)))
-            else:
-                rows.append((sample.t, 0.0))
-        return rows
-
-    def undersampling_factor(self):
-        """§4.2: hours-per-week over the median view window (≈3.8x).
-
-        The median is pooled over every table in every sample ("across all
-        ONP weekly samples, the median largest last seen time...").
-        """
-        pooled = [w for s in self.samples for w in s.max_last_seen]
-        if not pooled:
-            return float("nan")
-        median_window = percentile(pooled, 50) / HOUR
-        if median_window <= 0:
-            return float("inf")
-        return 168.0 / median_window
-
-
-class ColumnarSampleVictimology:
-    """Array-backed :class:`SampleVictimology` for one columnar sample.
+    """Classification results for one weekly sample.
 
     Holds the victim-classified entry columns (entry order preserved);
     ``observations`` materializes :class:`VictimObservation` objects only
@@ -353,25 +206,17 @@ class ColumnarSampleVictimology:
         return percentile(self.max_last_seen, 50) / HOUR
 
 
-def _analyze_columnar_sample(parsed, onp_ip=None):
-    """The array form of :func:`analyze_sample` for one columnar sample.
-
-    Float arithmetic replicates the scalar path operation-for-operation
-    (all operands are exact in float64), so classification masks and every
-    derived quantity are bit-identical to the object pipeline.
-    """
+def _sample_victimology(parsed, onp_ip=None):
+    """Classify every entry of one columnar sample's tables."""
     cols = parsed.columns
     index = parsed.sample_index
     e_lo, e_hi = cols.sample_entry_span(index)
     t_lo, t_hi = cols.sample_table_span(index)
-    t = parsed.t
 
     last = cols.entry_native("last")[e_lo:e_hi]
-    first = cols.entry_native("first")[e_lo:e_hi]
-    count = cols.entry_native("count")[e_lo:e_hi]
     addr = cols.entry_native("addr")[e_lo:e_hi]
-    port = cols.entry_native("port")[e_lo:e_hi]
     mode = cols.entry_native("mode")[e_lo:e_hi]
+    count = cols.entry_native("count")[e_lo:e_hi]
 
     counts_tbl = cols.table_native("entry_count")[t_lo:t_hi]
     starts_tbl = cols.table_native("entry_start")[t_lo:t_hi]
@@ -382,26 +227,20 @@ def _analyze_columnar_sample(parsed, onp_ip=None):
     else:
         max_last_seen = []
 
-    keep = np.ones(len(addr), dtype=bool) if onp_ip is None else addr != onp_ip
-    non_victim = keep & (mode < 6)
-    avg = np.zeros(len(count), dtype=np.float64)
-    multi = count > 1
-    avg[multi] = (first[multi] - last[multi]).astype(np.float64) / (
-        count[multi].astype(np.float64) - 1.0
+    codes, avg = classify_columns(
+        addr, mode, count, cols.entry_native("first")[e_lo:e_hi], last, onp_ip
     )
-    victim = keep & (mode >= 6) & (count >= _MIN_PACKETS) & (avg <= _MAX_INTERARRIVAL)
-    n_non_victim = int(non_victim.sum())
-    n_scanner = int(keep.sum()) - n_non_victim - int(victim.sum())
-
+    n_by_code = np.bincount(codes, minlength=4)
+    victim = codes == CODE_VICTIM
     amp_entry = np.repeat(cols.table_native("amplifier")[t_lo:t_hi], counts_tbl)
-    return ColumnarSampleVictimology(
-        t=t,
-        n_non_victim=n_non_victim,
-        n_scanner=n_scanner,
+    return SampleVictimology(
+        t=parsed.t,
+        n_non_victim=int(n_by_code[CODE_NON_VICTIM]),
+        n_scanner=int(n_by_code[CODE_SCANNER]),
         max_last_seen=max_last_seen,
         victim=addr[victim],
         amplifier=amp_entry[victim],
-        port=port[victim],
+        port=cols.entry_native("port")[e_lo:e_hi][victim],
         mode=mode[victim],
         packets=count[victim],
         avg=avg[victim],
@@ -409,19 +248,33 @@ def _analyze_columnar_sample(parsed, onp_ip=None):
     )
 
 
-class ColumnarVictimologyReport(VictimologyReport):
-    """Array-kernel overrides of the hot §4.3 aggregations.
+@dataclass
+class VictimologyReport:
+    """Dataset-wide victimology: the paper's §4.3 aggregates.
 
-    Every override reproduces the scalar method's exact output — the
-    integer sums are exact in either representation, percentiles see the
-    same multisets, and tie-breaking replicates ``Counter.most_common``'s
-    insertion-order rule via first-occurrence indices.
+    The aggregations are NumPy group-bys over each sample's victim
+    columns; where order matters, ties break like ``Counter.most_common``
+    (insertion order) via first-occurrence indices.
     """
 
+    samples: list = field(default_factory=list)
+
+    def all_victim_ips(self):
+        out = set()
+        for sample in self.samples:
+            out |= sample.victim_ips()
+        return out
+
     def total_attack_packets(self):
+        """§4.3.3's headline: ~2.92 trillion packets at full scale."""
         return sum(int(s._packets.sum()) for s in self.samples)
 
+    def total_attack_bytes(self, median_packet_bytes=420):
+        """Packets x the 420-byte median on-wire response packet."""
+        return self.total_attack_packets() * median_packet_bytes
+
     def victim_packet_stats(self):
+        """Per-sample (mean, median, 95th) of per-victim packets (Fig. 6)."""
         rows = []
         for sample in self.samples:
             if not len(sample._victim):
@@ -441,6 +294,8 @@ class ColumnarVictimologyReport(VictimologyReport):
         return rows
 
     def port_table(self, top=20):
+        """Table 4: top attacked ports by fraction of amplifier/victim
+        pairs."""
         parts = [s._port for s in self.samples if len(s._port)]
         if not parts:
             return []
@@ -453,6 +308,11 @@ class ColumnarVictimologyReport(VictimologyReport):
         return [(int(uniq[k]), int(counts[k]) / total) for k in order[:top]]
 
     def attacks_per_hour(self):
+        """Figure 7: attack counts binned by derived (median) start hour.
+
+        Each victim in each weekly sample counts as one attack; its start
+        time is the median of the per-amplifier derived start times.
+        """
         hours = {}
         for sample in self.samples:
             if not len(sample._victim):
@@ -470,7 +330,22 @@ class ColumnarVictimologyReport(VictimologyReport):
                 hours[h] = hours.get(h, 0) + c
         return dict(sorted(hours.items()))
 
+    def durations(self, since=None):
+        """Per-attack duration estimates (median across amplifiers)."""
+        per_attack = defaultdict(list)
+        for sample in self.samples:
+            if since is not None and sample.t < since:
+                continue
+            for obs in sample.observations:
+                per_attack[(sample.t, obs.victim_ip)].append(obs.duration)
+        out = []
+        for values in per_attack.values():
+            values.sort()
+            out.append(values[len(values) // 2])
+        return out
+
     def amplifiers_per_victim(self):
+        """Per-sample median amplifiers seen attacking each victim (§6.3)."""
         rows = []
         for sample in self.samples:
             if not len(sample._victim):
@@ -480,24 +355,24 @@ class ColumnarVictimologyReport(VictimologyReport):
             rows.append((sample.t, percentile(counts, 50)))
         return rows
 
+    def undersampling_factor(self):
+        """§4.2: hours-per-week over the median view window (≈3.8x).
+
+        The median is pooled over every table in every sample ("across all
+        ONP weekly samples, the median largest last seen time...").
+        """
+        pooled = [w for s in self.samples for w in s.max_last_seen]
+        if not pooled:
+            return float("nan")
+        median_window = percentile(pooled, 50) / HOUR
+        if median_window <= 0:
+            return float("inf")
+        return 168.0 / median_window
+
 
 def analyze_dataset(parsed_samples, onp_ip=None):
-    """Victimology over all weekly samples.
-
-    Columnar corpora (every sample a
-    :class:`~repro.analysis.event_columns.ColumnarSample`) run through the
-    array kernels; anything else takes the original per-entry loop.  The
-    two paths produce identical reports.
-    """
-    from repro.analysis.event_columns import ColumnarSample
-
-    parsed_samples = list(parsed_samples)
-    if parsed_samples and all(isinstance(p, ColumnarSample) for p in parsed_samples):
-        report = ColumnarVictimologyReport()
-        for parsed in parsed_samples:
-            report.samples.append(_analyze_columnar_sample(parsed, onp_ip=onp_ip))
-        return report
-    report = VictimologyReport()
-    for parsed in parsed_samples:
-        report.samples.append(analyze_sample(parsed, onp_ip=onp_ip))
-    return report
+    """Victimology over all weekly samples of a columnar corpus (the
+    :class:`~repro.analysis.event_columns.ColumnarSample` views that
+    :class:`~repro.analysis.context.AnalysisContext` and
+    :func:`~repro.analysis.event_columns.build_event_columns` produce)."""
+    return VictimologyReport([_sample_victimology(p, onp_ip) for p in parsed_samples])

@@ -47,6 +47,7 @@ import numpy as np
 __all__ = [
     "PackedCaptures",
     "PackedCapturesBuilder",
+    "pack_captures",
     "SpillError",
     "spill_threshold_bytes",
     "write_spill",
@@ -428,3 +429,15 @@ class PackedCapturesBuilder:
             byte_offsets,
             np.frombuffer(bytes(self._blob), dtype=np.uint8),
         )
+
+
+def pack_captures(captures, t=0.0):
+    """Pack :class:`ProbeCapture`-shaped captures into one store, in order.
+
+    This is how a capture set that never had a store (a test fixture, an
+    outage gap, a loose stream payload) reaches the columnar decoder.
+    """
+    builder = PackedCapturesBuilder(t)
+    for capture in captures:
+        builder.add(capture.target_ip, capture.packets, n_repeats=capture.n_repeats)
+    return builder.finish()

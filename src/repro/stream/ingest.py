@@ -18,12 +18,16 @@ values one at a time and maintains, simultaneously:
 Capture decode path
 -------------------
 Mode-7 captures are *buffered* per open window and decoded in columnar
-micro-batches through the same vectorized header-validation + block-decode
-kernel the batch corpus uses (:func:`~repro.analysis.event_columns
-.decode_capture_batch`); captures failing the vectorized checks fall back
-— whole — to :func:`~repro.analysis.monlist_parse.reconstruct_table_lenient`
-exactly as the object path does, so ``ParseStats`` advance counter for
-counter on clean and fault-injected streams alike.  Buffers are flushed
+micro-batches through the decoder the batch corpus uses
+(:func:`~repro.analysis.event_columns.decode_capture_batch`); captures
+failing its vectorized checks fall back — whole — to
+:func:`~repro.analysis.monlist_parse.reconstruct_table_lenient`, so
+``ParseStats`` advance counter for counter with the batch corpus on clean
+and fault-injected streams alike.  Capture payloads without a packed
+store (plain :class:`~repro.measurement.onp.ProbeCapture` values) are
+packed at flush and take the same decoder.  Entries are classified by
+:func:`~repro.analysis.victimology.classify_columns`, the §4.2 filter
+kernel the batch victimology report uses.  Buffers are flushed
 before any read and before their window closes, and every per-window
 quantity is an order-free aggregate (sets, sums, per-key totals), so
 flush timing is unobservable: answers depend only on the records applied.
@@ -52,14 +56,14 @@ import math
 
 import numpy as np
 
-from repro.analysis.monlist_parse import ParseStats, reconstruct_table_fast
+from repro.analysis.monlist_parse import ParseStats
 from repro.analysis.victimology import (
-    _MAX_INTERARRIVAL,
-    _MIN_PACKETS,
-    CLASS_NON_VICTIM,
-    CLASS_SCANNER,
-    classify_entry,
+    CODE_NON_VICTIM,
+    CODE_SCANNER,
+    CODE_VICTIM,
+    classify_columns,
 )
+from repro.measurement.capture_store import pack_captures
 from repro.stream.sketches import CountMinSketch, SpaceSavingTopK
 from repro.stream.windows import WindowSet
 from repro.util.simtime import DAY, HOUR, WEEK
@@ -249,7 +253,7 @@ class StreamEngine:
         # queries interleaved, where a running += would drift by an ulp.
         self.isp_bytes_closed = 0.0
 
-        # Capture micro-batch machinery: window indices with undedcoded
+        # Capture micro-batch machinery: window indices with undecoded
         # buffered captures, the watermark the windows were last advanced
         # to (skip redundant sweeps), per-IP ASN memo, sketch-view cache.
         self._dirty = set()
@@ -358,35 +362,32 @@ class StreamEngine:
         from repro.analysis.event_columns import decode_capture_batch
 
         self.totals["captures"] += len(pending)
-        groups = []
         by_store = {}
-        loners = []
+        loose = []
         for capture in pending:
             store = getattr(capture, "_store", None)
-            pos = getattr(capture, "_index", None)
-            if store is not None and pos is not None:
-                group = by_store.get(id(store))
-                if group is None:
-                    group = []
-                    by_store[id(store)] = group
-                    groups.append((store, group))
-                group.append(pos)
-            else:
-                loners.append(capture)
+            if store is None:
+                loose.append(capture)
+                continue
+            group = by_store.get(id(store))
+            if group is None:
+                group = by_store[id(store)] = (store, [])
+            group[1].append(capture._index)
+        groups = list(by_store.values())
+        if loose:
+            store = pack_captures(loose)
+            groups.append((store, np.arange(len(store))))
         for store, positions in groups:
             batch = decode_capture_batch(store, positions, state["stats"])
             self._apply_capture_batch(state, batch)
-        for capture in loners:
-            self._apply_capture_object(state, capture)
 
     def _apply_capture_batch(self, state, batch):
         """Fold one decoded columnar batch into the window's aggregates.
 
         Every update is order-free (set unions, per-key sums, a multiset
         for the percentile), so batching granularity cannot change any
-        answer; classification masks replicate the victimology columnar
-        kernel — exact float64 operands, hence bit-identical to
-        :func:`classify_entry` per entry.
+        answer; entries are classified by
+        :func:`~repro.analysis.victimology.classify_columns`.
         """
         amps = batch.amplifier.tolist()
         n_tbl = len(amps)
@@ -415,19 +416,18 @@ class StreamEngine:
 
         addr = entries["addr"].astype(np.int64)
         count = entries["count"].astype(np.int64)
-        first = entries["first"].astype(np.int64)
-        mode = entries["mode"].astype(np.int64)
-        keep = np.ones(n_entries, dtype=bool) if self.onp_ip is None else addr != self.onp_ip
-        non_victim = keep & (mode < 6)
-        avg = np.zeros(n_entries, dtype=np.float64)
-        multi = count > 1
-        avg[multi] = (first[multi] - last[multi]).astype(np.float64) / (
-            count[multi].astype(np.float64) - 1.0
+        codes, _avg = classify_columns(
+            addr,
+            entries["mode"].astype(np.int64),
+            count,
+            entries["first"].astype(np.int64),
+            last,
+            self.onp_ip,
         )
-        victim = keep & (mode >= 6) & (count >= _MIN_PACKETS) & (avg <= _MAX_INTERARRIVAL)
-        n_nv = int(non_victim.sum())
-        n_vic = int(victim.sum())
-        n_scan = int(keep.sum()) - n_nv - n_vic
+        n_by_code = np.bincount(codes, minlength=4)
+        n_nv = int(n_by_code[CODE_NON_VICTIM])
+        n_scan = int(n_by_code[CODE_SCANNER])
+        n_vic = int(n_by_code[CODE_VICTIM])
         state["non_victim_entries"] += n_nv
         self.totals["non_victim_entries"] += n_nv
         state["scanner_entries"] += n_scan
@@ -436,6 +436,7 @@ class StreamEngine:
             return
         state["victim_pairs"] += n_vic
         self.totals["victim_pairs"] += n_vic
+        victim = codes == CODE_VICTIM
         vaddr = addr[victim]
         vcount = count[victim]
         packets = int(vcount.sum())
@@ -461,51 +462,6 @@ class StreamEngine:
                     cache[ip] = asn
                 if asn is not None:
                     per_as[asn] = per_as.get(asn, 0) + total
-
-    def _apply_capture_object(self, state, capture):
-        """Per-capture object fallback for captures without a packed store
-        (synthetic test samples); same aggregates, scalar loop."""
-        table = reconstruct_table_fast(capture, state["stats"])
-        if table is None:
-            return
-        self.totals["tables"] += 1
-        amp = table.amplifier_ip
-        state["amplifiers"].add(amp)
-        entries = table.entries
-        if entries:
-            state["amp_entries"][amp] = state["amp_entries"].get(amp, 0) + len(entries)
-        largest = 0
-        for entry in entries:
-            self.totals["entries"] += 1
-            if entry.last_int > largest:
-                largest = entry.last_int
-            if self.onp_ip is not None and entry.addr == self.onp_ip:
-                continue
-            kind = classify_entry(entry)
-            if kind == CLASS_NON_VICTIM:
-                state["non_victim_entries"] += 1
-                self.totals["non_victim_entries"] += 1
-            elif kind == CLASS_SCANNER:
-                state["scanner_entries"] += 1
-                self.totals["scanner_entries"] += 1
-            else:
-                state["victim_pairs"] += 1
-                state["victims"].add(entry.addr)
-                state["victim_packets"] += entry.count
-                self.totals["victim_pairs"] += 1
-                self.totals["victim_packets"] += entry.count
-                per_ip = state["victim_packets_by_ip"]
-                per_ip[entry.addr] = per_ip.get(entry.addr, 0) + entry.count
-                if self.asn_of is not None:
-                    asn = self._asn_cache.get(entry.addr, -1)
-                    if asn == -1:
-                        asn = self.asn_of(entry.addr)
-                        self._asn_cache[entry.addr] = asn
-                    if asn is not None:
-                        per_as = state["as_packets"]
-                        per_as[asn] = per_as.get(asn, 0) + entry.count
-        if entries:
-            state["max_last_seen"].append(largest)
 
     # -- finalizers -----------------------------------------------------------
 

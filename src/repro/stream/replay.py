@@ -15,9 +15,10 @@ Record kinds
     sweep window exists even when an outage produced zero captures.
 ``capture``
     One per mode-7 probe capture (``t`` = its sample's time); the payload
-    is the :class:`~repro.measurement.onp.ProbeCapture` view, decoded by
-    the engine capture-by-capture with the *same* fast/lenient parser the
-    batch corpus uses — ParseStats counters are additive, so the stream's
+    is the :class:`~repro.measurement.onp.ProbeCapture` view into the
+    sample's packed store.  The engine buffers captures per window and
+    decodes them in micro-batches with the *same* decoder the batch
+    corpus uses — ParseStats counters are additive, so the stream's
     per-window stats equal the batch per-sample stats counter for counter.
 ``darknet``
     One per (day, scanner IP) membership in the telescope's compacted

@@ -13,6 +13,7 @@ deterministic helper for building canonical wire fixtures.
 
 from hypothesis import strategies as st
 
+from repro.analysis.monlist_parse import ParseStats, reconstruct_table_lenient
 from repro.measurement.onp import ProbeCapture
 from repro.net import Prefix
 from repro.ntp import MonlistTable
@@ -39,6 +40,7 @@ __all__ = [
     "shard_partitions",
     "build_packets",
     "capture_of",
+    "lenient_parse",
     "BASE_PACKET_SETS",
     "sketch_streams",
     "stream_events",
@@ -113,6 +115,24 @@ def build_packets(n_clients, now=1000.0):
 def capture_of(packets, target_ip=42, t=1000.0):
     """Wrap raw packets as a :class:`ProbeCapture` (the parser's input)."""
     return ProbeCapture(target_ip=target_ip, t=t, packets=tuple(packets), n_repeats=1)
+
+
+def lenient_parse(sample):
+    """Reference parse of one ONP sample: the lenient salvage path per
+    capture, as ``(tables, stats)`` — the tables that parsed, in capture
+    order, and the sample's :class:`ParseStats`.
+
+    The columnar decoder must be indistinguishable from this: its fast
+    path yields the same tables on regular captures, and every irregular
+    capture falls back to exactly this path.
+    """
+    stats = ParseStats()
+    tables = []
+    for capture in sample.captures:
+        table = reconstruct_table_lenient(capture, stats)
+        if table is not None:
+            tables.append(table)
+    return tables, stats
 
 
 #: Clean baseline packet sets by client count — the corpus the mutation

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.analysis import parse_sample, reconstruct_table
+from repro.analysis import reconstruct_table
+from repro.analysis.event_columns import columns_for_sample
 from repro.measurement.onp import ProbeCapture
 from repro.ntp import MonlistTable, WireError, encode_mode3
 from repro.ntp.constants import IMPL_XNTPD
@@ -53,9 +54,9 @@ def test_reconstruct_rejects_garbage():
         reconstruct_table(empty)
 
 
-def test_parse_sample_skips_malformed(world):
+def test_columns_for_sample_skips_malformed(world):
     sample = world.onp.monlist_samples[0]
-    parsed = parse_sample(sample)
+    (parsed,) = columns_for_sample(sample).sample_views()
     assert len(parsed) == len(sample.captures)
     assert parsed.amplifier_ips() == sample.responder_ips()
 

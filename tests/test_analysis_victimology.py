@@ -1,6 +1,10 @@
 """Tests for the victim-classification filter and §4 aggregates."""
 
-import pytest
+import dataclasses
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import (
     CLASS_NON_VICTIM,
@@ -8,9 +12,17 @@ from repro.analysis import (
     CLASS_VICTIM,
     classify_entry,
 )
-from repro.analysis.victimology import VictimObservation
+from repro.analysis.victimology import (
+    CODE_EXCLUDED,
+    CODE_NON_VICTIM,
+    CODE_SCANNER,
+    CODE_VICTIM,
+    VictimObservation,
+    classify_columns,
+)
 from repro.ntp.wire import MonitorEntry
 from repro.util import date_to_sim
+from tests.strategies import monitor_entries
 
 
 def entry(mode=7, count=100, last_int=10, first_int=1000, port=80):
@@ -46,6 +58,48 @@ def test_slow_interarrival_is_scanner():
 
 def test_mode6_can_be_victim():
     assert classify_entry(entry(mode=6)) == CLASS_VICTIM
+
+
+_CLASS_OF_CODE = {
+    CODE_NON_VICTIM: CLASS_NON_VICTIM,
+    CODE_SCANNER: CLASS_SCANNER,
+    CODE_VICTIM: CLASS_VICTIM,
+}
+
+
+#: Entries on the filter's edges: counts around the 3-packet floor and
+#: mean inter-arrivals within two seconds of the 3600 s ceiling.
+_edge_entries = st.tuples(monitor_entries, st.integers(0, 5), st.integers(-2, 2)).map(
+    lambda drawn: dataclasses.replace(
+        drawn[0],
+        count=drawn[1],
+        first_int=drawn[0].last_int + 3600 * max(drawn[1] - 1, 0) + drawn[2],
+    )
+)
+
+
+@given(st.lists(st.one_of(monitor_entries, _edge_entries), max_size=30), st.data())
+@settings(max_examples=100, deadline=None)
+def test_classify_columns_matches_classify_entry(entries, data):
+    """The §4.2 filter kernel the batch report and the stream engine share
+    classifies every entry exactly as the per-entry helper does, with the
+    prober's address excluded when one is given."""
+    addrs = [e.addr for e in entries]
+    onp_ip = data.draw(st.sampled_from([None, *addrs]))
+
+    def column(name):
+        return np.array([getattr(e, name) for e in entries], dtype=np.int64)
+
+    codes, avg = classify_columns(
+        column("addr"), column("mode"), column("count"), column("first_int"),
+        column("last_int"), onp_ip,
+    )
+    assert avg.tolist() == [e.avg_interval for e in entries]
+    for e, code in zip(entries, codes.tolist()):
+        if onp_ip is not None and e.addr == onp_ip:
+            assert code == CODE_EXCLUDED
+        else:
+            assert _CLASS_OF_CODE[code] == classify_entry(e)
 
 
 def test_observation_derived_times():

@@ -2,7 +2,7 @@
 
 Three contracts from this layer of the pipeline:
 
-* the block decoder and the whole-capture fast path are *invisible*:
+* the block decoder and the columnar capture decoder are *invisible*:
   entry-for-entry equal to the scalar/lenient paths on clean streams, and
   deferring to the lenient path — with identical :class:`ParseStats` —
   the moment a capture is truncated, bit-flipped, or reordered;
@@ -20,15 +20,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.event_columns import decode_capture_batch
 from repro.analysis.monlist_parse import (
-    ParsedSample,
     ParseStats,
     add_parse_calls,
     parse_call_count,
-    parse_sample,
-    reconstruct_table_fast,
     reconstruct_table_lenient,
 )
+from repro.measurement.capture_store import pack_captures
 from repro.ntp.constants import MON_ENTRY_V1_SIZE, MON_ENTRY_V2_SIZE
 from repro.ntp.wire import (
     WireError,
@@ -40,6 +39,7 @@ from tests.strategies import (
     BASE_PACKET_SETS,
     capture_of,
     entry_versions,
+    lenient_parse,
     monitor_entries,
 )
 
@@ -86,20 +86,49 @@ def test_block_decoded_entries_are_real_instances():
 
 
 # ---------------------------------------------------------------------------
-# Fast capture path == lenient path
+# Columnar capture decoder == lenient path
 # ---------------------------------------------------------------------------
 
 
 def _lenient_result(packets):
+    """The lenient path's table as ``(scalars, entry rows)``, and stats."""
     stats = ParseStats()
     table = reconstruct_table_lenient(capture_of(packets), stats)
-    return table, stats
+    if table is None:
+        return None, stats
+    scalars = (
+        table.amplifier_ip,
+        table.entry_size,
+        table.n_packets_once,
+        table.n_repeats,
+        table.payload_bytes_once,
+        table.on_wire_bytes_once,
+    )
+    rows = [
+        (e.last_int, e.first_int, e.restr, e.count, e.addr, e.daddr, e.flags, e.port, e.mode, e.version)
+        for e in table.entries
+    ]
+    return (scalars, rows), stats
 
 
 def _fast_result(packets):
+    """``decode_capture_batch`` over a one-capture store, in the same shape."""
     stats = ParseStats()
-    table = reconstruct_table_fast(capture_of(packets), stats)
-    return table, stats
+    batch = decode_capture_batch(pack_captures([capture_of(packets)]), [0], stats)
+    if not len(batch.amplifier):
+        return None, stats
+    scalars = tuple(
+        int(column[0])
+        for column in (
+            batch.amplifier,
+            batch.entry_size,
+            batch.n_packets_once,
+            batch.n_repeats,
+            batch.payload_once,
+            batch.wire_once,
+        )
+    )
+    return (scalars, batch.entries.tolist()), stats
 
 
 @pytest.mark.parametrize("n_clients", sorted(BASE_PACKET_SETS))
@@ -200,22 +229,22 @@ def _corpus():
 
 
 def test_parse_cache_roundtrip(tmp_path):
-    from repro.analysis.parse_cache import load_or_parse_corpus
+    from repro.analysis.parse_cache import load_or_decode_corpus
 
     samples = _corpus()
-    fresh = [parse_sample(s) for s in samples]
+    fresh = [lenient_parse(s) for s in samples]
 
-    first, n_first = load_or_parse_corpus(samples, cache_dir=str(tmp_path))
+    first, n_first = load_or_decode_corpus(samples, cache_dir=str(tmp_path))
     assert n_first == len(samples)  # miss: everything parsed
-    second, n_second = load_or_parse_corpus(samples, cache_dir=str(tmp_path))
+    second, n_second = load_or_decode_corpus(samples, cache_dir=str(tmp_path))
     assert n_second == 0  # hit: nothing parsed
 
     for got in (first, second):
         assert len(got) == len(fresh)
-        for a, b in zip(got, fresh):
-            assert a.t == b.t
-            assert a.stats == b.stats
-            assert [t.entries for t in a.tables] == [t.entries for t in b.tables]
+        for a, sample, (tables, stats) in zip(got, samples, fresh):
+            assert a.t == sample.t
+            assert a.stats == stats
+            assert [t.entries for t in a.tables] == [t.entries for t in tables]
 
 
 def test_parse_cache_unconfigured_is_plain_parse(tmp_path, monkeypatch):
@@ -223,7 +252,7 @@ def test_parse_cache_unconfigured_is_plain_parse(tmp_path, monkeypatch):
 
     monkeypatch.delenv(parse_cache.PARSE_CACHE_ENV_VAR, raising=False)
     samples = _corpus()
-    parsed, n = parse_cache.load_or_parse_corpus(samples)
+    parsed, n = parse_cache.load_or_decode_corpus(samples)
     assert n == len(samples)
     assert not list(tmp_path.iterdir())
 
@@ -246,10 +275,10 @@ def test_parse_cache_version_gate(tmp_path, monkeypatch):
     from repro.analysis import parse_cache
 
     samples = _corpus()
-    _, n = parse_cache.load_or_parse_corpus(samples, cache_dir=str(tmp_path))
+    _, n = parse_cache.load_or_decode_corpus(samples, cache_dir=str(tmp_path))
     assert n == len(samples)
     monkeypatch.setattr("repro.__version__", "0.0.0-test")
-    _, n = parse_cache.load_or_parse_corpus(samples, cache_dir=str(tmp_path))
+    _, n = parse_cache.load_or_decode_corpus(samples, cache_dir=str(tmp_path))
     assert n == len(samples)  # version mismatch: a miss, not a stale hit
 
 
@@ -257,15 +286,15 @@ def test_parse_cache_corrupt_file_is_a_miss(tmp_path):
     from repro.analysis.parse_cache import (
         cached_corpus_path,
         corpus_digest,
-        load_or_parse_corpus,
+        load_or_decode_corpus,
     )
 
     samples = _corpus()
-    load_or_parse_corpus(samples, cache_dir=str(tmp_path))
+    load_or_decode_corpus(samples, cache_dir=str(tmp_path))
     path = cached_corpus_path(corpus_digest(samples), str(tmp_path))
     with open(path, "wb") as handle:
         handle.write(b"not a pickle")
-    parsed, n = load_or_parse_corpus(samples, cache_dir=str(tmp_path))
+    parsed, n = load_or_decode_corpus(samples, cache_dir=str(tmp_path))
     assert n == len(samples)
     assert len(parsed) == len(samples)
 

@@ -1,23 +1,25 @@
-"""Columnar corpus equivalence: ``EventColumns`` vs the object pipeline.
+"""Columnar corpus equivalence: ``EventColumns`` vs per-capture references.
 
 The columnar fast path must be invisible.  For any corpus — clean or
 mangled by the full mutation menagerie (truncation, bit flips, drops,
 reorders, duplicates) — decoding straight out of the packed blob
-produces tables, entries, and :class:`ParseStats` identical to
-``parse_sample``'s object path, advances the parse-once ledger by the
-same amount, and every aggregation kernel (victimology, concentration,
-churn, versions) computes the same report from either representation.
-These properties are what let the renderers switch corpus
-representation without a byte of artifact drift.
+produces tables, entries, and :class:`ParseStats` identical to running
+the lenient salvage path over every capture (``lenient_parse``),
+advances the parse-once ledger by one per sample, and every aggregation
+kernel (victimology, concentration, churn) computes what small
+``Counter``/set references built from ``classify_entry`` over those
+tables compute.  These properties are what keep every artifact
+byte-identical.
 """
 
 import pickle
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.churn import churn_report
+from repro.analysis.churn import ChurnReport, churn_report
 from repro.analysis.concentration import as_concentration
 from repro.analysis.event_columns import (
     ColumnarSample,
@@ -25,19 +27,24 @@ from repro.analysis.event_columns import (
     build_event_columns,
     columns_for_sample,
 )
-from repro.analysis.monlist_parse import parse_call_count, parse_sample
+from repro.analysis.monlist_parse import parse_call_count
 from repro.analysis.versions import parse_version_samples
 from repro.analysis.victimology import (
-    ColumnarVictimologyReport,
-    VictimologyReport,
+    CLASS_NON_VICTIM,
+    CLASS_SCANNER,
+    CLASS_VICTIM,
+    VictimObservation,
     analyze_dataset,
+    classify_entry,
 )
 from repro.measurement.capture_store import PackedCapturesBuilder
 from repro.measurement.onp import OnpSample
 from repro.ntp import MonlistTable, encode_mode6_response
 from repro.ntp.constants import CTL_OP_READVAR, IMPL_XNTPD, MODE6_DATA_AREA
 from repro.ntp.variables import render_system_variables
-from tests.strategies import BASE_PACKET_SETS, build_packets
+from repro.util.simtime import HOUR
+from repro.util.stats import percentile
+from tests.strategies import BASE_PACKET_SETS, lenient_parse
 
 # ---------------------------------------------------------------------------
 # Fixture builders
@@ -113,19 +120,21 @@ def corpus_from(data, n_samples, mutated):
 
 
 # ---------------------------------------------------------------------------
-# Structural equivalence: views == objects, counter for counter
+# Structural equivalence: views == lenient tables, counter for counter
 # ---------------------------------------------------------------------------
 
 
-def assert_sample_equivalent(view, parsed):
-    """A ColumnarSample view is indistinguishable from the ParsedSample."""
-    assert view.t == parsed.t
-    assert view.outage == parsed.outage
-    assert view.coverage == parsed.coverage
-    assert view.stats == parsed.stats
-    assert len(view.tables) == len(parsed.tables)
-    assert view.amplifier_ips() == parsed.amplifier_ips()
-    for table_view, table in zip(view.tables, parsed.tables):
+def assert_sample_equivalent(view, sample):
+    """A ColumnarSample view is indistinguishable from the lenient
+    per-capture parse of ``sample``."""
+    tables, stats = lenient_parse(sample)
+    assert view.t == sample.t
+    assert view.outage == sample.outage
+    assert view.coverage == sample.coverage
+    assert view.stats == stats
+    assert len(view.tables) == len(tables)
+    assert view.amplifier_ips() == {table.amplifier_ip for table in tables}
+    for table_view, table in zip(view.tables, tables):
         assert table_view.amplifier_ip == table.amplifier_ip
         assert table_view.t == table.t
         assert table_view.entry_size == table.entry_size
@@ -148,18 +157,18 @@ def test_columnar_matches_object_on_clean_sample(n_clients):
     )
     columns = columns_for_sample(sample)
     (view,) = columns.sample_views()
-    assert_sample_equivalent(view, parse_sample(sample))
+    assert_sample_equivalent(view, sample)
 
 
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_columnar_matches_object_under_mutations(data):
     """Fault-irregular captures defer to the lenient path: tables, entries,
-    and every ParseStats counter identical to the object pipeline."""
+    and every ParseStats counter identical to the lenient path alone."""
     for sample in corpus_from(data, n_samples=2, mutated=True):
         columns = columns_for_sample(sample)
         (view,) = columns.sample_views()
-        assert_sample_equivalent(view, parse_sample(sample))
+        assert_sample_equivalent(view, sample)
 
 
 def test_columnar_outage_and_empty_captures():
@@ -168,7 +177,7 @@ def test_columnar_outage_and_empty_captures():
     for sample in (outage, empties):
         columns = columns_for_sample(sample)
         (view,) = columns.sample_views()
-        assert_sample_equivalent(view, parse_sample(sample))
+        assert_sample_equivalent(view, sample)
     # Empty captures are *accounted*, not skipped.
     stats = columns_for_sample(empties).sample_views()[0].stats
     assert stats.captures_total == 2 and stats.captures_failed == 2
@@ -179,7 +188,7 @@ def test_columnar_outage_and_empty_captures():
 # ---------------------------------------------------------------------------
 
 
-def test_columnar_decode_advances_ledger_like_parse_sample():
+def test_columnar_decode_advances_ledger_once_per_sample():
     samples = [
         packed_sample([(7, BASE_PACKET_SETS[4], 1)], t=1000.0),
         packed_sample([(8, attack_packets(2), 1)], t=2000.0),
@@ -191,12 +200,12 @@ def test_columnar_decode_advances_ledger_like_parse_sample():
 
     before = parse_call_count()
     for sample in samples:
-        parse_sample(sample)
+        columns_for_sample(sample)
     assert parse_call_count() - before == len(samples)
 
 
 # ---------------------------------------------------------------------------
-# Aggregation kernels: columnar == object, report for report
+# Aggregation kernels vs Counter/set references over lenient tables
 # ---------------------------------------------------------------------------
 
 
@@ -210,28 +219,66 @@ class _FakeAsnTable:
         return ip % 7
 
 
-def _both_views(samples):
-    columnar = build_event_columns(samples, jobs=1).sample_views()
-    objects = [parse_sample(s) for s in samples]
-    return columnar, objects
+def reference_victimology(sample, onp_ip=None):
+    """``(observations, class counts, per-table max last-seen)`` of one
+    sample: :func:`classify_entry` over its lenient tables."""
+    observations, kinds, max_last_seen = [], Counter(), []
+    for table in lenient_parse(sample)[0]:
+        if table.entries:
+            max_last_seen.append(max(e.last_int for e in table.entries))
+        for e in table.entries:
+            if onp_ip is not None and e.addr == onp_ip:
+                continue
+            kind = classify_entry(e)
+            kinds[kind] += 1
+            if kind == CLASS_VICTIM:
+                observations.append(
+                    VictimObservation(
+                        sample.t, table.amplifier_ip, e.addr, e.port, e.mode,
+                        e.count, e.avg_interval, e.last_int,
+                    )
+                )
+    return observations, kinds, max_last_seen
 
 
 @given(st.data())
 @settings(max_examples=25, deadline=None)
 def test_victimology_kernels_match(data):
     samples = corpus_from(data, n_samples=3, mutated=True)
-    columnar, objects = _both_views(samples)
-    fast = analyze_dataset(columnar, onp_ip=1)
-    slow = analyze_dataset(objects, onp_ip=1)
-    assert isinstance(fast, ColumnarVictimologyReport)
-    assert type(slow) is VictimologyReport
-    assert fast.total_attack_packets() == slow.total_attack_packets()
-    assert fast.victim_packet_stats() == slow.victim_packet_stats()
-    assert fast.port_table() == slow.port_table()
-    assert fast.attacks_per_hour() == slow.attacks_per_hour()
-    assert fast.amplifiers_per_victim() == slow.amplifiers_per_victim()
-    assert fast.all_victim_ips() == slow.all_victim_ips()
-    assert sorted(fast.durations()) == sorted(slow.durations())
+    report = analyze_dataset(build_event_columns(samples, jobs=1).sample_views(), onp_ip=1)
+    every, rows, per_victim_amps, durations, hours = [], [], [], [], Counter()
+    for got, sample in zip(report.samples, samples):
+        observations, kinds, max_last_seen = reference_victimology(sample, onp_ip=1)
+        assert got.observations == observations
+        assert got.n_non_victim == kinds[CLASS_NON_VICTIM]
+        assert got.n_scanner == kinds[CLASS_SCANNER]
+        assert got.max_last_seen == max_last_seen
+        every.extend(observations)
+        packets, amps = Counter(), Counter()
+        starts, lengths = defaultdict(list), defaultdict(list)
+        for o in observations:
+            packets[o.victim_ip] += o.packets
+            amps[o.victim_ip] += 1
+            starts[o.victim_ip].append(o.start_time)
+            lengths[o.victim_ip].append(o.duration)
+        for values in starts.values():
+            hours[int(sorted(values)[len(values) // 2] // HOUR)] += 1
+        durations.extend(sorted(v)[len(v) // 2] for v in lengths.values())
+        values = list(packets.values())
+        rows.append(
+            (sample.t, sum(values) / len(values), percentile(values, 50), percentile(values, 95))
+            if values
+            else (sample.t, 0.0, 0.0, 0.0)
+        )
+        per_victim_amps.append((sample.t, percentile(list(amps.values()), 50) if amps else 0.0))
+    assert report.victim_packet_stats() == rows
+    assert report.amplifiers_per_victim() == per_victim_amps
+    assert report.attacks_per_hour() == dict(sorted(hours.items()))
+    assert report.durations() == durations
+    assert report.total_attack_packets() == sum(o.packets for o in every)
+    assert report.all_victim_ips() == {o.victim_ip for o in every}
+    ports = Counter(o.port for o in every)
+    assert report.port_table() == [(p, n / len(every)) for p, n in ports.most_common(20)]
 
 
 @given(st.data())
@@ -240,20 +287,38 @@ def test_concentration_kernel_matches_in_value_and_order(data):
     """Figure 5's group-by: same {asn: packets} *in the same insertion
     order* (most_common ties resolve by it), unrouted IPs dropped."""
     samples = corpus_from(data, n_samples=3, mutated=False)
-    columnar, objects = _both_views(samples)
     table = _FakeAsnTable()
-    fast = as_concentration(analyze_dataset(columnar), table)
-    slow = as_concentration(analyze_dataset(objects), table)
-    assert list(fast.victim_as_packets.items()) == list(slow.victim_as_packets.items())
-    assert list(fast.amplifier_as_packets.items()) == list(slow.amplifier_as_packets.items())
+    got = as_concentration(
+        analyze_dataset(build_event_columns(samples, jobs=1).sample_views()), table
+    )
+    victims, amplifiers = defaultdict(int), defaultdict(int)
+    for sample in samples:
+        for o in reference_victimology(sample)[0]:
+            for totals, ip in ((victims, o.victim_ip), (amplifiers, o.amplifier_ip)):
+                if table.asn_of(ip) is not None:
+                    totals[table.asn_of(ip)] += o.packets
+    assert list(got.victim_as_packets.items()) == list(victims.items())
+    assert list(got.amplifier_as_packets.items()) == list(amplifiers.items())
 
 
 @given(st.data())
 @settings(max_examples=25, deadline=None)
 def test_churn_kernel_matches(data):
     samples = corpus_from(data, n_samples=4, mutated=True)
-    columnar, objects = _both_views(samples)
-    assert churn_report(columnar) == churn_report(objects)
+    ip_sets = [{t.amplifier_ip for t in lenient_parse(s)[0]} for s in samples]
+    seen, cumulative, new = Counter(), set(), []
+    for ips in ip_sets:
+        new.append(len(ips - cumulative))
+        cumulative |= ips
+        seen.update(ips)
+    total = len(cumulative)
+    expected = ChurnReport(
+        total,
+        len(ip_sets[0]) / total if total else 0.0,
+        sum(1 for n in seen.values() if n == 1) / total if total else 0.0,
+        tuple(new),
+    )
+    assert churn_report(build_event_columns(samples, jobs=1).sample_views()) == expected
 
 
 def version_sample(specs, t=1000.0, packed=True):
@@ -354,7 +419,7 @@ def test_concat_then_spill_preserves_byte_order(monkeypatch, tmp_path):
         merged.entries, np.memmap
     )
     for view, sample in zip(merged.sample_views(), samples):
-        assert_sample_equivalent(view, parse_sample(sample))
+        assert_sample_equivalent(view, sample)
 
 
 def test_event_columns_spill_roundtrip(monkeypatch, tmp_path):
@@ -366,6 +431,6 @@ def test_event_columns_spill_roundtrip(monkeypatch, tmp_path):
     columns = columns_for_sample(sample)
     spilled = columns.maybe_spill()
     (view,) = spilled.sample_views()
-    assert_sample_equivalent(view, parse_sample(sample))
+    assert_sample_equivalent(view, sample)
     clone = pickle.loads(pickle.dumps(spilled))
     assert clone.entries.tobytes() == spilled.entries.tobytes()

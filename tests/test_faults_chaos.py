@@ -73,9 +73,9 @@ def test_quality_report_reconciles(hostile_world):
 def test_bounded_drift_from_clean_world(hostile_world):
     """Faults only *remove* observations: the degraded study sees fewer
     amplifiers than the clean apparatus did, but not absurdly fewer."""
-    from repro.analysis import churn_report, parse_sample
+    from repro.analysis import AnalysisContext, churn_report
 
-    parsed = [parse_sample(s) for s in hostile_world.onp.monlist_samples]
+    parsed = AnalysisContext(hostile_world).parsed_samples()
     churn = churn_report(parsed)
     assert churn.total_unique <= CLEAN_UNIQUE_AMPLIFIER_IPS
     assert churn.total_unique >= 0.5 * CLEAN_UNIQUE_AMPLIFIER_IPS

@@ -15,7 +15,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.analysis import AnalysisContext, parse_call_count, parse_corpus
+from repro.analysis import AnalysisContext, parse_call_count
+from repro.analysis.event_columns import build_event_columns
 from repro.cli import ARTIFACTS, main, render_artifact, render_many
 from repro.util.rng import RngStream
 
@@ -70,21 +71,22 @@ def test_context_is_lazy(world):
     assert ctx.parse_calls == 0
 
 
-def test_parse_corpus_parallel_matches_serial(world):
+def test_build_event_columns_parallel_matches_serial(world):
+    """The decode pool (engaged on any multi-CPU host) merges per-sample
+    parts into the same sample, table, and entry bytes as a serial run."""
     samples = world.onp.monlist_samples
-    serial = parse_corpus(samples, jobs=1)
-    parallel = parse_corpus(samples, jobs=4)
-    assert len(serial) == len(parallel) == len(samples)
-    for a, b in zip(serial, parallel):
-        assert a.t == b.t
-        assert a.stats.as_dict() == b.stats.as_dict()
-        assert [t.entries for t in a.tables] == [t.entries for t in b.tables]
+    serial = build_event_columns(samples, jobs=1)
+    parallel = build_event_columns(samples, jobs=2)
+    assert serial.n_samples == parallel.n_samples == len(samples)
+    assert serial.samples.tobytes() == parallel.samples.tobytes()
+    assert serial.tables.tobytes() == parallel.tables.tobytes()
+    assert serial.entries.tobytes() == parallel.entries.tobytes()
 
 
 def test_cached_ip_sets_are_stable(world):
     sample = world.onp.monlist_samples[0]
     assert sample.responder_ips() is sample.responder_ips()
-    parsed = parse_corpus([sample])[0]
+    (parsed,) = build_event_columns([sample]).sample_views()
     assert parsed.amplifier_ips() is parsed.amplifier_ips()
     assert parsed.amplifier_ips() <= sample.responder_ips()
     ctx = AnalysisContext(world)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.analysis import amplifier_counts, parse_sample
+from repro.analysis import amplifier_counts
+from repro.analysis.event_columns import columns_for_sample
 from repro.reporting import (
     render_monlist_table,
     render_series,
@@ -38,7 +39,7 @@ def test_analysis_never_touches_ground_truth(world):
     """The parsed dataset contains only information a real prober gets:
     reconstructing tables must not require the host objects."""
     sample = world.onp.monlist_samples[3]
-    parsed = parse_sample(sample)
+    (parsed,) = columns_for_sample(sample).sample_views()
     for table in parsed.tables[:20]:
         assert isinstance(table.amplifier_ip, int)
         assert table.entries is not None

@@ -6,7 +6,7 @@
   idempotence and the live-PID / foreign-file guarantees;
 * the parse cache's envelope-format discipline — a format-2 reader must
   refuse format-1 (and future-format) entries with a :class:`CacheMiss`
-  naming the format, and ``load_or_parse_corpus`` must fall back to a
+  naming the format, and ``load_or_decode_corpus`` must fall back to a
   real parse over such an entry rather than trusting it.
 """
 
@@ -19,7 +19,7 @@ from repro.analysis.parse_cache import (
     CacheMiss,
     cached_corpus_path,
     corpus_digest,
-    load_or_parse_corpus,
+    load_or_decode_corpus,
     load_parsed_corpus,
     save_parsed_corpus,
 )
@@ -100,7 +100,7 @@ def _rewrite_format(path, new_format):
 
 
 def test_format_1_entries_are_rejected_with_cache_miss(corpus, tmp_path):
-    parsed, n = load_or_parse_corpus(corpus, cache_dir=str(tmp_path))
+    parsed, n = load_or_decode_corpus(corpus, cache_dir=str(tmp_path))
     assert n == len(corpus)
     digest = corpus_digest(corpus)
     path = cached_corpus_path(digest, str(tmp_path))
@@ -121,7 +121,7 @@ def test_format_1_entries_are_rejected_with_cache_miss(corpus, tmp_path):
 def test_only_the_current_envelope_format_is_accepted(corpus, tmp_path, bad_format):
     digest = corpus_digest(corpus)
     path = cached_corpus_path(digest, str(tmp_path))
-    load_or_parse_corpus(corpus, cache_dir=str(tmp_path))
+    load_or_decode_corpus(corpus, cache_dir=str(tmp_path))
     _rewrite_format(path, bad_format)
     with pytest.raises(CacheMiss):
         load_parsed_corpus(path, digest)
@@ -129,18 +129,18 @@ def test_only_the_current_envelope_format_is_accepted(corpus, tmp_path, bad_form
 
 def test_load_or_parse_falls_back_to_a_real_parse_on_stale_format(corpus, tmp_path):
     cache_dir = str(tmp_path)
-    parsed_first, n_first = load_or_parse_corpus(corpus, cache_dir=cache_dir)
+    parsed_first, n_first = load_or_decode_corpus(corpus, cache_dir=cache_dir)
     assert n_first == len(corpus)
-    parsed_hit, n_hit = load_or_parse_corpus(corpus, cache_dir=cache_dir)
+    parsed_hit, n_hit = load_or_decode_corpus(corpus, cache_dir=cache_dir)
     assert n_hit == 0, "a valid entry must hit"
 
     path = cached_corpus_path(corpus_digest(corpus), cache_dir)
     _rewrite_format(path, 1)
-    parsed_again, n_again = load_or_parse_corpus(corpus, cache_dir=cache_dir)
+    parsed_again, n_again = load_or_decode_corpus(corpus, cache_dir=cache_dir)
     assert n_again == len(corpus), "a stale-format entry must force a re-parse"
 
     # The re-parse rewrote the entry at the current format: hits resume.
-    _parsed, n_after = load_or_parse_corpus(corpus, cache_dir=cache_dir)
+    _parsed, n_after = load_or_decode_corpus(corpus, cache_dir=cache_dir)
     assert n_after == 0
 
     # And every path produced the same analysis input.

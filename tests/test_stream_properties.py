@@ -12,7 +12,9 @@ Three families driven by the shared strategies in
   and the declared error bounds survive both single-stream use and
   merging;
 * ``ingest_many`` matches per-record ``ingest`` on an adversarially
-  reordered replay of a small world (the promise its docstring makes).
+  reordered replay of a small world (the promise its docstring makes);
+* capture payloads without a packed store decode exactly like the same
+  captures served out of one.
 """
 
 import json
@@ -21,6 +23,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.measurement.capture_store import pack_captures
+from repro.measurement.onp import ProbeCapture
 from repro.scenario.world import PaperWorld
 from repro.stream import QUERY_NAMES, StreamEngine, replay_plan, replay_records
 from repro.stream.sketches import CountMinSketch, SpaceSavingTopK
@@ -292,3 +296,34 @@ def test_ingest_many_matches_per_record_ingest(small_world, skew):
         one_by_one.ingest(record)
     one_by_one.close()
     assert _served_answers(batched) == _served_answers(one_by_one)
+
+
+def test_loose_capture_payloads_decode_like_packed_ones(small_world):
+    """Plain ``ProbeCapture`` payloads (no packed store) are packed at
+    flush and take the one decoder: every answer, window summaries and
+    ParseStats included, equals the same captures served out of a
+    ``PackedCaptures`` store — mutated captures on the salvage path too."""
+    records = list(replay_records(small_world))
+    positions, loose = [], []
+    for index, record in enumerate(records):
+        if record.kind != "capture":
+            continue
+        view = record.payload
+        packets = list(view.packets)
+        if len(loose) % 5 == 0 and packets:
+            packets[0] = packets[0][:-3]  # a torn fragment: irregular capture
+        positions.append(index)
+        loose.append(ProbeCapture(view.target_ip, view.t, tuple(packets), view.n_repeats))
+    answers = []
+    for payloads in (loose, pack_captures(loose).views()):
+        stream = list(records)
+        for index, payload in zip(positions, payloads):
+            stream[index] = stream[index]._replace(payload=payload)
+        engine = StreamEngine.for_world(small_world)
+        for lo in range(0, len(stream), 64):
+            engine.ingest_many(stream[lo : lo + 64])
+        engine.close()
+        answers.append(_served_answers(engine))
+    assert answers[0] == answers[1]
+    stats = json.loads(answers[0]["parse_stats"])
+    assert stats["captures_salvaged"] + stats["captures_failed"] > 0
