@@ -12,11 +12,16 @@ object views are materialized lazily only where a renderer still asks for
 them.
 
 :func:`decode_capture_batch` is the only capture decoder; the batch
-corpus and the streaming engine both call it.  A single vectorized
-validation pass over all packet headers classifies each capture,
-well-formed captures are block-decoded straight out of the payload blob
-(entry *objects* are never built), and any capture failing a check is
-re-parsed from scratch by the salvage path,
+corpus and the streaming engine both call it.  It works on a *stride-1
+record view* of the payload blob, whose element ``i`` is the fixed-size
+record starting at byte ``i``: one fancy index gathers every packet's
+8-byte header, and one more gathers every kept monitor entry as a whole
+record (entry *objects* are never built).  Captures whose packets are
+each well formed are reassembled in NumPy — in arrival order when their
+sequence numbers already count up, else under the salvage path's own
+rule (first copy of a sequence wins, the run from the lowest sequence is
+kept).  Only a capture with a malformed packet is re-parsed from scratch
+by the salvage path,
 :func:`~repro.analysis.monlist_parse.reconstruct_table_lenient` — so
 hostile corpora produce the tables and :class:`ParseStats` that path
 alone would, entry for entry and counter for counter.  A sample without
@@ -43,7 +48,7 @@ from repro.measurement.capture_store import (
 )
 from repro.net.framing import on_wire_bytes_array
 from repro.ntp.constants import MODE7_HEADER_SIZE, MON_ENTRY_V1_SIZE, MON_ENTRY_V2_SIZE
-from repro.ntp.wire import MonitorEntry, monitor_dtype_for
+from repro.ntp.wire import MON_V1_DTYPE, MonitorEntry
 from repro.analysis.monlist_parse import (
     ParseStats,
     add_parse_calls,
@@ -107,39 +112,63 @@ SAMPLE_DTYPE = np.dtype(
 )
 
 
-def _gather_ranges(starts, counts):
-    """Indices covering ``range(starts[i], starts[i]+counts[i])`` for all i.
+#: The 8-byte mode-7 header as one record: byte 0 (response, more,
+#: version, mode), sequence, implementation, request code, err|n_items,
+#: item size.
+_HEADER_DTYPE = np.dtype(
+    [("flags", "u1"), ("seq", "u1"), ("impl", "u1"), ("req", "u1"), ("items", ">u2"), ("size", ">u2")]
+)
+assert _HEADER_DTYPE.itemsize == MODE7_HEADER_SIZE
+
+
+def _gather_ranges(starts, counts, step=1):
+    """``starts[i] + step*k`` for ``k in range(counts[i])``, over all i.
 
     The standard repeat/arange gather: turns per-segment (start, count)
-    pairs into one flat index array without a Python loop.  The index
-    array itself is the dominant memory traffic of the byte-level body
-    gather, so it is built in int32 whenever the addressed range fits —
-    a ~2x throughput win on narrow cores — with a lossless int64
-    fallback for larger stores.
+    pairs into one flat int64 index array without a Python loop.
+    ``step`` is a scalar or one value per segment; a record size turns
+    packet body offsets into entry offsets.
     """
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
     heads = np.zeros(len(counts), dtype=np.int64)
     np.cumsum(counts[:-1], out=heads[1:])
-    base = starts - heads
-    lo = int(base.min())
-    if -(2**31) < lo and int(base.max()) + total < 2**31:
-        return np.repeat(base.astype(np.int32), counts) + np.arange(
-            total, dtype=np.int32
-        )
-    return np.repeat(base, counts) + np.arange(total, dtype=np.int64)
+    ramp = np.arange(int(counts.sum()), dtype=np.int64)
+    if np.ndim(step):
+        ramp *= np.repeat(step, counts)
+    elif step != 1:
+        ramp *= step
+    ramp += np.repeat(starts - step * heads, counts)
+    return ramp
 
 
-def _segment_sum(values, offsets):
-    """Per-segment sums of ``values`` under prefix-sum ``offsets``.
+def _segment_sums(rows, offsets):
+    """Per-segment sums of each row of ``rows`` under prefix-sum ``offsets``.
 
-    The cumsum-difference form handles empty segments uniformly (where
-    ``np.add.reduceat`` would not).
+    One stacked cumsum serves every row; the cumsum-difference form
+    handles empty segments uniformly (where ``np.add.reduceat`` would not).
     """
-    cs = np.zeros(len(values) + 1, dtype=np.int64)
-    np.cumsum(values, out=cs[1:])
-    return cs[offsets[1:]] - cs[offsets[:-1]]
+    cs = np.zeros((len(rows), rows.shape[1] + 1), dtype=np.int64)
+    np.cumsum(rows, axis=1, out=cs[:, 1:])
+    return cs[:, offsets[1:]] - cs[:, offsets[:-1]]
+
+
+#: An entry row as raw bytes.  Rows are gathered, scattered and spliced
+#: as these: NumPy copies a structured dtype field by field, ~8-15x
+#: slower than one ``memcpy`` of the record.  A v1 entry is exactly one
+#: such record, a v2 entry's first 32 bytes are one.
+_ENTRY_RECORD = np.dtype(f"V{ENTRY_DTYPE.itemsize}")
+assert _ENTRY_RECORD.itemsize == MON_ENTRY_V1_SIZE
+
+
+def _record_view(payload, size):
+    """The stride-1 record view of ``payload``: element ``i`` is the raw
+    ``size``-byte record that starts at byte ``i``.
+
+    One fancy index into it copies whole records; callers ``.view`` the
+    contiguous result as the dtype they need.  Empty when the payload is
+    shorter than one record.
+    """
+    n = max(len(payload) - size + 1, 0)
+    return np.ndarray(shape=(n,), dtype=f"V{size}", buffer=payload, strides=(1,))
 
 
 class EventColumns:
@@ -527,46 +556,121 @@ class CaptureBatch:
             setattr(self, name, fields[name])
 
 
-def decode_capture_batch(packed, cap_idx, stats):
-    """Vectorized fast/lenient decode of captures ``cap_idx`` of ``packed``.
+def _reassemble(seq, n_items, loc_off, counts, caps):
+    """:func:`reconstruct_table_lenient`'s reassembly rule, vectorized.
 
-    The vectorized header pass checks every selected packet at once for
-    what makes a capture regular: response+mode-7 bits, one
-    implementation, one supported item size, contiguous ascending
-    sequence numbers, and a data area exactly ``n_items * item_size``
-    long.  Regular captures are block-copied into the entries array and
-    advance ``stats`` exactly as the lenient path would on them (one ok
-    capture, all entries recovered, nothing discarded); captures that
-    fail are handed — whole — to :func:`reconstruct_table_lenient`, so
-    ``stats`` advances identically to that path alone (the counters are
-    additive, hence order-free).  ``cap_idx`` may be any
-    subset in any order — all gathers run over explicit index arrays with
-    batch-local segment offsets — which is what lets the streaming engine
-    decode whatever landed in one window without re-slicing the store.
+    ``caps`` are batch-local positions of well-formed captures whose
+    packets are not already in sequence order.  Their packets are sorted
+    by (capture, sequence, arrival); the first copy of a sequence wins
+    and each capture keeps the contiguous run from its lowest sequence.
+    Returns ``(slots, order, kept, sums)``: the captures' packet
+    positions, the packet that goes in each of those positions once
+    sorted, which of the sorted packets are kept, and per-capture rows
+    of duplicate packets, packets after a gap, entries discarded with
+    them, and entries kept.
+    """
+    cap_counts = counts[caps]
+    slots = _gather_ranges(loc_off[caps], cap_counts)
+    owner = np.repeat(np.arange(len(caps), dtype=np.int64), cap_counts)
+    # Sequences are 7-bit, so (capture, sequence) packs into one key; the
+    # stable sort keeps arrival order among copies of one sequence.
+    order = slots[np.argsort(owner * 128 + seq[slots], kind="stable")]
+    s_seq = seq[order]
+    s_items = n_items[order]
+    heads = np.zeros(len(caps) + 1, dtype=np.int64)
+    np.cumsum(cap_counts, out=heads[1:])
+    first_copy = np.ones(len(order), dtype=bool)
+    np.not_equal(s_seq[1:], s_seq[:-1], out=first_copy[1:])
+    first_copy[heads[:-1]] = True
+    # Rank of each first copy among its capture's distinct sequences: the
+    # run from the lowest sequence is where sequence - lowest == rank.
+    rank = np.cumsum(first_copy)
+    rank -= np.repeat(rank[heads[:-1]], cap_counts)
+    kept = first_copy & (s_seq - np.repeat(s_seq[heads[:-1]], cap_counts) == rank)
+    gap = first_copy & ~kept
+    sums = _segment_sums(np.stack((~first_copy, gap, gap * s_items, kept * s_items)), heads)
+    return slots, order, kept, sums
+
+
+def _entry_rows(payload, body, items, sizes):
+    """``ENTRY_DTYPE`` rows of the ``items[i]`` entries of ``sizes[i]``
+    bytes each that start at ``body[i]``.
+
+    One gather through the stride-1 record view copies each entry's
+    leading 32 bytes: a v2 entry's are ``ENTRY_DTYPE`` as they stand (its
+    40-byte tail is never read); a v1 entry is its whole
+    ``MON_V1_DTYPE`` record, copied field by field into place.
+    """
+    step = int(sizes[0]) if len(sizes) and (sizes == sizes[0]).all() else sizes
+    records = _record_view(payload, _ENTRY_RECORD.itemsize)[
+        _gather_ranges(body, items, step=step)
+    ]
+    v1_packets = sizes == MON_ENTRY_V1_SIZE
+    if v1_packets.any():
+        v1 = np.repeat(v1_packets, items)
+        wire = records[v1].view(MON_V1_DTYPE)
+        rows = np.zeros(len(wire), dtype=ENTRY_DTYPE)
+        for name in MON_V1_DTYPE.names:
+            rows[name] = wire[name]
+        records[v1] = rows.view(_ENTRY_RECORD)
+    return records.view(ENTRY_DTYPE)
+
+
+def _object_rows(table):
+    """A salvaged table's entry objects as ``ENTRY_DTYPE`` rows."""
+    return np.array(
+        [
+            (e.last_int, e.first_int, e.restr, e.count, e.addr, e.daddr, e.flags, e.port, e.mode, e.version)
+            for e in table.entries
+        ],
+        dtype=ENTRY_DTYPE,
+    )
+
+
+def decode_capture_batch(packed, cap_idx, stats):
+    """Decode captures ``cap_idx`` of ``packed`` into one :class:`CaptureBatch`.
+
+    One pass over the selected packets' headers, each gathered as one
+    8-byte record, splits the captures three ways:
+
+    * **in order** — every packet is a response in mode 7 with the first
+      packet's implementation and (supported) item size, a data area
+      exactly ``n_items * item_size`` long, and sequence numbers
+      counting up from the first packet's.  Nothing is discarded; the
+      entries are gathered in arrival order.
+    * **reordered** — every packet passes those checks except the last.
+      These captures alone are sorted by (capture, sequence, arrival) and
+      reassembled under :func:`reconstruct_table_lenient`'s rule: the
+      first copy of a sequence wins and the contiguous run from the lowest
+      sequence is kept.  Duplicates, packets after a gap and their
+      entries are counted as that function counts them.
+    * **malformed** — anything else (truncation, a flipped header bit,
+      mixed implementations, an empty capture) is handed, whole, to
+      :func:`reconstruct_table_lenient`, whose bookkeeping starts from
+      scratch.
+
+    Entries of the first two kinds are gathered with one fancy index
+    into the payload's stride-1 record view, one whole record per entry.
+    ``stats`` advances exactly as the lenient path alone would advance it
+    on every capture (the counters are additive, hence order-free).
+    ``cap_idx`` may be any subset in any order — all gathers run over
+    explicit index arrays with batch-local segment offsets — which is
+    what lets the streaming engine decode whatever landed in one window
+    without re-slicing the store.
     """
     cap_idx = np.asarray(cap_idx, dtype=np.int64)
     n_cap = len(cap_idx)
-    pkt_counts_all = np.asarray(packed.pkt_counts, dtype=np.int64)
-    pkt_offsets_all = np.asarray(packed.pkt_offsets, dtype=np.int64)
-    lens_all = np.asarray(packed.pkt_lens, dtype=np.int64)
-    byte_offsets = np.asarray(packed.byte_offsets, dtype=np.int64)
-    payload = packed.payload
-    n_bytes = int(byte_offsets[-1]) if len(byte_offsets) else 0
-
-    counts = pkt_counts_all[cap_idx]
+    counts = np.asarray(packed.pkt_counts, dtype=np.int64)[cap_idx]
     # Batch-local prefix sums: segment i of the gathered packet arrays is
     # loc_off[i]:loc_off[i+1].
     loc_off = np.zeros(n_cap + 1, dtype=np.int64)
     np.cumsum(counts, out=loc_off[1:])
     n_pkt = int(loc_off[-1])
-    # The repeat/arange gather, spelled so its intermediates are shared:
-    # rep_head and within are exactly the terms the per-packet checks
-    # below need again (fixed numpy-op overhead dominates at this batch
-    # size, so every op fused away is measurable).
-    rep_head = np.repeat(loc_off[:-1], counts)
-    within = np.arange(n_pkt, dtype=np.int64) - rep_head
-    pkt_idx = np.repeat(pkt_offsets_all[cap_idx], counts) + within
-    lens = lens_all[pkt_idx]
+    within = np.arange(n_pkt, dtype=np.int64) - np.repeat(loc_off[:-1], counts)
+    pkt_idx = np.repeat(np.asarray(packed.pkt_offsets, dtype=np.int64)[cap_idx], counts) + within
+    lens = np.asarray(packed.pkt_lens, dtype=np.int64)[pkt_idx]
+    starts = np.asarray(packed.byte_offsets, dtype=np.int64)[pkt_idx]
+    payload = packed.payload
 
     # An empty capture fails wholesale in the lenient path (nothing to
     # salvage); account the whole batch without visiting each one.
@@ -575,138 +679,113 @@ def decode_capture_batch(packed, cap_idx, stats):
     stats.captures_total += n_empty
     stats.captures_failed += n_empty
 
-    if n_cap and n_pkt and n_bytes:
-        starts = byte_offsets[:-1][pkt_idx]
-        # Header gather, clipped so short packets read in-bounds garbage
-        # that ok_len then masks out.
-        hdr_idx = np.minimum(
-            starts[:, None] + np.arange(MODE7_HEADER_SIZE, dtype=np.int64), n_bytes - 1
-        )
-        hdr = payload[hdr_idx].astype(np.int64)
-        byte0 = hdr[:, 0]
-        impl = hdr[:, 2]
-        n_items = ((hdr[:, 4] << 8) | hdr[:, 5]) & 0x0FFF
-        size_f = ((hdr[:, 6] << 8) | hdr[:, 7]) & 0x0FFF
-        seq = hdr[:, 1] & 0x7F
-
-        ok_len = lens >= MODE7_HEADER_SIZE
-        resp_ok = (byte0 & 0x87) == 0x87
-
-        first_idx = np.minimum(loc_off[:-1], n_pkt - 1)
-        cap_impl = impl[first_idx]
-        cap_seq0 = seq[first_idx]
-        cap_item = size_f[first_idx]
-        cap_item_valid = (cap_item == MON_ENTRY_V1_SIZE) | (cap_item == MON_ENTRY_V2_SIZE)
-
-        # One stacked repeat broadcasts all three per-capture header
-        # fields to packet granularity (vs. one repeat per field).
-        rep = np.repeat(np.stack((cap_impl, cap_item, cap_seq0)), counts, axis=1)
-        r_item = rep[1]
+    headers = _record_view(payload, MODE7_HEADER_SIZE)
+    if n_pkt and len(headers):
+        # Clipped so a short packet at the payload's end reads an
+        # in-bounds header that its length check then rejects.
+        hdr = headers[np.minimum(starts, len(headers) - 1)].view(_HEADER_DTYPE)
+        impl = hdr["impl"].astype(np.int64)
+        seq = hdr["seq"].astype(np.int64) & 0x7F
+        n_items = hdr["items"].astype(np.int64) & 0x0FFF
+        item = hdr["size"].astype(np.int64) & 0x0FFF
+        first = np.minimum(loc_off[:-1], n_pkt - 1)
+        cap_item = item[first]
+        # One stacked repeat broadcasts the first packet's fields to
+        # packet granularity.
+        rep = np.repeat(np.stack((impl[first], cap_item, seq[first])), counts, axis=1)
         pkt_ok = (
-            ok_len
-            & resp_ok
+            (lens >= MODE7_HEADER_SIZE)
+            & ((hdr["flags"] & 0x87) == 0x87)
             & (impl == rep[0])
-            & (size_f == r_item)
-            & (seq == rep[2] + within)
-            & (lens - MODE7_HEADER_SIZE == n_items * r_item)
+            & (item == rep[1])
+            & (lens - MODE7_HEADER_SIZE == n_items * rep[1])
         )
-        # All four per-capture reductions share one stacked cumsum.
-        stacked = np.stack(
-            (pkt_ok.astype(np.int64), n_items, lens, on_wire_bytes_array(lens))
-        )
-        cs = np.zeros((4, n_pkt + 1), dtype=np.int64)
-        np.cumsum(stacked, axis=1, out=cs[:, 1:])
-        segs = cs[:, loc_off[1:]] - cs[:, loc_off[:-1]]
-        ok_counts, items_per_cap, payload_per_cap, wire_per_cap = segs
-        regular = (~empty) & cap_item_valid & (ok_counts == counts)
+        in_seq = seq == rep[2] + within
     else:
+        seq = n_items = item = np.zeros(n_pkt, dtype=np.int64)
         cap_item = np.zeros(n_cap, dtype=np.int64)
-        items_per_cap = np.zeros(n_cap, dtype=np.int64)
-        payload_per_cap = np.zeros(n_cap, dtype=np.int64)
-        wire_per_cap = np.zeros(n_cap, dtype=np.int64)
-        regular = np.zeros(n_cap, dtype=bool)
+        pkt_ok = in_seq = np.zeros(n_pkt, dtype=bool)
+    ok_n, seq_n, items_per_cap, payload_per_cap, wire_per_cap = _segment_sums(
+        np.stack((pkt_ok, in_seq, n_items, lens, on_wire_bytes_array(lens))), loc_off
+    )
+    well_formed = (
+        ~empty
+        & ((cap_item == MON_ENTRY_V1_SIZE) | (cap_item == MON_ENTRY_V2_SIZE))
+        & (ok_n == counts)
+    )
+    in_order = well_formed & (seq_n == counts)
 
-    n_reg = int(regular.sum())
-    stats.captures_total += n_reg
-    stats.captures_ok += n_reg
-    stats.entries_recovered += int(items_per_cap[regular].sum())
+    # Entries kept per capture, and which packets supply them in output
+    # order: all of an in-order capture's packets, in arrival order.
+    kept_per_cap = np.where(in_order, items_per_cap, 0)
+    keep = np.repeat(in_order, counts)
+    out_order = None
+    n_degraded = 0
+    reordered = np.flatnonzero(well_formed & ~in_order)
+    if len(reordered):
+        slots, order, kept, sums = _reassemble(seq, n_items, loc_off, counts, reordered)
+        n_dup, n_gap, gap_items, kept_items = sums
+        out_order = np.arange(n_pkt, dtype=np.int64)
+        out_order[slots] = order
+        keep[slots] = kept
+        kept_per_cap[reordered] = kept_items
+        # Reordering alone discards nothing; only a duplicate or a gap
+        # makes the capture a salvage.
+        n_degraded = int(np.count_nonzero(n_dup + n_gap))
+        stats.packets_duplicate += int(n_dup.sum())
+        stats.packets_out_of_sequence += int(n_gap.sum())
+        stats.entries_discarded += int(gap_items.sum())
+    n_well_formed = int(np.count_nonzero(well_formed))
+    stats.captures_total += n_well_formed
+    stats.captures_ok += n_well_formed - n_degraded
+    stats.captures_salvaged += n_degraded
+    stats.entries_recovered += int(kept_per_cap.sum())
 
-    # Irregular captures: the whole capture re-parses through the lenient
+    # Malformed captures: the whole capture re-parses through the lenient
     # salvage path, whose bookkeeping starts from scratch.
-    fallback = {}
-    for pos in np.flatnonzero(~empty & ~regular).tolist():
+    salvaged = {}
+    for pos in np.flatnonzero(~empty & ~well_formed).tolist():
         table = reconstruct_table_lenient(packed.view(int(cap_idx[pos])), stats)
         if table is not None:
-            fallback[pos] = table
+            salvaged[pos] = table
 
-    has_table = regular.copy()
-    for pos in fallback:
-        has_table[pos] = True
+    has_table = well_formed.copy()
+    has_table[list(salvaged)] = True
     tbl_caps = np.flatnonzero(has_table)
     n_tbl = len(tbl_caps)
-
     tbl_pos = np.full(n_cap, -1, dtype=np.int64)
     tbl_pos[tbl_caps] = np.arange(n_tbl, dtype=np.int64)
-    entry_counts = items_per_cap[tbl_caps].copy()
-    entry_size_per = cap_item[tbl_caps].copy()
-    for pos, table in fallback.items():
-        row = int(tbl_pos[pos])
-        entry_counts[row] = len(table.entries)
-        entry_size_per[row] = table.entry_size
+    entry_counts = kept_per_cap[tbl_caps]
+    entry_size = cap_item[tbl_caps]
+    for pos, table in salvaged.items():
+        entry_counts[tbl_pos[pos]] = len(table.entries)
+        entry_size[tbl_pos[pos]] = table.entry_size
     entry_start = np.zeros(n_tbl + 1, dtype=np.int64)
     np.cumsum(entry_counts, out=entry_start[1:])
-    n_entries = int(entry_start[-1])
 
-    entries = np.zeros(n_entries, dtype=ENTRY_DTYPE)
-    if n_entries:
-        # Regular captures: one grouped body gather + structured view per
-        # item size.  Body bytes of a regular capture are exactly
-        # n_items * item_size, so the concatenated blob reinterprets
-        # losslessly.
-        for item_size in (MON_ENTRY_V1_SIZE, MON_ENTRY_V2_SIZE):
-            sel_caps = np.flatnonzero(regular & (cap_item == item_size) & (items_per_cap > 0))
-            if not len(sel_caps):
-                continue
-            wire_dtype = monitor_dtype_for(item_size)
-            sub_pkt = _gather_ranges(loc_off[sel_caps], counts[sel_caps])
-            body_starts = byte_offsets[:-1][pkt_idx[sub_pkt]] + MODE7_HEADER_SIZE
-            body_lens = lens[sub_pkt] - MODE7_HEADER_SIZE
-            blob = np.ascontiguousarray(payload[_gather_ranges(body_starts, body_lens)])
-            src = blob.view(wire_dtype)
-            if len(sel_caps) == n_tbl and len(src) == n_entries:
-                # Every table is regular with this item size, so the
-                # destination rows are exactly 0..n_entries in order —
-                # field-copy by slice instead of a fancy scatter.
-                for name in wire_dtype.names:
-                    entries[name][:] = src[name]
-            else:
-                dest = _gather_ranges(entry_start[:-1][tbl_pos[sel_caps]], items_per_cap[sel_caps])
-                for name in wire_dtype.names:
-                    entries[name][dest] = src[name]
-        # Fallback tables: convert the salvaged entry objects row by row
-        # (rare by construction — only fault-irregular captures land here).
-        for pos, table in fallback.items():
-            lo = int(entry_start[int(tbl_pos[pos])])
-            seg = entries[lo : lo + len(table.entries)]
-            for j, e in enumerate(table.entries):
-                seg[j] = (
-                    e.last_int,
-                    e.first_int,
-                    e.restr,
-                    e.count,
-                    e.addr,
-                    e.daddr,
-                    e.flags,
-                    e.port,
-                    e.mode,
-                    e.version,
-                )
+    kept_pkts = np.flatnonzero(keep) if out_order is None else out_order[keep]
+    entries = _entry_rows(
+        payload, starts[kept_pkts] + MODE7_HEADER_SIZE, n_items[kept_pkts], item[kept_pkts]
+    )
+    if salvaged:
+        # Splice each salvaged table's rows in at its place in table order.
+        gathered = entries.view(_ENTRY_RECORD)
+        merged = np.empty(int(entry_start[-1]), dtype=_ENTRY_RECORD)
+        done = taken = 0
+        for pos, table in salvaged.items():
+            lo = int(entry_start[tbl_pos[pos]])
+            merged[done:lo] = gathered[taken : taken + lo - done]
+            taken += lo - done
+            done = lo + len(table.entries)
+            merged[lo:done] = _object_rows(table).view(_ENTRY_RECORD)
+        merged[done:] = gathered[taken:]
+        entries = merged.view(ENTRY_DTYPE)
 
     sel = cap_idx[tbl_caps]
     return CaptureBatch(
         cap_positions=tbl_caps,
         amplifier=np.asarray(packed.target_ips, dtype=np.int64)[sel],
-        entry_size=entry_size_per,
+        entry_size=entry_size,
         entry_counts=entry_counts,
         entry_start=entry_start,
         entries=entries,

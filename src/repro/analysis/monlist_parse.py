@@ -10,8 +10,9 @@ exactly that rendition plus the repeat count.
 Corpora are decoded in bulk by
 :func:`~repro.analysis.event_columns.decode_capture_batch`; this module
 holds the per-capture pieces it builds on: the lenient salvage path every
-irregular capture falls back to, the strict reference parser, and the
-:class:`ParseStats` ledger of what was discarded.
+capture with a malformed packet falls back to (whose reassembly rule the
+batch decoder applies itself to the rest), the strict reference parser,
+and the :class:`ParseStats` ledger of what was discarded.
 """
 
 from dataclasses import dataclass

@@ -42,7 +42,8 @@ __all__ = ["MonlistRecord", "MonlistTable"]
 _U32_MAX = 2**32 - 1
 
 # The on-wire layouts live in repro.ntp.wire (MON_V1_DTYPE / MON_V2_DTYPE),
-# shared with the block decoder so encode and decode can never drift apart.
+# shared with the columnar capture decoder so encode and decode can never
+# drift apart.
 # ``np.zeros`` guarantees the pad bytes are zero, exactly like struct's
 # ``x`` pad codes, so ``tobytes()`` of a row equals the struct encoding.
 _V2_DTYPE = MON_V2_DTYPE

@@ -33,7 +33,6 @@ __all__ = [
     "Mode3Packet",
     "MON_V1_DTYPE",
     "MON_V2_DTYPE",
-    "monitor_dtype_for",
     "encode_mode7_request",
     "encode_mode7_response",
     "encode_mode7_response_raw",
@@ -41,7 +40,6 @@ __all__ = [
     "decode_mode7_stream",
     "encode_monitor_entry",
     "decode_monitor_entries",
-    "decode_monitor_entries_block",
     "encode_mode6_request",
     "encode_mode6_response",
     "decode_mode6",
@@ -106,8 +104,9 @@ assert _V1_STRUCT.size == MON_ENTRY_V1_SIZE
 
 #: Big-endian on-wire monitor-entry layouts, mirroring ``_V2_STRUCT`` /
 #: ``_V1_STRUCT`` field-for-field (the pad bytes land in the dtype gaps).
-#: Shared by the bulk encoder (:mod:`repro.ntp.monlist`) and the block
-#: decoder below, so the wire layout is defined in exactly one place.
+#: Shared by the bulk encoder (:mod:`repro.ntp.monlist`) and the columnar
+#: capture decoder (:mod:`repro.analysis.event_columns`), so the wire
+#: layout is defined in exactly one place.
 MON_V2_DTYPE = np.dtype(
     {
         "names": ["last", "first", "restr", "count", "addr", "daddr", "flags", "port", "mode", "version"],
@@ -124,19 +123,6 @@ MON_V1_DTYPE = np.dtype(
         "itemsize": MON_ENTRY_V1_SIZE,
     }
 )
-
-#: Below this many entries the per-array NumPy overhead exceeds the struct
-#: loop (same crossover as the encoder's ``_BULK_RENDER_MIN``).
-_BLOCK_DECODE_MIN = 12
-
-
-def monitor_dtype_for(item_size):
-    """The on-wire structured dtype for a monitor item size (32 or 72 B)."""
-    if item_size == MON_ENTRY_V2_SIZE:
-        return MON_V2_DTYPE
-    if item_size == MON_ENTRY_V1_SIZE:
-        return MON_V1_DTYPE
-    raise WireError(f"unsupported monitor item size {item_size}")
 
 
 def _clamp_u32(value):
@@ -231,67 +217,6 @@ def decode_monitor_entries(data, item_size, n_items):
                 restr=restr,
             )
         )
-    return entries
-
-
-def decode_monitor_entries_block(data, item_size, n_items):
-    """Vectorized :func:`decode_monitor_entries` for well-formed data areas.
-
-    One ``np.frombuffer`` with the shared structured dtype replaces the
-    per-entry ``struct.unpack_from`` loop; entry objects are then built
-    without re-running ``__init__`` per field tuple.  Small areas fall back
-    to the scalar loop, where the fixed NumPy overhead would dominate.
-    Output is equal to :func:`decode_monitor_entries` entry-for-entry.
-    """
-    if n_items < _BLOCK_DECODE_MIN:
-        return decode_monitor_entries(data, item_size, n_items)
-    if item_size == MON_ENTRY_V2_SIZE:
-        dtype = MON_V2_DTYPE
-        v2 = True
-    elif item_size == MON_ENTRY_V1_SIZE:
-        dtype = MON_V1_DTYPE
-        v2 = False
-    else:
-        raise WireError(f"unsupported monitor item size {item_size}")
-    if len(data) < item_size * n_items:
-        raise WireError("truncated monitor data area")
-    arr = np.frombuffer(data, dtype=dtype, count=n_items)
-    entries = []
-    append = entries.append
-    new = MonitorEntry.__new__
-    cls = MonitorEntry
-    if v2:
-        for last_int, first_int, restr, count, addr, daddr, flags, port, mode, ver in arr.tolist():
-            e = new(cls)
-            e.__dict__.update(
-                last_int=last_int,
-                first_int=first_int,
-                count=count,
-                addr=addr,
-                daddr=daddr,
-                flags=flags,
-                port=port,
-                mode=mode,
-                version=ver,
-                restr=restr,
-            )
-            append(e)
-    else:
-        for last_int, first_int, count, addr, daddr, flags, port, mode, ver in arr.tolist():
-            e = new(cls)
-            e.__dict__.update(
-                last_int=last_int,
-                first_int=first_int,
-                count=count,
-                addr=addr,
-                daddr=daddr,
-                flags=flags,
-                port=port,
-                mode=mode,
-                version=ver,
-                restr=0,
-            )
-            append(e)
     return entries
 
 

@@ -19,8 +19,9 @@ Capture decode path
 -------------------
 Mode-7 captures are *buffered* per open window and decoded in columnar
 micro-batches through the decoder the batch corpus uses
-(:func:`~repro.analysis.event_columns.decode_capture_batch`); captures
-failing its vectorized checks fall back — whole — to
+(:func:`~repro.analysis.event_columns.decode_capture_batch`).  It
+reassembles in-order, reordered, duplicated and gapped captures itself;
+only a capture with a malformed packet goes — whole — to
 :func:`~repro.analysis.monlist_parse.reconstruct_table_lenient`, so
 ``ParseStats`` advance counter for counter with the batch corpus on clean
 and fault-injected streams alike.  Capture payloads without a packed

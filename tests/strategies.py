@@ -17,7 +17,7 @@ from repro.analysis.monlist_parse import ParseStats, reconstruct_table_lenient
 from repro.measurement.onp import ProbeCapture
 from repro.net import Prefix
 from repro.ntp import MonlistTable
-from repro.ntp.constants import IMPL_XNTPD
+from repro.ntp.constants import IMPL_XNTPD, IMPL_XNTPD_OLD
 from repro.ntp.wire import MonitorEntry
 from repro.util.simtime import DAY
 
@@ -42,6 +42,7 @@ __all__ = [
     "capture_of",
     "lenient_parse",
     "BASE_PACKET_SETS",
+    "V1_PACKET_SETS",
     "sketch_streams",
     "stream_events",
     "record_streams",
@@ -103,13 +104,16 @@ monlist_events = st.lists(
 )
 
 
-def build_packets(n_clients, now=1000.0):
+def build_packets(n_clients, now=1000.0, entry_version=2):
     """A canonical clean mode-7 response: ``n_clients`` distinct entries
-    rendered into the real multi-packet wire format."""
+    rendered into the real multi-packet wire format, as modern ntpd's
+    72-byte v2 entries or (``entry_version=1``) legacy xntpd's 32-byte v1
+    entries."""
     table = MonlistTable(capacity=600)
     for i in range(n_clients):
         table.record(1000 + i, 123, 3, 4, now=float(i))
-    return tuple(table.render_response_packets(now, 2, IMPL_XNTPD))
+    implementation = IMPL_XNTPD if entry_version == 2 else IMPL_XNTPD_OLD
+    return tuple(table.render_response_packets(now, entry_version, implementation))
 
 
 def capture_of(packets, target_ip=42, t=1000.0):
@@ -122,9 +126,11 @@ def lenient_parse(sample):
     capture, as ``(tables, stats)`` — the tables that parsed, in capture
     order, and the sample's :class:`ParseStats`.
 
-    The columnar decoder must be indistinguishable from this: its fast
-    path yields the same tables on regular captures, and every irregular
-    capture falls back to exactly this path.
+    The columnar decoder must be indistinguishable from this: it
+    reassembles well-formed captures itself, in order or not, under this
+    path's rule (first copy of a sequence wins, the run from the lowest
+    sequence is kept), and hands every capture with a malformed packet
+    to exactly this path.
     """
     stats = ParseStats()
     tables = []
@@ -138,6 +144,10 @@ def lenient_parse(sample):
 #: Clean baseline packet sets by client count — the corpus the mutation
 #: fuzzers (bit flips, drops, reorders, duplicates) start from.
 BASE_PACKET_SETS = {n: build_packets(n) for n in (1, 4, 20, 40)}
+
+#: The same tables as v1 (32-byte entry) responses, so the decoder's v1
+#: branch sees the same mutations.
+V1_PACKET_SETS = {n: build_packets(n, entry_version=1) for n in (1, 4, 20, 40)}
 
 # -- analysis-domain values ----------------------------------------------------
 

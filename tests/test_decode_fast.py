@@ -1,11 +1,12 @@
-"""The vectorized decode fast path, the parse cache, and the parallel matrix.
+"""The columnar capture decoder, the parse cache, and the parallel matrix.
 
 Three contracts from this layer of the pipeline:
 
-* the block decoder and the columnar capture decoder are *invisible*:
-  entry-for-entry equal to the scalar/lenient paths on clean streams, and
-  deferring to the lenient path — with identical :class:`ParseStats` —
-  the moment a capture is truncated, bit-flipped, or reordered;
+* the columnar capture decoder is *invisible*: on any store — clean,
+  truncated, bit-flipped, reordered, duplicated, gapped, v1 or v2, one
+  capture or many, in RAM or spilled — its tables and
+  :class:`ParseStats` equal the lenient path's, and only captures with a
+  malformed packet are re-parsed by that path;
 * the persistent parsed-corpus cache returns exactly what a fresh parse
   would, registers zero parse calls on a hit, and misses (never lies) on
   a version change or a corrupt file;
@@ -16,10 +17,12 @@ Three contracts from this layer of the pipeline:
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import event_columns
 from repro.analysis.event_columns import decode_capture_batch
 from repro.analysis.monlist_parse import (
     ParseStats,
@@ -28,52 +31,25 @@ from repro.analysis.monlist_parse import (
     reconstruct_table_lenient,
 )
 from repro.measurement.capture_store import pack_captures
-from repro.ntp.constants import MON_ENTRY_V1_SIZE, MON_ENTRY_V2_SIZE
-from repro.ntp.wire import (
-    WireError,
-    decode_monitor_entries,
-    decode_monitor_entries_block,
-    encode_monitor_entry,
-)
+from repro.ntp import MonlistTable
+from repro.ntp.constants import IMPL_XNTPD, IMPL_XNTPD_OLD
 from tests.strategies import (
     BASE_PACKET_SETS,
+    V1_PACKET_SETS,
     capture_of,
-    entry_versions,
     lenient_parse,
-    monitor_entries,
 )
 
-# ---------------------------------------------------------------------------
-# Block decoder == scalar decoder
-# ---------------------------------------------------------------------------
+#: Every clean fixture by (entry version, client count).
+_CLEAN_SETS = {
+    **{(2, n): packets for n, packets in BASE_PACKET_SETS.items()},
+    **{(1, n): packets for n, packets in V1_PACKET_SETS.items()},
+}
 
 
-@given(st.lists(monitor_entries, min_size=0, max_size=40), entry_versions)
-@settings(max_examples=100, deadline=None)
-def test_block_decoder_matches_scalar(entries, entry_version):
-    """Across the bulk-decode threshold, any in-range entry list decodes
-    identically through the NumPy block path and the struct loop."""
-    item_size = MON_ENTRY_V2_SIZE if entry_version == 2 else MON_ENTRY_V1_SIZE
-    data = b"".join(encode_monitor_entry(e, entry_version) for e in entries)
-    scalar = decode_monitor_entries(data, item_size, len(entries))
-    block = decode_monitor_entries_block(data, item_size, len(entries))
-    assert block == scalar
-
-
-def test_block_decoder_rejects_bad_item_size():
-    with pytest.raises(WireError):
-        decode_monitor_entries_block(b"\x00" * 720, 33, 20)
-
-
-def test_block_decoder_rejects_truncated_area():
-    data = b"\x00" * (MON_ENTRY_V2_SIZE * 20 - 1)
-    with pytest.raises(WireError):
-        decode_monitor_entries_block(data, MON_ENTRY_V2_SIZE, 20)
-
-
-def test_block_decoded_entries_are_real_instances():
-    """The fast construction path must produce fully usable entries:
-    hashable, comparable, with working derived properties."""
+def test_reconstructed_entries_are_real_instances():
+    """The strict parser's entries are fully usable objects: hashable,
+    comparable, with working derived properties."""
     from tests.strategies import build_packets
     from repro.analysis import reconstruct_table
 
@@ -90,10 +66,10 @@ def test_block_decoded_entries_are_real_instances():
 # ---------------------------------------------------------------------------
 
 
-def _lenient_result(packets):
+def _lenient_result(packets, target_ip=42):
     """The lenient path's table as ``(scalars, entry rows)``, and stats."""
     stats = ParseStats()
-    table = reconstruct_table_lenient(capture_of(packets), stats)
+    table = reconstruct_table_lenient(capture_of(packets, target_ip=target_ip), stats)
     if table is None:
         return None, stats
     scalars = (
@@ -141,43 +117,36 @@ def test_fast_path_matches_lenient_on_clean_captures(n_clients):
     assert not fast_stats.degraded
 
 
-@given(st.sampled_from(sorted(BASE_PACKET_SETS)), st.data())
+@pytest.mark.parametrize("n_clients", sorted(V1_PACKET_SETS))
+def test_fast_path_matches_lenient_on_clean_v1_captures(n_clients):
+    fast_table, fast_stats = _fast_result(V1_PACKET_SETS[n_clients])
+    lenient_table, lenient_stats = _lenient_result(V1_PACKET_SETS[n_clients])
+    assert fast_table == lenient_table
+    assert fast_stats == lenient_stats
+    assert fast_table[0][1] == 32  # entry size: the v1 branch ran
+    assert fast_stats.captures_ok == 1
+
+
+@given(st.sampled_from(sorted(_CLEAN_SETS)), st.data())
 @settings(max_examples=150, deadline=None)
-def test_fast_path_defers_on_bitflips(n_clients, data):
+def test_fast_path_defers_on_bitflips(key, data):
     """Bit corruption anywhere: the fast path's result — table and stats —
     is indistinguishable from running the lenient path alone."""
-    packets = list(BASE_PACKET_SETS[n_clients])
-    n_flips = data.draw(st.integers(min_value=1, max_value=6))
-    for _ in range(n_flips):
-        index = data.draw(st.integers(min_value=0, max_value=len(packets) - 1))
-        victim = bytearray(packets[index])
-        position = data.draw(st.integers(min_value=0, max_value=len(victim) - 1))
-        victim[position] ^= data.draw(st.integers(min_value=1, max_value=255))
-        packets[index] = bytes(victim)
+    packets = list(_CLEAN_SETS[key])
+    for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+        packets = _mutate(packets, "bitflip", data)
     fast_table, fast_stats = _fast_result(packets)
     lenient_table, lenient_stats = _lenient_result(packets)
     assert fast_table == lenient_table
     assert fast_stats == lenient_stats
 
 
-@given(st.sampled_from([4, 20, 40]), st.data())
+@given(st.sampled_from([key for key in sorted(_CLEAN_SETS) if key[1] >= 4]), st.data())
 @settings(max_examples=150, deadline=None)
-def test_fast_path_defers_on_loss_mutations(n_clients, data):
+def test_fast_path_defers_on_loss_mutations(key, data):
     """Truncation, drops, reordering, duplication: same equivalence."""
-    packets = list(BASE_PACKET_SETS[n_clients])
-    mutation = data.draw(st.sampled_from(["truncate", "drop", "reorder", "duplicate"]))
-    if mutation == "truncate":
-        index = data.draw(st.integers(min_value=0, max_value=len(packets) - 1))
-        keep = data.draw(st.integers(min_value=0, max_value=len(packets[index]) - 1))
-        packets[index] = packets[index][:keep]
-    elif mutation == "drop" and len(packets) > 1:
-        del packets[data.draw(st.integers(min_value=0, max_value=len(packets) - 1))]
-    elif mutation == "reorder":
-        indices = data.draw(st.permutations(range(len(packets))))
-        packets = [packets[i] for i in indices]
-    else:
-        index = data.draw(st.integers(min_value=0, max_value=len(packets) - 1))
-        packets.insert(index, packets[index])
+    mutation = data.draw(st.sampled_from(["truncate", "drop", "reorder", "duplicate", "shuffle"]))
+    packets = _mutate(list(_CLEAN_SETS[key]), mutation, data)
     fast_table, fast_stats = _fast_result(packets)
     lenient_table, lenient_stats = _lenient_result(packets)
     assert fast_table == lenient_table
@@ -189,6 +158,229 @@ def test_fast_path_empty_capture_defers():
     lenient_table, lenient_stats = _lenient_result([])
     assert fast_table is None and lenient_table is None
     assert fast_stats == lenient_stats
+
+
+_MUTATIONS = ["none", "reorder", "duplicate", "drop", "truncate", "bitflip", "shuffle"]
+
+
+def _mutate(packets, mutation, data):
+    """One fault-injector mutation of a packet list; ``shuffle`` is a drop,
+    a duplicate and a reorder together."""
+    packets = list(packets)
+    if not packets or mutation == "none":
+        return packets
+    index = data.draw(st.integers(min_value=0, max_value=len(packets) - 1))
+    if mutation == "truncate":
+        packets[index] = packets[index][: data.draw(st.integers(0, len(packets[index]) - 1))]
+    elif mutation == "bitflip":
+        victim = bytearray(packets[index])
+        victim[data.draw(st.integers(0, len(victim) - 1))] ^= data.draw(st.integers(1, 255))
+        packets[index] = bytes(victim)
+    elif mutation == "duplicate":
+        packets.insert(index, packets[index])
+    elif mutation == "drop":
+        if len(packets) > 1:
+            del packets[index]
+    elif mutation == "reorder":
+        packets = [packets[i] for i in data.draw(st.permutations(range(len(packets))))]
+    else:
+        for step in ("drop", "duplicate", "reorder"):
+            packets = _mutate(packets, step, data)
+    return packets
+
+
+def _batch_tables(batch):
+    """Each decoded table as ``(position, (scalars, entry rows))``."""
+    columns = (
+        batch.amplifier,
+        batch.entry_size,
+        batch.n_packets_once,
+        batch.n_repeats,
+        batch.payload_once,
+        batch.wire_once,
+    )
+    tables = []
+    for row, position in enumerate(batch.cap_positions.tolist()):
+        lo, hi = batch.entry_start[row], batch.entry_start[row + 1]
+        scalars = tuple(int(column[row]) for column in columns)
+        tables.append((position, (scalars, batch.entries[lo:hi].tolist())))
+    return tables
+
+
+def _assert_store_matches_lenient(store, captures, positions):
+    """Decoding ``positions`` of ``store`` in one call yields, table for
+    table, what the lenient path yields on each capture, and the summed
+    :class:`ParseStats`."""
+    stats = ParseStats()
+    batch = decode_capture_batch(store, np.asarray(positions, dtype=np.int64), stats)
+    expected, expected_stats = [], ParseStats()
+    for at, index in enumerate(positions):
+        capture = captures[index]
+        table, one = _lenient_result(capture.packets, target_ip=capture.target_ip)
+        expected_stats.merge(one)
+        if table is not None:
+            expected.append((at, table))
+    assert _batch_tables(batch) == expected
+    assert stats == expected_stats
+    return batch, stats
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_multi_capture_store_matches_lenient(data):
+    """1–6 captures of both entry versions in one store, each mutated on
+    its own; a random subset of positions in random order decodes in one
+    call exactly as the lenient path decodes each capture."""
+    captures = []
+    for index in range(data.draw(st.integers(min_value=1, max_value=6))):
+        packets = _CLEAN_SETS[data.draw(st.sampled_from(sorted(_CLEAN_SETS)))]
+        packets = _mutate(packets, data.draw(st.sampled_from(_MUTATIONS)), data)
+        captures.append(capture_of(packets, target_ip=100 + index))
+    positions = data.draw(st.lists(st.integers(0, len(captures) - 1), unique=True))
+    _assert_store_matches_lenient(pack_captures(captures), captures, positions)
+
+
+def _set_byte(packet, offset, value):
+    mutated = bytearray(packet)
+    mutated[offset] = value
+    return bytes(mutated)
+
+
+def test_only_malformed_captures_reach_the_salvage(monkeypatch):
+    """Reordered, duplicated and gapped captures are reassembled without
+    the object path; a truncated packet or a cleared response bit sends
+    exactly its capture there."""
+    calls = []
+    salvage = event_columns.reconstruct_table_lenient
+
+    def counting(capture, stats=None):
+        calls.append(capture.target_ip)
+        return salvage(capture, stats)
+
+    monkeypatch.setattr(event_columns, "reconstruct_table_lenient", counting)
+    v2 = list(BASE_PACKET_SETS[40])
+    v1 = list(V1_PACKET_SETS[40])
+    sequence_only = [
+        v2[::-1],
+        v2[:3] + v2[2:],
+        v2[:2] + v2[3:],
+        [v2[5], v2[0], v2[2], v2[0], v2[1]],
+        v1[::-1] + v1[:1],
+    ]
+    captures = [capture_of(p, target_ip=i) for i, p in enumerate(sequence_only)]
+    _, stats = _assert_store_matches_lenient(pack_captures(captures), captures, range(5))
+    assert calls == []
+    assert stats.packets_duplicate == 3 and stats.packets_out_of_sequence == 5
+    assert stats.captures_salvaged == 4 and stats.captures_ok == 1
+
+    malformed = [
+        v2[:2] + [v2[2][:-1]] + v2[3:],
+        v2[:1] + [_set_byte(v2[1], 0, v2[1][0] & 0x7F)] + v2[2:],
+    ]
+    for packets in malformed:
+        calls.clear()
+        captures = [
+            capture_of(v2, target_ip=1),
+            capture_of(packets, target_ip=2),
+            capture_of(v2[::-1], target_ip=3),
+        ]
+        _assert_store_matches_lenient(pack_captures(captures), captures, [2, 0, 1])
+        assert calls == [2]
+
+
+def test_first_copy_of_a_sequence_wins():
+    """Two differing copies of one sequence: the one that arrived first
+    supplies the entries, whatever the order of the other packets."""
+    v2, v1 = list(BASE_PACKET_SETS[40]), list(V1_PACKET_SETS[40])
+    v2_copy = _set_byte(v2[1], 8 + 16, v2[1][8 + 16] ^ 0xFF)  # first entry's addr
+    v1_copy = _set_byte(v1[1], 8 + 12, v1[1][8 + 12] ^ 0xFF)
+    orders = [
+        [v2[0], v2_copy, v2[1], *v2[2:]],
+        [v2[0], v2[1], v2_copy, *v2[2:]],
+        [*v2[2:][::-1], v2_copy, v2[0], v2[1]],
+        [v1[2], v1[1], v1_copy, v1[0]],
+        [v1_copy, v1[2], v1[1], v1[0]],
+    ]
+    captures = [capture_of(p, target_ip=i) for i, p in enumerate(orders)]
+    batch, stats = _assert_store_matches_lenient(pack_captures(captures), captures, range(5))
+    assert stats.packets_duplicate == 5
+    first_rows = [rows for _, (_, rows) in _batch_tables(batch)]
+    assert first_rows[0] != first_rows[1] and first_rows[3] != first_rows[4]
+
+
+def _mixed_captures():
+    """Clean, sequence-only and malformed captures of both versions."""
+    return [
+        capture_of(BASE_PACKET_SETS[20], target_ip=1),
+        capture_of(V1_PACKET_SETS[40][::-1], target_ip=2),
+        capture_of(BASE_PACKET_SETS[40][1:], target_ip=3),
+        capture_of([BASE_PACKET_SETS[4][0][:-5]], target_ip=4),
+        capture_of([], target_ip=5),
+        capture_of(V1_PACKET_SETS[20], target_ip=6),
+    ]
+
+
+def test_spilled_store_decodes_like_ram_store():
+    captures = _mixed_captures()
+    store = pack_captures(captures)
+    positions = np.array([5, 0, 3, 1, 2, 4])
+    ram_stats = ParseStats()
+    ram = decode_capture_batch(store, positions, ram_stats)
+    store.maybe_spill(threshold=0)
+    assert isinstance(store.payload, np.memmap)
+    spilled_stats = ParseStats()
+    spilled = decode_capture_batch(store, positions, spilled_stats)
+    assert spilled_stats == ram_stats
+    for name in type(ram).__slots__:
+        ours, theirs = getattr(spilled, name), getattr(ram, name)
+        assert ours.dtype == theirs.dtype
+        assert ours.tobytes() == theirs.tobytes()
+    _assert_store_matches_lenient(store, captures, positions.tolist())
+
+
+def test_payload_shorter_than_a_header():
+    captures = [
+        capture_of([b"\x87\x00\x03"], target_ip=1),
+        capture_of([], target_ip=2),
+        capture_of([b"\x87", b"\x87\x00"], target_ip=3),
+    ]
+    store = pack_captures(captures)
+    assert len(store.payload) < 8
+    batch, stats = _assert_store_matches_lenient(store, captures, [0, 1, 2])
+    assert not len(batch.amplifier) and stats.captures_failed == 3
+
+
+def test_header_only_packets():
+    empty_v2 = MonlistTable(capacity=600).render_response_packets(1000.0, 2, IMPL_XNTPD)
+    empty_v1 = MonlistTable(capacity=600).render_response_packets(1000.0, 1, IMPL_XNTPD_OLD)
+    second = _set_byte(empty_v2[0], 1, 1)
+    captures = [
+        capture_of(empty_v2, target_ip=1),
+        capture_of(empty_v1, target_ip=2),
+        capture_of([second, empty_v2[0]], target_ip=3),
+        capture_of([empty_v2[0], empty_v2[0]], target_ip=4),
+    ]
+    store = pack_captures(captures)
+    assert set(store.pkt_lens.tolist()) == {8}
+    batch, stats = _assert_store_matches_lenient(store, captures, [3, 2, 1, 0])
+    assert len(batch.amplifier) == 4 and not len(batch.entries)
+    assert stats.captures_ok == 3 and stats.packets_duplicate == 1
+
+
+@pytest.mark.parametrize(
+    "last",
+    [V1_PACKET_SETS[1], BASE_PACKET_SETS[1], V1_PACKET_SETS[40][::-1]],
+    ids=["v1", "v2", "v1-reordered"],
+)
+def test_last_entry_ends_on_last_payload_byte(last):
+    captures = [capture_of(BASE_PACKET_SETS[4], target_ip=1), capture_of(last, target_ip=2)]
+    store = pack_captures(captures)
+    batch, _ = _assert_store_matches_lenient(store, captures, [1, 0])
+    final = last[-1]
+    n_items, item_size = int.from_bytes(final[4:6], "big"), int.from_bytes(final[6:8], "big")
+    assert n_items and len(final) == 8 + n_items * item_size
+    assert store.payload[-len(final):].tobytes() == final
+    assert len(batch.entries) == 4 + len(_lenient_result(last)[0][1])
 
 
 # ---------------------------------------------------------------------------
