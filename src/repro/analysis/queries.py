@@ -39,9 +39,9 @@ _STATS_FIELDS = tuple(f.name for f in dataclasses.fields(ParseStats))
 def capture_window_answers(ctx):
     """Per weekly sample, the exact aggregates a capture window holds.
 
-    Keys mirror :meth:`StreamEngine._finalize_capture`; rows are in sample
-    order, one per monlist sample (the windows are aligned to the first
-    sample and the samples are exactly one window width apart).
+    Keys mirror :func:`repro.stream.ingest._finalize_capture`; rows are in
+    sample order, one per monlist sample (the windows are aligned to the
+    first sample and the samples are exactly one window width apart).
     """
     parsed = ctx.parsed_samples()
     report = ctx.victim_report()

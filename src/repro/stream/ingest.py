@@ -1,7 +1,9 @@
 """The incremental engine: windowed aggregates + sketches over a stream.
 
-:class:`StreamEngine` consumes :class:`~repro.stream.replay.StreamRecord`
-values one at a time and maintains, simultaneously:
+:class:`StreamEngine` consumes :class:`~repro.stream.replay.RecordBatch`
+values — a whole replay, any slice of one, down to a single row — through
+one vectorized path, :meth:`StreamEngine.ingest_many`, and maintains,
+simultaneously:
 
 * **per-window exact state** — one :class:`~repro.stream.windows.WindowSet`
   per record kind (weekly capture windows aligned to the first sweep,
@@ -15,29 +17,46 @@ values one at a time and maintains, simultaneously:
   ledgers so a reader can check ``sum(windows) == global`` inside a single
   snapshot (the no-torn-reads contract the service tests assert).
 
+Batch ingest
+------------
+``ingest_many`` computes every row's watermark up front (the running
+maximum event time over known kinds, minus the skew), lets each kind's
+window set decide late and duplicate rows for the whole batch
+(:meth:`~repro.stream.windows.WindowSet.offer_batch`), applies the
+surviving rows once per (kind, window) group in arrival order, and
+advances the watermark once.  That equals applying the rows one at a
+time: a row whose window the rising watermark would have closed mid-batch
+is late by the same test, and every per-window aggregate is order-free
+except three that the group apply keeps in arrival order — ISP per-IP
+byte sums (sequential ``+=``), sweep coverage, and the last-written Arbor
+row.  ``tests/test_stream_properties.py`` pins the ledger to a
+record-at-a-time reference on reordered and redelivered streams, at
+several batch sizes.
+
 Capture decode path
 -------------------
-Mode-7 captures are *buffered* per open window and decoded in columnar
-micro-batches through the decoder the batch corpus uses
-(:func:`~repro.analysis.event_columns.decode_capture_batch`).  It
-reassembles in-order, reordered, duplicated and gapped captures itself;
-only a capture with a malformed packet goes — whole — to
+Capture rows are *buffered* per open window as ``(store, positions)``
+arrays and decoded in columnar micro-batches through the decoder the
+batch corpus uses (:func:`~repro.analysis.event_columns.decode_capture_batch`).
+It reassembles in-order, reordered, duplicated and gapped captures
+itself; only a capture with a malformed packet goes — whole — to
 :func:`~repro.analysis.monlist_parse.reconstruct_table_lenient`, so
 ``ParseStats`` advance counter for counter with the batch corpus on clean
-and fault-injected streams alike.  Capture payloads without a packed
-store (plain :class:`~repro.measurement.onp.ProbeCapture` values) are
-packed at flush and take the same decoder.  Entries are classified by
+and fault-injected streams alike.  Entries are classified by
 :func:`~repro.analysis.victimology.classify_columns`, the §4.2 filter
-kernel the batch victimology report uses.  Buffers are flushed
-before any read and before their window closes, and every per-window
-quantity is an order-free aggregate (sets, sums, per-key totals), so
-flush timing is unobservable: answers depend only on the records applied.
+kernel the batch victimology report uses.  Each window keeps its table
+amplifiers with entry counts and its victim IPs with packet counts as
+array chunks, reduced on demand (and memoized) into sorted exact
+``(keys, totals)``.  Buffers are decoded before any read and before their
+window closes, and every per-window quantity is an order-free aggregate,
+so decode timing is unobservable: answers depend only on the records
+applied.
 
-Sketch updates are deferred to window close: each open window accumulates
-exact per-key totals (victim packets by IP, by origin AS, amplifier entry
-counts, ISP victim bytes) and folds them into the global sketches in
-sorted-key order when the window closes.  Reads merge the still-open
-windows' exact aggregates on top (:meth:`StreamEngine.sketches_view`), so
+Sketch updates are deferred to window close: each open window's exact
+per-key totals (victim packets by IP, by origin AS, amplifier entry
+counts, ISP victim bytes) fold into the global sketches in sorted-key
+order when the window closes.  Reads merge the still-open windows'
+exact aggregates on top (:meth:`StreamEngine.sketches_view`), so
 mid-window answers lose nothing — but the sketch add *sequence* becomes a
 deterministic function of the applied records alone, independent of when
 queries arrive or how the stream is batched.  Space-saving is sensitive
@@ -57,6 +76,7 @@ import math
 
 import numpy as np
 
+from repro.analysis.event_columns import decode_capture_batch
 from repro.analysis.monlist_parse import ParseStats
 from repro.analysis.victimology import (
     CODE_NON_VICTIM,
@@ -64,7 +84,7 @@ from repro.analysis.victimology import (
     CODE_VICTIM,
     classify_columns,
 )
-from repro.measurement.capture_store import pack_captures
+from repro.stream.replay import ARBOR, CAPTURE, DARKNET, ISP, KINDS, SWEEP
 from repro.stream.sketches import CountMinSketch, SpaceSavingTopK
 from repro.stream.windows import WindowSet
 from repro.util.simtime import DAY, HOUR, WEEK
@@ -88,21 +108,14 @@ QUERY_NAMES = (
     "ingest",
 )
 
-#: Sketch names fed by capture windows vs ISP windows; folds happen per
+#: Sketch families and the record kind whose windows feed each (order
+#: fixed — it is also the canonical family enumeration).  Folds happen per
 #: closed window in ascending index order, keys sorted within a window.
-_CAPTURE_SKETCHES = (
-    ("victim_packets", "victim_packets_by_ip"),
-    ("as_packets", "as_packets"),
-    ("amplifier_entries", "amp_entries"),
-)
-
-#: Per-family view sources: which open windows feed which sketch pair
-#: (order fixed — it is also the canonical family enumeration).
 _VIEW_SOURCES = {
-    "victim_packets": ("capture", "victim_packets_by_ip"),
-    "as_packets": ("capture", "as_packets"),
-    "amplifier_entries": ("capture", "amp_entries"),
-    "isp_victim_bytes": ("isp", "victims"),
+    "victim_packets": "capture",
+    "as_packets": "capture",
+    "amplifier_entries": "capture",
+    "isp_victim_bytes": "isp",
 }
 
 #: Queries whose answer is a pure function of one source's windows (the
@@ -115,6 +128,8 @@ _QUERY_VERSION_SOURCES = {
     "top_isp_victims": "isp",
 }
 
+_NO_KEYS = np.empty(0, dtype=np.int64)
+
 
 def _stats_dict(stats):
     return {name: getattr(stats, name) for name in _STATS_FIELDS}
@@ -125,29 +140,156 @@ def _add_stats(into, stats):
         into[name] += getattr(stats, name)
 
 
-def _fold_totals(pair, totals):
-    """Add one window's exact per-key totals into one sketch pair, keys
-    in sorted order (a fold sequence fixed by the window's contents,
-    whatever order its records arrived in)."""
-    keys = sorted(totals)
-    weights = [totals[key] for key in keys]
+def _sum_by_key(keys, weights):
+    """Sorted unique ``keys`` and the exact int64 sum of ``weights`` per
+    key."""
+    if not len(keys):
+        return _NO_KEYS, _NO_KEYS
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], np.add.reduceat(weights[order], starts)
+
+
+def _fold_totals(pair, keys, weights):
+    """Add one window's exact per-key totals (keys sorted ascending — a
+    fold sequence fixed by the window's contents, whatever order its
+    records arrived in) into one sketch pair."""
     pair["cm"].add_many(keys, weights)
-    pair["topk"].add_many(keys, weights)
+    pair["topk"].add_many(keys.tolist(), weights.tolist())
 
 
-def _fold_capture_aggregates(sketches, state):
-    """Add one capture window's exact per-key totals into the sketches."""
-    for sketch_name, state_key in _CAPTURE_SKETCHES:
-        totals = state[state_key]
-        if totals:
-            _fold_totals(sketches[sketch_name], totals)
+class _KeyTotals:
+    """Per-key int totals kept as array chunks and reduced on demand."""
+
+    __slots__ = ("chunks", "keys", "totals")
+
+    def __init__(self):
+        self.chunks = []
+        self.keys = _NO_KEYS
+        self.totals = _NO_KEYS
+
+    def add(self, keys, weights):
+        self.chunks.append((keys, weights))
+
+    def reduced(self):
+        """``(keys, totals)``, keys sorted; the chunks collapse into the
+        result, so a repeated read costs nothing."""
+        if self.chunks:
+            self.keys, self.totals = _sum_by_key(
+                np.concatenate([self.keys, *(keys for keys, _ in self.chunks)]),
+                np.concatenate([self.totals, *(weights for _, weights in self.chunks)]),
+            )
+            self.chunks = []
+        return self.keys, self.totals
 
 
-def _fold_isp_aggregates(sketches, state):
-    """Add one ISP window's exact per-victim byte totals into the sketches."""
-    victims = state["victims"]
-    if victims:
-        _fold_totals(sketches["isp_victim_bytes"], victims)
+class _CaptureState:
+    """One weekly capture window's exact state."""
+
+    __slots__ = (
+        "stats",
+        "pending",
+        "amps",
+        "victims",
+        "last_seen",
+        "victim_pairs",
+        "victim_packets",
+        "scanner_entries",
+        "non_victim_entries",
+        "by_as",
+    )
+
+    def __init__(self):
+        self.stats = ParseStats()
+        #: ``[(store, positions)]`` applied but not yet decoded.
+        self.pending = []
+        #: Table amplifier -> monlist entries (zero-entry tables included,
+        #: so the keys are the window's amplifiers).
+        self.amps = _KeyTotals()
+        #: Victim IP -> packets.
+        self.victims = _KeyTotals()
+        #: Per decoded batch: each table-with-entries' max last-seen.
+        self.last_seen = []
+        self.victim_pairs = 0
+        self.victim_packets = 0
+        self.scanner_entries = 0
+        self.non_victim_entries = 0
+        #: Memo of the per-AS totals: ``(victim keys, asns, totals)``.
+        self.by_as = None
+
+
+def _new_sweep_state():
+    return {"sweeps": 0, "outages": 0, "coverage": [], "n_captures": 0}
+
+
+def _new_isp_state():
+    return {"victims": {}, "cells": 0}
+
+
+def _new_arbor_state():
+    return {"total_bps": None, "ntp_bps": None, "dns_bps": None, "gap": False}
+
+
+# -- finalizers: (state, records) -> summary dict.  Open windows are
+# summarized through them for mid-window reads, so they change nothing an
+# answer depends on (compacting memoized chunks is all they may do). --------
+
+
+def _finalize_sweep(state, records):
+    return dict(state)
+
+
+def _finalize_capture(state, records):
+    amps, _ = state.amps.reduced()
+    victims, _ = state.victims.reduced()
+    if len(state.last_seen) > 1:
+        state.last_seen = [np.concatenate(state.last_seen)]
+    return {
+        "captures": records,
+        "amplifiers": len(amps),
+        "victim_pairs": state.victim_pairs,
+        "unique_victims": len(victims),
+        "victim_packets": state.victim_packets,
+        "scanner_entries": state.scanner_entries,
+        "non_victim_entries": state.non_victim_entries,
+        "median_view_hours": percentile(state.last_seen[0], 50) / HOUR
+        if state.last_seen
+        else 0.0,
+        "stats": _stats_dict(state.stats),
+    }
+
+
+def _finalize_darknet(state, records):
+    return {"scanners": len(state)}
+
+
+def _finalize_isp(state, records):
+    return {
+        "cells": state["cells"],
+        "victims": len(state["victims"]),
+        # Exactly-rounded, hence independent of dict insertion order —
+        # the same records summarize identically however they arrived.
+        "bytes": math.fsum(state["victims"].values()),
+    }
+
+
+def _finalize_arbor(state, records):
+    total, ntp, dns = state["total_bps"], state["ntp_bps"], state["dns_bps"]
+    if state["gap"] and total is None:
+        return {"gap": True, "ntp_frac": None, "dns_frac": None}
+    if not total:
+        return {"gap": False, "ntp_frac": 0.0, "dns_frac": 0.0}
+    return {"gap": False, "ntp_frac": ntp / total, "dns_frac": dns / total}
+
+
+_FINALIZERS = {
+    "sweep": _finalize_sweep,
+    "capture": _finalize_capture,
+    "darknet": _finalize_darknet,
+    "isp": _finalize_isp,
+    "arbor": _finalize_arbor,
+}
 
 
 class StreamEngine:
@@ -185,42 +327,16 @@ class StreamEngine:
             "cm_delta": float(cm_delta),
         }
 
+        # Window sets hold no engine callables, so a retired engine is
+        # freed by reference counting alone.
         self.windows = {
-            "sweep": WindowSet(
-                capture_width,
-                origin=capture_origin,
-                state_factory=self._new_sweep_state,
-            ),
-            "capture": WindowSet(
-                capture_width,
-                origin=capture_origin,
-                state_factory=self._new_capture_state,
-                finalize=self._finalize_capture,
-                on_close=self._close_capture_window,
-            ),
-            "darknet": WindowSet(
-                float(DAY),
-                state_factory=set,
-                finalize=self._finalize_darknet,
-            ),
-            "isp": WindowSet(
-                float(DAY),
-                state_factory=self._new_isp_state,
-                finalize=self._finalize_isp,
-                on_close=self._close_isp_window,
-            ),
-            "arbor": WindowSet(
-                float(DAY),
-                state_factory=self._new_arbor_state,
-                finalize=self._finalize_arbor,
-            ),
+            "sweep": WindowSet(capture_width, origin=capture_origin, state_factory=_new_sweep_state),
+            "capture": WindowSet(capture_width, origin=capture_origin, state_factory=_CaptureState),
+            "darknet": WindowSet(float(DAY), state_factory=set),
+            "isp": WindowSet(float(DAY), state_factory=_new_isp_state),
+            "arbor": WindowSet(float(DAY), state_factory=_new_arbor_state),
         }
-        self._apply = {
-            "sweep": self._apply_sweep,
-            "darknet": self._apply_darknet,
-            "isp": self._apply_isp,
-            "arbor": self._apply_arbor,
-        }
+        self._by_code = [self.windows[kind] for kind in KINDS]
 
         self.sketches = {
             name: {
@@ -283,138 +399,183 @@ class StreamEngine:
             **kwargs,
         )
 
-    # -- per-kind window state ------------------------------------------------
+    # -- ingest ---------------------------------------------------------------
 
-    @staticmethod
-    def _new_sweep_state():
-        return {"sweeps": 0, "outages": 0, "coverage": [], "n_captures": 0}
+    @property
+    def watermark(self):
+        """Latest event time minus the tolerated skew (None before any
+        record)."""
+        if self.max_event_t is None:
+            return None
+        return self.max_event_t - self.skew
 
-    @staticmethod
-    def _new_capture_state():
-        return {
-            "stats": ParseStats(),
-            "amplifiers": set(),
-            "victims": set(),
-            "victim_pairs": 0,
-            "victim_packets": 0,
-            "scanner_entries": 0,
-            "non_victim_entries": 0,
-            "max_last_seen": [],
-            "victim_packets_by_ip": {},
-            "as_packets": {},
-            "amp_entries": {},
-            "pending": [],
-        }
+    def ingest_many(self, batch):
+        """Apply a :class:`~repro.stream.replay.RecordBatch` (a one-row
+        slice is a batch); returns the number of rows applied.
 
-    @staticmethod
-    def _new_isp_state():
-        return {"victims": {}, "cells": 0}
+        Ledger decisions, window contents and window closes equal those
+        of applying the rows one at a time, whatever the batch size.
+        """
+        n = len(batch)
+        if not n:
+            return 0
+        self.records_seen += n
+        self.generation += n
+        kind, t = batch.kind, batch.t
+        known = (kind >= 0) & (kind < len(KINDS))
+        n_known = int(np.count_nonzero(known))
+        self.unknown_kinds += n - n_known
+        if not n_known:
+            return 0
+        rows_known = None if n_known == n else np.flatnonzero(known)
+        running = np.maximum.accumulate(t if rows_known is None else np.where(known, t, -np.inf))
+        if self.max_event_t is not None:
+            np.maximum(running, self.max_event_t, out=running)
+        self.max_event_t = float(running[-1])
+        watermark = running - self.skew
+        # Identity of (a, b) as one int64; ``b`` is below 2**32.
+        ident = (batch.a << 32) | batch.b
 
-    @staticmethod
-    def _new_arbor_state():
-        return {"total_bps": None, "ntp_bps": None, "dns_bps": None, "gap": False}
+        codes = kind if rows_known is None else kind[rows_known]
+        order = np.argsort(codes, kind="stable")
+        if rows_known is not None:
+            order = rows_known[order]
+        applied = lo = 0
+        for code, hi in enumerate(np.cumsum(np.bincount(codes, minlength=len(KINDS))).tolist()):
+            if hi == lo:
+                continue
+            rows = order[lo:hi]
+            lo = hi
+            groups = self._by_code[code].offer_batch(
+                t[rows], ident[rows], watermark[rows], lambda j, rows=rows: batch.uid(rows[j])
+            )
+            for index, window, local in groups:
+                applied += len(local)
+                self._apply(code, index, window.state, batch, rows[local])
+        if self.watermark != self._advanced_to:
+            self._advance_windows(self.watermark)
+        return applied
 
-    # -- appliers -------------------------------------------------------------
+    def _apply(self, code, index, state, batch, rows):
+        """Fold one window's applied rows (arrival order) into its state."""
+        totals = self.totals
+        if code == DARKNET:
+            state.update(batch.b[rows].tolist())
+            totals["darknet_memberships"] += len(rows)
+        elif code == CAPTURE:
+            samples, positions = batch.a[rows], batch.b[rows]
+            stores = batch.tables.stores
+            if samples[0] == samples[-1] and (samples == samples[0]).all():
+                state.pending.append((stores[samples[0]], positions))
+            else:
+                for sample in np.unique(samples).tolist():
+                    state.pending.append((stores[sample], positions[samples == sample]))
+            self._dirty.add(index)
+            self._cap_mut += 1
+        elif code == ISP:
+            victims = state["victims"]
+            for ip, volume in zip(batch.b[rows].tolist(), batch.value[rows].tolist()):
+                victims[ip] = victims.get(ip, 0.0) + volume
+            state["cells"] += len(rows)
+            totals["isp_cells"] += len(rows)
+            self._isp_mut += 1
+        elif code == SWEEP:
+            sweeps = batch.tables.sweeps
+            for sample in batch.a[rows].tolist():
+                payload = sweeps[sample]
+                state["sweeps"] += 1
+                state["outages"] += 1 if payload["outage"] else 0
+                state["coverage"].append(payload["coverage"])
+                state["n_captures"] += payload["n_captures"]
+        elif code == ARBOR:
+            arbor = batch.tables.arbor
+            for row in batch.b[rows].tolist():
+                payload = arbor[row]
+                if payload is None:
+                    state["gap"] = True
+                    totals["arbor_gap_days"] += 1
+                else:
+                    state["total_bps"], state["ntp_bps"], state["dns_bps"] = payload
+                    totals["arbor_days"] += 1
 
-    def _apply_sweep(self, state, payload):
-        state["sweeps"] += 1
-        state["outages"] += 1 if payload["outage"] else 0
-        state["coverage"].append(payload["coverage"])
-        state["n_captures"] += payload["n_captures"]
+    def _advance_windows(self, watermark):
+        """Close every window the watermark has passed."""
+        self._advanced_to = watermark
+        for kind, ws in self.windows.items():
+            closing = ws.advance(watermark)
+            if closing:
+                self._retire(kind, ws, closing)
 
-    def _apply_darknet(self, state, scanner_ip):
-        state.add(scanner_ip)
-        self.totals["darknet_memberships"] += 1
+    def _retire(self, kind, ws, closing):
+        """Run the once-per-window close work, then record each summary
+        (the capture hook decodes buffered captures before the finalizer
+        reads the state)."""
+        finalize = _FINALIZERS[kind]
+        for index, _lo, _hi, window in closing:
+            state = window.state
+            if kind == "capture":
+                self._close_capture_window(state)
+            elif kind == "isp":
+                self._close_isp_window(state)
+            ws.retire(index, finalize(state, window.records))
 
-    def _apply_isp(self, state, payload):
-        ip, volume = payload
-        state["victims"][ip] = state["victims"].get(ip, 0.0) + volume
-        state["cells"] += 1
-        self.totals["isp_cells"] += 1
-        self._isp_mut += 1
-
-    def _apply_arbor(self, state, payload):
-        if payload is None:
-            state["gap"] = True
-            self.totals["arbor_gap_days"] += 1
-            return
-        state["total_bps"], state["ntp_bps"], state["dns_bps"] = payload
-        self.totals["arbor_days"] += 1
+    def close(self):
+        """End of stream: finalize every still-open window."""
+        self.flush()
+        self.generation += 1
+        for kind, ws in self.windows.items():
+            closing = ws.close_all()
+            if closing:
+                self._retire(kind, ws, closing)
+        self._dirty.clear()
 
     # -- capture micro-batch decode -------------------------------------------
-
-    def _flush_capture_window(self, index):
-        window = self.windows["capture"].open.get(index)
-        if window is None:
-            return
-        pending = window.state["pending"]
-        if pending:
-            window.state["pending"] = []
-            self._decode_pending(window.state, pending)
 
     def flush(self):
         """Decode every buffered capture; answers never see a buffer."""
         if self._dirty:
+            open_windows = self.windows["capture"].open
             for index in sorted(self._dirty):
-                self._flush_capture_window(index)
+                window = open_windows.get(index)
+                if window is not None and window.state.pending:
+                    self._decode_pending(window.state)
             self._dirty.clear()
 
-    def _decode_pending(self, state, pending):
-        from repro.analysis.event_columns import decode_capture_batch
-
-        self.totals["captures"] += len(pending)
-        by_store = {}
-        loose = []
-        for capture in pending:
-            store = getattr(capture, "_store", None)
-            if store is None:
-                loose.append(capture)
-                continue
-            group = by_store.get(id(store))
-            if group is None:
-                group = by_store[id(store)] = (store, [])
-            group[1].append(capture._index)
-        groups = list(by_store.values())
-        if loose:
-            store = pack_captures(loose)
-            groups.append((store, np.arange(len(store))))
-        for store, positions in groups:
-            batch = decode_capture_batch(store, positions, state["stats"])
-            self._apply_capture_batch(state, batch)
+    def _decode_pending(self, state):
+        pending, state.pending = state.pending, []
+        self.totals["captures"] += sum(len(positions) for _store, positions in pending)
+        # Consecutive chunks from one sample's store decode as one batch.
+        runs = []
+        for store, positions in pending:
+            if runs and runs[-1][0] is store:
+                runs[-1][1].append(positions)
+            else:
+                runs.append((store, [positions]))
+        for store, parts in runs:
+            positions = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            self._apply_capture_batch(state, decode_capture_batch(store, positions, state.stats))
 
     def _apply_capture_batch(self, state, batch):
         """Fold one decoded columnar batch into the window's aggregates.
 
-        Every update is order-free (set unions, per-key sums, a multiset
-        for the percentile), so batching granularity cannot change any
+        Every update is order-free (counters, and key/total chunks whose
+        reduction sorts), so batching granularity cannot change any
         answer; entries are classified by
         :func:`~repro.analysis.victimology.classify_columns`.
         """
-        amps = batch.amplifier.tolist()
-        n_tbl = len(amps)
-        if not n_tbl:
+        totals = self.totals
+        if not len(batch.amplifier):
             return
-        self.totals["tables"] += n_tbl
-        state["amplifiers"].update(amps)
+        totals["tables"] += len(batch.amplifier)
         counts_tbl = batch.entry_counts
-        amp_totals = state["amp_entries"]
-        for amp, n in zip(amps, counts_tbl.tolist()):
-            if n:
-                amp_totals[amp] = amp_totals.get(amp, 0) + n
+        state.amps.add(batch.amplifier, counts_tbl)
         entries = batch.entries
-        n_entries = len(entries)
-        if not n_entries:
+        if not len(entries):
             return
-        self.totals["entries"] += n_entries
+        totals["entries"] += len(entries)
 
         last = entries["last"].astype(np.int64)
-        nonzero = counts_tbl > 0
-        if nonzero.any():
-            seg_starts = batch.entry_start[:-1][nonzero]
-            state["max_last_seen"].extend(
-                np.maximum.reduceat(last, seg_starts).tolist()
-            )
-
+        state.last_seen.append(np.maximum.reduceat(last, batch.entry_start[:-1][counts_tbl > 0]))
         addr = entries["addr"].astype(np.int64)
         count = entries["count"].astype(np.int64)
         codes, _avg = classify_columns(
@@ -429,287 +590,86 @@ class StreamEngine:
         n_nv = int(n_by_code[CODE_NON_VICTIM])
         n_scan = int(n_by_code[CODE_SCANNER])
         n_vic = int(n_by_code[CODE_VICTIM])
-        state["non_victim_entries"] += n_nv
-        self.totals["non_victim_entries"] += n_nv
-        state["scanner_entries"] += n_scan
-        self.totals["scanner_entries"] += n_scan
+        state.non_victim_entries += n_nv
+        totals["non_victim_entries"] += n_nv
+        state.scanner_entries += n_scan
+        totals["scanner_entries"] += n_scan
         if not n_vic:
             return
-        state["victim_pairs"] += n_vic
-        self.totals["victim_pairs"] += n_vic
+        state.victim_pairs += n_vic
+        totals["victim_pairs"] += n_vic
         victim = codes == CODE_VICTIM
-        vaddr = addr[victim]
         vcount = count[victim]
         packets = int(vcount.sum())
-        state["victim_packets"] += packets
-        self.totals["victim_packets"] += packets
-        uniq, inverse = np.unique(vaddr, return_inverse=True)
-        # float64 bincount is exact here: per-window per-IP sums stay far
-        # below 2**53.
-        sums = np.bincount(inverse, weights=vcount.astype(np.float64))
-        per_ip = state["victim_packets_by_ip"]
-        keys = uniq.tolist()
-        values = sums.astype(np.int64).tolist()
-        for ip, total in zip(keys, values):
-            per_ip[ip] = per_ip.get(ip, 0) + total
-        state["victims"].update(keys)
-        if self.asn_of is not None:
-            per_as = state["as_packets"]
-            cache = self._asn_cache
-            for ip, total in zip(keys, values):
-                asn = cache.get(ip, -1)
-                if asn == -1:
-                    asn = self.asn_of(ip)
-                    cache[ip] = asn
-                if asn is not None:
-                    per_as[asn] = per_as.get(asn, 0) + total
+        state.victim_packets += packets
+        totals["victim_packets"] += packets
+        state.victims.add(addr[victim], vcount)
 
-    # -- finalizers -----------------------------------------------------------
+    # -- window close and per-window totals -----------------------------------
 
     def _close_capture_window(self, state):
         # Runs exactly once per window, at close: decode any buffered
         # captures, fold the window's ParseStats into the stream-global
         # counters, fold its per-key aggregates into the sketches.  Open
         # windows are folded non-destructively at read time instead.
-        pending = state["pending"]
-        if pending:
-            state["pending"] = []
-            self._decode_pending(state, pending)
-        _add_stats(self.global_stats, state["stats"])
-        _fold_capture_aggregates(self.sketches, state)
+        if state.pending:
+            self._decode_pending(state)
+        _add_stats(self.global_stats, state.stats)
+        for name in ("victim_packets", "as_packets", "amplifier_entries"):
+            keys, weights = self._window_totals(name, state)
+            if len(keys):
+                _fold_totals(self.sketches[name], keys, weights)
         self._cap_mut += 1
 
     def _close_isp_window(self, state):
         self.isp_bytes_closed += math.fsum(state["victims"].values())
-        _fold_isp_aggregates(self.sketches, state)
+        keys, weights = self._window_totals("isp_victim_bytes", state)
+        if len(keys):
+            _fold_totals(self.sketches["isp_victim_bytes"], keys, weights)
         self._isp_mut += 1
 
-    def _finalize_capture(self, index, lo, hi, state, records):
-        mls = state["max_last_seen"]
-        return {
-            "captures": records,
-            "amplifiers": len(state["amplifiers"]),
-            "victim_pairs": state["victim_pairs"],
-            "unique_victims": len(state["victims"]),
-            "victim_packets": state["victim_packets"],
-            "scanner_entries": state["scanner_entries"],
-            "non_victim_entries": state["non_victim_entries"],
-            "median_view_hours": percentile(mls, 50) / HOUR if mls else 0.0,
-            "stats": _stats_dict(state["stats"]),
-        }
+    def _window_totals(self, name, state):
+        """One window's exact ``(keys, totals)`` for sketch family
+        ``name``, keys sorted ascending."""
+        if name == "victim_packets":
+            return state.victims.reduced()
+        if name == "amplifier_entries":
+            keys, entries = state.amps.reduced()
+            nonzero = entries > 0
+            return keys[nonzero], entries[nonzero]
+        if name == "as_packets":
+            return self._as_totals(state)
+        victims = state["victims"]
+        keys = sorted(victims)
+        return (
+            np.array(keys, dtype=np.int64),
+            np.array([victims[key] for key in keys], dtype=np.float64),
+        )
 
-    @staticmethod
-    def _finalize_darknet(index, lo, hi, state, records):
-        return {"scanners": len(state)}
-
-    @staticmethod
-    def _finalize_isp(index, lo, hi, state, records):
-        return {
-            "cells": state["cells"],
-            "victims": len(state["victims"]),
-            # Exactly-rounded, hence independent of dict insertion
-            # order — the same records summarize identically however
-            # they arrived.
-            "bytes": math.fsum(state["victims"].values()),
-        }
-
-    @staticmethod
-    def _finalize_arbor(index, lo, hi, state, records):
-        total, ntp, dns = state["total_bps"], state["ntp_bps"], state["dns_bps"]
-        if state["gap"] and total is None:
-            return {"gap": True, "ntp_frac": None, "dns_frac": None}
-        if not total:
-            return {"gap": False, "ntp_frac": 0.0, "dns_frac": 0.0}
-        return {"gap": False, "ntp_frac": ntp / total, "dns_frac": dns / total}
-
-    # -- ingest ---------------------------------------------------------------
-
-    @property
-    def watermark(self):
-        """Latest event time minus the tolerated skew (None before any
-        record)."""
-        if self.max_event_t is None:
-            return None
-        return self.max_event_t - self.skew
-
-    def _advance_windows(self, watermark):
-        """Close every window the watermark has passed (buffers flush in
-        the capture on_close hook before finalize reads the state)."""
-        self._advanced_to = watermark
-        for ws in self.windows.values():
-            ws.advance(watermark)
-
-    def ingest(self, record):
-        """Apply one record; returns True iff it landed in an open window."""
-        self.records_seen += 1
-        self.generation += 1
-        t, kind, uid, payload = record
-        window_set = self.windows.get(kind)
-        if window_set is None:
-            self.unknown_kinds += 1
-            return False
-        max_t = self.max_event_t
-        if max_t is None or t > max_t:
-            self.max_event_t = max_t = t
-        watermark = max_t - self.skew
-        index = window_set.windows.index_of(t)
-        state = window_set.offer_at(index, uid, watermark)
-        applied = state is not None
-        if applied:
-            if kind == "capture":
-                state["pending"].append(payload)
-                self._dirty.add(index)
-                self._cap_mut += 1
-            else:
-                self._apply[kind](state, payload)
-        if watermark != self._advanced_to:
-            self._advance_windows(watermark)
-        return applied
-
-    def ingest_many(self, records):
-        """Drive a whole iterable through the ingest discipline in one
-        hoisted loop; returns the number applied.
-
-        Accounting-identical to per-record :meth:`ingest` (the property
-        tests assert it on adversarial streams): same ledger decisions,
-        same window closes, same aggregates.  Two layers of hoisting:
-
-        * **Run batching** — a maximal run of same-kind darknet or
-          capture records that stays time-sorted inside one already-open
-          window with no duplicate uids is applied with bulk set/list
-          operations.  Such a run is the sorted-replay common case; the
-          per-record discipline cannot observe the difference because
-          every run record lands in that one open window (its end is
-          past every run timestamp, so nothing in the run is late and
-          the window cannot close mid-run), the window aggregates are
-          order-free, and deferring the watermark sweep to the run's
-          end closes exactly the same windows — cross-kind close order
-          is unobservable because each kind folds into disjoint
-          accumulators, while same-kind closes stay in ascending index
-          order either way.
-
-        * **Per-record fallback** — anything irregular (out-of-order
-          timestamps, duplicates, window boundaries, sweep/isp/arbor
-          records, unknown kinds) drops to the inlined equivalent of
-          :meth:`ingest` for that record alone, window-index boundary
-          nudge included, so fault-injected streams take the exact
-          per-record ledger path.
-        """
-        if not isinstance(records, list):
-            records = list(records)
-        windows = self.windows
-        skew = self.skew
-        apply = self._apply
-        dirty = self._dirty
-        totals = self.totals
-        floor = math.floor
-        max_t = self.max_event_t
-        advanced_to = self._advanced_to
-        # kind -> (origin, width, window set, bound offer_at).
-        plans = {
-            kind: (ws.windows.origin, ws.windows.width, ws, ws.offer_at)
-            for kind, ws in windows.items()
-        }
-        seen = applied = unknown = 0
-        i, n = 0, len(records)
-        while i < n:
-            record = records[i]
-            t, kind, uid, payload = record
-            plan = plans.get(kind)
-            if plan is None:
-                unknown += 1
-                seen += 1
-                i += 1
-                continue
-            origin, width, ws, offer_at = plan
-            index = floor((t - origin) / width)
-            if t < origin + index * width:
-                index -= 1
-            elif t >= origin + (index + 1) * width:
-                index += 1
-            # -- bulk path: sorted same-kind run inside one open window --
-            if (kind == "darknet" or kind == "capture") and (
-                max_t is None or t >= max_t
-            ):
-                window = ws.open.get(index)
-                if window is not None:
-                    hi = origin + (index + 1) * width
-                    j = i + 1
-                    t_end = t
-                    while j < n:
-                        r = records[j]
-                        if r[1] != kind:
-                            break
-                        rt = r[0]
-                        if rt < t_end or rt >= hi:
-                            break
-                        t_end = rt
-                        j += 1
-                    if j - i >= 4:
-                        run = records[i:j]
-                        uids = {r[2] for r in run}
-                        wseen = window.seen
-                        # A redelivery inside the run itself (uids
-                        # collapse) must take the per-record duplicate
-                        # path, not ride the bulk apply.
-                        if len(uids) == j - i and wseen.isdisjoint(uids):
-                            count = j - i
-                            wseen.update(uids)
-                            window.records += count
-                            ws.total += count
-                            ws.applied += count
-                            applied += count
-                            seen += count
-                            if kind == "darknet":
-                                window.state.update(r[3] for r in run)
-                                totals["darknet_memberships"] += count
-                            else:
-                                window.state["pending"].extend(r[3] for r in run)
-                                dirty.add(index)
-                                self._cap_mut += 1
-                            max_t = t_end
-                            watermark = t_end - skew
-                            if watermark != advanced_to:
-                                advanced_to = watermark
-                                self.max_event_t = max_t
-                                self._advance_windows(watermark)
-                            i = j
-                            continue
-            # -- per-record fallback ------------------------------------
-            seen += 1
-            i += 1
-            if max_t is None or t > max_t:
-                max_t = t
-            watermark = max_t - skew
-            state = offer_at(index, uid, watermark)
-            if state is not None:
-                applied += 1
-                if kind == "darknet":
-                    state.add(payload)
-                    totals["darknet_memberships"] += 1
-                elif kind == "capture":
-                    state["pending"].append(payload)
-                    dirty.add(index)
-                    self._cap_mut += 1
-                else:
-                    apply[kind](state, payload)
-            if watermark != advanced_to:
-                advanced_to = watermark
-                self.max_event_t = max_t
-                self._advance_windows(watermark)
-        self.max_event_t = max_t
-        self.records_seen += seen
-        self.unknown_kinds += unknown
-        self.generation += seen
-        return applied
-
-    def close(self):
-        """End of stream: finalize every still-open window."""
-        self.flush()
-        self.generation += 1
-        for ws in self.windows.values():
-            ws.close_all()
-        self._dirty.clear()
+    def _as_totals(self, state):
+        """Victim packets per origin AS (unrouted IPs dropped), memoized
+        against the window's reduced victim keys."""
+        keys, packets = state.victims.reduced()
+        memo = state.by_as
+        if memo is not None and memo[0] is keys:
+            return memo[1], memo[2]
+        if self.asn_of is None or not len(keys):
+            asns, sums = _NO_KEYS, _NO_KEYS
+        else:
+            cache, asn_of = self._asn_cache, self.asn_of
+            found = []
+            for ip in keys.tolist():
+                asn = cache.get(ip, -1)
+                if asn == -1:
+                    asn = cache[ip] = asn_of(ip)
+                found.append(asn)
+            routed = np.array([asn is not None for asn in found])
+            asns, sums = _sum_by_key(
+                np.array([asn for asn in found if asn is not None], dtype=np.int64),
+                packets[routed],
+            )
+        state.by_as = (keys, asns, sums)
+        return asns, sums
 
     # -- queries --------------------------------------------------------------
 
@@ -739,7 +699,7 @@ class StreamEngine:
             built = self._view_cache = {}
         out = {}
         for name in names if names is not None else _VIEW_SOURCES:
-            source, state_key = _VIEW_SOURCES[name]
+            source = _VIEW_SOURCES[name]
             mut = self._cap_mut if source == "capture" else self._isp_mut
             cached = built.get(name)
             if cached is not None and cached[0] == mut:
@@ -749,9 +709,9 @@ class StreamEngine:
             pair = {"cm": base["cm"].copy(), "topk": base["topk"].copy()}
             open_map = cap_open if source == "capture" else isp_open
             for index in sorted(open_map):
-                totals = open_map[index].state[state_key]
-                if totals:
-                    _fold_totals(pair, totals)
+                keys, weights = self._window_totals(name, open_map[index].state)
+                if len(keys):
+                    _fold_totals(pair, keys, weights)
             built[name] = (mut, pair)
             out[name] = pair
         return out
@@ -797,11 +757,16 @@ class StreamEngine:
             return self.query_ingest()
         raise KeyError(f"unknown query {name!r} (have: {', '.join(QUERY_NAMES)})")
 
-    def _windows_query(self, kind):
+    def summaries(self, kind):
+        """``[(index, lo, hi, summary, is_open)]`` for ``kind``'s windows,
+        closed and open, ascending."""
         self.flush()
+        return self.windows[kind].summaries(_FINALIZERS[kind])
+
+    def _windows_query(self, kind):
         rows = [
             {"window": index, "lo": lo, "hi": hi, "open": is_open, **summary}
-            for index, lo, hi, summary, is_open in self.windows[kind].summaries()
+            for index, lo, hi, summary, is_open in self.summaries(kind)
         ]
         return {"kind": kind, "windows": rows, "watermark": self.watermark}
 
@@ -834,7 +799,7 @@ class StreamEngine:
         self.flush()
         out = dict(self.global_stats)
         for window in self.windows["capture"].open.values():
-            _add_stats(out, window.state["stats"])
+            _add_stats(out, window.state.stats)
         return out
 
     def totals_view(self):

@@ -26,12 +26,12 @@ advance the served/rejected counters.
 Consistency model
 -----------------
 The server and the ingest task share one event loop.  Ingestion applies
-records in synchronous batches — :meth:`StreamEngine.ingest_many` never awaits
-— and only yields to the loop *between* batches, so every request handler
-runs against an engine that is between-records: snapshots are internally
-consistent by construction (no torn reads), which the service tests
-verify by cross-checking the redundant global counters inside each
-response.
+slices of the replay batch synchronously — :meth:`StreamEngine.ingest_many`
+never awaits — and only yields to the loop *between* slices, so every
+request handler runs against an engine that is between-records: snapshots
+are internally consistent by construction (no torn reads), which the
+service tests verify by cross-checking the redundant global counters
+inside each response.
 
 Lifecycle
 ---------
@@ -48,7 +48,6 @@ import asyncio
 import json
 import signal
 import time
-from itertools import islice
 from urllib.parse import parse_qsl, urlsplit
 
 from repro.stream.ingest import QUERY_NAMES
@@ -70,7 +69,7 @@ _MAX_CACHED_TARGETS = 256
 
 
 class StreamService:
-    """One engine, one record iterator, one asyncio server."""
+    """One engine, one record batch, one asyncio server."""
 
     def __init__(
         self,
@@ -85,7 +84,7 @@ class StreamService:
         if batch < 1:
             raise ValueError("batch must be >= 1")
         self.engine = engine
-        self.records = iter(records)
+        self.records = records
         self.host = host
         self.port = int(port)
         self.batch = int(batch)
@@ -119,9 +118,9 @@ class StreamService:
         try:
             ingest_many = self.engine.ingest_many
             records, batch = self.records, self.batch
-            while True:
-                chunk = list(islice(records, batch))
-                if chunk:
+            for lo in range(0, len(records) + 1, batch):
+                chunk = records[lo : lo + batch]
+                if len(chunk):
                     ingest_many(chunk)
                 if len(chunk) < batch:
                     self.engine.close()

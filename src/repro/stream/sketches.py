@@ -18,13 +18,14 @@ Hashing is deterministic (BLAKE2b with a per-row salt) so two engines fed
 the same stream agree byte-for-byte — the same determinism contract the
 batch pipeline holds at any ``--jobs``.
 
-The count-min cell matrix is a NumPy array rather than nested lists so
-the sharded reduction path can fold sixteen per-block sketches per query
-generation at array-add speed; integer-weight sketches stay ``int64``
-(exact cell sums), and the first float weight promotes the matrix to
-``float64`` — cell adds are then subject to float rounding like any
-float accumulator, which is why only the byte-volume sketch carries
-float weights and its conformance check a relative tolerance.
+The count-min cell matrix is a NumPy array, and a window's worth of keys
+folds in with one table lookup and one scatter-add.  Integer-weight
+sketches stay ``int64`` (exact cell sums), and the first float weight
+promotes the matrix to ``float64`` — cell adds are then subject to float
+rounding like any float accumulator, which is why only the byte-volume
+sketch carries float weights and its conformance check a relative
+tolerance.  Space-saving stays a sequential loop: its answer depends on
+add order.
 """
 
 from __future__ import annotations
@@ -49,21 +50,56 @@ def _hash_row(key, salt):
     return int.from_bytes(digest, "big")
 
 
-#: Memoized per-key cell columns, shared across sketches of the same
-#: geometry: the BLAKE2b row hashes of a key are pure functions of
-#: ``(key, width, depth)``, and the serving path re-touches the same IPs
-#: every window close, so caching turns the dominant sketch cost (five
-#: hashes per add) into one dict lookup.  Bounded by the number of
-#: distinct keys the process ever sketches.
-_CELL_CACHE = {}
+class _CellTable:
+    """Sorted key -> cell-column table for one sketch geometry.
+
+    A key's row hashes are pure functions of ``(key, width, depth)``, and
+    the serving path re-touches the same IPs every window close, so each
+    geometry keeps one table shared by every sketch of that shape:
+    BLAKE2b runs once per key the process ever sketches, and a lookup is
+    one ``searchsorted`` over the sorted keys.  Bounded by the number of
+    distinct keys sketched.
+    """
+
+    __slots__ = ("width", "salts", "keys", "cols")
+
+    def __init__(self, width, salts):
+        self.width = width
+        self.salts = salts
+        self.keys = np.empty(0, dtype=np.int64)
+        self.cols = np.empty((0, len(salts)), dtype=np.int64)
+
+    def columns(self, keys):
+        """The ``(len(keys), depth)`` cell columns of int64 ``keys``."""
+        table = self.keys
+        pos = np.searchsorted(table, keys)
+        known = pos < len(table)
+        known[known] = table[pos[known]] == keys[known]
+        if not known.all():
+            fresh = np.unique(keys[~known])
+            width, salts = self.width, self.salts
+            cols = np.array(
+                [[_hash_row(key, salt) % width for salt in salts] for key in fresh.tolist()],
+                dtype=np.int64,
+            )
+            at = np.searchsorted(table, fresh)
+            self.keys = np.insert(table, at, fresh)
+            self.cols = np.insert(self.cols, at, cols, axis=0)
+            pos = np.searchsorted(self.keys, keys)
+        return self.cols[pos]
 
 
-def _cells_for(key, width, depth, salts):
-    cached = _CELL_CACHE.get((key, width, depth))
-    if cached is None:
-        cached = tuple(_hash_row(key, salts[d]) % width for d in range(depth))
-        _CELL_CACHE[(key, width, depth)] = cached
-    return cached
+#: One :class:`_CellTable` per ``(width, depth)``, shared process-wide
+#: so a new engine reuses the hashes earlier ones computed.  It memoizes
+#: pure functions: its contents change speed, never an answer.
+_CELL_TABLES = {}
+
+
+def _cell_table(width, salts):
+    table = _CELL_TABLES.get((width, len(salts)))
+    if table is None:
+        table = _CELL_TABLES[(width, len(salts))] = _CellTable(width, salts)
+    return table
 
 
 class CountMinSketch:
@@ -87,17 +123,15 @@ class CountMinSketch:
         self.total = 0
         self._salts = [b"cms-row-%02d" % d for d in range(self.depth)]
 
-    def _cells(self, key):
-        cols = _cells_for(int(key), self.width, self.depth, self._salts)
-        for d in range(self.depth):
-            yield d, cols[d]
+    def _columns(self, keys):
+        return _cell_table(self.width, self._salts).columns(keys)
 
     def add(self, key, weight=1):
         if weight < 0:
             raise ValueError("count-min supports non-negative weights only")
         if isinstance(weight, float) and self.rows.dtype != np.float64:
             self.rows = self.rows.astype(np.float64)
-        cols = _cells_for(int(key), self.width, self.depth, self._salts)
+        cols = self._columns(np.array([key], dtype=np.int64))[0].tolist()
         for d in range(self.depth):
             self.rows[d, cols[d]] += weight
         self.total += weight
@@ -105,42 +139,35 @@ class CountMinSketch:
     def add_many(self, keys, weights):
         """Vectorized :meth:`add` over parallel sequences.
 
-        Equivalent to ``for k, w in zip(keys, weights): add(k, w)`` —
-        cell sums are order-free for ints, and the float path accumulates
-        via ``np.add.at`` in sequence order — but pays the row update as
-        one scatter-add per row instead of one Python loop per key.
+        Equivalent to ``for k, w in zip(keys, weights): add(k, w)`` in
+        every cell — cell sums are order-free for ints, and the float path
+        accumulates via ``np.add.at`` in sequence order — while the total
+        adds the batch's NumPy sum.
         """
-        if not keys:
+        keys = np.asarray(keys, dtype=np.int64)
+        if not len(keys):
             return
-        width, depth, salts = self.width, self.depth, self._salts
-        cols = np.array(
-            [_cells_for(int(k), width, depth, salts) for k in keys], dtype=np.int64
-        )
         w = np.asarray(weights)
         if w.min() < 0:
             raise ValueError("count-min supports non-negative weights only")
         if w.dtype.kind == "f" and self.rows.dtype != np.float64:
             self.rows = self.rows.astype(np.float64)
-        for d in range(depth):
+        cols = self._columns(keys)
+        for d in range(self.depth):
             np.add.at(self.rows[d], cols[:, d], w)
         total = w.sum()
         self.total += total.item() if w.dtype.kind == "f" else int(total)
 
     def estimate(self, key):
-        cols = _cells_for(int(key), self.width, self.depth, self._salts)
-        return min(self.rows[d, cols[d]] for d in range(self.depth)).item()
+        return self.estimate_many((key,))[0]
 
     def estimate_many(self, keys):
         """Vectorized :meth:`estimate`: one gather + row-min for all
         ``keys`` (the top-query render asks for every ranked key)."""
-        keys = list(keys)
-        if not keys:
+        keys = np.asarray(list(keys), dtype=np.int64)
+        if not len(keys):
             return []
-        width, depth, salts = self.width, self.depth, self._salts
-        cols = np.array(
-            [_cells_for(int(k), width, depth, salts) for k in keys], dtype=np.int64
-        )
-        vals = self.rows[np.arange(depth), cols]
+        vals = self.rows[np.arange(self.depth), self._columns(keys)]
         return vals.min(axis=1).tolist()
 
     def error_bound(self):
@@ -266,42 +293,56 @@ class SpaceSavingTopK:
 
     def add_many(self, keys, weights):
         """Sequence-equivalent to ``for k, w in zip(keys, weights):
-        add(k, w)`` — same evictions in the same order — with the
-        attribute and method churn hoisted out of the loop.  This is the
-        window-close fold path, which adds a whole window's per-key
-        totals at once."""
+        add(k, w)`` — same evictions in the same order, counters and
+        errors identical — with the loop's lookups hoisted.  This is the
+        window-close fold path, which adds a whole window's per-key totals
+        at once (``total`` gains their subtotal).  An eviction drops stale
+        heap entries off the top, then swaps the fresh minimum for the
+        newcomer in one ``heapreplace``."""
+        if isinstance(keys, np.ndarray):
+            keys = keys.tolist()
+        weights = list(weights)
+        if weights and min(weights) < 0:
+            raise ValueError("space-saving supports non-negative weights only")
         counters = self.counters
         errors = self.errors
+        get = counters.get
         heap = self._heap
-        capacity = self.capacity
+        limit = 8 * self.capacity
+        room = self.capacity - len(counters)
         push = heapq.heappush
+        pop = heapq.heappop
+        replace = heapq.heapreplace
         total = 0
         for key, weight in zip(keys, weights):
-            if weight < 0:
-                raise ValueError("space-saving supports non-negative weights only")
-            key = int(key)
             total += weight
-            count = counters.get(key)
+            count = get(key)
             if count is not None:
                 count += weight
                 counters[key] = count
                 push(heap, (count, -key, key))
+                if len(heap) > limit:
+                    self._rebuild_heap()
+                    heap = self._heap
                 continue
-            if len(counters) < capacity:
+            if room > 0:
+                room -= 1
                 counters[key] = weight
                 errors[key] = 0
                 push(heap, (weight, -key, key))
                 continue
-            victim = self._weakest()
-            heap = self._heap  # _weakest may have rebuilt it
-            floor = counters.pop(victim)
-            errors.pop(victim)
-            counters[key] = floor + weight
+            # Every counter has a fresh entry in the heap, so this stops
+            # at the minimum by (count, -key).
+            floor, _nk, victim = heap[0]
+            while get(victim) != floor:
+                pop(heap)
+                floor, _nk, victim = heap[0]
+            del counters[victim]
+            del errors[victim]
+            # The newcomer inherits the evicted counter as its over-estimate.
+            counters[key] = count = floor + weight
             errors[key] = floor
-            push(heap, (floor + weight, -key, key))
-            if len(heap) > 8 * capacity:
-                self._rebuild_heap()
-                heap = self._heap
+            replace(heap, (count, -key, key))
         self.total += total
 
     def top(self, n=None):

@@ -9,24 +9,37 @@ every window's raw state.
 
 Accounting mirrors the :class:`~repro.analysis.monlist_parse.ParseStats`
 discipline: a record is never silently skipped.  Every offered record
-lands in exactly one of four ledgers — ``applied``, ``late`` (its window
-ended at or before the watermark), ``duplicate`` (same uid seen in the
-same open window), or ``early_buffered`` is deliberately *not* a state
-(tumbling windows accept any future time; there is no out-of-range) —
+lands in exactly one of three ledgers — ``applied``, ``late`` (its window
+ended at or before the watermark, or was closed by end of stream), or
+``duplicate`` (same identity already applied to the same open window) —
 and ``total == applied + late + duplicate`` is an engine invariant the
-tests and the conformance harness both assert.
+tests and the conformance harness both assert.  Tumbling windows accept
+any future time, so there is no out-of-range ledger.
 
-Lateness is defined by the watermark alone, not by whether the window
-ever held state: a record whose window end the watermark has already
-passed is late even when no earlier record opened that window.  The
-distinction only matters for out-of-order streams, and it keeps every
-ledger decision a function of the records applied so far — never of
-which windows happened to open, or of when queries arrived.
+Records are offered a batch at a time (:meth:`WindowSet.offer_batch`),
+each row carrying the watermark as it stood once that row arrived, and
+the batch decision equals the record-at-a-time rule exactly: a row is
+late when its window's end is at or below *its own* watermark (so a
+window the rising watermark would have closed mid-batch refuses the rest
+of the batch), and a row is a duplicate when its identity is already in
+the window's seen set or appears earlier in the batch (the first copy
+wins).  Lateness is defined by the watermark alone, not by whether the
+window ever held state, which keeps every ledger decision a function of
+the records applied so far — never of which windows happened to open, of
+batch boundaries, or of when queries arrived.
+
+A ``WindowSet`` holds no callbacks: :meth:`WindowSet.advance` and
+:meth:`WindowSet.close_all` hand the windows they close back to the
+caller, which condenses each one and records the summary with
+:meth:`WindowSet.retire`, and :meth:`WindowSet.summaries` takes the
+finalizer as an argument.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 __all__ = ["TumblingWindows", "WindowSet"]
 
@@ -59,6 +72,14 @@ class TumblingWindows:
             index += 1
         return index
 
+    def index_array(self, t):
+        """:meth:`index_of` over a float64 array, nudge included."""
+        origin, width = self.origin, self.width
+        index = np.floor((t - origin) / width)
+        index -= t < origin + index * width
+        index += t >= origin + (index + 1) * width
+        return index.astype(np.int64)
+
     def bounds(self, index):
         """``[lo, hi)`` of window ``index``.
 
@@ -76,39 +97,59 @@ class TumblingWindows:
         return lo <= t < hi
 
 
+_NO_IDS = np.empty(0, dtype=np.int64)
+
+
 class _OpenWindow:
     __slots__ = ("state", "seen", "records")
 
     def __init__(self, state):
         self.state = state
-        self.seen = set()
+        #: Identities applied so far, sorted.
+        self.seen = _NO_IDS
         self.records = 0
+
+    def first_copies(self, rows, ids):
+        """The ``rows`` whose identity ``ids`` is neither already seen nor
+        on an earlier row; marks those identities seen."""
+        seen = self.seen
+        fresh = None
+        if (ids[1:] > ids[:-1]).all():
+            if not len(seen) or ids[0] > seen[-1]:
+                # Identities rising past everything seen: the sorted
+                # replay's case, where seen stays sorted by appending.
+                self.seen = np.concatenate((seen, ids))
+                return rows
+        else:
+            _, first = np.unique(ids, return_index=True)
+            fresh = np.zeros(len(ids), dtype=bool)
+            fresh[first] = True
+        if len(seen):
+            unseen = ~np.isin(ids, seen)
+            fresh = unseen if fresh is None else fresh & unseen
+        if fresh is not None:
+            rows, ids = rows[fresh], ids[fresh]
+        self.seen = np.union1d(seen, ids)
+        return rows
 
 
 class WindowSet:
     """Windowed state for one record kind, driven by a shared watermark.
 
-    ``state_factory()`` builds a fresh per-window mutable state;
-    ``finalize(index, lo, hi, state, records)`` condenses it into the
-    summary dict retained after close.  ``offer`` returns the open
-    window's state when the record should be applied, or ``None`` when it
-    was accounted as late/duplicate instead.
+    ``state_factory()`` builds a fresh per-window mutable state.
+    :meth:`offer_batch` runs the ledger over a batch of rows and returns,
+    per open window that gained rows, the rows the caller must apply.
     """
 
-    __slots__ = ("windows", "_factory", "_finalize", "_on_close", "open", "closed", "total", "applied", "late", "duplicate", "late_uids", "_next_close", "_closed_rows", "_open_summaries")
+    __slots__ = ("windows", "_factory", "open", "closed", "total", "applied", "late", "duplicate", "late_uids", "_next_close", "_closed_rows", "_open_summaries")
 
     #: How many late-record uids to retain verbatim for forensics (the
     #: counters are complete either way).
     LATE_UID_KEEP = 32
 
-    def __init__(self, width, origin=0.0, state_factory=dict, finalize=None, on_close=None):
+    def __init__(self, width, origin=0.0, state_factory=dict):
         self.windows = TumblingWindows(width, origin=origin)
         self._factory = state_factory
-        # finalize must be PURE: summaries() also runs it on still-open
-        # windows for mid-window reads.  Side effects that must happen
-        # exactly once per window belong in on_close.
-        self._finalize = finalize or (lambda index, lo, hi, state, records: dict(state))
-        self._on_close = on_close
         self.open = {}
         self.closed = {}
         self.total = 0
@@ -116,9 +157,9 @@ class WindowSet:
         self.late = 0
         self.duplicate = 0
         self.late_uids = []
-        # Advance fast path: the earliest open-window end, so the per-
-        # record watermark sweep is one comparison when nothing closes.
-        # None means "unknown — scan"; scanning an empty set yields inf.
+        # Advance fast path: the earliest open-window end, so a watermark
+        # move that closes nothing costs one comparison.  None means
+        # "unknown — scan"; scanning an empty set yields inf.
         self._next_close = None
         # Read-side memoization: closed windows are immutable, so their
         # summary rows are built once; an open window's summary is reused
@@ -128,103 +169,141 @@ class WindowSet:
 
     # -- ingest ------------------------------------------------------------
 
-    def offer(self, t, uid, watermark):
-        """Account one record; return its window state iff it applies."""
-        return self.offer_at(self.windows.index_of(t), uid, watermark)
+    def offer_batch(self, t, ident, watermark, uid_of):
+        """Account a batch of this kind's rows, in arrival order.
 
-    def offer_at(self, index, uid, watermark):
-        """:meth:`offer` with the window index already computed (the
-        engine reuses the index for capture-buffer bookkeeping)."""
-        self.total += 1
-        window = self.open.get(index)
-        if window is None:
-            w = self.windows
-            if index in self.closed or (
-                watermark is not None
-                and w.origin + (index + 1) * w.width <= watermark
-            ):
-                self.late += 1
-                if len(self.late_uids) < self.LATE_UID_KEEP:
-                    self.late_uids.append(uid)
-                return None
-            window = _OpenWindow(self._factory())
-            self.open[index] = window
-            hi = w.origin + (index + 1) * w.width
-            if self._next_close is not None and hi < self._next_close:
-                self._next_close = hi
-        if uid is not None:
-            if uid in window.seen:
-                self.duplicate += 1
-                return None
-            window.seen.add(uid)
-        window.records += 1
-        self.applied += 1
-        return window.state
+        ``t`` holds event times, ``ident`` one int64 identity per row and
+        ``watermark`` the watermark once each row had arrived (``-inf``
+        before any record); ``uid_of(row)`` renders a row's uid for
+        ``late_uids``.  Returns ``[(index, window, rows)]``: each open
+        window that gained rows, with the positions (ascending, i.e.
+        arrival order) of the rows to apply to its state.
+        """
+        if not len(t):
+            return []
+        w = self.windows
+        first = w.index_of(t[0])
+        if first == w.index_of(t[-1]) and (t[1:] >= t[:-1]).all():
+            # Time-sorted rows inside one window: the sorted replay's case.
+            keys, inverse = np.array([first]), None
+        else:
+            keys, inverse = np.unique(w.index_array(t), return_inverse=True)
+        hi = w.origin + (keys + 1) * w.width
+        late = (hi[0] if inverse is None else hi[inverse]) <= watermark
+        closed = self.closed
+        if closed:
+            shut = np.array([key in closed for key in keys.tolist()])
+            if shut.any():
+                late |= shut[0] if inverse is None else shut[inverse]
+        n_late = int(np.count_nonzero(late))
+        if n_late:
+            room = self.LATE_UID_KEEP - len(self.late_uids)
+            if room > 0:
+                self.late_uids.extend(uid_of(row) for row in np.flatnonzero(late)[:room].tolist())
+            live = np.flatnonzero(~late)
+        else:
+            live = np.arange(len(t))
+
+        if inverse is None:
+            split = [(first, live)] if len(live) else []
+        else:
+            group = inverse[live]
+            by_window = live[np.argsort(group, kind="stable")]
+            ends = np.cumsum(np.bincount(group, minlength=len(keys))).tolist()
+            split = [
+                (key, by_window[lo:end])
+                for key, lo, end in zip(keys.tolist(), [0] + ends[:-1], ends)
+                if end > lo
+            ]
+        groups = []
+        n_applied = 0
+        for key, rows in split:
+            window = self.open.get(key)
+            if window is None:
+                window = self.open[key] = _OpenWindow(self._factory())
+                end = w.origin + (key + 1) * w.width
+                if self._next_close is not None and end < self._next_close:
+                    self._next_close = end
+            rows = window.first_copies(rows, ident[rows])
+            if len(rows):
+                window.records += len(rows)
+                n_applied += len(rows)
+                groups.append((key, window, rows))
+        n = len(t)
+        self.total += n
+        self.late += n_late
+        self.applied += n_applied
+        self.duplicate += n - n_late - n_applied
+        return groups
 
     def advance(self, watermark):
-        """Close every open window whose end the watermark has passed.
+        """Pop every open window whose end the watermark has passed.
 
-        One comparison against the cached earliest open end in the
-        common nothing-to-close case — this runs on every watermark
-        move, i.e. nearly every record of a time-sorted stream.
+        Returns ``[(index, lo, hi, window)]`` ascending by index; the
+        caller condenses each and records it with :meth:`retire`.  One
+        comparison against the cached earliest open end in the common
+        nothing-to-close case.
         """
         nxt = self._next_close
         if nxt is not None and watermark < nxt:
-            return
+            return []
         nxt = math.inf
+        closing = []
         for index in sorted(self.open):
             lo, hi = self.windows.bounds(index)
             if watermark < hi:
                 if hi < nxt:
                     nxt = hi
                 continue
-            self._close(index, lo, hi)
+            closing.append((index, lo, hi, self._pop(index)))
         self._next_close = nxt
+        return closing
 
     def close_all(self):
-        """End of stream: finalize everything still open."""
-        for index in sorted(self.open):
-            lo, hi = self.windows.bounds(index)
-            self._close(index, lo, hi)
+        """End of stream: pop everything still open (as :meth:`advance`)."""
+        closing = [
+            (index, *self.windows.bounds(index), self._pop(index)) for index in sorted(self.open)
+        ]
         self._next_close = math.inf
+        return closing
 
-    def _close(self, index, lo, hi):
-        window = self.open.pop(index)
-        if self._on_close is not None:
-            self._on_close(window.state)
-        self.closed[index] = self._finalize(index, lo, hi, window.state, window.records)
-        self._closed_rows = None
+    def _pop(self, index):
         self._open_summaries.pop(index, None)
+        return self.open.pop(index)
+
+    def retire(self, index, summary):
+        """Record a popped window's final summary."""
+        self.closed[index] = summary
+        self._closed_rows = None
 
     # -- views -------------------------------------------------------------
 
-    def summaries(self, include_open=True):
+    def summaries(self, finalize):
         """``[(index, lo, hi, summary, is_open)]`` ascending by window.
 
-        Open windows are summarized through the same ``finalize`` hook on
-        a *copy*-free read — the mid-window answer the service serves —
+        Open windows are summarized through ``finalize(state, records)``,
+        which must be pure — the mid-window answer the service serves —
         without mutating or closing them.
         """
         rows = self._closed_rows
-        if rows is None or len(rows) != len(self.closed):
+        if rows is None:
             rows = []
             for index in sorted(self.closed):
                 lo, hi = self.windows.bounds(index)
                 rows.append((index, lo, hi, self.closed[index], False))
             self._closed_rows = rows
         out = list(rows)
-        if include_open:
-            memo = self._open_summaries
-            for index in sorted(self.open):
-                window = self.open[index]
-                cached = memo.get(index)
-                if cached is not None and cached[0] == window.records:
-                    out.append(cached[1])
-                    continue
-                lo, hi = self.windows.bounds(index)
-                row = (index, lo, hi, self._finalize(index, lo, hi, window.state, window.records), True)
-                memo[index] = (window.records, row)
-                out.append(row)
+        memo = self._open_summaries
+        for index in sorted(self.open):
+            window = self.open[index]
+            cached = memo.get(index)
+            if cached is not None and cached[0] == window.records:
+                out.append(cached[1])
+                continue
+            lo, hi = self.windows.bounds(index)
+            row = (index, lo, hi, finalize(window.state, window.records), True)
+            memo[index] = (window.records, row)
+            out.append(row)
         return out
 
     def accounting(self):

@@ -629,7 +629,7 @@ def check_world_streaming_matches_batch(record, tolerance):
         violations.append("daily traffic fractions differ from batch")
     rel_tol = tolerance["isp_bytes_rel_tol"]
     batch_isp = queries.isp_day_answers(world)
-    stream_isp = {i: s for i, _lo, _hi, s, _open in engine.windows["isp"].summaries()}
+    stream_isp = {i: s for i, _lo, _hi, s, _open in engine.summaries("isp")}
     if set(batch_isp) != set(stream_isp):
         violations.append(
             f"ISP day coverage differs: batch {len(batch_isp)} days, "

@@ -3,8 +3,9 @@
 Every PR so far has claimed "clean worlds byte-identical at seeds 7 and
 2014" in its commit message; this module turns that claim into a checked
 file.  A manifest records the sha256 of all 22 rendered artifacts (plus the
-world summary) for each golden (seed, scale, faults) cell, together with
-the ``repro.__version__`` that produced them.
+world summary and the streaming answers, ``STREAM``) for each golden
+(seed, scale, faults) cell, together with the ``repro.__version__`` that
+produced them.
 
 The diff rule is the regression gate:
 
@@ -27,6 +28,7 @@ __all__ = [
     "build_manifest",
     "diff_manifest",
     "load_manifest",
+    "stream_checksum",
     "write_manifest",
 ]
 
@@ -45,7 +47,8 @@ def _sha256(text):
 
 
 def artifact_checksums(world, jobs=1):
-    """sha256 of every rendered artifact (F1..F16, T1..T6) plus SUMMARY.
+    """sha256 of every rendered artifact (F1..F16, T1..T6) plus SUMMARY
+    and STREAM.
 
     ``jobs`` parallelizes the corpus decode and the renders through
     :func:`repro.cli.render_many`; the checksums are identical at any
@@ -59,7 +62,37 @@ def artifact_checksums(world, jobs=1):
     outputs = render_many(world, ids, jobs=jobs, context=context)
     checksums = {artifact_id: _sha256(text) for artifact_id, text in zip(ids, outputs)}
     checksums["SUMMARY"] = _sha256(world.summary())
+    checksums["STREAM"] = stream_checksum(world)
     return checksums
+
+
+#: Rows per ``ingest_many`` call in the STREAM digest.
+STREAM_BATCH = 512
+
+
+def stream_checksum(world):
+    """sha256 of the streaming answers to ``world``'s replay.
+
+    The replay goes through one engine in ``STREAM_BATCH``-row batches
+    with a snapshot at the middle batch, then ``close``, every
+    ``QUERY_NAMES`` answer and the final snapshot — all as one JSON list
+    with sorted keys — so mid-window reads, sketch folds and the ingest
+    ledger are all pinned.
+    """
+    from repro.stream import QUERY_NAMES, StreamEngine, replay_plan, replay_records
+
+    records = replay_records(world)
+    engine = StreamEngine.for_world(world, plan=replay_plan(world))
+    starts = range(0, len(records), STREAM_BATCH)
+    answers = []
+    for i, lo in enumerate(starts):
+        if i == len(starts) // 2:
+            answers.append(engine.snapshot())
+        engine.ingest_many(records[lo : lo + STREAM_BATCH])
+    engine.close()
+    answers.extend(engine.query(name) for name in QUERY_NAMES)
+    answers.append(engine.snapshot())
+    return _sha256(json.dumps(answers, sort_keys=True))
 
 
 def _build_cell_world(cell):

@@ -19,6 +19,7 @@ from repro.net import Prefix
 from repro.ntp import MonlistTable
 from repro.ntp.constants import IMPL_XNTPD, IMPL_XNTPD_OLD
 from repro.ntp.wire import MonitorEntry
+from repro.stream.windows import TumblingWindows
 from repro.util.simtime import DAY
 
 __all__ = [
@@ -48,6 +49,9 @@ __all__ = [
     "record_streams",
     "window_widths",
     "bounded_skews",
+    "chunkings",
+    "index_streams",
+    "reference_ledger",
 ]
 
 # -- network primitives --------------------------------------------------------
@@ -274,3 +278,71 @@ def record_streams(draw, max_events=120):
             )
             ordered.insert(insert_at, ordered[index])
     return ordered, skew
+
+
+#: How a stream is cut into ``ingest_many`` / ``offer_batch`` calls: one
+#: row per call, or a cycle of drawn batch sizes.
+chunkings = st.one_of(
+    st.just([1]), st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=8)
+)
+
+
+@st.composite
+def index_streams(draw, n):
+    """Arrival orders over ``n`` replay rows: the sorted order roughed up
+    by adjacent swaps, redeliveries (a row delivered again later) and rows
+    moved far later — the shapes that make records late or duplicate."""
+    order = list(range(n))
+    if n < 2:
+        return order
+    for _ in range(draw(st.integers(min_value=0, max_value=30))):
+        i = draw(st.integers(min_value=0, max_value=len(order) - 2))
+        order[i], order[i + 1] = order[i + 1], order[i]
+    for _ in range(draw(st.integers(min_value=0, max_value=15))):
+        i = draw(st.integers(min_value=0, max_value=len(order) - 1))
+        order.insert(draw(st.integers(min_value=i + 1, max_value=len(order))), order[i])
+    for _ in range(draw(st.integers(min_value=0, max_value=15))):
+        i = draw(st.integers(min_value=0, max_value=len(order) - 1))
+        j = draw(st.integers(min_value=i, max_value=len(order) - 1))
+        order.insert(j, order.pop(i))
+    return order
+
+
+def reference_ledger(rows, skew, geometry, keep=32):
+    """The record-at-a-time ingest rule, one row after another — the
+    oracle the batch ledger is held to.
+
+    ``rows`` yields ``(t, kind, uid)`` in arrival order and ``geometry``
+    maps each kind to its window ``(width, origin)``.  After each row the
+    watermark (max event time so far minus ``skew``) closes every open
+    window whose end it has passed.  A row whose window is not open is
+    late once its window's end is at or below the watermark; otherwise a
+    uid already applied to its window is a duplicate.  Returns the
+    per-kind ledger, with the first ``keep`` late uids.
+    """
+    windows = {kind: TumblingWindows(*shape) for kind, shape in geometry.items()}
+    ledger = {
+        kind: {"total": 0, "applied": 0, "late": 0, "duplicate": 0, "late_uids": []}
+        for kind in geometry
+    }
+    open_seen, max_t = {}, None
+    for t, kind, uid in rows:
+        index = windows[kind].index_of(t)
+        max_t = t if max_t is None else max(max_t, t)
+        watermark = max_t - skew
+        acc = ledger[kind]
+        acc["total"] += 1
+        seen = open_seen.get((kind, index))
+        if seen is None and windows[kind].bounds(index)[1] <= watermark:
+            decision = "late"
+            if len(acc["late_uids"]) < keep:
+                acc["late_uids"].append(uid)
+        elif seen is not None and uid in seen:
+            decision = "duplicate"
+        else:
+            open_seen.setdefault((kind, index), set()).add(uid)
+            decision = "applied"
+        acc[decision] += 1
+        for key in [k for k in open_seen if windows[k[0]].bounds(k[1])[1] <= watermark]:
+            del open_seen[key]
+    return ledger

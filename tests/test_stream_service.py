@@ -164,8 +164,8 @@ def test_response_cache_hits_are_byte_identical_and_never_stale(small_world):
     from repro.stream import StreamEngine
 
     engine = StreamEngine.for_world(small_world, plan=replay_plan(small_world))
-    records = list(replay_records(small_world))
-    service = StreamService(engine, iter(()))
+    records = replay_records(small_world)
+    service = StreamService(engine, records[:0])
     mid = len(records) // 2
 
     engine.ingest_many(records[:mid])
@@ -189,23 +189,31 @@ def test_response_cache_hits_are_byte_identical_and_never_stale(small_world):
 
 
 def test_sketch_backed_tops_survive_darknet_only_batches(small_world):
-    from repro.stream import StreamEngine, StreamRecord
+    import numpy as np
+
+    from repro.stream import RecordBatch, StreamEngine
+    from repro.stream.replay import DARKNET
 
     engine = StreamEngine.for_world(small_world, plan=replay_plan(small_world))
-    records = list(replay_records(small_world))
-    service = StreamService(engine, iter(()))
+    records = replay_records(small_world)
+    service = StreamService(engine, records[:0])
     engine.ingest_many(records[: len(records) // 2])
 
     service._response_for("/query/top_victims?n=5")
     service._response_for("/query/ingest")
     hits, misses = service.cache_hits, service.cache_misses
 
-    # A darknet-only record at the stream head: generation moves (so the
-    # accounting query re-renders) but no capture state is touched (so
-    # the capture-keyed top stays cached).
-    engine.ingest(
-        StreamRecord(
-            t=engine.max_event_t, kind="darknet", uid=("dk", -1, 1), payload=7
+    # A one-row darknet batch at the stream head: generation moves (so
+    # the accounting query re-renders) but no capture state is touched
+    # (so the capture-keyed top stays cached).
+    engine.ingest_many(
+        RecordBatch(
+            t=np.array([engine.max_event_t]),
+            kind=np.array([DARKNET], dtype=np.int8),
+            a=np.array([-1]),
+            b=np.array([7]),
+            value=np.zeros(1),
+            tables=records.tables,
         )
     )
     status, body = service._response_for("/query/top_victims?n=5")

@@ -26,7 +26,7 @@ def test_checksums_cover_every_artifact_plus_summary(manifest):
     from repro.cli import ARTIFACTS
 
     [entry] = manifest["worlds"]
-    assert set(entry["checksums"]) == set(ARTIFACTS) | {"SUMMARY"}
+    assert set(entry["checksums"]) == set(ARTIFACTS) | {"SUMMARY", "STREAM"}
     assert all(len(v) == 64 for v in entry["checksums"].values())
     assert manifest["package_version"] == repro.__version__
 
@@ -49,6 +49,25 @@ def test_diff_tamper_without_version_bump_fails(manifest):
     text = "\n".join(lines)
     assert "CHANGED F3" in text
     assert "__version__ is still" in text  # undeclared change: the hard failure
+
+
+def test_changed_stream_answer_without_version_bump_fails(manifest, world, monkeypatch):
+    """A streaming answer that moves — here the darknet window summary —
+    changes the STREAM checksum, and without a version bump the diff is
+    the hard failure."""
+    from repro.stream import ingest
+    from repro.verify.manifest import stream_checksum
+
+    monkeypatch.setitem(
+        ingest._FINALIZERS, "darknet", lambda state, records: {"scanners": len(state) + 1}
+    )
+    current = copy.deepcopy(manifest)
+    current["worlds"][0]["checksums"]["STREAM"] = stream_checksum(world)
+    ok, lines = diff_manifest(manifest, current)
+    assert not ok
+    text = "\n".join(lines)
+    assert "CHANGED STREAM" in text
+    assert "__version__ is still" in text
 
 
 def test_diff_tamper_across_version_bump_requests_regeneration(manifest):
