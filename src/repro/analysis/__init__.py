@@ -28,12 +28,9 @@ from repro.analysis.local import (
 from repro.analysis.monlist_parse import (
     ParseStats,
     ReconstructedTable,
-    add_parse_calls,
-    parse_call_count,
     reconstruct_table,
     reconstruct_table_lenient,
 )
-from repro.analysis.parse_cache import load_or_decode_corpus
 from repro.analysis.quality import QualityReport, ReconciliationCheck, quality_report
 from repro.analysis.remediation import (
     AmplifierCountRow,
@@ -83,11 +80,8 @@ __all__ = [
     "ttl_forensics",
     "ParseStats",
     "ReconstructedTable",
-    "add_parse_calls",
-    "parse_call_count",
     "reconstruct_table",
     "reconstruct_table_lenient",
-    "load_or_decode_corpus",
     "QualityReport",
     "ReconciliationCheck",
     "quality_report",

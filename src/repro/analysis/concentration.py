@@ -24,10 +24,6 @@ class ConcentrationReport:
     def victim_ecdf(self):
         return Ecdf(self.victim_as_packets.values())
 
-    @property
-    def amplifier_ecdf(self):
-        return Ecdf(self.amplifier_as_packets.values())
-
     def top_victim_ases(self, n=10):
         """[(asn, packets)] sorted by packets received, descending."""
         return sorted(self.victim_as_packets.items(), key=lambda kv: kv[1], reverse=True)[:n]

@@ -16,12 +16,11 @@ Two properties make the sharing safe:
   data (Fig 11..15) never triggers a parse at all.
 
 The context also keeps the books: ``parse_calls`` records how many sample
-parses *this context* triggered, and the module-level counter in
-:mod:`repro.analysis.monlist_parse` records every parse in the process —
-tests pin the parse-once contract on both.
+decodes *this context* ran, which is what tests and benchmark records pin
+the parse-once contract on.
 """
 
-from repro.analysis.parse_cache import load_or_decode_corpus
+from repro.analysis.event_columns import build_event_columns
 
 __all__ = ["AnalysisContext"]
 
@@ -29,17 +28,15 @@ __all__ = ["AnalysisContext"]
 class AnalysisContext:
     """Shared, lazily-populated analysis state for one world.
 
-    ``jobs`` only affects how fast :meth:`parsed_samples` is computed
-    (sample-level process parallelism); every result is identical at any
-    worker count.
+    ``jobs`` is accepted and ignored: the corpus decodes in this process
+    at any worker count, because a pooled decode measured slower than a
+    serial one.  The keyword stays only until the ``batch`` benchmark
+    (``perf/batch.py``) stops passing it.
     """
 
     def __init__(self, world, jobs=1):
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
         self.world = world
-        self.jobs = jobs
-        #: Sample parses this context has performed (0 until the first
+        #: Sample decodes this context has run (0 until the first
         #: consumer needs the corpus; then exactly one corpus decode).
         self.parse_calls = 0
         self._parsed = None
@@ -49,16 +46,11 @@ class AnalysisContext:
         self._version_report = None
 
     def parsed_samples(self):
-        """The parsed monlist corpus (one decode, ever, per context).
-
-        When a parsed-corpus cache directory is configured (the
-        ``REPRO_PARSE_CACHE`` environment variable), a hit skips the
-        decode entirely — visible here as ``parse_calls`` staying at 0.
-        """
+        """The parsed monlist corpus (one decode, ever, per context)."""
         if self._parsed is None:
             samples = self.world.onp.monlist_samples
-            self._parsed, n_parses = load_or_decode_corpus(samples, jobs=self.jobs)
-            self.parse_calls += n_parses
+            self._parsed = build_event_columns(samples).sample_views()
+            self.parse_calls += len(samples)
         return self._parsed
 
     def victim_report(self):

@@ -29,8 +29,7 @@ a packed store is packed first and decoded the same way.
 
 The entries array is the memory ceiling at scale; :meth:`EventColumns
 .maybe_spill` moves it through the same integrity-checked ``np.memmap``
-spill machinery the capture store uses, and pickling re-inlines a spilled
-payload so cache envelopes stay self-contained.
+spill machinery the capture store uses.
 """
 
 from __future__ import annotations
@@ -49,11 +48,7 @@ from repro.measurement.capture_store import (
 from repro.net.framing import on_wire_bytes_array
 from repro.ntp.constants import MODE7_HEADER_SIZE, MON_ENTRY_V1_SIZE, MON_ENTRY_V2_SIZE
 from repro.ntp.wire import MON_V1_DTYPE, MonitorEntry
-from repro.analysis.monlist_parse import (
-    ParseStats,
-    add_parse_calls,
-    reconstruct_table_lenient,
-)
+from repro.analysis.monlist_parse import ParseStats, reconstruct_table_lenient
 
 __all__ = [
     "ENTRY_DTYPE",
@@ -180,7 +175,7 @@ class EventColumns:
     byteswap once.
     """
 
-    __slots__ = ("samples", "tables", "entries", "_native", "_views", "_toe")
+    __slots__ = ("samples", "tables", "entries", "_native", "_views")
 
     def __init__(self, samples, tables, entries):
         self.samples = samples
@@ -188,21 +183,12 @@ class EventColumns:
         self.entries = entries
         self._native = {}
         self._views = None
-        self._toe = None
 
     # -- shape -------------------------------------------------------------
 
     @property
     def n_samples(self):
         return len(self.samples)
-
-    @property
-    def n_tables(self):
-        return len(self.tables)
-
-    @property
-    def n_entries(self):
-        return len(self.entries)
 
     # -- native-endian column memos ---------------------------------------
 
@@ -223,14 +209,6 @@ class EventColumns:
             col = self.tables[name].astype(np.int64)
             self._native[key] = col
         return col
-
-    def table_of_entry(self):
-        """Table index of each entry row (memoized ``np.repeat``)."""
-        if self._toe is None:
-            self._toe = np.repeat(
-                np.arange(self.n_tables, dtype=np.int64), self.table_native("entry_count")
-            )
-        return self._toe
 
     # -- per-sample access -------------------------------------------------
 
@@ -326,24 +304,6 @@ class EventColumns:
             os.unlink(path)
         self.entries = mapped.view(dtype)
         return self
-
-    # -- pickling ----------------------------------------------------------
-    # Cache envelopes and worker→parent transport must be self-contained:
-    # a spilled entries array is re-inlined, and derived memos are dropped.
-
-    def __getstate__(self):
-        entries = self.entries
-        if isinstance(entries.base, np.memmap) or isinstance(entries, np.memmap):
-            entries = np.asarray(entries).copy()
-        return {"samples": self.samples, "tables": self.tables, "entries": entries}
-
-    def __setstate__(self, state):
-        self.samples = state["samples"]
-        self.tables = state["tables"]
-        self.entries = state["entries"]
-        self._native = {}
-        self._views = None
-        self._toe = None
 
 
 class _TableView:
@@ -800,10 +760,8 @@ def columns_for_sample(sample):
     """Decode one ONP sample into a single-sample :class:`EventColumns`.
 
     A sample without a packed store (an outage gap, a test fixture) is
-    packed first, so every sample goes through the one decoder.  Advances
-    the parse-once ledger by one.
+    packed first, so every sample goes through the one decoder.
     """
-    add_parse_calls(1)
     packed = getattr(sample, "packed", None)
     if packed is None:
         packed = pack_captures(sample.captures, sample.t)
@@ -833,29 +791,11 @@ def columns_for_sample(sample):
     return EventColumns(row, tables, batch.entries)
 
 
-def _columns_task(samples, index):
-    """One shard-pool task: decode sample ``index`` of the shared list."""
-    return columns_for_sample(samples[index])
-
-
-def build_event_columns(samples, jobs=1, runner=None):
+def build_event_columns(samples):
     """Decode a corpus of ONP samples into one :class:`EventColumns`.
 
-    Per-sample decodes run through the supervised shard pool in input
-    order (results identical at any ``--jobs``), pooled workers'
-    parse-call increments are mirrored into the parent ledger, and the
+    Samples decode in order, in this process: a whole corpus decodes
+    faster than a fork pool can start and ship its parts back.  The
     merged entries blob spills past ``REPRO_SPILL_MB``.
     """
-    from repro.util.pool import ShardRunner
-
-    samples = list(samples)
-    if runner is None:
-        runner = ShardRunner(jobs)
-    parts = runner.map(
-        "parse", _columns_task, samples, len(samples), min_tasks=2 * max(1, runner.jobs)
-    )
-    stat = runner.stats["parse"]
-    pooled = sum(1 for source in stat["task_source"] if source == "pooled")
-    if pooled:
-        add_parse_calls(pooled)
-    return EventColumns.concat(parts).maybe_spill()
+    return EventColumns.concat([columns_for_sample(sample) for sample in samples]).maybe_spill()

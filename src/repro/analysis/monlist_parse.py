@@ -26,34 +26,7 @@ __all__ = [
     "reconstruct_table",
     "reconstruct_table_lenient",
     "ParseStats",
-    "parse_call_count",
-    "add_parse_calls",
 ]
-
-#: Process-wide count of sample decodes
-#: (:func:`~repro.analysis.event_columns.columns_for_sample` calls).
-#: Corpus decoding is the analysis layer's dominant cost; the counter lets
-#: tests assert the parse-once contract ("one CLI invocation decodes the
-#: corpus exactly once") instead of trusting the plumbing.
-_PARSE_CALLS = 0
-
-
-def parse_call_count():
-    """How many sample decodes ran in this process."""
-    return _PARSE_CALLS
-
-
-def add_parse_calls(n):
-    """Fold ``n`` parses performed elsewhere into this process's ledger.
-
-    Pool workers increment their own forked copy of the counter; whoever
-    collects their results calls this so the parse-once contract stays
-    testable from the parent at any ``--jobs`` value.
-    """
-    global _PARSE_CALLS
-    if n < 0:
-        raise ValueError("parse-call delta must be non-negative")
-    _PARSE_CALLS += int(n)
 
 
 @dataclass

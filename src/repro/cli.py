@@ -13,8 +13,8 @@ Usage::
     python -m repro list                 # available artifacts and presets
 
 Every invocation shares one :class:`~repro.analysis.AnalysisContext`, so the
-monlist corpus is decoded exactly once no matter how many artifacts render.
-``--jobs N`` parallelizes sample parsing and artifact rendering over a
+monlist corpus is decoded exactly once, in-process, no matter how many
+artifacts render.  ``--jobs N`` parallelizes artifact rendering over a
 process pool; outputs are merged in request order and are byte-identical at
 any worker count.
 
@@ -24,14 +24,14 @@ renders skip the simulation; the cache is validated against the requested
 stale.  ``--faults {clean,paper,hostile}`` builds the world through an
 imperfect measurement apparatus (see :mod:`repro.faults`).
 
-Pooled work (build phases, sample parsing, artifact rendering, the
-conformance matrix) runs under the supervised shard pool
-(:mod:`repro.util.pool`): ``--task-timeout`` bounds each pooled task's
-wall clock, ``--retries`` bounds its pooled attempts before the
-in-process serial fallback, and ``--checkpoint DIR`` makes a build
-resumable — the world state is persisted after every completed phase,
-so an interrupted ``repro`` run re-issued with the same flags resumes
-from the last finished phase to a byte-identical world.
+Pooled work (build phases, artifact rendering, the conformance matrix)
+runs under the supervised shard pool (:mod:`repro.util.pool`):
+``--task-timeout`` bounds each pooled task's wall clock, ``--retries``
+bounds its pooled attempts before the in-process serial fallback, and
+``--checkpoint DIR`` makes a build resumable — the world state is
+persisted after every completed phase, so an interrupted ``repro`` run
+re-issued with the same flags resumes from the last finished phase to a
+byte-identical world.
 """
 
 import argparse
@@ -556,7 +556,7 @@ def render_many(world, artifact_ids, jobs=1, context=None, stats=None, runner=No
     from repro.util.pool import ShardRunner, fork_pool_gate
 
     ids = [artifact_id.upper() for artifact_id in artifact_ids]
-    ctx = context if context is not None else AnalysisContext(world, jobs=jobs)
+    ctx = context if context is not None else AnalysisContext(world)
     if stats is None:
         stats = {}
     if runner is None:
@@ -758,7 +758,7 @@ def _bench_pipeline(args):
     )
     build_seconds = perf_counter() - start
 
-    context = AnalysisContext(world, jobs=args.jobs)
+    context = AnalysisContext(world)
     start = perf_counter()
     context.warm()
     parse_seconds = perf_counter() - start
@@ -1227,7 +1227,7 @@ def _add_jobs_arg(parser):
         type=int,
         default=1,
         metavar="N",
-        help="parse samples and render artifacts over N processes "
+        help="render artifacts over N processes "
         "(output is byte-identical at any N)",
     )
 
@@ -1601,7 +1601,7 @@ def main(argv=None):
     except CliError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    context = AnalysisContext(world, jobs=getattr(args, "jobs", 1))
+    context = AnalysisContext(world)
     if args.command == "summary":
         print(world.summary(include_timings=args.timings, context=context))
     elif args.command in ("figure", "table", "render"):

@@ -23,7 +23,6 @@ the log against what the degraded datasets and the parse layer actually
 report — the synthetic analogue of the paper's own data-caveats section.
 """
 
-import dataclasses
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -354,8 +353,3 @@ class BlockMangler:
 
     def mangle(self, packets):
         return _mangle_packets(self.profile, self.rng, self.log, packets)
-
-
-def profile_fields(profile):
-    """The profile as a plain {field: value} dict (for cache keys, repr)."""
-    return dataclasses.asdict(profile)

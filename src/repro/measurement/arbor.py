@@ -96,10 +96,6 @@ class ArborDataset:
     #: (collector outages); empty for a clean apparatus.
     missing_days: list = field(default_factory=list)
 
-    def traffic_series(self):
-        """[(day, ntp fraction, dns fraction)] for Figure 1."""
-        return [(d.day, d.ntp_fraction, d.dns_fraction) for d in self.daily]
-
     def peak_ntp_day(self):
         if not self.daily:
             return None

@@ -49,9 +49,6 @@ class SiteSpec:
     prefixes: tuple
     base_traffic_bps: float = 20e9
 
-    def contains_ip(self, ip):
-        return any(p.contains(ip) for p in self.prefixes)
-
     @property
     def n_addresses(self):
         return sum(p.n_addresses for p in self.prefixes)
@@ -427,13 +424,6 @@ class IspMeasurement:
                 record.last_seen = max(record.last_seen, attack.end)
 
     # -- probe / scan observation ------------------------------------------------------
-
-    def observe_probe_reply(self, host, t, total_on_wire_bytes, duration=60.0):
-        """A measurement probe's reply leaving a local amplifier (mega
-        amplifiers triggered by the ONP probe produce visible spikes)."""
-        for site in self.sites.values():
-            if host.asn in site.spec.asns and site._in_series(t):
-                site._spread(site.ntp_out, t, duration, total_on_wire_bytes)
 
     def observe_sweeps(self, sweeps, scanner_scale=1.0):
         """Scanner detection per site (Figure 16's common-scanner view).

@@ -29,7 +29,6 @@ class PolicyBlockList:
 
     def __init__(self, registry):
         self._trie = PrefixTrie()
-        self._n_listed = 0
         for system in registry:
             if system.kind == NetworkKind.RESIDENTIAL:
                 for prefix in system.prefixes:
@@ -41,7 +40,6 @@ class PolicyBlockList:
 
     def _list(self, prefix):
         self._trie.insert(prefix, True)
-        self._n_listed += 1
 
     def _list_leading_fraction(self, prefix, fraction):
         """List the leading ``fraction`` of a prefix, as aligned sub-prefixes.
@@ -64,10 +62,6 @@ class PolicyBlockList:
                 remaining -= size
             else:
                 length += 1
-
-    @property
-    def n_listed_prefixes(self):
-        return self._n_listed
 
     def is_end_host(self, ip):
         """True when ``ip`` is inside listed (end-host) space."""

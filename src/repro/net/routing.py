@@ -32,10 +32,6 @@ class RoutedBlockTable:
         """``(Prefix, AutonomousSystem)`` covering ``ip``, or ``None``."""
         return self._trie.lookup(ip)
 
-    def block_of(self, ip):
-        hit = self._trie.lookup(ip)
-        return hit[0] if hit else None
-
     def origin_as(self, ip):
         hit = self._trie.lookup(ip)
         return hit[1] if hit else None

@@ -1,18 +1,9 @@
-"""Discrete-event simulation engine."""
+"""Event records the world build passes between traffic generators and
+vantage points."""
 
-from repro.sim.engine import Event, EventEngine
-from repro.sim.events import (
-    AttackPulse,
-    ClientPoll,
-    ProbeSent,
-    ScanSweep,
-)
+from repro.sim.events import AttackPulse, ScanSweep
 
 __all__ = [
-    "Event",
-    "EventEngine",
     "AttackPulse",
-    "ClientPoll",
-    "ProbeSent",
     "ScanSweep",
 ]

@@ -7,7 +7,7 @@ decoupled from the traffic generators.
 
 from dataclasses import dataclass, field
 
-__all__ = ["ScanSweep", "AttackPulse", "ClientPoll", "ProbeSent"]
+__all__ = ["ScanSweep", "AttackPulse"]
 
 
 @dataclass(frozen=True)
@@ -61,24 +61,3 @@ class AttackPulse:
     def __post_init__(self):
         object.__setattr__(self, "end", self.start + self.duration)
         object.__setattr__(self, "query_count", max(1, int(self.query_rate * self.duration)))
-
-
-@dataclass(frozen=True)
-class ClientPoll:
-    """A legitimate NTP client polling a server (mode 3)."""
-
-    t: float
-    client_ip: int
-    server_ip: int
-    interval: float  # typical polling interval in seconds
-
-
-@dataclass(frozen=True)
-class ProbeSent:
-    """A single measurement probe (ONP-style) to one target."""
-
-    t: float
-    prober_ip: int
-    target_ip: int
-    mode: int
-    implementation: int

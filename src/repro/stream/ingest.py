@@ -63,10 +63,10 @@ queries arrive or how the stream is batched.  Space-saving is sensitive
 to add order, so this is what keeps its answers a function of the
 records applied.
 
-The streaming path deliberately does not advance the batch parse-once
-ledger — replay is a re-read of the measurement layer, and the engine's
-own ingest accounting (``total == applied + late + duplicate`` per kind)
-is the discipline that replaces it.
+The streaming path deliberately counts in no analysis context's
+``parse_calls`` — replay is a re-read of the measurement layer, and the
+engine's own ingest accounting (``total == applied + late + duplicate``
+per kind) is the discipline that replaces it.
 """
 
 from __future__ import annotations

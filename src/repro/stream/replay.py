@@ -47,8 +47,9 @@ an outage produced zero captures); and the Arbor rows, ``None`` marking a
 collector-outage day (the explicit gap Fig 1 renders, never an
 interpolated value).
 
-Replay is a deliberate re-read of the measurement layer, so it does not
-touch the parse-once ledger; the engine keeps its own ingest counters.
+Replay is a deliberate re-read of the measurement layer, so it counts in
+no analysis context's ``parse_calls``; the engine keeps its own ingest
+counters.
 Slicing a batch (or indexing it with an integer array) gives a batch over
 the same side tables, which is how the service feeds the engine and how
 tests inject reordered and redelivered records.

@@ -221,37 +221,57 @@ class StreamService:
 
     async def _respond(self, reader):
         """Read one request; returns ``(keep_alive, status, payload)`` or
-        ``None`` on a clean end-of-connection."""
+        ``None`` on a clean end-of-connection.
+
+        Only bodiless requests are read.  A request that declares a body
+        (a non-zero ``Content-Length`` or any ``Transfer-Encoding``) is
+        refused with 400; a head over ``_MAX_REQUEST_BYTES`` or a line
+        over the reader's limit with 431.  Each refusal closes the
+        connection, because the bytes after it cannot be framed: read on,
+        they would be answered as requests of their own.
+        """
         try:
             request_line = await reader.readline()
-        except (ValueError, ConnectionResetError):
-            self.requests_rejected += 1
-            return False, 400, _dumps({"error": "unreadable request"}).encode()
+        except ValueError:
+            return self._refuse(431, "request line too long")
+        except ConnectionResetError:
+            return self._refuse(400, "unreadable request")
         if not request_line:
             return None
         parts = request_line.decode("latin-1", "replace").split()
         if len(parts) < 2:
-            self.requests_rejected += 1
-            return False, 400, _dumps({"error": "malformed request line"}).encode()
+            return self._refuse(400, "malformed request line")
         method, target = parts[0], parts[1]
         version = parts[2] if len(parts) > 2 else "HTTP/1.0"
-        # Drain headers (bounded), watching for the Connection token.
-        # Clients send the head in one segment, so these reads are served
-        # from the buffered data without extra loop wake-ups.
+        # Read the head, watching for the Connection token and for any
+        # header that declares a body.  Clients send the head in one
+        # segment, so these reads are served from the buffered data
+        # without extra loop wake-ups.
         connection = None
-        drained = 0
-        while drained < _MAX_REQUEST_BYTES:
-            line = await reader.readline()
-            drained += len(line)
+        head_bytes = len(request_line)
+        while True:
+            try:
+                line = await reader.readline()
+            except ValueError:
+                return self._refuse(431, "header line too long")
+            head_bytes += len(line)
+            if head_bytes > _MAX_REQUEST_BYTES:
+                return self._refuse(431, "request head too large")
             if line in (b"\r\n", b"\n", b""):
                 break
-            header = line.decode("latin-1", "replace").strip().lower()
-            if header.startswith("connection:"):
-                connection = header.split(":", 1)[1].strip()
+            name, _, value = line.partition(b":")
+            name = name.strip().lower()
+            if name == b"connection":
+                connection = value.strip().lower()
+            elif name in (b"content-length", b"transfer-encoding"):
+                # Only an explicit zero length declares no body.
+                length = value.strip()
+                if name == b"transfer-encoding" or not length or length.strip(b"0"):
+                    return self._refuse(400, "request bodies are not accepted")
         keep = (
-            connection == "keep-alive"
+            connection == b"keep-alive"
             if version != "HTTP/1.1"
-            else connection != "close"
+            else connection != b"close"
         )
         if method != "GET":
             self.requests_rejected += 1
@@ -259,6 +279,11 @@ class StreamService:
             return keep, 405, _dumps(body).encode()
         status, payload = self._response_for(target)
         return keep, status, payload
+
+    def _refuse(self, status, error):
+        """Count a refused request; its response closes the connection."""
+        self.requests_rejected += 1
+        return False, status, _dumps({"error": error}).encode()
 
     def _token_fn_for(self, target):
         """The zero-argument version probe for ``target``'s cache entry.
@@ -338,6 +363,7 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    431: "Request Header Fields Too Large",
 }
 
 

@@ -12,7 +12,6 @@ from repro.util.pool import (
 )
 from repro.util.rng import RngStream, derive_seed
 from repro.util.simtime import (
-    SimClock,
     Timeline,
     date_to_sim,
     day_index,
@@ -43,7 +42,6 @@ __all__ = [
     "summarize_shard_stats",
     "RngStream",
     "derive_seed",
-    "SimClock",
     "Timeline",
     "date_to_sim",
     "day_index",

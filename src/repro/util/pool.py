@@ -1,8 +1,8 @@
-"""Shared fork-pool plumbing for the build, parse, and verify pools.
+"""Shared fork-pool plumbing for the build, render, and verify pools.
 
 Three subsystems shard work across processes — the world build
-(:mod:`repro.scenario.world`), the corpus parser
-(:mod:`repro.analysis.monlist_parse`), and the conformance matrix
+(:mod:`repro.scenario.world`), artifact rendering
+(:func:`repro.cli.render_many`), and the conformance matrix
 (:mod:`repro.verify.runner`).  They all need the same three decisions
 made the same way:
 
@@ -297,16 +297,14 @@ class ShardRunner:
         #: worker_crashes, task_errors, serial_fallbacks, errors, ...}
         self.stats = {}
 
-    def map(self, phase, fn, ctx, n_tasks, min_tasks=2, on_result=None):
+    def map(self, phase, fn, ctx, n_tasks, on_result=None):
         """Run ``fn(ctx, i)`` for each task, returning results in order.
 
         ``on_result(i)`` (optional) fires once per task as it completes
         — in completion order, not task order — for progress reporting.
         """
         cpus = available_cpus()
-        engaged, reason = fork_pool_gate(
-            self.jobs, n_tasks, min_tasks=min_tasks, cpus=cpus, phase=phase
-        )
+        engaged, reason = fork_pool_gate(self.jobs, n_tasks, cpus=cpus, phase=phase)
         stat = {
             "engaged": engaged,
             "reason": reason,

@@ -23,7 +23,6 @@ __all__ = [
     "month_key",
     "week_samples",
     "month_range",
-    "SimClock",
     "Timeline",
 ]
 
@@ -94,32 +93,6 @@ def month_range(start_t, end_t):
         else:
             cursor = cursor.replace(month=cursor.month + 1)
     return keys
-
-
-class SimClock:
-    """A monotonically advancing simulation clock.
-
-    The clock refuses to move backwards, which catches event-ordering bugs in
-    the orchestration layer early.
-    """
-
-    def __init__(self, start=0.0):
-        self._now = float(start)
-
-    @property
-    def now(self):
-        return self._now
-
-    def advance_to(self, t):
-        if t < self._now:
-            raise ValueError(f"clock cannot move backwards: {t} < {self._now}")
-        self._now = float(t)
-        return self._now
-
-    def advance_by(self, dt):
-        if dt < 0:
-            raise ValueError("dt must be non-negative")
-        return self.advance_to(self._now + dt)
 
 
 class Timeline:

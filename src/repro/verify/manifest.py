@@ -50,14 +50,14 @@ def artifact_checksums(world, jobs=1):
     """sha256 of every rendered artifact (F1..F16, T1..T6) plus SUMMARY
     and STREAM.
 
-    ``jobs`` parallelizes the corpus decode and the renders through
-    :func:`repro.cli.render_many`; the checksums are identical at any
-    value (the render layer's request-order merge guarantees it).
+    ``jobs`` parallelizes the renders through :func:`repro.cli.render_many`;
+    the checksums are identical at any value (the render layer's
+    request-order merge guarantees it).
     """
     from repro.analysis.context import AnalysisContext
     from repro.cli import ARTIFACTS, render_many
 
-    context = AnalysisContext(world, jobs=jobs)
+    context = AnalysisContext(world)
     ids = list(ARTIFACTS)
     outputs = render_many(world, ids, jobs=jobs, context=context)
     checksums = {artifact_id: _sha256(text) for artifact_id, text in zip(ids, outputs)}

@@ -316,27 +316,20 @@ def _cell_task(state, index):
     """Build one matrix cell and run its world-scope checks in-process.
 
     One supervised shard-pool task (also the serial/fallback body).
-    Returns ``(record, outcomes, parse_delta)``: the record has every
-    group-consumed view warmed and its raw parsed corpus dropped
-    (smaller pickle; the parent only reads derived views), ``outcomes``
-    are the world-scope results in invariant registration order, and
-    ``parse_delta`` is how many sample parses this task performed — the
-    parent folds *pooled* tasks' deltas into its own ledger so the
-    parse-once accounting stays whole across the pool (serial and
-    fallback tasks already incremented the parent's counter directly).
+    Returns ``(record, outcomes)``: the record has every group-consumed
+    view warmed and its raw parsed corpus dropped (smaller pickle; the
+    parent only reads derived views), and ``outcomes`` are the
+    world-scope results in invariant registration order.
     """
-    from repro.analysis.monlist_parse import parse_call_count
-
     cells, builder, world_invs = state
     cell = cells[index]
-    before = parse_call_count()
     record = WorldRecord(cell, builder(cell))
     outcomes = []
     for inv in world_invs:
         _evaluate(inv, (record,), cell.label(), outcomes)
     record.warm_group_views()
     record.drop_parsed_corpus()
-    return record, outcomes, parse_call_count() - before
+    return record, outcomes
 
 
 def run_conformance(
@@ -399,7 +392,6 @@ def run_conformance(
     invariants = all_invariants()
     world_invs = [inv for inv in invariants if inv.scope == "world"]
 
-    from repro.analysis.monlist_parse import add_parse_calls
     from repro.util.pool import ShardRunner, fork_pool_gate, summarize_shard_stats
 
     runner_kwargs = {}
@@ -419,19 +411,11 @@ def run_conformance(
 
     state = (cells, builder, world_invs)
     outputs = runner.map("cells", _cell_task, state, len(cells), on_result=built_one)
-    cell_stat = runner.stats["cells"]
     records = {}
     world_outcomes = {}
-    for cell, source, (record, outcomes, parse_delta) in zip(
-        cells, cell_stat["task_source"], outputs
-    ):
+    for cell, (record, outcomes) in zip(cells, outputs):
         records[cell] = record
         world_outcomes[cell] = outcomes
-        if source == "pooled":
-            # Serial/fallback tasks already advanced the parent's
-            # parse-call ledger in-process; only pooled work (counted in
-            # a forked copy) needs mirroring.
-            add_parse_calls(parse_delta)
 
     report = ConformanceReport(
         cells=cells, invariants_run=len(invariants), shards=summarize_shard_stats(runner.stats)

@@ -31,6 +31,26 @@ def world():
     return PaperWorld.build(seed=WORLD_SEED, scale=WORLD_SCALE)
 
 
+@pytest.fixture
+def decode_spy(monkeypatch):
+    """Every sample handed to the corpus decoder, in call order.
+
+    ``columns_for_sample`` is the only decode entry and every decode runs
+    in the calling process, so the spy sees them all.
+    """
+    from repro.analysis import event_columns
+
+    decode = event_columns.columns_for_sample
+    seen = []
+
+    def spy(sample):
+        seen.append(sample)
+        return decode(sample)
+
+    monkeypatch.setattr(event_columns, "columns_for_sample", spy)
+    return seen
+
+
 @pytest.fixture(scope="session")
 def analysis_context(world):
     from repro.analysis import AnalysisContext

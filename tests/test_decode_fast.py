@@ -1,18 +1,14 @@
-"""The columnar capture decoder, the parse cache, and the parallel matrix.
+"""The columnar capture decoder and the parallel matrix.
 
-Three contracts from this layer of the pipeline:
+Two contracts from this layer of the pipeline:
 
 * the columnar capture decoder is *invisible*: on any store — clean,
   truncated, bit-flipped, reordered, duplicated, gapped, v1 or v2, one
   capture or many, in RAM or spilled — its tables and
   :class:`ParseStats` equal the lenient path's, and only captures with a
   malformed packet are re-parsed by that path;
-* the persistent parsed-corpus cache returns exactly what a fresh parse
-  would, registers zero parse calls on a hit, and misses (never lies) on
-  a version change or a corrupt file;
 * ``run_conformance(jobs=N)`` produces a report byte-identical to the
-  serial runner, with the parent's parse-call ledger advancing by the
-  same amount.
+  serial runner.
 """
 
 import json
@@ -24,12 +20,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import event_columns
 from repro.analysis.event_columns import decode_capture_batch
-from repro.analysis.monlist_parse import (
-    ParseStats,
-    add_parse_calls,
-    parse_call_count,
-    reconstruct_table_lenient,
-)
+from repro.analysis.monlist_parse import ParseStats, reconstruct_table_lenient
 from repro.measurement.capture_store import pack_captures
 from repro.ntp import MonlistTable
 from repro.ntp.constants import IMPL_XNTPD, IMPL_XNTPD_OLD
@@ -37,7 +28,6 @@ from tests.strategies import (
     BASE_PACKET_SETS,
     V1_PACKET_SETS,
     capture_of,
-    lenient_parse,
 )
 
 #: Every clean fixture by (entry version, client count).
@@ -384,133 +374,6 @@ def test_last_entry_ends_on_last_payload_byte(last):
 
 
 # ---------------------------------------------------------------------------
-# Parse-call ledger
-# ---------------------------------------------------------------------------
-
-
-def test_add_parse_calls_advances_ledger():
-    before = parse_call_count()
-    add_parse_calls(0)
-    assert parse_call_count() == before
-    add_parse_calls(7)
-    assert parse_call_count() == before + 7
-    with pytest.raises(ValueError):
-        add_parse_calls(-1)
-
-
-# ---------------------------------------------------------------------------
-# Persistent parsed-corpus cache
-# ---------------------------------------------------------------------------
-
-
-class _FakeSample:
-    def __init__(self, t, captures):
-        self.t = t
-        self.captures = captures
-        self.outage = False
-        self.coverage = 1.0
-
-
-def _corpus():
-    from tests.strategies import build_packets
-
-    return [
-        _FakeSample(100.0, [capture_of(build_packets(20), target_ip=7)]),
-        _FakeSample(200.0, [capture_of(build_packets(4), target_ip=9, t=200.0)]),
-    ]
-
-
-def test_parse_cache_roundtrip(tmp_path):
-    from repro.analysis.parse_cache import load_or_decode_corpus
-
-    samples = _corpus()
-    fresh = [lenient_parse(s) for s in samples]
-
-    first, n_first = load_or_decode_corpus(samples, cache_dir=str(tmp_path))
-    assert n_first == len(samples)  # miss: everything parsed
-    second, n_second = load_or_decode_corpus(samples, cache_dir=str(tmp_path))
-    assert n_second == 0  # hit: nothing parsed
-
-    for got in (first, second):
-        assert len(got) == len(fresh)
-        for a, sample, (tables, stats) in zip(got, samples, fresh):
-            assert a.t == sample.t
-            assert a.stats == stats
-            assert [t.entries for t in a.tables] == [t.entries for t in tables]
-
-
-def test_parse_cache_unconfigured_is_plain_parse(tmp_path, monkeypatch):
-    from repro.analysis import parse_cache
-
-    monkeypatch.delenv(parse_cache.PARSE_CACHE_ENV_VAR, raising=False)
-    samples = _corpus()
-    parsed, n = parse_cache.load_or_decode_corpus(samples)
-    assert n == len(samples)
-    assert not list(tmp_path.iterdir())
-
-
-def test_parse_cache_distinguishes_corpora(tmp_path):
-    from repro.analysis.parse_cache import corpus_digest
-
-    a = _corpus()
-    b = _corpus()
-    assert corpus_digest(a) == corpus_digest(b)
-    mutated = bytearray(b[0].captures[0].packets[0])
-    mutated[-1] ^= 0xFF
-    b[0].captures[0] = capture_of(
-        [bytes(mutated), *b[0].captures[0].packets[1:]], target_ip=7
-    )
-    assert corpus_digest(a) != corpus_digest(b)
-
-
-def test_parse_cache_version_gate(tmp_path, monkeypatch):
-    from repro.analysis import parse_cache
-
-    samples = _corpus()
-    _, n = parse_cache.load_or_decode_corpus(samples, cache_dir=str(tmp_path))
-    assert n == len(samples)
-    monkeypatch.setattr("repro.__version__", "0.0.0-test")
-    _, n = parse_cache.load_or_decode_corpus(samples, cache_dir=str(tmp_path))
-    assert n == len(samples)  # version mismatch: a miss, not a stale hit
-
-
-def test_parse_cache_corrupt_file_is_a_miss(tmp_path):
-    from repro.analysis.parse_cache import (
-        cached_corpus_path,
-        corpus_digest,
-        load_or_decode_corpus,
-    )
-
-    samples = _corpus()
-    load_or_decode_corpus(samples, cache_dir=str(tmp_path))
-    path = cached_corpus_path(corpus_digest(samples), str(tmp_path))
-    with open(path, "wb") as handle:
-        handle.write(b"not a pickle")
-    parsed, n = load_or_decode_corpus(samples, cache_dir=str(tmp_path))
-    assert n == len(samples)
-    assert len(parsed) == len(samples)
-
-
-def test_context_uses_parse_cache(world, tmp_path, monkeypatch):
-    """A second context over the same world hits the cache: zero parses."""
-    from repro.analysis.context import AnalysisContext
-    from repro.analysis.parse_cache import PARSE_CACHE_ENV_VAR
-
-    monkeypatch.setenv(PARSE_CACHE_ENV_VAR, str(tmp_path))
-    warm_ctx = AnalysisContext(world)
-    warm_ctx.warm()
-    assert warm_ctx.parse_calls == len(world.onp.monlist_samples)
-
-    hit_ctx = AnalysisContext(world)
-    hit_ctx.warm()
-    assert hit_ctx.parse_calls == 0
-    assert len(hit_ctx.parsed_samples()) == len(warm_ctx.parsed_samples())
-    for a, b in zip(hit_ctx.parsed_samples(), warm_ctx.parsed_samples()):
-        assert a.stats == b.stats
-        assert [t.entries for t in a.tables] == [t.entries for t in b.tables]
-
-
-# ---------------------------------------------------------------------------
 # Parallel conformance matrix
 # ---------------------------------------------------------------------------
 
@@ -520,18 +383,12 @@ def test_run_conformance_jobs_report_identical():
 
     # Seed 5 at this scale legitimately misses world.ovh_crossdataset's
     # rank window, so the matrix uses seeds that are conformant here.
-    before = parse_call_count()
     serial = run_conformance([3, 7], [0.0002], ["clean"], jobs=1)
-    serial_parses = parse_call_count() - before
-
-    before = parse_call_count()
     parallel = run_conformance([3, 7], [0.0002], ["clean"], jobs=2)
-    parallel_parses = parse_call_count() - before
 
     # Equal reports alone would pass if both runs crashed the same way.
     assert serial.ok and parallel.ok
     assert serial.as_dict() == parallel.as_dict()
-    assert serial_parses == parallel_parses > 0
 
 
 def test_run_conformance_jobs_catches_injected_bug():

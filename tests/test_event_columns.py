@@ -5,14 +5,13 @@ mangled by the full mutation menagerie (truncation, bit flips, drops,
 reorders, duplicates) — decoding straight out of the packed blob
 produces tables, entries, and :class:`ParseStats` identical to running
 the lenient salvage path over every capture (``lenient_parse``),
-advances the parse-once ledger by one per sample, and every aggregation
+decodes each sample exactly once, and every aggregation
 kernel (victimology, concentration, churn) computes what small
 ``Counter``/set references built from ``classify_entry`` over those
 tables compute.  These properties are what keep every artifact
 byte-identical.
 """
 
-import pickle
 from collections import Counter, defaultdict
 
 import pytest
@@ -21,13 +20,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.churn import ChurnReport, churn_report
 from repro.analysis.concentration import as_concentration
-from repro.analysis.event_columns import (
-    ColumnarSample,
-    EventColumns,
-    build_event_columns,
-    columns_for_sample,
-)
-from repro.analysis.monlist_parse import parse_call_count
+from repro.analysis.event_columns import build_event_columns, columns_for_sample
 from repro.analysis.versions import parse_version_samples
 from repro.analysis.victimology import (
     CLASS_NON_VICTIM,
@@ -184,24 +177,19 @@ def test_columnar_outage_and_empty_captures():
 
 
 # ---------------------------------------------------------------------------
-# Parse-once ledger
+# Parse-once accounting
 # ---------------------------------------------------------------------------
 
 
-def test_columnar_decode_advances_ledger_once_per_sample():
+def test_columnar_decode_advances_ledger_once_per_sample(decode_spy):
     samples = [
         packed_sample([(7, BASE_PACKET_SETS[4], 1)], t=1000.0),
         packed_sample([(8, attack_packets(2), 1)], t=2000.0),
         packed_sample([], t=3000.0),
     ]
-    before = parse_call_count()
-    build_event_columns(samples, jobs=1)
-    assert parse_call_count() - before == len(samples)
-
-    before = parse_call_count()
-    for sample in samples:
-        columns_for_sample(sample)
-    assert parse_call_count() - before == len(samples)
+    build_event_columns(samples)
+    # Each sample decoded exactly once, in corpus order.
+    assert [id(s) for s in decode_spy] == [id(s) for s in samples]
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +233,7 @@ def reference_victimology(sample, onp_ip=None):
 @settings(max_examples=25, deadline=None)
 def test_victimology_kernels_match(data):
     samples = corpus_from(data, n_samples=3, mutated=True)
-    report = analyze_dataset(build_event_columns(samples, jobs=1).sample_views(), onp_ip=1)
+    report = analyze_dataset(build_event_columns(samples).sample_views(), onp_ip=1)
     every, rows, per_victim_amps, durations, hours = [], [], [], [], Counter()
     for got, sample in zip(report.samples, samples):
         observations, kinds, max_last_seen = reference_victimology(sample, onp_ip=1)
@@ -289,7 +277,7 @@ def test_concentration_kernel_matches_in_value_and_order(data):
     samples = corpus_from(data, n_samples=3, mutated=False)
     table = _FakeAsnTable()
     got = as_concentration(
-        analyze_dataset(build_event_columns(samples, jobs=1).sample_views()), table
+        analyze_dataset(build_event_columns(samples).sample_views()), table
     )
     victims, amplifiers = defaultdict(int), defaultdict(int)
     for sample in samples:
@@ -318,7 +306,7 @@ def test_churn_kernel_matches(data):
         sum(1 for n in seen.values() if n == 1) / total if total else 0.0,
         tuple(new),
     )
-    assert churn_report(build_event_columns(samples, jobs=1).sample_views()) == expected
+    assert churn_report(build_event_columns(samples).sample_views()) == expected
 
 
 def version_sample(specs, t=1000.0, packed=True):
@@ -380,25 +368,8 @@ def test_version_parse_packed_matches_object_path():
 
 
 # ---------------------------------------------------------------------------
-# Cache-envelope plumbing: concat and pickle round-trips
+# Concat and spill
 # ---------------------------------------------------------------------------
-
-
-def test_event_columns_pickle_roundtrip():
-    samples = [
-        packed_sample([(7, BASE_PACKET_SETS[20], 1), (8, attack_packets(4), 3)]),
-        packed_sample([(9, BASE_PACKET_SETS[1], 1)], t=2000.0),
-    ]
-    columns = build_event_columns(samples, jobs=1)
-    clone = pickle.loads(pickle.dumps(columns))
-    assert isinstance(clone, EventColumns)
-    assert clone.samples.tobytes() == columns.samples.tobytes()
-    assert clone.tables.tobytes() == columns.tables.tobytes()
-    assert clone.entries.tobytes() == columns.entries.tobytes()
-    for a, b in zip(clone.sample_views(), columns.sample_views()):
-        assert isinstance(a, ColumnarSample)
-        assert a.stats == b.stats
-        assert [t.entries for t in a.tables] == [t.entries for t in b.tables]
 
 
 def test_concat_then_spill_preserves_byte_order(monkeypatch, tmp_path):
@@ -412,7 +383,7 @@ def test_concat_then_spill_preserves_byte_order(monkeypatch, tmp_path):
         packed_sample([(7, BASE_PACKET_SETS[20], 1), (8, attack_packets(4), 3)]),
         packed_sample([(9, attack_packets(2), 1)], t=2000.0),
     ]
-    merged = build_event_columns(samples, jobs=1)  # concat + spill engaged
+    merged = build_event_columns(samples)  # concat + spill engaged
     import numpy as np
 
     assert isinstance(merged.entries.base, np.memmap) or isinstance(
@@ -423,8 +394,8 @@ def test_concat_then_spill_preserves_byte_order(monkeypatch, tmp_path):
 
 
 def test_event_columns_spill_roundtrip(monkeypatch, tmp_path):
-    """Past the threshold the entries blob lives in a memmap; views and
-    pickling (which re-inlines) are unaffected."""
+    """Past the threshold the entries blob lives in a memmap; views are
+    unaffected."""
     monkeypatch.setenv("REPRO_SPILL_MB", "0")
     monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path))
     sample = packed_sample([(7, BASE_PACKET_SETS[40], 1)])
@@ -432,5 +403,3 @@ def test_event_columns_spill_roundtrip(monkeypatch, tmp_path):
     spilled = columns.maybe_spill()
     (view,) = spilled.sample_views()
     assert_sample_equivalent(view, sample)
-    clone = pickle.loads(pickle.dumps(spilled))
-    assert clone.entries.tobytes() == spilled.entries.tobytes()

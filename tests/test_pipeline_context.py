@@ -3,7 +3,8 @@
 These tests pin the equivalences the performance work relies on:
 
 * one CLI invocation decodes the ONP corpus exactly once, however many
-  artifacts it renders (the AnalysisContext contract, counter-verified);
+  artifacts it renders (the AnalysisContext contract, checked by a spy
+  on the decoder);
 * rendering over a process pool is byte-identical to rendering serially;
 * every vectorized fast path (block RNG draws, bulk monlist encoding,
   analytic client state, prefix-limited liveness) equals its scalar
@@ -15,7 +16,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.analysis import AnalysisContext, parse_call_count
+from repro.analysis import AnalysisContext
 from repro.analysis.event_columns import build_event_columns
 from repro.cli import ARTIFACTS, main, render_artifact, render_many
 from repro.util.rng import RngStream
@@ -42,13 +43,12 @@ def test_block_random_equals_scalar_draws():
 # ---------------------------------------------------------------------------
 
 
-def test_all_artifacts_one_corpus_decode(world):
+def test_all_artifacts_one_corpus_decode(world, decode_spy):
     """22 artifacts + summary + validate + quality = one corpus decode."""
     from repro.cli import _validate
 
     n_samples = len(world.onp.monlist_samples)
     ctx = AnalysisContext(world)
-    before = parse_call_count()
     for artifact_id in ARTIFACTS:
         text = render_artifact(world, artifact_id, context=ctx)
         assert isinstance(text, str) and text
@@ -57,30 +57,17 @@ def test_all_artifacts_one_corpus_decode(world):
     from repro.analysis import quality_report
 
     quality_report(world, parsed_samples=ctx.parsed_samples())
-    assert parse_call_count() - before == n_samples
+    assert len(decode_spy) == n_samples
     assert ctx.parse_calls == n_samples
 
 
-def test_context_is_lazy(world):
+def test_context_is_lazy(world, decode_spy):
     """A context handed only to flow-data renderers never parses."""
     ctx = AnalysisContext(world)
-    before = parse_call_count()
     for artifact_id in ("F11", "F12", "F13", "F14", "F15"):
         render_artifact(world, artifact_id, context=ctx)
-    assert parse_call_count() == before
+    assert decode_spy == []
     assert ctx.parse_calls == 0
-
-
-def test_build_event_columns_parallel_matches_serial(world):
-    """The decode pool (engaged on any multi-CPU host) merges per-sample
-    parts into the same sample, table, and entry bytes as a serial run."""
-    samples = world.onp.monlist_samples
-    serial = build_event_columns(samples, jobs=1)
-    parallel = build_event_columns(samples, jobs=2)
-    assert serial.n_samples == parallel.n_samples == len(samples)
-    assert serial.samples.tobytes() == parallel.samples.tobytes()
-    assert serial.tables.tobytes() == parallel.tables.tobytes()
-    assert serial.entries.tobytes() == parallel.entries.tobytes()
 
 
 def test_cached_ip_sets_are_stable(world):
@@ -99,11 +86,26 @@ def test_cached_ip_sets_are_stable(world):
 # ---------------------------------------------------------------------------
 
 
-def test_render_parallel_byte_identical(world):
+def test_render_parallel_byte_identical(world, decode_spy):
+    from repro.util.pool import fork_pool_gate
+
     ids = list(ARTIFACTS)
     serial = render_many(world, ids, jobs=1)
     parallel = render_many(world, ids, jobs=4)
     assert serial == parallel
+
+    # The ``batch`` benchmark's call: a context built with ``jobs=``,
+    # handed to a pooled render that fills ``stats``.
+    decode_spy.clear()
+    stats = {}
+    context = AnalysisContext(world, jobs=2)
+    pooled = render_many(world, ids, jobs=2, context=context, stats=stats)
+    assert pooled == serial
+    assert stats["pool_engaged"] is fork_pool_gate(2, len(ids))[0]
+    assert stats["supervision"]["retries"] == 0
+    n_samples = len(world.onp.monlist_samples)
+    assert len(decode_spy) == n_samples
+    assert context.parse_calls == n_samples
 
 
 def test_render_is_idempotent(world):

@@ -1,77 +1,8 @@
-"""Tests for the discrete-event engine and event records."""
+"""Tests for the simulation's event records."""
 
 import pytest
 
-from repro.sim import AttackPulse, EventEngine, ScanSweep
-
-
-def test_events_fire_in_time_order():
-    engine = EventEngine()
-    fired = []
-    engine.schedule(5.0, lambda e: fired.append("b"))
-    engine.schedule(1.0, lambda e: fired.append("a"))
-    engine.schedule(9.0, lambda e: fired.append("c"))
-    engine.run_all()
-    assert fired == ["a", "b", "c"]
-    assert engine.n_fired == 3
-
-
-def test_equal_times_fire_in_insertion_order():
-    engine = EventEngine()
-    fired = []
-    for name in "abc":
-        engine.schedule(1.0, lambda e, n=name: fired.append(n))
-    engine.run_all()
-    assert fired == ["a", "b", "c"]
-
-
-def test_run_until_partial():
-    engine = EventEngine()
-    fired = []
-    engine.schedule(1.0, lambda e: fired.append(1))
-    engine.schedule(10.0, lambda e: fired.append(10))
-    engine.run_until(5.0)
-    assert fired == [1]
-    assert engine.now == 5.0
-    assert engine.n_pending == 1
-
-
-def test_events_can_schedule_events():
-    engine = EventEngine()
-    fired = []
-
-    def chain(e):
-        fired.append(e.now)
-        if e.now < 3.0:
-            e.schedule_after(1.0, chain)
-
-    engine.schedule(1.0, chain)
-    engine.run_all()
-    assert fired == [1.0, 2.0, 3.0]
-
-
-def test_cancelled_events_skip():
-    engine = EventEngine()
-    fired = []
-    event = engine.schedule(1.0, lambda e: fired.append(1))
-    event.cancel()
-    engine.run_all()
-    assert fired == []
-    assert engine.n_pending == 0
-
-
-def test_cannot_schedule_into_past():
-    engine = EventEngine()
-    engine.run_until(10.0)
-    with pytest.raises(ValueError):
-        engine.schedule(5.0, lambda e: None)
-    with pytest.raises(ValueError):
-        engine.schedule_after(-1.0, lambda e: None)
-
-
-def test_action_must_be_callable():
-    with pytest.raises(TypeError):
-        EventEngine().schedule(1.0, "not callable")
+from repro.sim import AttackPulse, ScanSweep
 
 
 def test_attack_pulse_properties():

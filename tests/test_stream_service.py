@@ -315,6 +315,118 @@ def test_loadgen_reports_connection_reuse(small_world):
 
 
 # ---------------------------------------------------------------------------
+# Framing: request bodies and oversized heads
+# ---------------------------------------------------------------------------
+
+
+class _RecordingWriter:
+    """Stands in for a connection's ``StreamWriter``: keeps every byte
+    the service writes and whether it closed the connection."""
+
+    def __init__(self):
+        self.data = b""
+        self.closed = False
+
+    def write(self, data):
+        self.data += data
+
+    async def drain(self):
+        pass
+
+    def close(self):
+        self.closed = True
+
+    async def wait_closed(self):
+        pass
+
+
+def _converse(service, raw):
+    """Run one connection of ``service`` over the bytes ``raw``; returns
+    ``[(status, connection header)]`` for every response it wrote."""
+
+    async def exercise():
+        reader = asyncio.StreamReader()
+        reader.feed_data(raw)
+        reader.feed_eof()
+        writer = _RecordingWriter()
+        await service._handle(reader, writer)
+        assert writer.closed
+        return writer.data
+
+    data = asyncio.run(exercise())
+    responses = []
+    while data:
+        head, _, rest = data.partition(b"\r\n\r\n")
+        lines = head.split(b"\r\n")
+        fields = dict(line.split(b": ", 1) for line in lines[1:])
+        length = int(fields[b"Content-Length"])
+        responses.append((int(lines[0].split()[1]), fields[b"Connection"]))
+        data = rest[length:]
+    return responses
+
+
+#: A complete request, smuggled as the body of another.
+_SMUGGLED = b"GET /query/scanners HTTP/1.1\r\n\r\n"
+
+
+@pytest.mark.parametrize(
+    "raw, status",
+    [
+        pytest.param(
+            b"POST /query/victims HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+            % (len(_SMUGGLED), _SMUGGLED),
+            400,
+            id="post-declaring-body",
+        ),
+        pytest.param(
+            b"GET /query/victims HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+            % (len(_SMUGGLED), _SMUGGLED),
+            400,
+            id="get-declaring-body",
+        ),
+        pytest.param(
+            b"GET /query/victims HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"20\r\n%s\r\n0\r\n\r\n" % _SMUGGLED,
+            400,
+            id="get-chunked-body",
+        ),
+        pytest.param(
+            b"GET /health HTTP/1.1\r\n"
+            + b"".join(b"X-Pad-%05d: %s\r\n" % (i, b"x" * 100) for i in range(200))
+            + b"\r\n",
+            431,
+            id="head-over-16k",
+        ),
+        pytest.param(
+            b"GET /health HTTP/1.1\r\nX-Long: " + b"x" * 70_000 + b"\r\n\r\n",
+            431,
+            id="line-over-reader-limit",
+        ),
+    ],
+)
+def test_unframeable_request_is_refused_once_and_closes(small_world, raw, status):
+    """Nothing after a body or an oversized head is parsed as a request:
+    one refusal, counted, then the connection closes."""
+    service, _plan = _service_for(small_world)
+    assert _converse(service, raw) == [(status, b"close")]
+    assert service.requests_rejected == 1
+    assert service.requests_served == 0
+
+
+def test_pipelined_bodiless_gets_are_all_answered(small_world):
+    """Framing checks leave pipelining alone; ``Content-Length: 0``
+    declares no body."""
+    service, _plan = _service_for(small_world)
+    raw = (
+        b"GET /health HTTP/1.1\r\n\r\n"
+        b"GET /query/ingest HTTP/1.1\r\nContent-Length: 0\r\n\r\n"
+    )
+    assert _converse(service, raw) == [(200, b"keep-alive"), (200, b"keep-alive")]
+    assert service.requests_served == 2
+    assert service.requests_rejected == 0
+
+
+# ---------------------------------------------------------------------------
 # Subprocess: the real CLI, SIGTERM drain, no orphans
 # ---------------------------------------------------------------------------
 

@@ -5,7 +5,6 @@ import pytest
 from repro.util import (
     DAY,
     HOUR,
-    SimClock,
     Timeline,
     WEEK,
     date_to_sim,
@@ -63,15 +62,6 @@ def test_month_range():
 
 def test_month_range_empty_for_reversed():
     assert month_range(10.0, 5.0) == []
-
-
-def test_clock_monotonic():
-    clock = SimClock(0.0)
-    clock.advance_to(10.0)
-    with pytest.raises(ValueError):
-        clock.advance_to(5.0)
-    clock.advance_by(HOUR)
-    assert clock.now == 10.0 + HOUR
 
 
 def test_timeline_interpolates_linearly():
