@@ -19,7 +19,8 @@ scenario layer only for hosts that ever answer a probe or relay an attack.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -29,7 +30,9 @@ from repro.population.columns import (
     HOST_BLOCKS,
     MonlistColumns,
     balanced_split,
+    concat_with_lengths,
     host_record_batch,
+    length_slices,
 )
 from repro.population.osmodel import sample_system_attributes
 from repro.util.simtime import DAY, HOUR, WEEK, date_to_sim
@@ -40,6 +43,8 @@ __all__ = [
     "PoolParams",
     "HostPool",
     "build_host_pool",
+    "pack_hosts",
+    "unpack_hosts",
     "estimate_monlist_reply_bytes",
     "HOST_BLOCKS",
 ]
@@ -125,13 +130,6 @@ class BackgroundClients:
 
     def __len__(self):
         return len(self.ips)
-
-    def __getstate__(self):
-        # The scalar-row cache is derived state; keep pickles (the world
-        # cache) lean by dropping it.
-        state = self.__dict__.copy()
-        state.pop("_scalar_rows", None)
-        return state
 
     def _rows(self):
         rows = self.__dict__.get("_scalar_rows")
@@ -276,6 +274,105 @@ class NtpHost:
 
     def answers_implementation(self, implementation):
         return implementation in self.implementations
+
+
+# -- packed hosts ----------------------------------------------------------------------
+#
+# Pickle rebuilds objects one at a time, and a world holds ~10^5 hosts
+# plus five tiny client arrays each.  The packed form carries the same
+# hosts as a handful of columns; it is what crosses every process and
+# file boundary (build transport, world cache, checkpoints), and
+# unpacking rebuilds equal NtpHost objects.
+
+#: Column dtype for a host field whose every non-None value has exactly
+#: this Python type (``bool`` is not taken for ``int``).
+_NUMERIC_DTYPES = {bool: np.bool_, int: np.int64, float: np.float64}
+
+#: The per-client arrays of :class:`BackgroundClients`, in field order.
+_CLIENT_ARRAYS = tuple(f.name for f in fields(BackgroundClients))
+
+
+def _pack_column(values):
+    """One host field as ``(kind, data, extra)``.
+
+    ``"numeric"``: ``data`` is a NumPy array and ``extra`` a None mask
+    (or None when no value is None).  ``"objects"``: ``data`` lists the
+    distinct objects, deduplicated by identity, and ``extra`` indexes
+    them — so an object two hosts share (a DHCP successor's ``attrs``)
+    is one object again after unpacking.
+    """
+    kinds = set(map(type, values))
+    has_none = type(None) in kinds
+    kinds.discard(type(None))
+    dtype = _NUMERIC_DTYPES.get(kinds.pop()) if len(kinds) == 1 else None
+    if dtype is not None:
+        if not has_none:
+            return ("numeric", np.array(values, dtype=dtype), None)
+        mask = np.array([value is None for value in values], dtype=bool)
+        filled = [0 if value is None else value for value in values]
+        return ("numeric", np.array(filled, dtype=dtype), mask)
+    slots = {}
+    objects = []
+    index = []
+    for value in values:
+        slot = slots.get(id(value))
+        if slot is None:
+            slot = slots[id(value)] = len(objects)
+            objects.append(value)
+        index.append(slot)
+    return ("objects", objects, np.array(index, dtype=np.int64))
+
+
+def _unpack_column(column):
+    kind, data, extra = column
+    if kind == "objects":
+        return list(map(data.__getitem__, extra.tolist()))
+    values = data.tolist()
+    if extra is None:
+        return values
+    return [None if missing else value for value, missing in zip(values, extra.tolist())]
+
+
+def pack_hosts(hosts):
+    """``hosts`` in packed form: one column per :class:`NtpHost` field.
+
+    The columns come from ``dataclasses.fields(NtpHost)``, so no field
+    can be left behind.  ``clients`` becomes each client array
+    concatenated over the hosts that have clients, plus per-host lengths
+    (-1 for a host whose ``clients`` is None).
+    """
+    columns = {
+        f.name: _pack_column(list(map(attrgetter(f.name), hosts)))
+        for f in fields(NtpHost)
+        if f.name != "clients"
+    }
+    clients = [host.clients for host in hosts]
+    arrays = {}
+    for name in _CLIENT_ARRAYS:
+        # The client arrays are aligned, so every name gives the same lengths.
+        arrays[name], lengths = concat_with_lengths(
+            [None if c is None else getattr(c, name) for c in clients]
+        )
+    return {"columns": columns, "clients": arrays, "client_lengths": lengths}
+
+
+def unpack_hosts(packed):
+    """The :class:`NtpHost` list :func:`pack_hosts` packed, in order.
+
+    Each host's :class:`BackgroundClients` arrays are views into the
+    concatenated arrays; derived state (the scalar-row cache, pool
+    indexes) rebuilds lazily on first use.
+    """
+    arrays = [packed["clients"][name] for name in _CLIENT_ARRAYS]
+    clients = [
+        None if part is None else BackgroundClients(*[array[part] for array in arrays])
+        for part in length_slices(packed["client_lengths"])
+    ]
+    columns = [
+        clients if f.name == "clients" else _unpack_column(packed["columns"][f.name])
+        for f in fields(NtpHost)
+    ]
+    return [NtpHost(*row) for row in zip(*columns)]
 
 
 @dataclass(frozen=True)
@@ -498,14 +595,14 @@ class HostPool:
             self._monlist_columns = cols
         return cols
 
+    @property
+    def block_lengths(self):
+        """Host count of each build block, the tail block last."""
+        return list(self._block_lengths)
+
     def record_batch(self):
         """Big-endian ``HOST_DTYPE`` serialization of the whole pool."""
         return host_record_batch(self.hosts, _monlist_end, _version_end, _exists_end)
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_monlist_columns"] = None  # derived; keep cache pickles lean
-        return state
 
     def invalidate_liveness_index(self):
         """Force index rebuilds after in-place edits to indexed hosts'
@@ -838,7 +935,9 @@ def _host_block_worker(ctx, block):
                 cluster_id=-1,
             )
         )
-    return hosts
+    # Packed, the block pickles back from a fork worker as a few columns
+    # rather than one object per host and client array.
+    return pack_hosts(hosts)
 
 
 def build_host_pool(rng, registry, pbl, params=None, remediation_model=None, runner=None):
@@ -871,11 +970,12 @@ def build_host_pool(rng, registry, pbl, params=None, remediation_model=None, run
     n_rest_total = max(0, params.n_all_ntp - params.n_monlist - params.giga_count)
     rest_counts = tuple(balanced_split(n_rest_total, HOST_BLOCKS))
     ctx = (rng, registry, pbl, params, remediation, mon_counts, rest_counts)
-    block_hosts = runner.map("hosts", _host_block_worker, ctx, HOST_BLOCKS)
+    packed_blocks = runner.map("hosts", _host_block_worker, ctx, HOST_BLOCKS)
 
     hosts = []
     block_lengths = []
-    for block in block_hosts:
+    for packed in packed_blocks:
+        block = unpack_hosts(packed)
         hosts.extend(block)
         block_lengths.append(len(block))
 

@@ -40,6 +40,8 @@ __all__ = [
     "HOST_FLAG_MEGA",
     "HOST_FLAG_DNS",
     "balanced_split",
+    "concat_with_lengths",
+    "length_slices",
     "host_record_batch",
     "MonlistColumns",
     "PulseColumns",
@@ -59,6 +61,32 @@ def balanced_split(n, blocks):
     counts (earlier blocks absorb the remainder): sums to ``n`` exactly."""
     base, extra = divmod(int(n), int(blocks))
     return [base + (b < extra) for b in range(blocks)]
+
+
+def concat_with_lengths(arrays):
+    """``arrays`` (None entries allowed) as one concatenated array plus
+    per-entry lengths, -1 for None.  The arrays must share a dtype:
+    concatenating would silently convert them otherwise."""
+    present = [array for array in arrays if array is not None]
+    if len({array.dtype for array in present}) > 1:
+        raise TypeError("arrays to concatenate differ in dtype")
+    lengths = np.array([-1 if array is None else len(array) for array in arrays], dtype=np.int64)
+    return (np.concatenate(present) if present else np.empty(0)), lengths
+
+
+def length_slices(lengths):
+    """Consecutive ``slice`` objects for per-entry ``lengths``, None
+    where a length is -1: how to cut :func:`concat_with_lengths`'s
+    array back into its entries."""
+    out = []
+    end = 0
+    for length in lengths.tolist():
+        if length < 0:
+            out.append(None)
+            continue
+        out.append(slice(end, end + length))
+        end += length
+    return out
 
 
 # -- host record batch ---------------------------------------------------------

@@ -12,7 +12,9 @@ correspondence:
 * every cache file embeds the same ``(version, params)`` envelope it was
   keyed by, and :func:`load_world` re-validates it on the way in — a file
   renamed, copied between checkouts, or written by an older ``repro``
-  is rejected (``CacheMiss``) rather than trusted.
+  is rejected (``CacheMiss``) rather than trusted.  The envelope is the
+  file's first, small pickle and the world its second, so a stale file
+  is rejected without unpickling the world.
 
 Two consumers:
 
@@ -28,6 +30,8 @@ import os
 import pickle
 import sys
 
+from repro.util.io import atomic_write_stream
+
 __all__ = [
     "CACHE_ENV_VAR",
     "CacheMiss",
@@ -41,9 +45,9 @@ __all__ = [
 #: Environment variable naming the cache directory for keyed world reuse.
 CACHE_ENV_VAR = "REPRO_WORLD_CACHE"
 
-#: Bumped independently of the package version when the cache envelope
-#: format itself changes.
-_ENVELOPE_FORMAT = 1
+#: Bumped independently of the package version when the cache file
+#: layout changes (2: envelope and world as two pickles, hosts packed).
+_ENVELOPE_FORMAT = 2
 
 
 class CacheMiss(Exception):
@@ -90,23 +94,22 @@ def _envelope(world):
         "format": _ENVELOPE_FORMAT,
         "version": _package_version(),
         "params": world.params,
-        "world": world,
     }
 
 
 def save_world(world, path):
-    """Pickle ``world`` to ``path`` with its validation envelope.
+    """Pickle ``world`` to ``path`` after its validation envelope.
 
-    Writes via a temp file + rename so a crashed writer never leaves a
-    truncated cache entry behind.
+    Written atomically (:func:`~repro.util.io.atomic_write_stream`): a
+    crashed or failed writer leaves neither a truncated cache entry nor
+    its temp file behind.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as handle:
+
+    def write(handle):
         pickle.dump(_envelope(world), handle, protocol=pickle.HIGHEST_PROTOCOL)
-    os.replace(tmp, path)
-    return path
+        pickle.dump(world, handle, protocol=pickle.HIGHEST_PROTOCOL)
+
+    return atomic_write_stream(path, write)
 
 
 def load_world(path, params):
@@ -114,38 +117,45 @@ def load_world(path, params):
 
     Raises :class:`CacheMiss` when the file is absent, unreadable, written
     by a different package version, or built from different params — the
-    caller should rebuild (and usually re-save).
+    caller should rebuild (and usually re-save).  Only the envelope is
+    read before that verdict; the world is unpickled on a match alone.
     """
     try:
         with open(path, "rb") as handle:
-            payload = pickle.load(handle)
+            envelope = pickle.load(handle)
+            _check_envelope(path, envelope, params)
+            return pickle.load(handle)
+    except CacheMiss:
+        raise
     except FileNotFoundError:
         raise CacheMiss(f"no cache file at {path}") from None
     except Exception as exc:  # noqa: BLE001 -- unpickling garbage raises
         # whatever opcode happens to decode first (ValueError, KeyError,
         # UnpicklingError, ...); any failure to load is a miss, never a crash.
         raise CacheMiss(f"unreadable cache file {path}: {exc}") from None
-    if not isinstance(payload, dict) or "world" not in payload:
+
+
+def _check_envelope(path, envelope, params):
+    if not isinstance(envelope, dict):
         # Legacy bare-world pickles (pre-envelope) carry no provenance.
         raise CacheMiss(f"{path} has no validation envelope (legacy cache?)")
-    if payload.get("format") != _ENVELOPE_FORMAT:
-        raise CacheMiss(f"{path}: cache envelope format {payload.get('format')!r}")
-    if payload.get("version") != _package_version():
+    if envelope.get("format") != _ENVELOPE_FORMAT:
+        raise CacheMiss(f"{path}: cache envelope format {envelope.get('format')!r}")
+    if envelope.get("version") != _package_version():
         raise CacheMiss(
-            f"{path}: built by repro {payload.get('version')!r}, "
+            f"{path}: built by repro {envelope.get('version')!r}, "
             f"this is {_package_version()!r}"
         )
     try:
-        params_match = payload.get("params") == params
+        params_match = envelope.get("params") == params
     except Exception:  # noqa: BLE001 -- a params object unpickled from an
         # older schema can fail dataclass comparison (missing fields); any
         # comparison failure is a stale cache, never a crash.
         params_match = False
     if not params_match:
         raise CacheMiss(
-            f"{path}: built for {payload.get('params')!r}, requested {params!r}"
+            f"{path}: built for {envelope.get('params')!r}, requested {params!r}"
         )
-    return payload["world"]
 
 
 def build_world_cached(params, cache_dir=None, quiet=True, note=None, jobs=1):

@@ -12,13 +12,16 @@ manager, ...) travel inside the pickled state, so replaying the
 remaining phases is exactly the suffix of the uninterrupted build.
 
 Validation follows the world-cache envelope idiom
-(:mod:`repro.scenario.cache`): every checkpoint embeds
-``(format, package version, params, completed-phase list)`` and any
-mismatch — different params, a different ``repro`` version, a phase
-sequence that no longer matches the current build order, or a truncated
-file — is a *miss* that restarts the build from scratch, never a wrong
-world.  Writes are atomic (temp file + ``os.replace``), so a build
-killed mid-save leaves the previous checkpoint intact.
+(:mod:`repro.scenario.cache`): every checkpoint starts with a small
+pickle of ``(format, package version, params, completed-phase list)``,
+and any mismatch — different params, a different ``repro`` version, a
+phase sequence that no longer matches the current build order, or a
+truncated file — is a *miss* that restarts the build from scratch,
+never a wrong world, decided before the state (the file's second
+pickle) is read.  The state's host pool, planted amplifiers and attacks
+travel packed (:func:`~repro.scenario.world.pack_population`).  Writes
+are atomic (temp file + ``os.replace``), so a build killed mid-save
+leaves the previous checkpoint intact.
 """
 
 from __future__ import annotations
@@ -26,10 +29,13 @@ from __future__ import annotations
 import os
 import pickle
 
+from repro.util.io import atomic_write_stream
+
 __all__ = ["BuildCheckpoint"]
 
-#: Bumped when the checkpoint payload layout itself changes.
-_CHECKPOINT_FORMAT = 1
+#: Bumped when the checkpoint file layout changes (2: envelope and
+#: state as two pickles, population packed).
+_CHECKPOINT_FORMAT = 2
 
 
 def _package_version():
@@ -75,7 +81,12 @@ class BuildCheckpoint:
         """
         try:
             with open(self.path, "rb") as handle:
-                payload = pickle.load(handle)
+                envelope = pickle.load(handle)
+                reason = self._reject_reason(envelope)
+                if reason is not None:
+                    self.stats["reason"] = reason
+                    return None
+                state = _unpack_state(pickle.load(handle))
         except FileNotFoundError:
             self.stats["reason"] = "no checkpoint file"
             return None
@@ -83,18 +94,14 @@ class BuildCheckpoint:
             # whatever opcode decodes first; any load failure is a miss.
             self.stats["reason"] = f"unreadable checkpoint: {exc}"
             return None
-        reason = self._reject_reason(payload)
-        if reason is not None:
-            self.stats["reason"] = reason
-            return None
-        phases = list(payload["phases"])
+        phases = list(envelope["phases"])
         self.stats["resumed"] = True
         self.stats["phases_loaded"] = list(phases)
         self.stats["reason"] = None
-        return phases, payload["state"]
+        return phases, state
 
     def _reject_reason(self, payload):
-        if not isinstance(payload, dict) or "state" not in payload:
+        if not isinstance(payload, dict):
             return "no checkpoint envelope"
         if payload.get("format") != _CHECKPOINT_FORMAT:
             return f"checkpoint envelope format {payload.get('format')!r}"
@@ -126,28 +133,25 @@ class BuildCheckpoint:
 
         Best-effort on I/O failure (a full disk must not kill a build
         that can still finish in memory); serialization bugs still
-        raise.  Returns True when the checkpoint landed.
+        raise.  Either way no temp file is left behind.  Returns True
+        when the checkpoint landed.
         """
-        payload = {
+        envelope = {
             "format": _CHECKPOINT_FORMAT,
             "version": _package_version(),
             "params": self.params,
             "phases": list(completed_phases),
-            "state": state,
         }
-        tmp = f"{self.path}.tmp.{os.getpid()}"
+
+        def write(handle):
+            pickle.dump(envelope, handle, protocol=pickle.HIGHEST_PROTOCOL)
+            pickle.dump(_pack_state(state), handle, protocol=pickle.HIGHEST_PROTOCOL)
+
         try:
-            os.makedirs(self.directory, exist_ok=True)
-            with open(tmp, "wb") as handle:
-                pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, self.path)
+            atomic_write_stream(self.path, write)
         except OSError as exc:
             self.stats["save_errors"] += 1
             self.stats["reason"] = f"checkpoint save failed: {exc}"
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
             return False
         self.stats["saves"] += 1
         return True
@@ -160,3 +164,27 @@ class BuildCheckpoint:
         except OSError:
             pass
         self.stats["cleared"] = True
+
+
+def _pack_state(state):
+    """The build state with its population packed (once the hosts phase
+    ran; ``attacks`` joins after the campaign)."""
+    if "hosts" not in state:
+        return state
+    from repro.scenario.world import pack_population
+
+    packed = dict(state)
+    packed["hosts"] = pack_population(state["hosts"], state["local"], state.get("attacks"))
+    del packed["local"]
+    packed.pop("attacks", None)
+    return packed
+
+
+def _unpack_state(state):
+    if "hosts" in state:
+        from repro.scenario.world import unpack_population
+
+        state["hosts"], state["local"], attacks = unpack_population(state["hosts"])
+        if attacks is not None:
+            state["attacks"] = attacks
+    return state

@@ -20,7 +20,9 @@ real data with the same schemas.
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+
+import numpy as np
 
 from repro.attack.campaign import AttackCampaign, AttackSpec, CampaignParams
 from repro.attack.scanner import RESEARCH_SCANNERS, ScannerEcosystem, windows_observed_ttl
@@ -35,11 +37,14 @@ from repro.net.pbl import PolicyBlockList
 from repro.net.routing import RoutedBlockTable
 from repro.population.amplifiers import (
     BackgroundClients,
+    HostPool,
     NtpHost,
     PoolParams,
     build_host_pool,
+    pack_hosts,
+    unpack_hosts,
 )
-from repro.population.columns import PulseColumns
+from repro.population.columns import PulseColumns, concat_with_lengths, length_slices
 from repro.population.dns_resolvers import DnsResolverPool
 from repro.population.osmodel import sample_system_attributes
 from repro.population.victims import VictimParams, build_victim_pool
@@ -118,6 +123,29 @@ class PaperWorld:
     #: (resumed?, phases loaded, saves) when ``checkpoint_dir`` was set;
     #: None otherwise and on worlds from older caches.
     checkpoint_stats: object = None
+
+    # -- pickling --------------------------------------------------------------------
+
+    def __getstate__(self):
+        # The pool and everything pointing into it travel packed (see
+        # pack_population); the rest pickles as usual, in the same pickle,
+        # so victims stay shared between the pool's attacks and
+        # ``victims``.
+        state = self.__dict__.copy()
+        state["hosts"] = pack_population(self.hosts, self.local_amplifiers, self.attacks)
+        state["local_amplifiers"] = state["attacks"] = None
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.hosts, self.local_amplifiers, self.attacks = unpack_population(state["hosts"])
+
+    def __copy__(self):
+        # Shallow, as the default copy would be, without the pack/unpack
+        # round trip __getstate__ implies.
+        clone = self.__class__.__new__(self.__class__)
+        clone.__dict__.update(self.__dict__)
+        return clone
 
     # -- reporting -------------------------------------------------------------------
 
@@ -486,6 +514,80 @@ _BUILD_PHASES = (
     ("isp", _phase_isp),
     ("dns", _phase_dns),
 )
+
+
+# -- packed population -----------------------------------------------------------------
+
+
+def pack_population(pool, local, attacks):
+    """The host pool and what points into it, as one picklable dict.
+
+    Hosts are packed by :func:`~repro.population.amplifiers.pack_hosts`;
+    the planted local amplifiers and every attack's legs become indices
+    into the pool, and the attacks' ``amp_ips`` one concatenated array.
+    ``attacks`` is None for a build state saved before the campaign.
+    """
+    position = {id(host): i for i, host in enumerate(pool.hosts)}
+    return {
+        "hosts": pack_hosts(pool.hosts),
+        "params": pool.params,
+        "block_lengths": pool.block_lengths,
+        "local": {
+            name: _pool_indices(position, site) for name, site in local.items()
+        },
+        "attacks": None if attacks is None else _pack_attacks(attacks, position),
+    }
+
+
+def unpack_population(packed):
+    """``(pool, local, attacks)`` from :func:`pack_population`'s dict:
+    every planted amplifier and attack leg is the pool's own host."""
+    hosts = unpack_hosts(packed["hosts"])
+    pool = HostPool(hosts, packed["params"], block_lengths=packed["block_lengths"])
+    local = {
+        name: list(map(hosts.__getitem__, indices.tolist()))
+        for name, indices in packed["local"].items()
+    }
+    attacks = packed["attacks"]
+    if attacks is not None:
+        attacks = _unpack_attacks(attacks, hosts)
+    return pool, local, attacks
+
+
+def _pool_indices(position, hosts):
+    return np.array([position[id(host)] for host in hosts], dtype=np.int64)
+
+
+def _pack_attacks(attacks, position):
+    """Attacks as per-field lists, legs as pool indices with per-attack
+    counts, and ``amp_ips`` concatenated (-1 length for None)."""
+    columns = {
+        f.name: [getattr(attack, f.name) for attack in attacks]
+        for f in fields(AttackSpec)
+        if f.name not in ("amplifiers", "amp_ips")
+    }
+    amp_ips, amp_ip_lengths = concat_with_lengths([attack.amp_ips for attack in attacks])
+    return {
+        "columns": columns,
+        "legs": _pool_indices(position, [h for a in attacks for h in a.amplifiers]),
+        "leg_counts": np.array([len(a.amplifiers) for a in attacks], dtype=np.int64),
+        "amp_ips": amp_ips,
+        "amp_ip_lengths": amp_ip_lengths,
+    }
+
+
+def _unpack_attacks(packed, hosts):
+    legs = list(map(hosts.__getitem__, packed["legs"].tolist()))
+    amp_ips = packed["amp_ips"]
+    columns = dict(
+        packed["columns"],
+        amplifiers=[legs[part] for part in length_slices(packed["leg_counts"])],
+        amp_ips=[
+            None if part is None else amp_ips[part]
+            for part in length_slices(packed["amp_ip_lengths"])
+        ],
+    )
+    return [AttackSpec(*row) for row in zip(*(columns[f.name] for f in fields(AttackSpec)))]
 
 
 def _plant_local_amplifiers(rng, registry, hosts):

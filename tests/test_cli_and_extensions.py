@@ -182,6 +182,9 @@ def test_cli_list(capsys):
 
 
 def test_world_pickle_round_trip(world, tmp_path):
+    """A bare pickle packs the pool too and gives back the same world."""
+    from tests.test_packed_world import assert_same_population
+
     path = tmp_path / "world.pkl"
     with open(path, "wb") as handle:
         pickle.dump(world, handle)
@@ -190,6 +193,8 @@ def test_world_pickle_round_trip(world, tmp_path):
     assert len(loaded.attacks) == len(world.attacks)
     assert loaded.params.seed == world.params.seed
     assert len(loaded.onp.monlist_samples) == 15
+    assert_same_population(world, loaded)
+    assert loaded.summary() == world.summary()
 
 
 def test_build_or_load_world_uses_cache(world, tmp_path):

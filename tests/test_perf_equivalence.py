@@ -198,10 +198,18 @@ def test_victim_index_matches_naive_scan(golden_world):
 
 
 def test_cache_round_trip(tmp_path, golden_world):
+    """A cached world is the built one: every host field and client
+    array, attack legs that are the pool's own hosts, the summary and
+    the stream digest."""
+    from repro.verify.manifest import stream_checksum
+    from tests.test_packed_world import assert_same_population
+
     path = tmp_path / "world.pkl"
     save_world(golden_world, str(path))
     loaded = load_world(str(path), golden_world.params)
+    assert_same_population(golden_world, loaded)
     assert loaded.summary() == golden_world.summary()
+    assert stream_checksum(loaded) == stream_checksum(golden_world)
 
 
 def test_cache_rejects_stale_params(tmp_path, golden_world):

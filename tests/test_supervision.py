@@ -19,6 +19,7 @@ import time
 
 import pytest
 
+import repro.scenario.checkpoint as checkpoint_mod
 import repro.scenario.world as world_mod
 import repro.util.pool as pool_mod
 from repro.scenario import PaperWorld, WorldParams
@@ -349,18 +350,52 @@ def test_stale_checkpoint_is_a_miss_never_a_wrong_world(tmp_path, mutate, reason
     restarts the build from scratch instead of resuming wrongly."""
     params = WorldParams(**CKPT_PARAMS)
     ckpt = BuildCheckpoint(str(tmp_path), params)
-    good = {
-        "format": 1,
+    _write_checkpoint(ckpt.path, mutate(_good_checkpoint(params)))
+    assert ckpt.load() is None
+    assert reason_fragment in ckpt.stats["reason"]
+    assert ckpt.stats["resumed"] is False
+
+
+def _good_checkpoint(params):
+    return {
+        "format": checkpoint_mod._CHECKPOINT_FORMAT,
         "version": __import__("repro").__version__,
         "params": params,
         "phases": ["registry"],
         "state": {"timings": {}},
     }
-    with open(ckpt.path, "wb") as handle:
-        pickle.dump(mutate(good), handle)
+
+
+def _write_checkpoint(path, payload):
+    """A checkpoint file as ``BuildCheckpoint.save`` lays it out: the
+    envelope's pickle, then the state's."""
+    envelope = dict(payload)
+    state = envelope.pop("state")
+    with open(path, "wb") as handle:
+        pickle.dump(envelope, handle)
+        pickle.dump(state, handle)
+
+
+def test_unmutated_checkpoint_envelope_resumes(tmp_path):
+    """The stale-checkpoint cases above differ from a loadable file in
+    the one field each mutates."""
+    params = WorldParams(**CKPT_PARAMS)
+    ckpt = BuildCheckpoint(str(tmp_path), params)
+    _write_checkpoint(ckpt.path, _good_checkpoint(params))
+    assert ckpt.load() == (["registry"], {"timings": {}})
+    assert ckpt.stats["resumed"] is True
+
+
+def test_stale_checkpoint_state_is_never_unpickled(tmp_path, monkeypatch):
+    """A rejected envelope is decided before the state pickle is read."""
+    params = WorldParams(**CKPT_PARAMS)
+    ckpt = BuildCheckpoint(str(tmp_path), params)
+    _write_checkpoint(ckpt.path, {**_good_checkpoint(params), "version": "0.0.1"})
+    loads = []
+    real_load = pickle.load
+    monkeypatch.setattr(pickle, "load", lambda handle: loads.append(1) or real_load(handle))
     assert ckpt.load() is None
-    assert reason_fragment in ckpt.stats["reason"]
-    assert ckpt.stats["resumed"] is False
+    assert len(loads) == 1
 
 
 def test_garbage_checkpoint_file_is_a_miss(tmp_path):
