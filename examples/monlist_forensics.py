@@ -24,7 +24,6 @@ from repro.ntp import (
 )
 from repro.ntp.constants import REQ_MON_GETLIST_1
 from repro.reporting import render_monlist_table
-from repro.sim.events import AttackPulse
 from repro.util import DAY, HOUR, WEEK
 
 
@@ -47,18 +46,10 @@ def main():
     )
 
     # A spoofed monlist DDoS against a victim's UDP port 80 (mode 7):
-    # 40 seconds at 400 queries/second.
-    pulse = AttackPulse(
-        start=now - 600.0,
-        duration=40.0,
-        victim_ip=parse_ip("198.18.5.5"),
-        victim_port=80,
-        amplifier_ip=server.ip,
-        query_rate=400.0,
-        mode=7,
-        spoofer_ttl=109,
+    # 40 seconds at 400 queries/second, ending 560 s before the probe.
+    server.record_client(
+        parse_ip("198.18.5.5"), 80, 7, 2, now=now - 560.0, packets=int(400 * 40), span=40.0
     )
-    server.record_attack_pulse(pulse)
 
     # The ONP probe arrives as a real 8-byte mode-7 packet.
     request = encode_mode7_request(IMPL_XNTPD, REQ_MON_GETLIST_1)

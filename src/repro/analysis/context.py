@@ -42,7 +42,6 @@ class AnalysisContext:
         self._parsed = None
         self._victim_report = None
         self._concentration = None
-        self._responder_sets = None
         self._version_report = None
 
     def parsed_samples(self):
@@ -82,19 +81,6 @@ class AnalysisContext:
 
             self._version_report = parse_version_samples(self.world.onp.version_samples)
         return self._version_report
-
-    def responder_ip_sets(self):
-        """Per-monlist-sample responder-IP sets, in sample order.
-
-        Delegates to the samples' own length-guarded caches, so a set
-        computed here is the same object later ``responder_ips()`` callers
-        see (and vice versa).  Callers must not mutate the sets.
-        """
-        if self._responder_sets is None:
-            self._responder_sets = [
-                sample.responder_ips() for sample in self.world.onp.monlist_samples
-            ]
-        return self._responder_sets
 
     def warm(self):
         """Force the corpus decode now (before forking render workers, or

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.attack.scanner import windows_observed_ttl
-from repro.sim.events import AttackPulse
 from repro.util.simtime import DAY, HOUR, WEEK, date_to_sim, Timeline
 
 __all__ = ["AttackSpec", "Booter", "CampaignParams", "AttackCampaign"]
@@ -129,33 +128,11 @@ class AttackSpec:
     def end(self):
         return self.start + self.duration
 
-    @property
-    def size_gbps(self):
-        return self.target_bps / 1e9
-
     def amplifier_ips(self):
         """``amp_ips``, materializing (and caching) it on first use."""
         if self.amp_ips is None:
             self.amp_ips = np.array([h.ip for h in self.amplifiers], dtype=np.int64)
         return self.amp_ips
-
-    def pulses(self):
-        """One :class:`AttackPulse` per amplifier leg."""
-        out = []
-        for host in self.amplifiers:
-            out.append(
-                AttackPulse(
-                    start=self.start,
-                    duration=self.duration,
-                    victim_ip=self.victim.ip,
-                    victim_port=self.port,
-                    amplifier_ip=host.ip,
-                    query_rate=self.query_rate_per_amp,
-                    mode=self.mode,
-                    spoofer_ttl=self.spoofer_ttl,
-                )
-            )
-        return out
 
 
 @dataclass(frozen=True)

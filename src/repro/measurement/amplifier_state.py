@@ -10,7 +10,8 @@ each observation, synchronizes its table from three sources:
   byte-identical to per-packet replay, see ``repro.ntp.client``);
 * **scanner hits**: research sweeps touch every host on every sweep;
   malicious sweeps hit a host with probability equal to their coverage;
-* **attack pulses** routed through this amplifier since the last sync.
+* **attack legs** (:class:`~repro.population.columns.PulseColumns`)
+  routed through this amplifier since the last sync.
 
 Daemon restarts (table flushes) are honored: state is rebuilt only from
 events after the latest flush boundary before the observation time.
@@ -53,11 +54,7 @@ class AmplifierStateManager:
         self._servers = {}
         self._last_sync = {}
         self._flush_base = {}
-        self._pulses = {}  # amplifier ip -> list of AttackPulse (sorted on demand)
-        self._pulse_ends = {}  # amplifier ip -> [pulse.end] aligned with the sorted list
-        self._dirty_pulse_ips = set()  # ips whose pulse list needs (re)sorting
-        #: Columnar pulse registry (PulseColumns): the world build's bulk
-        #: path.  Coexists with the per-object dict — both are replayed.
+        #: Every attack leg as one PulseColumns batch (None until registered).
         self._pulse_columns = None
         # Per-host malicious-hit streams, derived lazily from the manager
         # RNG by host ip.  Keying draws by host (not by global sync order)
@@ -91,7 +88,7 @@ class AmplifierStateManager:
         """A worker-process view sharing the registries but owning its own
         materialization state.
 
-        Shared (read-only in workers): the RNG root, pulse registries,
+        Shared (read-only in workers): the RNG root, the pulse columns,
         research schedules, malicious-day summaries.  Owned: the server
         map, sync clocks, and per-process caches — each build block syncs
         a disjoint slice of hosts, so views never contend and the draws a
@@ -109,48 +106,16 @@ class AmplifierStateManager:
 
     # -- wiring -------------------------------------------------------------------
 
-    def register_pulses(self, pulses):
-        """Index attack pulses by amplifier.
-
-        Append-only and cheap: pulses are bucketed per amplifier and the
-        per-amplifier ordering (by ``end``) is established lazily, once, on
-        the first ``sync`` that needs it.  Call as many times as you like —
-        the world build registers every attack's pulses in one bulk call —
-        but pulses must be registered before any sync whose window should
-        contain them: a pulse whose ``end`` precedes the host's last sync
-        time is never replayed (same contract as the eager implementation).
-        """
-        pulse_map = self._pulses
-        dirty = self._dirty_pulse_ips
-        for pulse in pulses:
-            ip = pulse.amplifier_ip
-            plist = pulse_map.get(ip)
-            if plist is None:
-                pulse_map[ip] = [pulse]
-            else:
-                plist.append(pulse)
-            dirty.add(ip)
-
-    def _sorted_pulses(self, ip):
-        """The host's pulse list sorted by end time (sorted at most once
-        per registration round), plus the aligned end-time index."""
-        plist = self._pulses.get(ip)
-        if plist is None:
-            return None, None
-        if ip in self._dirty_pulse_ips:
-            plist.sort(key=lambda p: p.end)
-            self._pulse_ends[ip] = [p.end for p in plist]
-            self._dirty_pulse_ips.discard(ip)
-        return plist, self._pulse_ends[ip]
-
     def register_pulse_columns(self, columns):
-        """Register the whole campaign's pulses as one columnar batch.
+        """Give the manager every attack leg as one columnar batch.
 
         ``columns`` is a :class:`~repro.population.columns.PulseColumns`
-        (lexsorted by amplifier then end): the per-host window query in
-        ``_sync_pulses`` becomes two ``searchsorted`` calls over a
-        contiguous slice instead of a per-ip Python list bisect, and the
-        ~35M pulse legs of a full-scale campaign never exist as objects.
+        (sorted by amplifier, then end): a host's window query in
+        ``_sync_pulses`` is two ``searchsorted`` calls over its contiguous
+        slice, and the ~35M legs of a full-scale campaign never exist as
+        objects.  A later call replaces the batch.  Legs must be
+        registered before any sync whose window should contain them: a
+        leg whose ``end`` precedes the host's last sync is never replayed.
         """
         self._pulse_columns = columns
 
@@ -294,44 +259,47 @@ class AmplifierStateManager:
             server.record_client(ip, int(rng.integers(1024, 65535)), mode, 2, min(t, now))
 
     def _sync_pulses(self, host, server, now, window_start):
+        """Fold every attack leg that ended in ``(window_start, now]``.
+
+        Spoofed queries appear to ntpd as ordinary mode-6/7 queries from
+        the victim, recorded at the leg's end instant.  With a loop
+        pathology each is re-processed ``loop_factor`` times, which is
+        why victim counts in mega-amplifier tables reach into the
+        billions (Table 3b).  The recorded count is bounded by the
+        amplifier's uplink (~30K response packets/second sustained): a
+        loop can only resend as fast as the box can transmit.
+
+        Legs still in flight at ``now`` are deliberately not recorded:
+        applying them partially here and fully at the next sync would
+        double-count.  Weekly probes land inside an attack rarely (median
+        durations are seconds to minutes), so the undercount is small and
+        conservative — the paper argues its own victim numbers are lower
+        bounds for the same kind of reason.
+        """
         columns = self._pulse_columns
-        if columns is not None:
-            lo, hi = columns.ip_range(host.ip)
-            if lo < hi:
-                ends = columns.end
-                # Window (window_start, now] over this amplifier's slice
-                # (pulses are end-sorted within the slice).
-                a = lo + int(np.searchsorted(ends[lo:hi], window_start, side="right"))
-                b = lo + int(np.searchsorted(ends[lo:hi], now, side="right"))
-                loop_factor = server.config.loop_factor
-                record = server.record_client
-                for j in range(a, b):
-                    # record_attack_pulse, columnarized: link-capped loop
-                    # amplification folded in at the pulse's end instant.
-                    duration = float(columns.duration[j])
-                    link_cap = int(30_000 * max(1.0, duration))
-                    packets = min(int(columns.query_count[j]) * loop_factor, link_cap)
-                    record(
-                        int(columns.victim_ip[j]),
-                        int(columns.victim_port[j]),
-                        int(columns.mode[j]),
-                        2,
-                        float(ends[j]),
-                        packets=packets,
-                        span=duration,
-                    )
-        plist, ends = self._sorted_pulses(host.ip)
-        if not plist:
+        if columns is None:
             return
-        lo = bisect.bisect_right(ends, window_start)
-        hi = bisect.bisect_right(ends, now)
-        for pulse in plist[lo:hi]:
-            if pulse.end <= window_start:
-                continue
-            server.record_attack_pulse(pulse)
-        # Pulses still in flight at `now` are deliberately not recorded:
-        # applying them partially here and fully at the next sync would
-        # double-count.  Weekly probes land inside an attack rarely (median
-        # durations are seconds to minutes), so the undercount is small and
-        # conservative — the paper argues its own victim numbers are lower
-        # bounds for the same kind of reason.
+        lo, hi = columns.ip_range(host.ip)
+        if lo >= hi:
+            return
+        ends = columns.end
+        # This amplifier's slice is end-sorted.
+        a = lo + int(np.searchsorted(ends[lo:hi], window_start, side="right"))
+        b = lo + int(np.searchsorted(ends[lo:hi], now, side="right"))
+        loop_factor = server.config.loop_factor
+        record = server.record_client
+        # Inline, not a method per leg: this loop runs inside the ONP
+        # sweep for every leg of every synced amplifier.
+        for j in range(a, b):
+            duration = float(columns.duration[j])
+            link_cap = int(30_000 * max(1.0, duration))
+            packets = min(int(columns.query_count[j]) * loop_factor, link_cap)
+            record(
+                int(columns.victim_ip[j]),
+                int(columns.victim_port[j]),
+                int(columns.mode[j]),
+                2,
+                float(ends[j]),
+                packets=packets,
+                span=duration,
+            )

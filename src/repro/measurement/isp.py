@@ -305,12 +305,6 @@ class SiteDataset:
             state["_scanner_pairs"] = inline_array(state["_scanner_pairs"])
         return state
 
-    def __setstate__(self, state):
-        # Worlds cached before the compacted layout predate these slots.
-        state.setdefault("_victim_cols", None)
-        state.setdefault("_scanner_pairs", None)
-        self.__dict__.update(state)
-
 
 class IspMeasurement:
     """Builds the per-site datasets from the simulated world."""

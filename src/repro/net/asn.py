@@ -314,9 +314,6 @@ class ASRegistry:
     def systems_of_kind(self, kind):
         return [s for s in self if s.kind == kind]
 
-    def systems_in_continent(self, continent):
-        return [s for s in self if s.continent == continent]
-
     def all_prefixes(self):
         """Iterate ``(Prefix, AutonomousSystem)`` over the whole plan."""
         for system in self:

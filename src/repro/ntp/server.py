@@ -176,28 +176,6 @@ class NtpServer:
         self.maybe_flush(now)
         self.table.record(addr, port, mode, version, now, packets=packets, span=span)
 
-    def record_attack_pulse(self, pulse):
-        """Fold one (attack, amplifier) leg into the monitor table.
-
-        Spoofed queries appear to ntpd as ordinary mode-6/7 queries from the
-        victim; with a loop pathology each is re-processed ``loop_factor``
-        times, which is why victim counts in mega-amplifier tables reach
-        into the billions (Table 3b).  The recorded count is bounded by the
-        amplifier's uplink (~30K response packets/second sustained): a loop
-        can only resend as fast as the box can transmit.
-        """
-        link_cap = int(30_000 * max(1.0, pulse.duration))
-        packets = min(pulse.query_count * self.config.loop_factor, link_cap)
-        self.record_client(
-            pulse.victim_ip,
-            pulse.victim_port,
-            mode=pulse.mode,
-            version=2,
-            now=pulse.end,
-            packets=packets,
-            span=pulse.duration,
-        )
-
     # -- query handling -----------------------------------------------------------
 
     def respond_monlist(self, src_ip, src_port, now, implementation=IMPL_XNTPD):

@@ -31,7 +31,6 @@ from repro.population.columns import (
     MonlistColumns,
     balanced_split,
     concat_with_lengths,
-    host_record_batch,
     length_slices,
 )
 from repro.population.osmodel import sample_system_attributes
@@ -600,10 +599,6 @@ class HostPool:
         """Host count of each build block, the tail block last."""
         return list(self._block_lengths)
 
-    def record_batch(self):
-        """Big-endian ``HOST_DTYPE`` serialization of the whole pool."""
-        return host_record_batch(self.hosts, _monlist_end, _version_end, _exists_end)
-
     def invalidate_liveness_index(self):
         """Force index rebuilds after in-place edits to indexed hosts'
         birth/death/remediation/version-off attributes.  Appending hosts
@@ -724,6 +719,15 @@ def _pick_end_host_ip(rng, kind_systems, pbl):
 #: ``[b * _CLUSTER_STRIDE, (b+1) * _CLUSTER_STRIDE)`` so ids never collide
 #: across blocks without any cross-block coordination.
 _CLUSTER_STRIDE = 2**22
+
+
+class _HostBlock(list):
+    """One build block's hosts.  Pickled back from a fork worker, the
+    block travels packed: a few columns rather than one object per host
+    and client array.  A serial build never pickles it, so never packs."""
+
+    def __reduce__(self):
+        return unpack_hosts, (pack_hosts(self),)
 
 
 def _host_block_worker(ctx, block):
@@ -935,9 +939,7 @@ def _host_block_worker(ctx, block):
                 cluster_id=-1,
             )
         )
-    # Packed, the block pickles back from a fork worker as a few columns
-    # rather than one object per host and client array.
-    return pack_hosts(hosts)
+    return _HostBlock(hosts)
 
 
 def build_host_pool(rng, registry, pbl, params=None, remediation_model=None, runner=None):
@@ -970,12 +972,11 @@ def build_host_pool(rng, registry, pbl, params=None, remediation_model=None, run
     n_rest_total = max(0, params.n_all_ntp - params.n_monlist - params.giga_count)
     rest_counts = tuple(balanced_split(n_rest_total, HOST_BLOCKS))
     ctx = (rng, registry, pbl, params, remediation, mon_counts, rest_counts)
-    packed_blocks = runner.map("hosts", _host_block_worker, ctx, HOST_BLOCKS)
+    blocks = runner.map("hosts", _host_block_worker, ctx, HOST_BLOCKS)
 
     hosts = []
     block_lengths = []
-    for packed in packed_blocks:
-        block = unpack_hosts(packed)
+    for block in blocks:
         hosts.extend(block)
         block_lengths.append(len(block))
 

@@ -1,28 +1,16 @@
-"""Columnar views of the world core: record batches over hosts and pulses.
+"""Compute columns over the world core: hosts and attack legs as arrays.
 
 The object layer (:class:`~repro.population.amplifiers.NtpHost`,
-:class:`~repro.sim.events.AttackPulse`) stays the unit of *semantics* —
-tests and analysis reason about individual hosts.  This module is the
-unit of *throughput*: flat NumPy arrays aligned to the object lists, so
-hot loops (per-amplifier pulse sync during ONP sweeps, reply-size
-estimation over booter lists, full-pool fingerprints) touch contiguous
-memory instead of chasing ~8.7M Python objects at ``scale=1.0``.
-
-Two array families live here:
-
-* **record batches** (``HOST_DTYPE``, ``PULSE_DTYPE``): big-endian
-  structured dtypes in the style of ``repro.ntp.wire.MON_V1_DTYPE`` —
-  a canonical serialized layout whose raw bytes double as a
-  byte-identity fingerprint of the pool (the shard-equivalence tests
-  hash them) and render as a near-memcpy.
-
-* **compute columns** (:class:`MonlistColumns`, :class:`PulseColumns`):
-  native-endian working arrays for arithmetic (liveness masks,
-  searchsorted windows, vectorized reply-size estimates).
-
-The native/big-endian split is deliberate: arithmetic on byte-swapped
-arrays silently deoptimizes in NumPy, so compute columns stay native
-and the wire-style batch is materialized on demand.
+:class:`~repro.attack.campaign.AttackSpec`) stays the unit of
+*semantics* — tests and analysis reason about individual hosts and
+attacks.  This module is the unit of *throughput*:
+:class:`MonlistColumns` and :class:`PulseColumns` are flat, native-endian
+NumPy arrays aligned to the object lists, so hot loops (per-amplifier
+pulse sync during ONP sweeps, reply-size estimation over booter lists)
+run as liveness masks, ``searchsorted`` windows and vectorized estimates
+over contiguous memory instead of chasing ~8.7M Python objects at
+``scale=1.0``.  It also holds the block partition of the host build and
+the concatenate-with-lengths helpers the packed world uses.
 """
 
 from __future__ import annotations
@@ -31,18 +19,9 @@ import numpy as np
 
 __all__ = [
     "HOST_BLOCKS",
-    "HOST_DTYPE",
-    "PULSE_DTYPE",
-    "VICTIM_DTYPE",
-    "HOST_FLAG_MONLIST",
-    "HOST_FLAG_VERSION",
-    "HOST_FLAG_END_HOST",
-    "HOST_FLAG_MEGA",
-    "HOST_FLAG_DNS",
     "balanced_split",
     "concat_with_lengths",
     "length_slices",
-    "host_record_batch",
     "MonlistColumns",
     "PulseColumns",
 ]
@@ -87,89 +66,6 @@ def length_slices(lengths):
         out.append(slice(end, end + length))
         end += length
     return out
-
-
-# -- host record batch ---------------------------------------------------------
-
-#: Host flag bits packed into the record batch.
-HOST_FLAG_MONLIST = 1 << 0
-HOST_FLAG_VERSION = 1 << 1
-HOST_FLAG_END_HOST = 1 << 2
-HOST_FLAG_MEGA = 1 << 3
-HOST_FLAG_DNS = 1 << 4
-
-#: Big-endian serialized host record (MON_V1_DTYPE-style fixed layout).
-#: ``ends`` is ``(monlist_end, version_end, exists_end)`` so liveness at
-#: any instant is reconstructible from the batch alone.
-HOST_DTYPE = np.dtype(
-    [
-        ("ip", ">u4"),
-        ("asn", ">u4"),
-        ("cluster_id", ">i8"),
-        ("birth", ">f8"),
-        ("monlist_end", ">f8"),
-        ("version_end", ">f8"),
-        ("exists_end", ">f8"),
-        ("base_clients", ">u4"),
-        ("loop_factor", ">u4"),
-        ("impl", ">u1"),
-        ("flags", ">u1"),
-    ]
-)
-
-#: Big-endian serialized pulse record, lexsorted by (amplifier, end).
-PULSE_DTYPE = np.dtype(
-    [
-        ("amp_ip", ">u4"),
-        ("victim_ip", ">u4"),
-        ("victim_port", ">u2"),
-        ("mode", ">u1"),
-        ("start", ">f8"),
-        ("duration", ">f8"),
-        ("query_count", ">i8"),
-    ]
-)
-
-#: Big-endian serialized victim record.
-VICTIM_DTYPE = np.dtype(
-    [
-        ("ip", ">u4"),
-        ("asn", ">u4"),
-        ("appear", ">f8"),
-        ("until", ">f8"),
-        ("popularity", ">f8"),
-    ]
-)
-
-
-def host_record_batch(hosts, monlist_end, version_end, exists_end):
-    """Serialize the full pool into one contiguous ``HOST_DTYPE`` array.
-
-    ``*_end`` are the module-level end-time functions from
-    :mod:`repro.population.amplifiers` (passed in to avoid a circular
-    import).  Built column-at-a-time: one pass per field over the object
-    list, everything else vectorized.
-    """
-    n = len(hosts)
-    batch = np.zeros(n, dtype=HOST_DTYPE)
-    batch["ip"] = [h.ip for h in hosts]
-    batch["asn"] = [h.asn for h in hosts]
-    batch["cluster_id"] = [h.cluster_id for h in hosts]
-    batch["birth"] = [h.birth for h in hosts]
-    batch["monlist_end"] = [monlist_end(h) for h in hosts]
-    batch["version_end"] = [version_end(h) for h in hosts]
-    batch["exists_end"] = [exists_end(h) for h in hosts]
-    batch["base_clients"] = [h.base_clients for h in hosts]
-    batch["loop_factor"] = [h.loop_factor for h in hosts]
-    batch["impl"] = [max(h.implementations) if h.implementations else 0 for h in hosts]
-    flags = np.zeros(n, dtype=np.uint8)
-    flags |= np.array([h.monlist_amplifier for h in hosts], dtype=np.uint8) * HOST_FLAG_MONLIST
-    flags |= np.array([h.responds_version for h in hosts], dtype=np.uint8) * HOST_FLAG_VERSION
-    flags |= np.array([h.is_end_host for h in hosts], dtype=np.uint8) * HOST_FLAG_END_HOST
-    flags |= np.array([h.is_mega for h in hosts], dtype=np.uint8) * HOST_FLAG_MEGA
-    flags |= np.array([h.also_dns_resolver for h in hosts], dtype=np.uint8) * HOST_FLAG_DNS
-    batch["flags"] = flags
-    return batch
 
 
 class MonlistColumns:
@@ -218,13 +114,13 @@ class MonlistColumns:
 
 
 class PulseColumns:
-    """All attack pulses as flat arrays, lexsorted by (amplifier, end).
+    """Every attack leg as flat arrays, lexsorted by (amplifier, end).
 
-    Replaces per-object pulse registration in the amplifier state
-    manager: the per-host sync becomes a ``searchsorted`` window over a
-    contiguous slice instead of a bisect over a per-ip Python list.
-    ``query_count`` is precomputed with ``AttackPulse``'s exact
-    ``max(1, int(query_rate * duration))`` truncation.
+    One row per (attack, amplifier) pair: spoofed queries at
+    ``query_rate`` per second for ``duration`` seconds.  The amplifier
+    state manager's per-host sync is a ``searchsorted`` window over the
+    host's contiguous slice.  ``end`` is ``start + duration`` and
+    ``query_count`` is ``max(1, int(query_rate * duration))``.
     """
 
     __slots__ = (
@@ -256,8 +152,8 @@ class PulseColumns:
 
     @classmethod
     def from_attacks(cls, attacks):
-        """Columnarize every pulse of every attack without materializing
-        ``AttackPulse`` objects (one ``np.repeat`` per attack field)."""
+        """Columnarize every leg of every attack (one ``np.repeat`` per
+        attack field)."""
         counts = np.array([len(a.amplifiers) for a in attacks], dtype=np.int64)
         total = int(counts.sum())
         amp_ip = np.empty(total, dtype=np.int64)
@@ -289,15 +185,3 @@ class PulseColumns:
         lo = int(np.searchsorted(self.amp_ip, ip, side="left"))
         hi = int(np.searchsorted(self.amp_ip, ip, side="right"))
         return lo, hi
-
-    def record_batch(self):
-        """Big-endian ``PULSE_DTYPE`` serialization (fingerprint/render)."""
-        batch = np.zeros(self.n_pulses, dtype=PULSE_DTYPE)
-        batch["amp_ip"] = self.amp_ip
-        batch["victim_ip"] = self.victim_ip
-        batch["victim_port"] = self.victim_port
-        batch["mode"] = self.mode
-        batch["start"] = self.start
-        batch["duration"] = self.duration
-        batch["query_count"] = self.query_count
-        return batch

@@ -90,8 +90,6 @@ class VictimPool:
         self._appear = np.array([v.appear_time for v in victims], dtype=np.float64)
         self._until = np.array([v.active_until for v in victims], dtype=np.float64)
         self._popularity = np.array([v.popularity for v in victims], dtype=np.float64)
-        self._ip = np.array([v.ip for v in victims], dtype=np.int64)
-        self._asn = np.array([v.asn for v in victims], dtype=np.int64)
 
     def __len__(self):
         return len(self.victims)
@@ -124,18 +122,6 @@ class VictimPool:
         """Sample active victims at ``t``, weighted by popularity."""
         victims = self.victims
         return [victims[i] for i in self.sample_active_indices(rng, t, size)]
-
-    def record_batch(self):
-        """Big-endian ``VICTIM_DTYPE`` serialization of the pool."""
-        from repro.population.columns import VICTIM_DTYPE
-
-        batch = np.zeros(len(self.victims), dtype=VICTIM_DTYPE)
-        batch["ip"] = self._ip
-        batch["asn"] = self._asn
-        batch["appear"] = self._appear
-        batch["until"] = self._until
-        batch["popularity"] = self._popularity
-        return batch
 
 
 def _victim_as_ranking(rng, registry):

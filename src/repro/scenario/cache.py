@@ -12,9 +12,12 @@ correspondence:
 * every cache file embeds the same ``(version, params)`` envelope it was
   keyed by, and :func:`load_world` re-validates it on the way in — a file
   renamed, copied between checkouts, or written by an older ``repro``
-  is rejected (``CacheMiss``) rather than trusted.  The envelope is the
-  file's first, small pickle and the world its second, so a stale file
-  is rejected without unpickling the world.
+  is rejected (``CacheMiss``) rather than trusted.  A file starts with
+  a short prefix naming its layout, then holds the envelope and the
+  world as two pickles: a file in any other layout misses before
+  anything is unpickled, and a stale envelope misses before the world
+  is.  Build checkpoints (:mod:`repro.scenario.checkpoint`) share this
+  layout through :func:`write_enveloped` and :func:`read_enveloped`.
 
 Two consumers:
 
@@ -40,14 +43,20 @@ __all__ = [
     "save_world",
     "load_world",
     "build_world_cached",
+    "write_enveloped",
+    "read_enveloped",
 ]
 
 #: Environment variable naming the cache directory for keyed world reuse.
 CACHE_ENV_VAR = "REPRO_WORLD_CACHE"
 
 #: Bumped independently of the package version when the cache file
-#: layout changes (2: envelope and world as two pickles, hosts packed).
-_ENVELOPE_FORMAT = 2
+#: layout changes (2: envelope and world as two pickles, hosts packed;
+#: 3: the layout prefix).
+_ENVELOPE_FORMAT = 3
+
+#: The first bytes of every world cache file.
+_WORLD_LAYOUT = b"repro/world:envelope,world\n"
 
 
 class CacheMiss(Exception):
@@ -89,73 +98,96 @@ def cached_world_path(params, cache_dir=None):
     return os.path.join(directory, f"world-{cache_key(params)[:24]}.pkl")
 
 
-def _envelope(world):
-    return {
-        "format": _ENVELOPE_FORMAT,
-        "version": _package_version(),
-        "params": world.params,
-    }
+def write_enveloped(path, layout, fmt, params, payload, **extra):
+    """Write ``layout``, an envelope, then ``payload`` to ``path``.
+
+    The envelope is a small pickle of ``fmt``, the package version,
+    ``params`` and any ``extra`` fields; ``payload`` is the second
+    pickle.  Written atomically (:func:`~repro.util.io.atomic_write_stream`):
+    a crashed or failed writer leaves neither a truncated file nor its
+    temp file behind.  Returns ``path``.
+    """
+    envelope = {"format": fmt, "version": _package_version(), "params": params, **extra}
+
+    def write(handle):
+        handle.write(layout)
+        pickle.dump(envelope, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+
+    return atomic_write_stream(path, write)
+
+
+def read_enveloped(path, layout, fmt, params, kind, check=None):
+    """``(envelope, payload)`` from a file :func:`write_enveloped` wrote.
+
+    Raises :class:`CacheMiss` when the file is absent, starts with
+    anything but ``layout``, is unreadable, or its envelope is stale: a
+    format other than ``fmt``, another package version, other params, or
+    a reason ``check(envelope)`` returns.  Nothing is unpickled before
+    the prefix matches, and the payload only once the envelope passes.
+    ``kind`` names the file in the miss note.
+    """
+    try:
+        with open(path, "rb") as handle:
+            head = handle.read(len(layout))
+            if head != layout:
+                raise CacheMiss(f"unreadable {kind} file {path}: {_layout_of(head)}")
+            envelope = pickle.load(handle)
+            reason = _stale_reason(envelope, fmt, params) or (check and check(envelope))
+            if reason:
+                raise CacheMiss(f"{path}: {reason}")
+            return envelope, pickle.load(handle)
+    except CacheMiss:
+        raise
+    except FileNotFoundError:
+        raise CacheMiss(f"no {kind} file at {path}") from None
+    except Exception as exc:  # noqa: BLE001 -- unpickling garbage raises
+        # whatever opcode happens to decode first (ValueError, KeyError,
+        # UnpicklingError, ...); any failure to load is a miss, never a crash.
+        raise CacheMiss(f"unreadable {kind} file {path}: {exc}") from None
+
+
+def _layout_of(head):
+    """Name the layout of a file whose first bytes are ``head``."""
+    if not head:
+        return "empty file"
+    if head[:1] == pickle.PROTO:
+        return "a bare pickle with no layout prefix (the layout before format 3)"
+    return f"unknown layout starting {head[:16]!r}"
+
+
+def _stale_reason(envelope, fmt, params):
+    if not isinstance(envelope, dict):
+        return "no validation envelope"
+    if envelope.get("format") != fmt:
+        return f"envelope format {envelope.get('format')!r}"
+    if envelope.get("version") != _package_version():
+        return f"written by repro {envelope.get('version')!r}, this is {_package_version()!r}"
+    try:
+        params_match = envelope.get("params") == params
+    except Exception:  # noqa: BLE001 -- a params object unpickled from an
+        # older schema can fail dataclass comparison (missing fields); any
+        # comparison failure is a stale file, never a crash.
+        params_match = False
+    if not params_match:
+        return f"built for {envelope.get('params')!r}, requested {params!r}"
+    return None
 
 
 def save_world(world, path):
-    """Pickle ``world`` to ``path`` after its validation envelope.
-
-    Written atomically (:func:`~repro.util.io.atomic_write_stream`): a
-    crashed or failed writer leaves neither a truncated cache entry nor
-    its temp file behind.
-    """
-
-    def write(handle):
-        pickle.dump(_envelope(world), handle, protocol=pickle.HIGHEST_PROTOCOL)
-        pickle.dump(world, handle, protocol=pickle.HIGHEST_PROTOCOL)
-
-    return atomic_write_stream(path, write)
+    """Save ``world`` to ``path`` behind its validation envelope."""
+    return write_enveloped(path, _WORLD_LAYOUT, _ENVELOPE_FORMAT, world.params, world)
 
 
 def load_world(path, params):
     """Load a cached world from ``path``, validating it matches ``params``.
 
-    Raises :class:`CacheMiss` when the file is absent, unreadable, written
-    by a different package version, or built from different params — the
-    caller should rebuild (and usually re-save).  Only the envelope is
-    read before that verdict; the world is unpickled on a match alone.
+    Raises :class:`CacheMiss` when the file is absent, in another layout,
+    unreadable, written by a different package version, or built from
+    different params — the caller should rebuild (and usually re-save).
+    The world is unpickled on a match alone.
     """
-    try:
-        with open(path, "rb") as handle:
-            envelope = pickle.load(handle)
-            _check_envelope(path, envelope, params)
-            return pickle.load(handle)
-    except CacheMiss:
-        raise
-    except FileNotFoundError:
-        raise CacheMiss(f"no cache file at {path}") from None
-    except Exception as exc:  # noqa: BLE001 -- unpickling garbage raises
-        # whatever opcode happens to decode first (ValueError, KeyError,
-        # UnpicklingError, ...); any failure to load is a miss, never a crash.
-        raise CacheMiss(f"unreadable cache file {path}: {exc}") from None
-
-
-def _check_envelope(path, envelope, params):
-    if not isinstance(envelope, dict):
-        # Legacy bare-world pickles (pre-envelope) carry no provenance.
-        raise CacheMiss(f"{path} has no validation envelope (legacy cache?)")
-    if envelope.get("format") != _ENVELOPE_FORMAT:
-        raise CacheMiss(f"{path}: cache envelope format {envelope.get('format')!r}")
-    if envelope.get("version") != _package_version():
-        raise CacheMiss(
-            f"{path}: built by repro {envelope.get('version')!r}, "
-            f"this is {_package_version()!r}"
-        )
-    try:
-        params_match = envelope.get("params") == params
-    except Exception:  # noqa: BLE001 -- a params object unpickled from an
-        # older schema can fail dataclass comparison (missing fields); any
-        # comparison failure is a stale cache, never a crash.
-        params_match = False
-    if not params_match:
-        raise CacheMiss(
-            f"{path}: built for {envelope.get('params')!r}, requested {params!r}"
-        )
+    return read_enveloped(path, _WORLD_LAYOUT, _ENVELOPE_FORMAT, params, "cache")[1]
 
 
 def build_world_cached(params, cache_dir=None, quiet=True, note=None, jobs=1):

@@ -11,37 +11,34 @@ objects a later phase reads (the fault injector, the amplifier state
 manager, ...) travel inside the pickled state, so replaying the
 remaining phases is exactly the suffix of the uninterrupted build.
 
-Validation follows the world-cache envelope idiom
-(:mod:`repro.scenario.cache`): every checkpoint starts with a small
-pickle of ``(format, package version, params, completed-phase list)``,
-and any mismatch — different params, a different ``repro`` version, a
-phase sequence that no longer matches the current build order, or a
-truncated file — is a *miss* that restarts the build from scratch,
-never a wrong world, decided before the state (the file's second
-pickle) is read.  The state's host pool, planted amplifiers and attacks
-travel packed (:func:`~repro.scenario.world.pack_population`).  Writes
-are atomic (temp file + ``os.replace``), so a build killed mid-save
-leaves the previous checkpoint intact.
+Files share the world cache's layout and validation
+(:func:`~repro.scenario.cache.write_enveloped`): a layout prefix, a
+small pickle of ``(format, package version, params, completed-phase
+list)``, then the state.  Any mismatch — a file in another layout,
+different params, a different ``repro`` version, a phase sequence that
+no longer matches the current build order, or a truncated file — is a
+*miss* that restarts the build from scratch, never a wrong world,
+decided before the state is unpickled.  The state's host pool, planted
+amplifiers and attacks travel packed
+(:func:`~repro.scenario.world.pack_population`).  Writes are atomic
+(temp file + ``os.replace``), so a build killed mid-save leaves the
+previous checkpoint intact.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 
-from repro.util.io import atomic_write_stream
+from repro.scenario.cache import CacheMiss, cache_key, read_enveloped, write_enveloped
 
 __all__ = ["BuildCheckpoint"]
 
 #: Bumped when the checkpoint file layout changes (2: envelope and
-#: state as two pickles, population packed).
-_CHECKPOINT_FORMAT = 2
+#: state as two pickles, population packed; 3: the layout prefix).
+_CHECKPOINT_FORMAT = 3
 
-
-def _package_version():
-    from repro import __version__
-
-    return __version__
+#: The first bytes of every checkpoint file.
+_CHECKPOINT_LAYOUT = b"repro/checkpoint:envelope,state\n"
 
 
 class BuildCheckpoint:
@@ -53,8 +50,6 @@ class BuildCheckpoint:
     """
 
     def __init__(self, directory, params):
-        from repro.scenario.cache import cache_key
-
         self.directory = os.fspath(directory)
         self.params = params
         self.path = os.path.join(
@@ -80,51 +75,23 @@ class BuildCheckpoint:
         build starts from scratch.
         """
         try:
-            with open(self.path, "rb") as handle:
-                envelope = pickle.load(handle)
-                reason = self._reject_reason(envelope)
-                if reason is not None:
-                    self.stats["reason"] = reason
-                    return None
-                state = _unpack_state(pickle.load(handle))
-        except FileNotFoundError:
-            self.stats["reason"] = "no checkpoint file"
+            envelope, state = read_enveloped(
+                self.path,
+                _CHECKPOINT_LAYOUT,
+                _CHECKPOINT_FORMAT,
+                self.params,
+                "checkpoint",
+                check=_phase_mismatch,
+            )
+        except CacheMiss as miss:
+            self.stats["reason"] = str(miss)
             return None
-        except Exception as exc:  # noqa: BLE001 -- unpickling garbage raises
-            # whatever opcode decodes first; any load failure is a miss.
-            self.stats["reason"] = f"unreadable checkpoint: {exc}"
-            return None
+        state = _unpack_state(state)
         phases = list(envelope["phases"])
         self.stats["resumed"] = True
         self.stats["phases_loaded"] = list(phases)
         self.stats["reason"] = None
         return phases, state
-
-    def _reject_reason(self, payload):
-        if not isinstance(payload, dict):
-            return "no checkpoint envelope"
-        if payload.get("format") != _CHECKPOINT_FORMAT:
-            return f"checkpoint envelope format {payload.get('format')!r}"
-        if payload.get("version") != _package_version():
-            return (
-                f"written by repro {payload.get('version')!r}, "
-                f"this is {_package_version()!r}"
-            )
-        try:
-            params_match = payload.get("params") == self.params
-        except Exception:  # noqa: BLE001 -- cross-schema dataclass comparison
-            params_match = False
-        if not params_match:
-            return f"built for {payload.get('params')!r}"
-        # The saved phases must be a prefix of the current build order —
-        # a reordered or renamed phase sequence invalidates the resume.
-        from repro.scenario.world import _BUILD_PHASES
-
-        order = [name for name, _ in _BUILD_PHASES]
-        phases = list(payload.get("phases") or [])
-        if not phases or phases != order[: len(phases)]:
-            return f"phase sequence {phases!r} does not prefix the build order"
-        return None
 
     # -- saving ------------------------------------------------------------------------
 
@@ -136,19 +103,15 @@ class BuildCheckpoint:
         raise.  Either way no temp file is left behind.  Returns True
         when the checkpoint landed.
         """
-        envelope = {
-            "format": _CHECKPOINT_FORMAT,
-            "version": _package_version(),
-            "params": self.params,
-            "phases": list(completed_phases),
-        }
-
-        def write(handle):
-            pickle.dump(envelope, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            pickle.dump(_pack_state(state), handle, protocol=pickle.HIGHEST_PROTOCOL)
-
         try:
-            atomic_write_stream(self.path, write)
+            write_enveloped(
+                self.path,
+                _CHECKPOINT_LAYOUT,
+                _CHECKPOINT_FORMAT,
+                self.params,
+                _pack_state(state),
+                phases=list(completed_phases),
+            )
         except OSError as exc:
             self.stats["save_errors"] += 1
             self.stats["reason"] = f"checkpoint save failed: {exc}"
@@ -164,6 +127,19 @@ class BuildCheckpoint:
         except OSError:
             pass
         self.stats["cleared"] = True
+
+
+def _phase_mismatch(envelope):
+    """Why the saved phases cannot resume: they must be a prefix of the
+    current build order, so a reordered or renamed phase sequence
+    invalidates the resume."""
+    from repro.scenario.world import _BUILD_PHASES
+
+    order = [name for name, _ in _BUILD_PHASES]
+    phases = list(envelope.get("phases") or [])
+    if not phases or phases != order[: len(phases)]:
+        return f"phase sequence {phases!r} does not prefix the build order"
+    return None
 
 
 def _pack_state(state):

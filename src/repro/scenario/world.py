@@ -463,10 +463,9 @@ def _phase_state(env, state):
     env.say("running ONP probe campaign")
     manager = AmplifierStateManager(env.rng.child("state"), RESEARCH_SCANNERS)
     manager.register_malicious_activity(state["sweeps"])
-    # The whole campaign's pulses as one columnar batch: per-host sync
-    # windows become searchsorted slices, and the ~25 legs per attack
-    # never exist as AttackPulse objects (at scale 1.0 that is tens of
-    # millions of objects the build no longer allocates).
+    # The whole campaign's legs as one columnar batch: per-host sync
+    # windows are searchsorted slices, and the ~25 legs per attack exist
+    # only as array rows (tens of millions of them at scale 1.0).
     manager.register_pulse_columns(PulseColumns.from_attacks(state["attacks"]))
     state["state"] = manager
 

@@ -1,9 +1,6 @@
 """Event records the world build passes between traffic generators and
 vantage points."""
 
-from repro.sim.events import AttackPulse, ScanSweep
+from repro.sim.events import ScanSweep
 
-__all__ = [
-    "AttackPulse",
-    "ScanSweep",
-]
+__all__ = ["ScanSweep"]

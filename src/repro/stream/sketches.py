@@ -12,8 +12,6 @@ the conformance harness can check against batch ground truth —
   per-key over-estimate ``error``; any key whose true weight exceeds
   ``total_weight / capacity`` is guaranteed present.
 
-Both merge: ``merge(a, b)`` is commutative and keeps the bounds additive
-(the property tests in ``tests/test_stream_properties.py`` pin this).
 Hashing is deterministic (BLAKE2b with a per-row salt) so two engines fed
 the same stream agree byte-for-byte — the same determinism contract the
 batch pipeline holds at any ``--jobs``.
@@ -174,23 +172,6 @@ class CountMinSketch:
         """The declared additive over-count ceiling at the current total."""
         return self.epsilon * self.total
 
-    def compatible_with(self, other):
-        return (
-            isinstance(other, CountMinSketch)
-            and self.width == other.width
-            and self.depth == other.depth
-        )
-
-    def merge(self, other):
-        """A new sketch summarizing both streams (commutative; bounds add
-        because totals add and cells add)."""
-        if not self.compatible_with(other):
-            raise ValueError("cannot merge count-min sketches of different geometry")
-        out = CountMinSketch(self.epsilon, self.delta)
-        out.rows = self.rows + other.rows
-        out.total = self.total + other.total
-        return out
-
     def copy(self):
         out = CountMinSketch(self.epsilon, self.delta)
         out.rows = self.rows.copy()
@@ -199,7 +180,9 @@ class CountMinSketch:
 
     def __eq__(self, other):
         return (
-            self.compatible_with(other)
+            isinstance(other, CountMinSketch)
+            and self.width == other.width
+            and self.depth == other.depth
             and self.total == other.total
             and bool(np.array_equal(self.rows, other.rows))
         )
@@ -356,47 +339,6 @@ class SpaceSavingTopK:
     def guarantee_threshold(self):
         """True weight above this is guaranteed to be tracked."""
         return self.total / self.capacity
-
-    def merge(self, other):
-        """A new summary of both streams (commutative by construction).
-
-        Keys present in one side only inherit the other side's weakest
-        counter as extra over-estimate — the standard space-saving merge —
-        then the union is trimmed back to ``capacity`` deterministically.
-        """
-        if not isinstance(other, SpaceSavingTopK) or self.capacity != other.capacity:
-            raise ValueError("cannot merge space-saving summaries of different capacity")
-
-        def floor_of(summary):
-            if len(summary.counters) < summary.capacity:
-                return 0
-            return min(summary.counters.values())
-
-        floor_a, floor_b = floor_of(self), floor_of(other)
-        out = SpaceSavingTopK(self.capacity)
-        out.total = self.total + other.total
-        merged_counts, merged_errors = {}, {}
-        for key in set(self.counters) | set(other.counters):
-            count = error = 0
-            if key in self.counters:
-                count += self.counters[key]
-                error += self.errors[key]
-            else:
-                count += floor_a
-                error += floor_a
-            if key in other.counters:
-                count += other.counters[key]
-                error += other.errors[key]
-            else:
-                count += floor_b
-                error += floor_b
-            merged_counts[key] = count
-            merged_errors[key] = error
-        keep = sorted(merged_counts, key=lambda k: (-merged_counts[k], k))[: self.capacity]
-        out.counters = {k: merged_counts[k] for k in keep}
-        out.errors = {k: merged_errors[k] for k in keep}
-        out._rebuild_heap()
-        return out
 
     def copy(self):
         out = SpaceSavingTopK(self.capacity)

@@ -188,11 +188,6 @@ class Ipv4Darknet:
             state["_scanner_pairs"] = inline_array(state["_scanner_pairs"])
         return state
 
-    def __setstate__(self, state):
-        # Worlds cached before the compacted layout predate this slot.
-        state.setdefault("_scanner_pairs", None)
-        self.__dict__.update(state)
-
 
 class Ipv6Darknet:
     """The IPv6 telescope: covering prefixes for four of five RIRs.

@@ -69,7 +69,7 @@ def available_cpus():
         return os.cpu_count() or 1
 
 
-def fork_pool_gate(jobs, n_tasks, min_tasks=2, cpus=None, phase=None):
+def fork_pool_gate(jobs, n_tasks, cpus=None, phase=None):
     """Decide whether a fork pool should engage.
 
     Returns ``(engaged, reason)``; ``reason`` is ``None`` when engaged,
@@ -91,10 +91,8 @@ def fork_pool_gate(jobs, n_tasks, min_tasks=2, cpus=None, phase=None):
 
     if jobs <= 1:
         return veto("jobs <= 1: serial path requested")
-    if n_tasks < min_tasks:
-        if n_tasks <= 1:
-            return veto("single task: nothing to parallelize")
-        return veto(f"{n_tasks} tasks < {min_tasks}: not worth forking")
+    if n_tasks <= 1:
+        return veto("single task: nothing to parallelize")
     if cpus is None:
         cpus = available_cpus()
     if cpus <= 1:

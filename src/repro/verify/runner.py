@@ -164,7 +164,6 @@ class WorldRecord:
     def drop_parsed_corpus(self):
         """Release the parsed-corpus memo (kept: everything derived)."""
         self.ctx._parsed = None
-        self.ctx._responder_sets = None
         return self
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.attack import OVH_EVENT_END, OVH_EVENT_START
 from repro.attack.campaign import AttackCampaign, CampaignParams
+from repro.population.columns import PulseColumns
 from repro.util import DAY, date_to_sim
 
 
@@ -87,10 +88,12 @@ def test_ovh_event_targets_top_hosting_as(world):
 
 def test_pulses_match_legs(world):
     attack = world.attacks[0]
-    pulses = attack.pulses()
-    assert len(pulses) == len(attack.amplifiers)
-    assert {p.amplifier_ip for p in pulses} == {h.ip for h in attack.amplifiers}
-    assert all(p.victim_ip == attack.victim.ip for p in pulses)
+    legs = PulseColumns.from_attacks([attack])
+    assert legs.n_pulses == len(attack.amplifiers)
+    assert legs.amp_ip.tolist() == sorted(h.ip for h in attack.amplifiers)
+    assert set(legs.victim_ip.tolist()) == {attack.victim.ip}
+    assert set(legs.start.tolist()) == {attack.start}
+    assert set(legs.end.tolist()) == {attack.start + attack.duration}
 
 
 def test_coordination_same_amps_reused(world):

@@ -11,12 +11,14 @@ record schema (memory + shard provenance) the CI gates read.
 
 import hashlib
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 import repro.util.pool as pool_mod
+from repro.population.amplifiers import NtpHost
 from repro.population.columns import HOST_BLOCKS, PulseColumns, balanced_split
 from repro.scenario import PaperWorld, WorldParams
 from repro.scenario.cache import build_world_cached
@@ -56,7 +58,6 @@ def test_gate_reasons(monkeypatch):
     monkeypatch.setattr(pool_mod, "available_cpus", lambda: 8)
     assert fork_pool_gate(1, 10) == (False, "jobs <= 1: serial path requested")
     assert fork_pool_gate(4, 1) == (False, "single task: nothing to parallelize")
-    assert fork_pool_gate(4, 2, min_tasks=8) == (False, "2 tasks < 8: not worth forking")
     engaged, reason = fork_pool_gate(4, 16)
     assert engaged and reason is None
 
@@ -115,15 +116,39 @@ def test_shard_runner_propagates_worker_errors(monkeypatch):
 # -- byte-identity: sharded == serial ------------------------------------------
 
 
+def _digest_value(digest, value):
+    if isinstance(value, np.ndarray):
+        digest.update(f"{value.dtype.str}{value.shape}".encode())
+        digest.update(np.ascontiguousarray(value).tobytes())
+    else:
+        if isinstance(value, frozenset):
+            value = sorted(value)
+        digest.update(repr(value).encode())
+
+
 def _fingerprint(world):
-    """SHA-256 over every serialized surface of the world core: host,
-    victim, and pulse record batches plus each ONP sample's packed
-    capture arrays and payload blob."""
+    """SHA-256 over the world core by value: every ``NtpHost`` field and
+    client array, every ``Victim``, every attack-leg column, and each ONP
+    sample's packed capture arrays and payload blob.
+
+    Values, not pickles: two equal worlds may share equal objects
+    differently (``pack_hosts`` deduplicates by identity, and a serial
+    build keeps module-level frozensets a pooled one re-creates)."""
     digest = hashlib.sha256()
     digest.update(world.summary().encode())
-    digest.update(world.hosts.record_batch().tobytes())
-    digest.update(world.victims.record_batch().tobytes())
-    digest.update(PulseColumns.from_attacks(world.attacks).record_batch().tobytes())
+    for host in world.hosts.hosts:
+        for field in fields(NtpHost):
+            value = getattr(host, field.name)
+            if field.name == "clients" and value is not None:
+                for array_field in fields(value):
+                    _digest_value(digest, getattr(value, array_field.name))
+            else:
+                _digest_value(digest, value)
+    for victim in world.victims.victims:
+        _digest_value(digest, victim)
+    legs = PulseColumns.from_attacks(world.attacks)
+    for name in PulseColumns.__slots__:
+        _digest_value(digest, getattr(legs, name))
     for sample in world.onp.monlist_samples + world.onp.version_samples:
         digest.update(
             repr((sample.t, sample.mode, sample.outage, sample.coverage, len(sample))).encode()

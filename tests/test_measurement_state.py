@@ -1,13 +1,14 @@
 """Tests for the lazy amplifier-state manager."""
 
+import numpy as np
 import pytest
 
 from repro.attack.scanner import RESEARCH_SCANNERS
 from repro.measurement import AmplifierStateManager
 from repro.ntp.constants import IMPL_XNTPD
 from repro.population import PoolParams, build_host_pool
+from repro.population.columns import PulseColumns
 from repro.net import ASRegistry, PolicyBlockList
-from repro.sim.events import AttackPulse
 from repro.util import RngStream, date_to_sim
 
 
@@ -32,6 +33,22 @@ def host():
 
 def make_manager():
     return AmplifierStateManager(RngStream(12, "mgr"), RESEARCH_SCANNERS)
+
+
+def pulse_columns(*legs):
+    """:class:`PulseColumns` over ``(amplifier_ip, victim_ip, start,
+    duration, query_rate)`` legs, each aimed at port 80 in mode 7."""
+    amp_ip, victim_ip, start, duration, rate = zip(*legs)
+    fixed = np.ones(len(legs), dtype=np.int64)
+    return PulseColumns(
+        np.array(amp_ip, dtype=np.int64),
+        np.array(victim_ip, dtype=np.int64),
+        80 * fixed,
+        7 * fixed,
+        np.array(start, dtype=np.float64),
+        np.array(duration, dtype=np.float64),
+        np.array(rate, dtype=np.float64),
+    )
 
 
 def test_server_materialized_once(host):
@@ -85,17 +102,7 @@ def test_attack_pulse_applied_between_syncs(host):
     manager = make_manager()
     t0 = date_to_sim(2014, 1, 10)
     manager.sync(host, t0)
-    pulse = AttackPulse(
-        start=t0 + 86400,
-        duration=60.0,
-        victim_ip=0xDEADBEEF,
-        victim_port=80,
-        amplifier_ip=host.ip,
-        query_rate=10.0,
-        mode=7,
-        spoofer_ttl=109,
-    )
-    manager.register_pulses([pulse])
+    manager.register_pulse_columns(pulse_columns((host.ip, 0xDEADBEEF, t0 + 86400, 60.0, 10.0)))
     server = manager.sync(host, t0 + 7 * 86400)
     record = server.table.get(0xDEADBEEF)
     assert record is not None
@@ -105,17 +112,7 @@ def test_attack_pulse_applied_between_syncs(host):
 def test_pulse_not_applied_twice(host):
     manager = make_manager()
     t0 = date_to_sim(2014, 1, 10)
-    pulse = AttackPulse(
-        start=t0 + 100,
-        duration=10.0,
-        victim_ip=0xCAFE,
-        victim_port=80,
-        amplifier_ip=host.ip,
-        query_rate=10.0,
-        mode=7,
-        spoofer_ttl=109,
-    )
-    manager.register_pulses([pulse])
+    manager.register_pulse_columns(pulse_columns((host.ip, 0xCAFE, t0 + 100, 10.0, 10.0)))
     manager.sync(host, t0 + 1000)
     server = manager.sync(host, t0 + 2000)
     assert server.table.get(0xCAFE).count == 100
@@ -124,22 +121,36 @@ def test_pulse_not_applied_twice(host):
 def test_inflight_pulse_not_recorded(host):
     manager = make_manager()
     t0 = date_to_sim(2014, 1, 10)
-    pulse = AttackPulse(
-        start=t0 - 50,
-        duration=1000.0,
-        victim_ip=0xBEEF,
-        victim_port=80,
-        amplifier_ip=host.ip,
-        query_rate=10.0,
-        mode=7,
-        spoofer_ttl=109,
-    )
-    manager.register_pulses([pulse])
+    manager.register_pulse_columns(pulse_columns((host.ip, 0xBEEF, t0 - 50, 1000.0, 10.0)))
     server = manager.sync(host, t0)
     assert server.table.get(0xBEEF) is None
     # Once the pulse has ended it shows up whole.
     server = manager.sync(host, t0 + 2000)
     assert server.table.get(0xBEEF).count == 10000
+
+
+def test_legs_apply_in_end_order_across_syncs(host):
+    """Legs given out of order, some on another amplifier, land at the
+    sync whose window holds their end — not their start — exactly once."""
+    manager = make_manager()
+    t0 = date_to_sim(2014, 1, 10)
+    manager.register_pulse_columns(
+        pulse_columns(
+            (host.ip, 0xA1, t0 + 300, 60.0, 10.0),  # ends t0 + 360
+            (host.ip + 1, 0xA1, t0 + 10, 5.0, 10.0),  # another amplifier
+            (host.ip, 0xA2, t0 + 100, 900.0, 10.0),  # ends t0 + 1000
+            (host.ip, 0xA3, t0 + 400, 1.0, 10.0),  # ends t0 + 401
+        )
+    )
+    server = manager.sync(host, t0 + 400)
+    assert server.table.get(0xA1).count == 600
+    assert server.table.get(0xA2) is None and server.table.get(0xA3) is None
+    server = manager.sync(host, t0 + 500)
+    assert server.table.get(0xA3).count == 10
+    assert server.table.get(0xA2) is None
+    server = manager.sync(host, t0 + 1000)
+    assert server.table.get(0xA2).count == 9000
+    assert server.table.get(0xA1).count == 600
 
 
 def test_malicious_activity_creates_scanner_entries(host):
@@ -183,18 +194,8 @@ def test_restart_flushes_old_state():
     )
     manager = make_manager()
     t0 = date_to_sim(2014, 1, 10)
-    pulse = AttackPulse(
-        start=t0 + 3600,
-        duration=10.0,
-        victim_ip=0xF00D,
-        victim_port=80,
-        amplifier_ip=host.ip,
-        query_rate=100.0,
-        mode=7,
-        spoofer_ttl=109,
-    )
-    manager.register_pulses([pulse])
-    manager.sync(host, t0 + 7200)
+    manager.register_pulse_columns(pulse_columns((host.ip, 0xF00D, t0 + 3600, 10.0, 100.0)))
+    assert manager.sync(host, t0 + 7200).table.get(0xF00D).count == 1000
     # After more than a restart interval, the victim entry must be gone.
     server = manager.sync(host, t0 + 3600 + 3 * host.restart_interval)
     assert server.table.get(0xF00D) is None

@@ -17,10 +17,17 @@ from repro.ntp import (
     encode_mode7_request,
     parse_system_variables,
 )
+from repro.measurement import AmplifierStateManager
 from repro.ntp.constants import CTL_OP_READVAR, REQ_MON_GETLIST, REQ_MON_GETLIST_1
-from repro.sim.events import AttackPulse
+from repro.population.amplifiers import NtpHost
+from repro.population.osmodel import SystemAttributes
+from repro.util import RngStream
+
+from tests.test_measurement_state import pulse_columns
 
 ONP_IP = 0xCB000001
+AMP_IP = 0x0A0A0A0A
+VICTIM_IP = 0x55555555
 
 
 def seeded_server(**config_kwargs):
@@ -124,25 +131,57 @@ def test_probe_reply_on_wire_accounting():
     assert reply.total_on_wire_bytes == 2 * on_wire_bytes(296)
 
 
-def test_attack_pulse_recording():
-    server = seeded_server(loop_factor=1)
-    pulse = AttackPulse(
-        start=5000.0,
-        duration=40.0,
-        victim_ip=0x55555555,
-        victim_port=80,
-        amplifier_ip=server.ip,
-        query_rate=10.0,
-        mode=7,
-        spoofer_ttl=109,
+def attacked_record(loop_factor, query_rate, duration, start=5000.0):
+    """The victim's monitor-table record after one attack leg through an
+    amplifier with ``loop_factor``, folded in by the state manager's sync."""
+    host = NtpHost(
+        ip=AMP_IP,
+        asn=1,
+        continent="EU",
+        country="DE",
+        is_end_host=False,
+        attrs=SystemAttributes(
+            os_family="linux",
+            system="Linux/3.2.0",
+            processor="x86_64",
+            daemon_version="4.2.6p5",
+            compile_year=2012,
+            stratum=3,
+        ),
+        responds_version=False,
+        monlist_amplifier=True,
+        implementations=frozenset({IMPL_XNTPD}),
+        base_clients=0,
+        primed_full=False,
+        loop_factor=loop_factor,
     )
-    server.record_attack_pulse(pulse)
-    rec = server.table.get(0x55555555)
+    manager = AmplifierStateManager(RngStream(12, "mgr"), [])
+    manager.register_pulse_columns(
+        pulse_columns((AMP_IP, VICTIM_IP, start, duration, query_rate))
+    )
+    return manager.sync(host, start + duration + 1.0).table.get(VICTIM_IP)
+
+
+def test_attack_pulse_recording():
+    rec = attacked_record(loop_factor=1, query_rate=10.0, duration=40.0)
     assert rec.count == 400
     assert rec.port == 80
     assert rec.mode == 7
-    assert rec.last_seen == pulse.end
+    assert rec.last_seen == 5040.0  # the leg's end
     assert rec.first_seen == pytest.approx(5000.0)
+
+
+def test_loop_factor_multiplies_leg_queries():
+    """A looping build processes each spoofed query ``loop_factor`` times."""
+    assert attacked_record(loop_factor=7, query_rate=10.0, duration=40.0).count == 7 * 400
+
+
+def test_uplink_cap_binds_on_long_looped_leg():
+    """A loop resends no faster than the uplink's 30K replies a second:
+    an hour at 10 queries/s through a 10^5x loop records the cap, not
+    the 3.6e9 the loop alone would."""
+    rec = attacked_record(loop_factor=100_000, query_rate=10.0, duration=3600.0)
+    assert rec.count == 30_000 * 3600
 
 
 def test_restart_flushes_table():

@@ -1,22 +1,18 @@
 """Equivalence guards for the world-construction fast paths.
 
-The optimizations (bulk pulse registration with lazy per-amplifier
-sorting, NumPy liveness indexes, memoized sweep schedules, the
-persistent world cache) must be invisible: the world remains a pure
+The optimizations (NumPy liveness indexes, memoized sweep schedules,
+the persistent world cache) must be invisible: the world remains a pure
 function of ``(seed, WorldParams)``.  These tests pin that down three
-ways — a byte-for-byte golden summary, unit-level ordering/equivalence
-checks on the pulse registration path, and validation of the cache
-envelope's staleness rejection.
+ways — a byte-for-byte golden summary and manifest, the liveness
+indexes against a naive scan, and validation of the cache envelope's
+staleness rejection.
 """
 
 import pytest
 
-from repro.attack.scanner import RESEARCH_SCANNERS
-from repro.measurement import AmplifierStateManager
 from repro.scenario import PaperWorld, WorldParams
 from repro.scenario.cache import CacheMiss, load_world, save_world
-from repro.sim.events import AttackPulse
-from repro.util import RngStream, date_to_sim
+from repro.util import date_to_sim
 
 GOLDEN_SEED = 7
 GOLDEN_SCALE = 0.0005
@@ -66,108 +62,6 @@ def test_summary_excludes_timings_by_default(golden_world):
     assert "Build:" not in golden_world.summary()
     assert any("Build:" in line for line in golden_world.timing_summary())
     assert "Build:" in golden_world.summary(include_timings=True)
-
-
-# -- bulk pulse registration ---------------------------------------------------
-
-
-def _pulse(amplifier_ip, start, duration=10.0, victim_ip=0xBEEF):
-    return AttackPulse(
-        start=start,
-        duration=duration,
-        victim_ip=victim_ip,
-        victim_port=80,
-        amplifier_ip=amplifier_ip,
-        query_rate=10.0,
-        mode=7,
-        spoofer_ttl=109,
-    )
-
-
-def make_manager():
-    return AmplifierStateManager(RngStream(12, "mgr"), RESEARCH_SCANNERS)
-
-
-def test_bulk_registration_sorted_by_end():
-    """Pulses registered out of order, across several calls, come back from
-    the lazy sort ordered by end time with an aligned end-time index."""
-    manager = make_manager()
-    t0 = date_to_sim(2014, 1, 10)
-    # Same start, different durations => ordering by end != ordering by start.
-    manager.register_pulses([_pulse(1, t0 + 500, duration=5.0)])
-    manager.register_pulses(
-        [
-            _pulse(1, t0 + 100, duration=900.0),
-            _pulse(1, t0 + 300, duration=1.0),
-            _pulse(2, t0 + 50, duration=2.0),
-        ]
-    )
-    manager.register_pulses([_pulse(1, t0 + 200, duration=1.0)])
-    plist, ends = manager._sorted_pulses(1)
-    assert [p.end for p in plist] == sorted(p.end for p in plist)
-    assert ends == [p.end for p in plist]
-    assert len(plist) == 4
-    other, other_ends = manager._sorted_pulses(2)
-    assert len(other) == 1 and other_ends == [other[0].end]
-    assert manager._sorted_pulses(3) == (None, None)
-
-
-def test_registration_after_sort_resorts():
-    """A registration round after a sync dirties the list again."""
-    manager = make_manager()
-    t0 = date_to_sim(2014, 1, 10)
-    manager.register_pulses([_pulse(1, t0 + 100, duration=50.0)])
-    manager._sorted_pulses(1)
-    manager.register_pulses([_pulse(1, t0, duration=1.0)])
-    plist, ends = manager._sorted_pulses(1)
-    assert ends == sorted(ends)
-    assert plist[0].end == t0 + 1.0
-
-
-def test_bulk_sync_matches_naive_per_attack_registration(host):
-    """One bulk ``register_pulses`` call is observably identical to the old
-    eager per-attack loop: same monitor tables after sync."""
-    t0 = date_to_sim(2014, 1, 10)
-    pulses = [
-        _pulse(host.ip, t0 + 300, duration=60.0, victim_ip=0xA1),
-        _pulse(host.ip, t0 + 100, duration=5.0, victim_ip=0xA2),
-        _pulse(host.ip, t0 + 200, duration=700.0, victim_ip=0xA3),
-        _pulse(host.ip, t0 + 400, duration=1.0, victim_ip=0xA1),
-    ]
-    t1 = t0 + 3600
-
-    bulk = make_manager()
-    bulk.register_pulses(pulses)
-    bulk_entries = bulk.sync(host, t1).table.entries_mru(t1)
-
-    naive = make_manager()
-    for pulse in pulses:  # the old call shape: once per attack
-        naive.register_pulses([pulse])
-    naive_entries = naive.sync(host, t1).table.entries_mru(t1)
-
-    assert bulk_entries == naive_entries
-    assert any(e.addr == 0xA1 for e in bulk_entries)
-
-
-@pytest.fixture(scope="module")
-def host():
-    from repro.net import ASRegistry, PolicyBlockList
-    from repro.ntp.constants import IMPL_XNTPD
-    from repro.population import PoolParams, build_host_pool
-
-    rng = RngStream(11, "perf-test")
-    registry = ASRegistry(rng.child("asn"), n_ases=300)
-    pbl = PolicyBlockList(registry)
-    pool = build_host_pool(rng.child("hosts"), registry, pbl, PoolParams(scale=0.0002))
-    for candidate in pool.monlist_hosts:
-        if (
-            candidate.answers_implementation(IMPL_XNTPD)
-            and candidate.restart_interval is None
-            and candidate.birth == 0.0
-            and not candidate.is_mega
-        ):
-            return candidate
-    raise AssertionError("no suitable host in pool")
 
 
 # -- liveness indexes ----------------------------------------------------------

@@ -1,37 +1,21 @@
-"""Tests for the simulation's event records."""
+"""Tests for the simulation's event records and the attack-leg columns."""
 
 import pytest
 
-from repro.sim import AttackPulse, ScanSweep
+from repro.sim import ScanSweep
+
+from tests.test_measurement_state import pulse_columns
 
 
 def test_attack_pulse_properties():
-    pulse = AttackPulse(
-        start=100.0,
-        duration=40.0,
-        victim_ip=1,
-        victim_port=80,
-        amplifier_ip=2,
-        query_rate=2.5,
-        mode=7,
-        spoofer_ttl=109,
-    )
-    assert pulse.end == 140.0
-    assert pulse.query_count == 100
+    legs = pulse_columns((2, 1, 100.0, 40.0, 2.5))
+    assert legs.end.tolist() == [140.0]
+    assert legs.query_count.tolist() == [100]  # max(1, int(rate x duration))
 
 
 def test_attack_pulse_minimum_one_query():
-    pulse = AttackPulse(
-        start=0.0,
-        duration=0.1,
-        victim_ip=1,
-        victim_port=80,
-        amplifier_ip=2,
-        query_rate=0.5,
-        mode=7,
-        spoofer_ttl=109,
-    )
-    assert pulse.query_count == 1
+    legs = pulse_columns((2, 1, 0.0, 0.1, 0.5), (2, 1, 0.0, 3.0, 0.5))
+    assert legs.query_count.tolist() == [1, 1]  # 0.05 and 1.5 queries
 
 
 def test_scan_sweep_validation():

@@ -9,9 +9,8 @@ plus real-world engine checks:
   (plus duplicate deliveries), offered in batches of one or of random
   sizes, every record lands in exactly one ledger, the books balance, and
   the batch ledger equals the record-at-a-time reference rule;
-* sketch algebra — count-min and space-saving merges are commutative,
-  the declared error bounds survive both single-stream use and merging,
-  and each sketch's ``add_many`` equals one ``add`` per key;
+* sketch bounds — count-min and space-saving keep their declared error
+  bounds, and each sketch's ``add_many`` equals one ``add`` per key;
 * the engine's ledger, ``late_uids`` and every answer on reordered and
   redelivered replays of a small world equal the reference ledger's, at
   chunk sizes from one row to the whole stream;
@@ -195,7 +194,7 @@ def test_batch_ledger_equals_the_record_at_a_time_rule(stream, chunking):
 
 
 # ---------------------------------------------------------------------------
-# Sketch algebra
+# Sketch bounds
 # ---------------------------------------------------------------------------
 
 
@@ -230,19 +229,12 @@ def test_count_min_respects_its_declared_bound(stream):
         assert true <= estimate <= true + cm.error_bound()
 
 
-@given(sketch_streams, sketch_streams)
-def test_count_min_merge_is_commutative_and_bound_preserving(a, b):
-    cm_a, cm_b = _cm_of(a), _cm_of(b)
-    merged = cm_a.merge(cm_b)
-    assert merged == cm_b.merge(cm_a)
-    assert merged.total == cm_a.total + cm_b.total
-    assert merged.error_bound() == merged.epsilon * merged.total
-    truth = _totals(a + b)
-    for key, true in truth.items():
-        assert true <= merged.estimate(key) <= true + merged.error_bound()
-    # Merging never mutates the inputs.
-    assert cm_a == _cm_of(a)
-    assert cm_b == _cm_of(b)
+def test_count_min_equality_includes_geometry():
+    """Sketches of different width or depth are never equal, even while
+    both are empty; equal geometry and equal adds compare equal."""
+    assert CountMinSketch(epsilon=0.005) != CountMinSketch(epsilon=0.05)
+    assert CountMinSketch(delta=0.01) != CountMinSketch(delta=0.2)
+    assert _cm_of([(3, 2), (9, 1)]) == _cm_of([(9, 1), (3, 2)])
 
 
 @given(sketch_streams)
@@ -258,34 +250,6 @@ def test_space_saving_tracks_every_guaranteed_heavy_hitter(stream):
     for key, count, error in ss.top():
         true = truth.get(key, 0)
         assert true <= count <= true + error
-
-
-@given(sketch_streams, sketch_streams)
-def test_space_saving_merge_is_commutative(a, b):
-    ss_a, ss_b = _ss_of(a), _ss_of(b)
-    merged = ss_a.merge(ss_b)
-    assert merged == ss_b.merge(ss_a)
-    assert merged.total == ss_a.total + ss_b.total
-    assert len(merged.counters) <= merged.capacity
-    # Merging never mutates the inputs.
-    assert ss_a == _ss_of(a)
-    assert ss_b == _ss_of(b)
-
-
-@given(sketch_streams, sketch_streams)
-def test_space_saving_merge_preserves_count_bounds(a, b):
-    merged = _ss_of(a).merge(_ss_of(b))
-    truth = _totals(a + b)
-    for key, count, error in merged.top():
-        true = truth.get(key, 0)
-        assert true <= count <= true + error
-
-
-def test_sketches_reject_incompatible_merges():
-    with pytest.raises(ValueError):
-        CountMinSketch(epsilon=0.005).merge(CountMinSketch(epsilon=0.05))
-    with pytest.raises(ValueError):
-        SpaceSavingTopK(8).merge(SpaceSavingTopK(16))
 
 
 #: Count-min keys: a small repeated range, negatives, and keys past 2**32.

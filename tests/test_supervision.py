@@ -368,10 +368,11 @@ def _good_checkpoint(params):
 
 def _write_checkpoint(path, payload):
     """A checkpoint file as ``BuildCheckpoint.save`` lays it out: the
-    envelope's pickle, then the state's."""
+    layout prefix, the envelope's pickle, then the state's."""
     envelope = dict(payload)
     state = envelope.pop("state")
     with open(path, "wb") as handle:
+        handle.write(checkpoint_mod._CHECKPOINT_LAYOUT)
         pickle.dump(envelope, handle)
         pickle.dump(state, handle)
 
