@@ -5,7 +5,7 @@ The package is layered bottom-up:
 
 * :mod:`repro.util` — RNG streams, simulation time, statistics;
 * :mod:`repro.net` — IPv4, on-wire framing, routing, AS registry, PBL;
-* :mod:`repro.ntp` — NTP wire formats (modes 3/4, 6, 7), the monlist MRU
+* :mod:`repro.ntp` — NTP wire formats (modes 6 and 7), the monlist MRU
   table, and a simulated ntpd server;
 * :mod:`repro.sim` — attack-pulse and scan-sweep event records;
 * :mod:`repro.population` — NTP hosts, amplifier pools, remediation,

@@ -152,9 +152,6 @@ class ParseStats:
             setattr(self, stat_field, getattr(self, stat_field) + getattr(other, stat_field))
         return self
 
-    def as_dict(self):
-        return {f: getattr(self, f) for f in self.__dataclass_fields__}
-
 
 def reconstruct_table_lenient(capture, stats=None):
     """Best-effort reconstruction of one capture.

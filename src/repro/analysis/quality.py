@@ -58,7 +58,6 @@ class ReconciliationCheck:
 class QualityReport:
     """Everything the apparatus lost, and whether the books balance."""
 
-    profile_name: str
     profile_description: str
     injected: dict = field(default_factory=dict)
     #: Aggregated parse accounting over all monlist samples.
@@ -82,50 +81,6 @@ class QualityReport:
     def ok(self):
         """True when every reconciliation check balances."""
         return all(check.ok for check in self.checks)
-
-    def as_dict(self):
-        """Machine-readable form (embedded in conformance JSON reports)."""
-        stats = self.monlist_stats
-        return {
-            "profile": self.profile_name,
-            "ok": self.ok,
-            "injected": dict(self.injected),
-            "injected_total": self.injected_total,
-            "monlist": {
-                "samples": self.monlist_samples,
-                "outages": self.monlist_outages,
-                "partial": self.monlist_partial,
-                "captures_total": stats.captures_total,
-                "captures_ok": stats.captures_ok,
-                "captures_salvaged": stats.captures_salvaged,
-                "captures_failed": stats.captures_failed,
-                "packets_discarded": (
-                    stats.packets_undecodable
-                    + stats.packets_invalid
-                    + stats.packets_duplicate
-                    + stats.packets_out_of_sequence
-                ),
-                "entries_recovered": stats.entries_recovered,
-                "entries_discarded": stats.entries_discarded,
-            },
-            "version": {
-                "samples": self.version_samples,
-                "outages": self.version_outages,
-                "partial": self.version_partial,
-            },
-            "darknet_down_days": self.darknet_down_days,
-            "arbor_missing_days": self.arbor_missing_days,
-            "checks": [
-                {
-                    "name": check.name,
-                    "kind": check.kind,
-                    "injected": check.injected,
-                    "observed": check.observed,
-                    "ok": check.ok,
-                }
-                for check in self.checks
-            ],
-        }
 
     def render(self):
         lines = [f"Data quality report — fault profile: {self.profile_description}"]
@@ -185,7 +140,6 @@ def quality_report(world, parsed_samples=None):
     log = getattr(world, "fault_log", None)
     injected = log.as_dict() if log is not None else {}
     report = QualityReport(
-        profile_name=getattr(profile, "name", "unknown"),
         profile_description=profile.describe() if profile is not None else "(unknown)",
         injected=injected,
     )

@@ -13,7 +13,6 @@ duration estimate (count x inter-arrival), and a derived start time; the
 aggregations reproduce Table 1 (right half), Table 4, and Figures 5-7.
 """
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -329,20 +328,6 @@ class VictimologyReport:
             for h, c in zip(uniq_bins.tolist(), bin_counts.tolist()):
                 hours[h] = hours.get(h, 0) + c
         return dict(sorted(hours.items()))
-
-    def durations(self, since=None):
-        """Per-attack duration estimates (median across amplifiers)."""
-        per_attack = defaultdict(list)
-        for sample in self.samples:
-            if since is not None and sample.t < since:
-                continue
-            for obs in sample.observations:
-                per_attack[(sample.t, obs.victim_ip)].append(obs.duration)
-        out = []
-        for values in per_attack.values():
-            values.sort()
-            out.append(values[len(values) // 2])
-        return out
 
     def amplifiers_per_victim(self):
         """Per-sample median amplifiers seen attacking each victim (§6.3)."""

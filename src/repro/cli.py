@@ -1421,7 +1421,7 @@ def main(argv=None):
         type=int,
         default=1,
         metavar="N",
-        help="parse and render each golden world over N processes",
+        help="render each golden world's artifacts over N processes",
     )
     p_manifest.add_argument("--quiet", action="store_true", default=False)
 

@@ -238,16 +238,6 @@ class FaultInjector:
 
     # -- ONP per-capture packet mangling -------------------------------------
 
-    def mangle_mode7(self, packets):
-        """Degrade one captured mode-7 response; returns the new tuple.
-
-        Applied in wire order: tail truncation (rate limiting kills late
-        fragments; the first fragment always survives), fragment
-        duplication, reordering, and finally per-capture bit corruption.
-        Always returns at least one packet.
-        """
-        return _mangle_packets(self.profile, self._onp_rng, self.log, packets)
-
     def block_mangler(self, block):
         """A per-build-block mode-7 mangler, or None with no mangle rates.
 
@@ -300,10 +290,12 @@ class FaultInjector:
 
 
 def _mangle_packets(profile, rng, log, packets):
-    """The mode-7 mangle pipeline over an explicit (rng, log) pair.
+    """Degrade one captured mode-7 response; returns the new tuple.
 
-    Shared by the injector's own stream (monolithic path, pinned draw
-    sequence) and per-block :class:`BlockMangler` streams (sharded path).
+    Applied in wire order: tail truncation (rate limiting kills late
+    fragments; the first fragment always survives), fragment
+    duplication, reordering, and finally per-capture bit corruption.
+    Always returns at least one packet.
     """
     out = list(packets)
     if len(out) > 1 and profile.onp_truncate_rate > 0.0:

@@ -6,8 +6,9 @@ probe, mostly).  The :class:`AmplifierStateManager` therefore materializes
 an :class:`~repro.ntp.server.NtpServer` per host on first touch and, before
 each observation, synchronizes its table from three sources:
 
-* the host's static **background clients** (absolute cumulative state —
-  byte-identical to per-packet replay, see ``repro.ntp.client``);
+* the host's static **background clients** (absolute cumulative state
+  from :meth:`~repro.population.amplifiers.BackgroundClients.state_at`:
+  one count/first/last row per client, all a monitor table keeps);
 * **scanner hits**: research sweeps touch every host on every sweep;
   malicious sweeps hit a host with probability equal to their coverage;
 * **attack legs** (:class:`~repro.population.columns.PulseColumns`)

@@ -256,11 +256,6 @@ class _CaptureView:
         )
 
     @property
-    def total_packets(self):
-        store, i = self._store, self._index
-        return int(store.pkt_counts[i]) * int(store.n_repeats[i])
-
-    @property
     def total_payload_bytes(self):
         store, i = self._store, self._index
         lo = int(store.pkt_offsets[i])
@@ -302,10 +297,6 @@ class PackedCaptures:
     def views(self):
         return [_CaptureView(self, i) for i in range(len(self.target_ips))]
 
-    def payload_bytes(self):
-        """Size of the payload blob (stored once; repeats are arithmetic)."""
-        return int(self.payload.nbytes)
-
     @classmethod
     def concat(cls, parts):
         """Merge block-ordered parts into one store (offsets recomputed)."""
@@ -327,19 +318,6 @@ class PackedCaptures:
             else [np.empty(0, dtype=np.uint8)]
         )
         return cls(t, target_ips, n_repeats, pkt_counts, pkt_offsets, pkt_lens, byte_offsets, payload)
-
-    @classmethod
-    def empty(cls, t):
-        return cls(
-            t,
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.zeros(1, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.zeros(1, dtype=np.int64),
-            np.empty(0, dtype=np.uint8),
-        )
 
     def maybe_spill(self, threshold=None):
         """Move the payload into an unlinked memory-mapped spill file when
@@ -408,9 +386,6 @@ class PackedCapturesBuilder:
         for packet in packets:
             self._pkt_lens.append(len(packet))
             self._blob += packet
-
-    def __len__(self):
-        return len(self._target_ips)
 
     def finish(self):
         pkt_counts = np.array(self._pkt_counts, dtype=np.int64)

@@ -61,10 +61,6 @@ class ProbeCapture:
     n_repeats: int = 1
 
     @property
-    def total_packets(self):
-        return len(self.packets) * self.n_repeats
-
-    @property
     def total_payload_bytes(self):
         return sum(len(p) for p in self.packets) * self.n_repeats
 

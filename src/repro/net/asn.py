@@ -308,9 +308,6 @@ class ASRegistry:
     def __iter__(self):
         return iter(self._by_asn.values())
 
-    def get(self, asn):
-        return self._by_asn.get(asn)
-
     def systems_of_kind(self, kind):
         return [s for s in self if s.kind == kind]
 

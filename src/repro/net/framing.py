@@ -23,7 +23,6 @@ __all__ = [
     "frame_bytes",
     "on_wire_bytes",
     "on_wire_bytes_array",
-    "on_wire_total",
 ]
 
 ETHERNET_HEADER = 14
@@ -77,8 +76,3 @@ def on_wire_bytes_array(payload_lens):
     fixed = ETHERNET_HEADER + UDP_IP_HEADERS + ETHERNET_FCS + ETHERNET_OVERHEAD
     pad_below = MIN_FRAME - (ETHERNET_HEADER + UDP_IP_HEADERS + ETHERNET_FCS)
     return np.where(lens < pad_below, MIN_ONWIRE_FRAME, lens + fixed)
-
-
-def on_wire_total(payload_lens):
-    """Aggregate on-wire bytes over an iterable of UDP payload lengths."""
-    return sum(on_wire_bytes(n) for n in payload_lens)

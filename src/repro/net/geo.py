@@ -25,16 +25,3 @@ class GeoView:
     def country_of(self, ip):
         system = self._table.origin_as(ip)
         return system.country if system else None
-
-    def continent_of(self, ip):
-        system = self._table.origin_as(ip)
-        return system.continent if system else None
-
-    def countries_of(self, ips):
-        """The set of countries covering a collection of IPs."""
-        found = set()
-        for ip in ips:
-            country = self.country_of(ip)
-            if country is not None:
-                found.add(country)
-        return found

@@ -111,13 +111,5 @@ class Prefix:
             raise IndexError(f"offset {offset} outside {self}")
         return self.network + offset
 
-    def subprefixes(self, length):
-        """Iterate the sub-prefixes of the given longer length, in order."""
-        if length < self.length:
-            raise ValueError("sub-prefix must be longer than parent")
-        step = 1 << (32 - length)
-        for net in range(self.network, self.network + self.n_addresses, step):
-            yield Prefix(net, length)
-
     def __str__(self):
         return f"{format_ip(self.network)}/{self.length}"

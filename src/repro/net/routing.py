@@ -18,15 +18,9 @@ class RoutedBlockTable:
 
     def __init__(self, registry):
         self._trie = PrefixTrie()
-        self._n_blocks = 0
         for prefix, system in registry.all_prefixes():
             self._trie.insert(prefix, (prefix, system))
-            self._n_blocks += 1
         self._registry = registry
-
-    @property
-    def n_blocks(self):
-        return self._n_blocks
 
     def lookup(self, ip):
         """``(Prefix, AutonomousSystem)`` covering ``ip``, or ``None``."""

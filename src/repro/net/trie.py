@@ -24,10 +24,6 @@ class PrefixTrie:
 
     def __init__(self):
         self._root = _Node()
-        self._size = 0
-
-    def __len__(self):
-        return self._size
 
     def insert(self, prefix, value):
         """Insert (or replace) the value stored at ``prefix``."""
@@ -39,8 +35,6 @@ class PrefixTrie:
             if node.children[bit] is None:
                 node.children[bit] = _Node()
             node = node.children[bit]
-        if not node.has_value:
-            self._size += 1
         node.value = value
         node.has_value = True
 
@@ -57,32 +51,3 @@ class PrefixTrie:
             if node.has_value:
                 best = node.value
         return best
-
-    def lookup_exact(self, prefix):
-        """The value stored at exactly ``prefix``, or ``None``."""
-        node = self._root
-        for depth in range(prefix.length):
-            bit = (prefix.network >> (31 - depth)) & 1
-            node = node.children[bit]
-            if node is None:
-                return None
-        return node.value if node.has_value else None
-
-    def __contains__(self, prefix):
-        return self.lookup_exact(prefix) is not None
-
-    def items(self):
-        """Iterate ``(Prefix, value)`` pairs in network order."""
-        stack = [(self._root, 0, 0)]
-        out = []
-        while stack:
-            node, network, depth = stack.pop()
-            if node.has_value:
-                out.append((Prefix(network, depth), node.value))
-            # Push child 1 first so child 0 (lower addresses) pops first.
-            if node.children[1] is not None:
-                stack.append((node.children[1], network | (1 << (31 - depth)), depth + 1))
-            if node.children[0] is not None:
-                stack.append((node.children[0], network, depth + 1))
-        out.sort(key=lambda item: (item[0].network, item[0].length))
-        return out

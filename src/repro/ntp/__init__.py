@@ -1,5 +1,5 @@
 """NTP protocol substrate: wire formats, the monlist MRU table, and a
-simulated ntpd server/client pair."""
+simulated ntpd server that answers the ONP probes."""
 
 from repro.ntp.constants import (
     IMPL_XNTPD,
@@ -7,7 +7,6 @@ from repro.ntp.constants import (
     MODE_CLIENT,
     MODE_CONTROL,
     MODE_PRIVATE,
-    MODE_SERVER,
     MONLIST_CAPACITY,
     NTP_PORT,
     REQ_MON_GETLIST,
@@ -16,23 +15,18 @@ from repro.ntp.constants import (
 )
 from repro.ntp.monlist import MonlistRecord, MonlistTable
 from repro.ntp.server import NtpServer, ProbeReply, ServerConfig
-from repro.ntp.client import ClientProfile, NtpClient, sync_background_clients
 from repro.ntp.variables import (
     extract_compile_year,
     parse_system_variables,
     render_system_variables,
 )
 from repro.ntp.wire import (
-    Mode3Packet,
     Mode6Packet,
     Mode7Packet,
     MonitorEntry,
     WireError,
-    decode_mode3_or_4,
     decode_mode6,
     decode_mode7,
-    encode_mode3,
-    encode_mode4,
     encode_mode6_request,
     encode_mode6_response,
     encode_mode7_request,
@@ -46,7 +40,6 @@ __all__ = [
     "MODE_CLIENT",
     "MODE_CONTROL",
     "MODE_PRIVATE",
-    "MODE_SERVER",
     "MONLIST_CAPACITY",
     "NTP_PORT",
     "REQ_MON_GETLIST",
@@ -57,22 +50,15 @@ __all__ = [
     "NtpServer",
     "ProbeReply",
     "ServerConfig",
-    "ClientProfile",
-    "NtpClient",
-    "sync_background_clients",
     "extract_compile_year",
     "parse_system_variables",
     "render_system_variables",
-    "Mode3Packet",
     "Mode6Packet",
     "Mode7Packet",
     "MonitorEntry",
     "WireError",
-    "decode_mode3_or_4",
     "decode_mode6",
     "decode_mode7",
-    "encode_mode3",
-    "encode_mode4",
     "encode_mode6_request",
     "encode_mode6_response",
     "encode_mode7_request",

@@ -1,20 +1,18 @@
 """Protocol constants for the NTP substrate.
 
 The subset of NTPv4 (RFC 5905) plus the legacy mode-6 control and mode-7
-private ("ntpdc") protocols that matter for the paper: normal client/server
-exchange (modes 3/4), the ``version``/READVAR control query (mode 6), and the
-``monlist`` private request (mode 7).
+private ("ntpdc") protocols that matter for the paper: the ``version``/READVAR
+control query (mode 6), the ``monlist`` private request (mode 7), and the
+association modes a monitor table records for the traffic it saw.
 """
 
 __all__ = [
     "NTP_PORT",
     "MODE_CLIENT",
-    "MODE_SERVER",
     "MODE_CONTROL",
     "MODE_PRIVATE",
     "VN_NTPV2",
     "VN_NTPV3",
-    "VN_NTPV4",
     "IMPL_UNIV",
     "IMPL_XNTPD_OLD",
     "IMPL_XNTPD",
@@ -28,7 +26,6 @@ __all__ = [
     "MODE7_DATA_AREA",
     "MODE6_DATA_AREA",
     "MONLIST_CAPACITY",
-    "MODE3_PACKET_SIZE",
     "STRATUM_UNSYNCHRONIZED",
     "items_per_packet",
 ]
@@ -37,13 +34,11 @@ NTP_PORT = 123
 
 # NTP association modes (low 3 bits of the first header byte).
 MODE_CLIENT = 3
-MODE_SERVER = 4
 MODE_CONTROL = 6
 MODE_PRIVATE = 7
 
 VN_NTPV2 = 2
 VN_NTPV3 = 3
-VN_NTPV4 = 4
 
 # Mode-7 "implementation" codes.  The two monlist-capable implementations the
 # paper discusses ("there are several implementations of the NTP service, and
@@ -73,9 +68,6 @@ MODE6_DATA_AREA = 468
 #: The monlist MRU list returns at most 600 entries (confirmed empirically
 #: by the paper).
 MONLIST_CAPACITY = 600
-
-#: Standard NTPv4 header (modes 1-5) is 48 bytes.
-MODE3_PACKET_SIZE = 48
 
 #: Stratum 16 means the server is unsynchronized (§3.3 finds 19% of servers
 #: report it).

@@ -1,9 +1,8 @@
 """A simulated ntpd server.
 
 Each simulated server owns a monlist MRU table and a configuration that
-determines which of the paper's three query surfaces it exposes:
+determines which of the paper's two query surfaces it exposes:
 
-* mode 3 time service (every NTP server),
 * mode 6 ``version`` (READVAR) responses (the 4M-strong pool of §3.3), and
 * mode 7 ``monlist`` responses for one or both private-mode implementation
   codes (the 1.4M-strong amplifier pool of §3.1).
@@ -17,7 +16,7 @@ updated table — is modeled by ``loop_factor``: a query is recorded
 136 GB reply never has to be materialized packet by packet.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.net.framing import on_wire_bytes
 from repro.ntp.constants import (
@@ -25,24 +24,14 @@ from repro.ntp.constants import (
     IMPL_XNTPD,
     IMPL_XNTPD_OLD,
     MODE6_DATA_AREA,
-    MODE_CLIENT,
     MODE_CONTROL,
     MODE_PRIVATE,
-    NTP_PORT,
     REQ_MON_GETLIST,
     REQ_MON_GETLIST_1,
-    STRATUM_UNSYNCHRONIZED,
 )
 from repro.ntp.monlist import MonlistTable
 from repro.ntp.variables import render_system_variables
-from repro.ntp.wire import (
-    decode_mode3_or_4,
-    decode_mode6,
-    decode_mode7,
-    encode_mode4,
-    encode_mode6_response,
-    mode_of,
-)
+from repro.ntp.wire import decode_mode6, decode_mode7, encode_mode6_response, mode_of
 
 __all__ = ["ServerConfig", "ProbeReply", "NtpServer", "REQUEST_CODE_TO_IMPL"]
 
@@ -83,10 +72,6 @@ class ServerConfig:
         if not 0 <= self.stratum <= 16:
             raise ValueError("stratum must be 0..16")
 
-    @property
-    def is_unsynchronized(self):
-        return self.stratum == STRATUM_UNSYNCHRONIZED
-
 
 @dataclass(frozen=True)
 class ProbeReply:
@@ -124,17 +109,6 @@ class ProbeReply:
     @property
     def total_on_wire_bytes(self):
         return self.on_wire_bytes_once * self.n_repeats
-
-    def materialize(self, max_packets=10_000):
-        """Expand repetitions into a flat packet list, bounded for safety."""
-        if self.total_packets > max_packets:
-            raise ValueError(
-                f"refusing to materialize {self.total_packets} packets (> {max_packets})"
-            )
-        out = []
-        for _ in range(self.n_repeats):
-            out.extend(self.packets)
-        return out
 
 
 class NtpServer:
@@ -247,20 +221,16 @@ class NtpServer:
         self._version_reply = ProbeReply(packets=tuple(packets), n_repeats=loop)
         return self._version_reply
 
-    def respond_time(self, src_ip, src_port, now):
-        """Handle a normal mode-3 client poll with a mode-4 reply."""
-        self.record_client(src_ip, src_port, MODE_CLIENT, 4, now)
-        leap = 3 if self.config.is_unsynchronized else 0
-        packet = encode_mode4(self.config.stratum, leap=leap)
-        return ProbeReply(packets=(packet,))
-
     def handle_datagram(self, data, src_ip, src_port, now):
-        """Full protocol path: decode a raw query and dispatch it.
+        """Full protocol path: decode a raw probe and dispatch it.
 
-        Returns a :class:`ProbeReply` (or ``None`` when the server does not
-        answer that query).  This is the byte-level entry point used by the
-        examples and protocol tests; bulk simulation uses the ``respond_*``
-        methods directly.
+        Answers the two probes the ONP apparatus sends, a mode-7 monlist
+        request and a mode-6 READVAR, with a :class:`ProbeReply`.  Returns
+        ``None`` when the server does not answer: a response packet, an
+        implementation code it does not serve, another mode-6 opcode, or any
+        other mode (mode 3 included).  This is the byte-level entry point
+        used by the examples and protocol tests; bulk simulation uses the
+        ``respond_*`` methods directly.
         """
         mode = mode_of(data)
         if mode == MODE_PRIVATE:
@@ -274,21 +244,4 @@ class NtpServer:
             if packet.response or packet.opcode != CTL_OP_READVAR:
                 return None
             return self.respond_version(src_ip, src_port, now)
-        if mode == MODE_CLIENT:
-            decode_mode3_or_4(data)
-            return self.respond_time(src_ip, src_port, now)
         return None
-
-    # -- sizing helpers -----------------------------------------------------------
-
-    def monlist_reply_size(self, now, implementation=IMPL_XNTPD):
-        """(packets, payload bytes, on-wire bytes) of a monlist reply *now*,
-        without mutating the table.  Used for attack-volume accounting."""
-        if not self.config.monlist_enabled or implementation not in self.config.implementations:
-            return (0, 0, 0)
-        entry_version = _ENTRY_VERSION_OF_IMPL[implementation]
-        packets = self.table.render_response_packets(now, entry_version, implementation)
-        loop = self.config.loop_factor
-        payload = sum(len(p) for p in packets)
-        wire = sum(on_wire_bytes(len(p)) for p in packets)
-        return (len(packets) * loop, payload * loop, wire * loop)

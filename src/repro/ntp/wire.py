@@ -1,4 +1,4 @@
-"""Binary encode/decode for NTP packets (modes 3/4, 6, and 7).
+"""Binary encode/decode for NTP packets (modes 6 and 7).
 
 All multi-byte fields are big-endian, as on the wire.  The decoder functions
 are the ones the analysis pipeline uses to re-parse captured ONP response
@@ -12,17 +12,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.ntp.constants import (
-    MODE3_PACKET_SIZE,
     MODE6_HEADER_SIZE,
     MODE7_HEADER_SIZE,
-    MODE_CLIENT,
     MODE_CONTROL,
     MODE_PRIVATE,
-    MODE_SERVER,
     MON_ENTRY_V1_SIZE,
     MON_ENTRY_V2_SIZE,
     VN_NTPV2,
-    VN_NTPV4,
 )
 
 __all__ = [
@@ -30,7 +26,6 @@ __all__ = [
     "MonitorEntry",
     "Mode7Packet",
     "Mode6Packet",
-    "Mode3Packet",
     "MON_V1_DTYPE",
     "MON_V2_DTYPE",
     "encode_mode7_request",
@@ -43,9 +38,6 @@ __all__ = [
     "encode_mode6_request",
     "encode_mode6_response",
     "decode_mode6",
-    "encode_mode3",
-    "encode_mode4",
-    "decode_mode3_or_4",
     "mode_of",
 ]
 
@@ -432,67 +424,4 @@ def decode_mode6(data):
         offset=offset,
         count=count,
         data=bytes(body),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Modes 3/4 (client/server)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Mode3Packet:
-    """A decoded standard NTP header (client or server)."""
-
-    leap: int
-    version: int
-    mode: int
-    stratum: int
-    poll: int
-    precision: int
-    root_delay: int
-    root_dispersion: int
-    reference_id: int
-    transmit_timestamp: int
-
-
-_MODE3_STRUCT = struct.Struct(">BBbbIII8x8x8xQ")
-
-assert _MODE3_STRUCT.size == MODE3_PACKET_SIZE
-
-
-def _encode_mode3_or_4(mode, stratum, version, poll, precision, refid, transmit, leap):
-    byte0 = ((leap & 0x03) << 6) | ((version & 0x07) << 3) | mode
-    return _MODE3_STRUCT.pack(byte0, stratum & 0xFF, poll, precision, 0, 0, refid, transmit)
-
-
-def encode_mode3(version=VN_NTPV4, poll=6, transmit=0):
-    """A standard 48-byte client request."""
-    return _encode_mode3_or_4(MODE_CLIENT, 0, version, poll, -20, 0, transmit, 0)
-
-
-def encode_mode4(stratum, reference_id=0, version=VN_NTPV4, poll=6, transmit=0, leap=0):
-    """A standard 48-byte server reply."""
-    return _encode_mode3_or_4(MODE_SERVER, stratum, version, poll, -20, reference_id, transmit, leap)
-
-
-def decode_mode3_or_4(data):
-    """Decode a standard 48-byte NTP header (modes 1-5)."""
-    if len(data) < MODE3_PACKET_SIZE:
-        raise WireError("short NTP packet")
-    byte0, stratum, poll, precision, delay, disp, refid, transmit = _MODE3_STRUCT.unpack_from(data)
-    mode = byte0 & 0x07
-    if mode in (MODE_CONTROL, MODE_PRIVATE):
-        raise WireError(f"mode {mode} is not a standard NTP header")
-    return Mode3Packet(
-        leap=(byte0 >> 6) & 0x03,
-        version=(byte0 >> 3) & 0x07,
-        mode=mode,
-        stratum=stratum,
-        poll=poll,
-        precision=precision,
-        root_delay=delay,
-        root_dispersion=disp,
-        reference_id=refid,
-        transmit_timestamp=transmit,
     )

@@ -266,11 +266,6 @@ class NtpHost:
             return False
         return self.remediation_time is None or t < self.remediation_time
 
-    def version_active(self, t):
-        if not self.responds_version or not self.exists_at(t):
-            return False
-        return self.version_off_time is None or t < self.version_off_time
-
     def answers_implementation(self, implementation):
         return implementation in self.implementations
 
@@ -421,9 +416,9 @@ class PoolParams:
 class _LivenessIndex:
     """Vectorized [birth, end) interval index over a host list.
 
-    The liveness predicates (``monlist_active``/``version_active``/
-    ``exists_at``) all reduce to ``birth <= t < end`` for a per-host
-    effective end time, so one pair of NumPy arrays answers any "alive at
+    Every liveness rule (``NtpHost.monlist_active``, ``exists_at``, and a
+    version responder until its ``version_off_time``) reduces to
+    ``birth <= t < end`` for a per-host effective end time, so one pair of NumPy arrays answers any "alive at
     t" query with two vectorized comparisons instead of a Python-level
     method call per host.  Results preserve the source list's order, so
     callers that index into the returned list with RNG draws see exactly

@@ -49,10 +49,6 @@ class DnsResolverPool:
         # render, not a fresh draw.
         self._series_cache = {}
 
-    @property
-    def peak(self):
-        return self._peak
-
     def count_at(self, t, noisy=True):
         """Pool size at time ``t`` (noise is deterministic per call order,
         so build full series via :meth:`weekly_series` for reproducibility)."""

@@ -268,14 +268,3 @@ class RemediationModel:
         if multiplier <= 0:
             raise ValueError("multiplier must be positive")
         return self.curve.inverse(u ** (1.0 / multiplier))
-
-    def sample_times(self, rng, continents, end_host_flags):
-        """Vectorized convenience: one remediation time per host."""
-        if len(continents) != len(end_host_flags):
-            raise ValueError("continents and end_host_flags must align")
-        draws = rng.uniform(0.0, 1.0, size=len(continents))
-        out = []
-        for u, continent, is_eh in zip(draws, continents, end_host_flags):
-            u = min(max(float(u), 1e-12), 1.0)
-            out.append(self.sample_time(u, self.multiplier_for(continent, is_eh)))
-        return out

@@ -197,15 +197,6 @@ class CountMinSketch:
             "error_bound": self.error_bound(),
         }
 
-    def __getstate__(self):
-        return (self.epsilon, self.delta, self.rows, self.total)
-
-    def __setstate__(self, state):
-        epsilon, delta, rows, total = state
-        self.__init__(epsilon, delta)
-        self.rows = rows
-        self.total = total
-
 
 class SpaceSavingTopK:
     """Metwally et al.'s space-saving heavy hitters over integer keys.

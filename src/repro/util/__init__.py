@@ -16,7 +16,6 @@ from repro.util.simtime import (
     date_to_sim,
     day_index,
     format_sim,
-    hour_index,
     month_key,
     sim_to_date,
     week_samples,
@@ -32,7 +31,6 @@ from repro.util.stats import (
     boxplot_summary,
     percentile,
     rank_series,
-    safe_ratio,
 )
 
 __all__ = [
@@ -46,7 +44,6 @@ __all__ = [
     "date_to_sim",
     "day_index",
     "format_sim",
-    "hour_index",
     "month_key",
     "sim_to_date",
     "week_samples",
@@ -60,5 +57,4 @@ __all__ = [
     "boxplot_summary",
     "percentile",
     "rank_series",
-    "safe_ratio",
 ]

@@ -72,9 +72,6 @@ class RngStream:
     def normal(self, loc=0.0, scale=1.0, size=None):
         return self._gen.normal(loc, scale, size)
 
-    def lognormal(self, mean=0.0, sigma=1.0, size=None):
-        return self._gen.lognormal(mean, sigma, size)
-
     def exponential(self, scale=1.0, size=None):
         return self._gen.exponential(scale, size)
 

@@ -19,10 +19,8 @@ __all__ = [
     "sim_to_date",
     "format_sim",
     "day_index",
-    "hour_index",
     "month_key",
     "week_samples",
-    "month_range",
     "Timeline",
 ]
 
@@ -55,11 +53,6 @@ def day_index(t):
     return int(t // DAY)
 
 
-def hour_index(t):
-    """Whole hours elapsed since the simulation epoch."""
-    return int(t // HOUR)
-
-
 def month_key(t):
     """A ``"YYYY-MM"`` key for the month containing ``t`` (paper x-axes)."""
     return sim_to_date(t).strftime("%Y-%m")
@@ -77,22 +70,6 @@ def week_samples(first, count, interval=WEEK):
     if count < 0:
         raise ValueError("count must be non-negative")
     return [first + i * interval for i in range(count)]
-
-
-def month_range(start_t, end_t):
-    """All ``"YYYY-MM"`` keys intersecting the half-open window [start, end)."""
-    if end_t <= start_t:
-        return []
-    keys = []
-    cursor = sim_to_date(start_t).replace(day=1, hour=0, minute=0, second=0, microsecond=0)
-    end = sim_to_date(end_t)
-    while cursor < end:
-        keys.append(cursor.strftime("%Y-%m"))
-        if cursor.month == 12:
-            cursor = cursor.replace(year=cursor.year + 1, month=1)
-        else:
-            cursor = cursor.replace(month=cursor.month + 1)
-    return keys
 
 
 class Timeline:
@@ -134,11 +111,3 @@ class Timeline:
 
     def __call__(self, t):
         return self.value_at(t)
-
-    @property
-    def start(self):
-        return self._points[0][0]
-
-    @property
-    def end(self):
-        return self._points[-1][0]

@@ -1,8 +1,8 @@
 """Statistics helpers used across the analysis modules.
 
 The paper reports boxplot five-number summaries (Fig. 4b/4c), percentiles
-(Fig. 6), empirical CDFs over ranked aggregates (Fig. 5), and simple ratio
-series.  These helpers centralize that arithmetic.
+(Fig. 6), empirical CDFs over ranked aggregates (Fig. 5), and ranked
+series (Fig. 4a).  These helpers centralize that arithmetic.
 """
 
 from dataclasses import dataclass
@@ -15,8 +15,6 @@ __all__ = [
     "boxplot_summary",
     "Ecdf",
     "rank_series",
-    "safe_ratio",
-    "log_center_bins",
 ]
 
 
@@ -38,9 +36,6 @@ class BoxplotSummary:
     q3: float
     maximum: float
     count: int
-
-    def as_tuple(self):
-        return (self.minimum, self.q1, self.median, self.q3, self.maximum)
 
 
 def boxplot_summary(values):
@@ -77,20 +72,12 @@ class Ecdf:
         self._weights = arr
         self._cum_frac = np.cumsum(arr) / total
 
-    @property
-    def n_items(self):
-        return int(self._weights.size)
-
     def fraction_within_top(self, k):
         """Fraction of total weight held by the ``k`` heaviest items."""
         if k <= 0:
             return 0.0
         k = min(int(k), self._weights.size)
         return float(self._cum_frac[k - 1])
-
-    def series(self):
-        """(rank, cumulative fraction) pairs, rank starting at 1."""
-        return [(i + 1, float(f)) for i, f in enumerate(self._cum_frac)]
 
 
 def rank_series(values):
@@ -100,18 +87,3 @@ def rank_series(values):
     """
     ordered = sorted((float(v) for v in values), reverse=True)
     return [(i + 1, v) for i, v in enumerate(ordered)]
-
-
-def safe_ratio(numerator, denominator):
-    """``numerator / denominator`` with 0 for a zero denominator."""
-    if denominator == 0:
-        return 0.0
-    return numerator / denominator
-
-
-def log_center_bins(low, high, per_decade=10):
-    """Geometrically spaced bin centers between ``low`` and ``high``."""
-    if low <= 0 or high <= low:
-        raise ValueError("need 0 < low < high")
-    n = max(2, int(np.ceil(np.log10(high / low) * per_decade)) + 1)
-    return list(np.geomspace(low, high, n))

@@ -34,7 +34,6 @@ __all__ = [
     "survival_anchor_lists",
     "timeline_points",
     "attack_specs",
-    "poll_bounds",
     "world_seeds",
     "world_scales",
     "fault_preset_names",
@@ -180,13 +179,6 @@ attack_specs = st.lists(
     ),
     min_size=0,
     max_size=12,
-)
-
-#: (start, width, poll_interval) windows for client-poll-count properties.
-poll_bounds = st.tuples(
-    st.floats(min_value=0.0, max_value=1e4, allow_nan=False),
-    st.floats(min_value=1.0, max_value=1e4, allow_nan=False),
-    st.floats(min_value=10.0, max_value=5000.0, allow_nan=False),
 )
 
 # -- world parameters ----------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from repro.analysis import reconstruct_table
 from repro.analysis.event_columns import columns_for_sample
 from repro.measurement.onp import ProbeCapture
-from repro.ntp import MonlistTable, WireError, encode_mode3
+from repro.ntp import MonlistTable, WireError
 from repro.ntp.constants import IMPL_XNTPD
 
 
@@ -46,7 +46,8 @@ def test_reconstruct_mega():
 
 
 def test_reconstruct_rejects_garbage():
-    bad = ProbeCapture(target_ip=1, t=0.0, packets=(encode_mode3(),))
+    mode3 = bytes([0x23]) + bytes(47)  # a 48-byte mode-3 client header
+    bad = ProbeCapture(target_ip=1, t=0.0, packets=(mode3,))
     with pytest.raises(WireError):
         reconstruct_table(bad)
     empty = ProbeCapture(target_ip=1, t=0.0, packets=())

@@ -234,7 +234,7 @@ def reference_victimology(sample, onp_ip=None):
 def test_victimology_kernels_match(data):
     samples = corpus_from(data, n_samples=3, mutated=True)
     report = analyze_dataset(build_event_columns(samples).sample_views(), onp_ip=1)
-    every, rows, per_victim_amps, durations, hours = [], [], [], [], Counter()
+    every, rows, per_victim_amps, hours = [], [], [], Counter()
     for got, sample in zip(report.samples, samples):
         observations, kinds, max_last_seen = reference_victimology(sample, onp_ip=1)
         assert got.observations == observations
@@ -243,15 +243,13 @@ def test_victimology_kernels_match(data):
         assert got.max_last_seen == max_last_seen
         every.extend(observations)
         packets, amps = Counter(), Counter()
-        starts, lengths = defaultdict(list), defaultdict(list)
+        starts = defaultdict(list)
         for o in observations:
             packets[o.victim_ip] += o.packets
             amps[o.victim_ip] += 1
             starts[o.victim_ip].append(o.start_time)
-            lengths[o.victim_ip].append(o.duration)
         for values in starts.values():
             hours[int(sorted(values)[len(values) // 2] // HOUR)] += 1
-        durations.extend(sorted(v)[len(v) // 2] for v in lengths.values())
         values = list(packets.values())
         rows.append(
             (sample.t, sum(values) / len(values), percentile(values, 50), percentile(values, 95))
@@ -262,7 +260,6 @@ def test_victimology_kernels_match(data):
     assert report.victim_packet_stats() == rows
     assert report.amplifiers_per_victim() == per_victim_amps
     assert report.attacks_per_hour() == dict(sorted(hours.items()))
-    assert report.durations() == durations
     assert report.total_attack_packets() == sum(o.packets for o in every)
     assert report.all_victim_ips() == {o.victim_ip for o in every}
     ports = Counter(o.port for o in every)

@@ -51,13 +51,13 @@ def test_resolve_fault_profile():
 
 def test_clean_injector_injects_nothing():
     injector = make_injector(CLEAN_PROFILE)
-    packets = (b"\x87\x00\x03\x2a\x00\x00\x00\x00", b"\x87\x01\x03\x2a\x00\x00\x00\x00")
     for day in range(50):
         assert not injector.sample_outage(7, float(day))
         assert injector.sweep_cutoff(7, float(day)) is None
         assert not injector.darknet_down(day)
         assert not injector.arbor_missing(day)
-    assert injector.mangle_mode7(packets) == packets
+    # No mangle rate, no mangler: the sweep keeps every packet as sent.
+    assert injector.block_mangler(0) is None
     assert injector.log.total == 0
     assert injector.log.as_dict() == {}
 
@@ -67,14 +67,15 @@ def test_clean_injector_injects_nothing():
 
 def test_injector_decisions_deterministic():
     def run(injector):
+        mangler = injector.block_mangler(0)
         decisions = []
         for day in range(200):
             decisions.append(injector.sample_outage(7, float(day)))
             decisions.append(injector.sweep_cutoff(6, float(day)))
             decisions.append(injector.darknet_down(day))
             decisions.append(injector.arbor_missing(day))
-            decisions.append(injector.mangle_mode7((bytes(range(8)) * 3, bytes(8))))
-        return decisions, injector.log.as_dict()
+            decisions.append(mangler.mangle((bytes(range(8)) * 3, bytes(8))))
+        return decisions, injector.log.as_dict(), mangler.log.as_dict()
 
     a = run(make_injector(HOSTILE_PROFILE, seed=9))
     b = run(make_injector(HOSTILE_PROFILE, seed=9))
@@ -91,37 +92,37 @@ def _fragments(n, size=40):
 
 
 def test_mangle_always_keeps_a_packet():
-    injector = make_injector(FaultProfile(onp_truncate_rate=1.0))
+    mangler = make_injector(FaultProfile(onp_truncate_rate=1.0)).block_mangler(0)
     for n in (1, 2, 5, 12):
-        out = injector.mangle_mode7(_fragments(n))
+        out = mangler.mangle(_fragments(n))
         assert 1 <= len(out) <= n
         # Truncation is a tail cut: what survives is an exact prefix.
         assert out == _fragments(n)[: len(out)]
-    assert injector.log.get("onp.monlist.truncated_response") > 0
-    assert injector.log.get("onp.monlist.dropped_packet") > 0
+    assert mangler.log.get("onp.monlist.truncated_response") > 0
+    assert mangler.log.get("onp.monlist.dropped_packet") > 0
 
 
 def test_mangle_duplicate_and_reorder_preserve_bytes():
-    injector = make_injector(
+    mangler = make_injector(
         FaultProfile(onp_duplicate_rate=1.0, onp_reorder_rate=1.0), seed=3
-    )
+    ).block_mangler(0)
     original = _fragments(6)
-    out = injector.mangle_mode7(original)
+    out = mangler.mangle(original)
     assert len(out) == 7  # one duplicated fragment
     assert set(out) == set(original)  # no new byte strings, only copies
-    assert injector.log.get("onp.monlist.duplicated_packet") == 1
-    assert injector.log.get("onp.monlist.reordered_response") == 1
+    assert mangler.log.get("onp.monlist.duplicated_packet") == 1
+    assert mangler.log.get("onp.monlist.reordered_response") == 1
 
 
 def test_mangle_corrupt_changes_exactly_one_packet():
-    injector = make_injector(FaultProfile(onp_corrupt_rate=1.0), seed=4)
+    mangler = make_injector(FaultProfile(onp_corrupt_rate=1.0), seed=4).block_mangler(0)
     original = _fragments(4)
-    out = injector.mangle_mode7(original)
+    out = mangler.mangle(original)
     assert len(out) == 4
     changed = [i for i, (a, b) in enumerate(zip(original, out)) if a != b]
     assert len(changed) == 1
     assert len(out[changed[0]]) == len(original[changed[0]])  # same length, flipped bits
-    assert injector.log.get("onp.monlist.corrupted_packet") == 1
+    assert mangler.log.get("onp.monlist.corrupted_packet") == 1
 
 
 # -- per-day caching ----------------------------------------------------------

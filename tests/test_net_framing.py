@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 
 from repro.net import MIN_ONWIRE_FRAME, on_wire_bytes, udp_datagram_bytes
-from repro.net.framing import frame_bytes, on_wire_total
+from repro.net.framing import frame_bytes
 from tests.strategies import udp_payload_sizes
 
 
@@ -35,11 +35,6 @@ def test_udp_datagram_bytes():
 
 def test_frame_padding():
     assert frame_bytes(0) == 64
-
-
-def test_on_wire_total():
-    assert on_wire_total([0, 0]) == 168
-    assert on_wire_total([]) == 0
 
 
 @given(udp_payload_sizes)

@@ -73,16 +73,6 @@ def test_prefix_nth_and_bounds():
         p.nth(4)
 
 
-def test_prefix_subprefixes():
-    p = Prefix.parse("10.0.0.0/23")
-    subs = list(p.subprefixes(24))
-    assert len(subs) == 2
-    assert str(subs[0]) == "10.0.0.0/24"
-    assert str(subs[1]) == "10.0.1.0/24"
-    with pytest.raises(ValueError):
-        list(p.subprefixes(22))
-
-
 def test_prefix_rejects_bad_length():
     with pytest.raises(ValueError):
         Prefix(0, 33)

@@ -1,18 +1,12 @@
-"""Tests for client poll aggregation and system-variable parsing."""
+"""Tests for system-variable rendering and parsing."""
 
 import pytest
-from hypothesis import given
 
 from repro.ntp import (
-    ClientProfile,
-    NtpServer,
-    ServerConfig,
     extract_compile_year,
     parse_system_variables,
     render_system_variables,
-    sync_background_clients,
 )
-from tests.strategies import poll_bounds
 
 
 def test_render_and_parse_round_trip():
@@ -46,60 +40,3 @@ def test_extract_compile_year_edge_cases():
     assert extract_compile_year("UTC 1989 (1)") is None  # out of sane range
     assert extract_compile_year("blah UTC 2004 (1)") == 2004
 
-
-def test_client_profile_polls_between():
-    profile = ClientProfile(ip=1, port=123, poll_interval=100.0, first_poll=1000.0)
-    assert profile.polls_between(0.0, 999.0) == 0
-    assert profile.polls_between(0.0, 1000.0) == 1
-    assert profile.polls_between(1000.0, 1300.0) == 3
-    assert profile.polls_between(1300.0, 1000.0) == 0
-
-
-def test_client_profile_last_poll_before():
-    profile = ClientProfile(ip=1, port=123, poll_interval=100.0, first_poll=1000.0)
-    assert profile.last_poll_before(999.0) is None
-    assert profile.last_poll_before(1000.0) == 1000.0
-    assert profile.last_poll_before(1250.0) == 1200.0
-
-
-@given(poll_bounds)
-def test_polls_between_is_additive(bounds):
-    """Property: polls over [a,c] = polls over [a,b] + polls over [b,c]."""
-    start, width, interval = bounds
-    profile = ClientProfile(ip=1, port=123, poll_interval=interval, first_poll=500.0)
-    mid = start + width / 2
-    end = start + width
-    total = profile.polls_between(start, end)
-    split = profile.polls_between(start, mid) + profile.polls_between(mid, end)
-    assert total == split
-
-
-def test_sync_background_clients_matches_per_packet_path():
-    """The aggregate sync path renders byte-identical tables to per-poll
-    recording (the fidelity claim in repro.ntp.client)."""
-    profiles = [
-        ClientProfile(ip=10, port=123, poll_interval=64.0, first_poll=100.0),
-        ClientProfile(ip=20, port=123, poll_interval=1024.0, first_poll=500.0),
-    ]
-    bulk = NtpServer(ip=1, config=ServerConfig())
-    sync_background_clients(bulk, profiles, since=0.0, now=5000.0)
-
-    exact = NtpServer(ip=1, config=ServerConfig())
-    for profile in profiles:
-        t = profile.first_poll
-        while t <= 5000.0:
-            exact.record_client(profile.ip, profile.port, 3, 4, now=t)
-            t += profile.poll_interval
-
-    assert bulk.table.entries_mru(6000.0) == exact.table.entries_mru(6000.0)
-
-
-def test_sync_background_clients_incremental():
-    """Syncing in two windows equals syncing once over the union."""
-    profiles = [ClientProfile(ip=10, port=123, poll_interval=64.0, first_poll=100.0)]
-    once = NtpServer(ip=1, config=ServerConfig())
-    sync_background_clients(once, profiles, since=0.0, now=5000.0)
-    twice = NtpServer(ip=1, config=ServerConfig())
-    sync_background_clients(twice, profiles, since=0.0, now=2500.0)
-    sync_background_clients(twice, profiles, since=2500.0, now=5000.0)
-    assert once.table.entries_mru(6000.0) == twice.table.entries_mru(6000.0)

@@ -6,16 +6,11 @@ from hypothesis import given, strategies as st
 from repro.ntp import (
     IMPL_XNTPD,
     IMPL_XNTPD_OLD,
-    MODE_CLIENT,
-    MODE_SERVER,
     REQ_MON_GETLIST,
     REQ_MON_GETLIST_1,
     WireError,
-    decode_mode3_or_4,
     decode_mode6,
     decode_mode7,
-    encode_mode3,
-    encode_mode4,
     encode_mode6_request,
     encode_mode6_response,
     encode_mode7_request,
@@ -122,7 +117,7 @@ def test_decode_mode7_rejects_short_and_wrong_mode():
     with pytest.raises(WireError):
         decode_mode7(b"\x07")
     with pytest.raises(WireError):
-        decode_mode7(encode_mode3())
+        decode_mode7(bytes([0x23]) + bytes(47))  # a 48-byte mode-3 header
 
 
 def test_mode6_request_round_trip():
@@ -147,28 +142,6 @@ def test_mode6_response_round_trip():
 def test_mode6_rejects_short():
     with pytest.raises(WireError):
         decode_mode6(b"\x06\x00")
-
-
-def test_mode3_mode4_round_trip():
-    data = encode_mode3()
-    assert len(data) == 48
-    pkt = decode_mode3_or_4(data)
-    assert pkt.mode == MODE_CLIENT
-    reply = encode_mode4(stratum=2, leap=0)
-    decoded = decode_mode3_or_4(reply)
-    assert decoded.mode == MODE_SERVER
-    assert decoded.stratum == 2
-
-
-def test_mode4_unsynchronized_leap():
-    pkt = decode_mode3_or_4(encode_mode4(stratum=16, leap=3))
-    assert pkt.leap == 3
-    assert pkt.stratum == 16
-
-
-def test_decode_mode3_rejects_control_packets():
-    with pytest.raises(WireError):
-        decode_mode3_or_4(encode_mode6_request(CTL_OP_READVAR) + b"\x00" * 40)
 
 
 def test_mode_of_empty():

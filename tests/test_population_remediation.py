@@ -10,7 +10,7 @@ from repro.population import (
     version_survival_curve,
 )
 from repro.population.remediation import calibrated_monlist_curve
-from repro.util import RngStream, date_to_sim
+from repro.util import date_to_sim
 
 
 def test_survival_curve_validation():
@@ -99,19 +99,3 @@ def test_sample_time_validates():
         model.sample_time(0.0)
     with pytest.raises(ValueError):
         model.sample_time(0.5, multiplier=0.0)
-
-
-def test_sample_times_vectorized():
-    model = RemediationModel()
-    rng = RngStream(1, "remed")
-    times = model.sample_times(rng, ["NA"] * 100 + ["SA"] * 100, [False] * 200)
-    assert len(times) == 200
-    na_none = sum(1 for t in times[:100] if t is None)
-    sa_none = sum(1 for t in times[100:] if t is None)
-    assert na_none < sa_none  # NA remediates more completely
-
-
-def test_sample_times_alignment_check():
-    model = RemediationModel()
-    with pytest.raises(ValueError):
-        model.sample_times(RngStream(1, "x"), ["NA"], [False, True])

@@ -10,12 +10,10 @@ from repro.util import (
     date_to_sim,
     day_index,
     format_sim,
-    hour_index,
     month_key,
     sim_to_date,
     week_samples,
 )
-from repro.util.simtime import month_range
 
 
 def test_epoch_is_zero():
@@ -32,10 +30,9 @@ def test_format_sim():
     assert format_sim(date_to_sim(2014, 1, 10)) == "2014-01-10"
 
 
-def test_day_and_hour_index():
+def test_day_index():
     t = date_to_sim(2013, 9, 2, 5)
     assert day_index(t) == 1
-    assert hour_index(t) == 29
 
 
 def test_month_key():
@@ -53,15 +50,6 @@ def test_week_samples_match_onp_dates():
 def test_week_samples_rejects_negative_count():
     with pytest.raises(ValueError):
         week_samples(0.0, -1)
-
-
-def test_month_range():
-    keys = month_range(date_to_sim(2013, 11, 15), date_to_sim(2014, 2, 2))
-    assert keys == ["2013-11", "2013-12", "2014-01", "2014-02"]
-
-
-def test_month_range_empty_for_reversed():
-    assert month_range(10.0, 5.0) == []
 
 
 def test_timeline_interpolates_linearly():

@@ -4,8 +4,7 @@ import math
 
 import pytest
 
-from repro.util import Ecdf, boxplot_summary, percentile, rank_series, safe_ratio
-from repro.util.stats import log_center_bins
+from repro.util import Ecdf, boxplot_summary, percentile, rank_series
 
 
 def test_percentile_basic():
@@ -24,7 +23,6 @@ def test_boxplot_summary_five_numbers():
     assert 24 <= s.q1 <= 27
     assert 74 <= s.q3 <= 77
     assert s.count == 100
-    assert s.as_tuple()[0] == s.minimum
 
 
 def test_boxplot_summary_rejects_empty():
@@ -38,14 +36,6 @@ def test_ecdf_top_k_fraction():
     assert ecdf.fraction_within_top(2) == pytest.approx(0.8)
     assert ecdf.fraction_within_top(100) == pytest.approx(1.0)
     assert ecdf.fraction_within_top(0) == 0.0
-    assert ecdf.n_items == 5
-
-
-def test_ecdf_series_monotone():
-    series = Ecdf([3, 1, 4, 1, 5]).series()
-    fracs = [f for _, f in series]
-    assert fracs == sorted(fracs)
-    assert fracs[-1] == pytest.approx(1.0)
 
 
 def test_ecdf_rejects_bad_input():
@@ -60,17 +50,3 @@ def test_ecdf_rejects_bad_input():
 def test_rank_series_descending():
     series = rank_series([10, 30, 20])
     assert series == [(1, 30.0), (2, 20.0), (3, 10.0)]
-
-
-def test_safe_ratio():
-    assert safe_ratio(1, 2) == 0.5
-    assert safe_ratio(1, 0) == 0.0
-
-
-def test_log_center_bins():
-    bins = log_center_bins(1.0, 1000.0, per_decade=2)
-    assert bins[0] == pytest.approx(1.0)
-    assert bins[-1] == pytest.approx(1000.0)
-    assert all(b2 > b1 for b1, b2 in zip(bins, bins[1:]))
-    with pytest.raises(ValueError):
-        log_center_bins(0.0, 10.0)
