@@ -20,10 +20,9 @@ from repro.analysis import (
     continent_remediation,
     pool_relative_to_peak,
     subgroup_reductions,
-    weeks_since,
 )
 from repro.reporting import render_series, render_table
-from repro.util import date_to_sim, format_sim
+from repro.util import format_sim
 
 
 def sparkline(fractions, width=40):

@@ -8,8 +8,6 @@ Usage::
     python -m repro render --all [--jobs 4] [--out-dir artifacts/]
     python -m repro validate             # §4.4 cross-dataset validation
     python -m repro quality              # per-dataset loss/outage accounting
-    python -m repro bench-build          # time a build, write BENCH_build.json
-    python -m repro bench-pipeline       # time build+parse+render, BENCH_pipeline.json
     python -m repro list                 # available artifacts and presets
 
 Every invocation shares one :class:`~repro.analysis.AnalysisContext`, so the
@@ -550,8 +548,9 @@ def render_many(world, artifact_ids, jobs=1, context=None, stats=None, runner=No
     whether the pool engaged, how many workers and tasks it ran, how many
     CPUs the host exposes, why the pool did *not* engage, and a
     ``supervision`` sub-dict of retry/timeout/crash/fallback counters.
-    ``bench-pipeline`` reports these so a no-op parallel phase is
-    explainable from the benchmark record alone.
+    The benchmark's ``batch`` workload (``perf/batch.py``) reports these
+    as ``util.pool.*`` metrics, so a pooled render that did not engage is
+    explainable from its output alone.
     """
     from repro.util.pool import ShardRunner, fork_pool_gate
 
@@ -609,340 +608,6 @@ def _emit_artifacts(ids, outputs, out_dir=None):
 
 
 # ---------------------------------------------------------------------------
-# Benchmarks
-# ---------------------------------------------------------------------------
-
-
-def _provenance(args, params):
-    """The shared benchmark-record fields tying a run to its world."""
-    import platform
-    import time as _time
-
-    from repro import __version__
-
-    return {
-        "seed": params.seed,
-        "scale": params.scale,
-        "preset": args.preset,
-        "faults": getattr(params.faults, "name", "unknown"),
-        "n_ases": params.resolved_n_ases(),
-        "package_version": __version__,
-        "python": platform.python_version(),
-        "unix_time": int(_time.time()),
-    }
-
-
-def _peak_rss_mb():
-    """(self MB, children MB) peak RSS so far for this process tree.
-
-    Linux reports ``ru_maxrss`` in KB (macOS in bytes); children covers
-    the largest fork-pool worker, so self+children bounds the build's
-    true footprint from above.
-    """
-    import resource
-
-    self_raw = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    child_raw = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    divisor = 1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0
-    return round(self_raw / divisor, 2), round(child_raw / divisor, 2)
-
-
-def _bench_build(args):
-    """Build worlds fresh (never cached), record timings + memory to JSON.
-
-    The JSON is the perf trajectory's unit record: one file per run with
-    enough provenance (seed/scale/faults/version/host counts, shard-pool
-    engagement, peak RSS) to compare across commits.  ``--scale`` accepts
-    a comma-separated list for a scaling sweep (the record then carries a
-    ``runs`` array, one entry per scale).  ``--max-seconds`` and
-    ``--max-rss-mb`` turn it into a CI regression gate.
-    """
-    from repro.measurement.capture_store import spill_threshold_bytes
-    from repro.util.io import atomic_write_json
-
-    faults = resolve_fault_profile(args.faults)
-    if args.scale is not None:
-        scales = _parse_list(args.scale, float, "scale")
-    else:
-        scales = [resolve_preset(args.preset).scale]
-    runs = []
-    worst_total = 0.0
-    params = None
-    for scale in scales:
-        params = WorldParams(seed=args.seed, scale=scale, faults=faults)
-        world = PaperWorld.build(
-            params=params,
-            quiet=args.quiet,
-            jobs=args.jobs,
-            checkpoint_dir=getattr(args, "checkpoint", None),
-            **_supervision_kwargs(args),
-        )
-        timings = dict(world.build_timings)
-        total = timings.pop("total")
-        worst_total = max(worst_total, total)
-        self_mb, children_mb = _peak_rss_mb()
-        run = {
-            "scale": scale,
-            "n_ases": params.resolved_n_ases(),
-            "hosts": len(world.hosts),
-            "victims": len(world.victims),
-            "attacks": len(world.attacks),
-            "sweeps": len(world.sweeps),
-            "total_seconds": round(total, 4),
-            "phases": {phase: round(seconds, 4) for phase, seconds in timings.items()},
-            "memory": {
-                "peak_rss_mb": round(self_mb + children_mb, 2),
-                "self_mb": self_mb,
-                "children_mb": children_mb,
-                "spill_threshold_mb": round(spill_threshold_bytes() / (1024 * 1024), 2),
-            },
-            "shards": world.shard_stats,
-            "supervision": _supervision_kwargs(args),
-        }
-        if world.checkpoint_stats is not None:
-            run["checkpoint"] = world.checkpoint_stats
-        runs.append(run)
-        print("\n".join(world.timing_summary()))
-        print(
-            f"  scale {scale:g}: peak RSS {run['memory']['peak_rss_mb']:.0f} MB "
-            f"(self {self_mb:.0f} + children {children_mb:.0f})"
-        )
-    record = _provenance(args, params)
-    record["jobs"] = args.jobs
-    if len(runs) == 1:
-        record.update(runs[0])
-    else:
-        record.pop("scale", None)
-        record.pop("n_ases", None)  # varies per run; each runs[] entry has its own
-        record["scales"] = scales
-        record["runs"] = runs
-    atomic_write_json(args.out, record)
-    print(f"(wrote {args.out})")
-    status = 0
-    if args.max_seconds is not None and worst_total > args.max_seconds:
-        print(
-            f"FAIL: build took {worst_total:.2f}s > ceiling {args.max_seconds:.2f}s",
-            file=sys.stderr,
-        )
-        status = 1
-    peak = runs[-1]["memory"]["peak_rss_mb"]
-    if args.max_rss_mb is not None and peak > args.max_rss_mb:
-        print(
-            f"FAIL: peak RSS {peak:.0f} MB > ceiling {args.max_rss_mb:.0f} MB",
-            file=sys.stderr,
-        )
-        status = 1
-    return status
-
-
-def _bench_pipeline(args):
-    """Time the full artifact pipeline: build, parse, render x2.
-
-    Renders all 22 artifacts twice — serially and over ``--jobs`` workers —
-    and fails (exit 1) if the two render passes are not byte-identical:
-    the determinism contract is load-bearing, so the benchmark doubles as
-    its enforcement.  Writes a BENCH_pipeline.json record with the same
-    provenance scheme as BENCH_build.json.
-    """
-    from time import perf_counter
-
-    params = _world_params(args)
-    ids = list(ARTIFACTS)
-
-    start = perf_counter()
-    world = PaperWorld.build(
-        params=params,
-        quiet=args.quiet,
-        checkpoint_dir=getattr(args, "checkpoint", None),
-        **_supervision_kwargs(args),
-    )
-    build_seconds = perf_counter() - start
-
-    context = AnalysisContext(world)
-    start = perf_counter()
-    context.warm()
-    parse_seconds = perf_counter() - start
-
-    start = perf_counter()
-    serial = [render_artifact(world, artifact_id, context=context) for artifact_id in ids]
-    serial_seconds = perf_counter() - start
-
-    pool_stats = {}
-    start = perf_counter()
-    parallel = render_many(
-        world,
-        ids,
-        jobs=args.jobs,
-        context=context,
-        stats=pool_stats,
-        runner=_make_runner(args.jobs, args),
-    )
-    parallel_seconds = perf_counter() - start
-
-    from repro.measurement.capture_store import spill_threshold_bytes
-
-    identical = serial == parallel
-    total = build_seconds + parse_seconds + serial_seconds + parallel_seconds
-    self_mb, children_mb = _peak_rss_mb()
-    record = _provenance(args, params)
-    record.update(
-        {
-            "jobs": args.jobs,
-            "n_artifacts": len(ids),
-            "parse_calls": context.parse_calls,
-            "byte_identical": identical,
-            "total_seconds": round(total, 4),
-            "phases": {
-                "build": round(build_seconds, 4),
-                "parse": round(parse_seconds, 4),
-                "render_serial": round(serial_seconds, 4),
-                "render_parallel": round(parallel_seconds, 4),
-            },
-            "memory": {
-                "peak_rss_mb": round(self_mb + children_mb, 2),
-                "self_mb": self_mb,
-                "children_mb": children_mb,
-                "spill_threshold_mb": round(spill_threshold_bytes() / (1024 * 1024), 2),
-            },
-            "render_pool": pool_stats,
-        }
-    )
-    from repro.util.io import atomic_write_json
-
-    atomic_write_json(args.out, record)
-    print(f"Pipeline: {total:.2f}s wall clock ({len(ids)} artifacts, jobs={args.jobs})")
-    for phase, seconds in record["phases"].items():
-        print(f"  {phase:<16} {seconds:8.2f}s")
-    if pool_stats.get("pool_engaged"):
-        print(
-            f"  (render pool: {pool_stats['workers']} workers, "
-            f"{pool_stats['tasks']} tasks, host has {pool_stats['cpu_count']} CPUs)"
-        )
-    else:
-        print(f"  (render pool not engaged: {pool_stats.get('reason')})")
-    peak = record["memory"]["peak_rss_mb"]
-    print(f"  peak RSS {peak:.0f} MB (self {self_mb:.0f} + children {children_mb:.0f})")
-    print(f"(wrote {args.out})")
-    status = 0
-    if not identical:
-        print("FAIL: parallel render output differs from serial", file=sys.stderr)
-        status = 1
-    if args.max_parse_seconds is not None and parse_seconds > args.max_parse_seconds:
-        print(
-            f"FAIL: parse phase took {parse_seconds:.2f}s > ceiling "
-            f"{args.max_parse_seconds:.2f}s",
-            file=sys.stderr,
-        )
-        status = 1
-    if args.max_render_seconds is not None and serial_seconds > args.max_render_seconds:
-        print(
-            f"FAIL: serial render took {serial_seconds:.2f}s > ceiling "
-            f"{args.max_render_seconds:.2f}s",
-            file=sys.stderr,
-        )
-        status = 1
-    if args.max_rss_mb is not None and peak > args.max_rss_mb:
-        print(
-            f"FAIL: peak RSS {peak:.0f} MB > ceiling {args.max_rss_mb:.0f} MB",
-            file=sys.stderr,
-        )
-        status = 1
-    if args.max_seconds is not None and total > args.max_seconds:
-        print(
-            f"FAIL: pipeline took {total:.2f}s > ceiling {args.max_seconds:.2f}s",
-            file=sys.stderr,
-        )
-        status = 1
-    return status
-
-
-def _bench_verify(args):
-    """Time the conformance matrix, write a BENCH_verify.json record.
-
-    The verify-world analogue of ``bench-pipeline``: runs the full
-    invariant matrix at ``--jobs`` workers, records wall clock, matrix
-    shape, pool facts, and outcome counts, and optionally enforces a
-    wall-clock ceiling (CI regression gate).  Exit 1 when the matrix is
-    nonconformant or over budget.
-    """
-    from time import perf_counter
-
-    from repro.verify import run_conformance
-
-    seeds = _parse_list(args.seeds, int, "seed")
-    scales = _parse_list(args.scales, float, "scale")
-    faults = _parse_list(args.faults, str, "fault preset")
-    for name in faults:
-        try:
-            resolve_fault_profile(name)
-        except KeyError as error:
-            raise CliError(str(error).strip("'\""))
-
-    def progress(message):
-        if not args.quiet:
-            print(f"[bench-verify] {message}", file=sys.stderr)
-
-    start = perf_counter()
-    report = run_conformance(
-        seeds,
-        scales,
-        faults,
-        progress=progress,
-        jobs=args.jobs,
-        build_jobs=args.build_jobs,
-        **_supervision_kwargs(args),
-    )
-    total = perf_counter() - start
-
-    import platform
-    import time as _time
-
-    from repro import __version__
-    from repro.util.io import atomic_write_json
-    from repro.util.pool import available_cpus
-
-    record = {
-        "seeds": seeds,
-        "scales": scales,
-        "faults": faults,
-        "jobs": args.jobs,
-        "build_jobs": args.build_jobs,
-        "cpu_count": available_cpus(),
-        "cells": len(report.cells),
-        "invariants_registered": report.invariants_run,
-        "counts": report.counts(),
-        "ok": report.ok,
-        "shards": report.shards,
-        "supervision": _supervision_kwargs(args),
-        "total_seconds": round(total, 4),
-        "package_version": __version__,
-        "python": platform.python_version(),
-        "unix_time": int(_time.time()),
-    }
-    atomic_write_json(args.out, record)
-    counts = report.counts()
-    print(
-        f"Verify: {total:.2f}s wall clock ({len(report.cells)} worlds, "
-        f"{report.invariants_run} invariants, jobs={args.jobs}; "
-        f"{counts['pass']} pass / {counts['fail']} fail / {counts['skip']} skip)"
-    )
-    print(f"(wrote {args.out})")
-    if not report.ok:
-        print(
-            "FAIL: matrix nonconformant: " + ", ".join(report.violated()),
-            file=sys.stderr,
-        )
-        return 1
-    if args.max_seconds is not None and total > args.max_seconds:
-        print(
-            f"FAIL: verify matrix took {total:.2f}s > ceiling {args.max_seconds:.2f}s",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # Streaming service
 # ---------------------------------------------------------------------------
 
@@ -987,93 +652,6 @@ def _stream_query(args):
         print(f"error: cannot reach {url}: {error}", file=sys.stderr)
         return 2
     print(json.dumps(body, indent=2, sort_keys=True))
-    return 0
-
-
-def _bench_serve(args):
-    """Hammer an in-process service; write the BENCH_serve.json record.
-
-    The serve analogue of ``bench-pipeline``: ``--clients`` concurrent
-    simulated clients x ``--requests`` queries each against a service
-    ingesting the world's replay, recording queries/sec, ingest
-    records/sec, latency percentiles, and peak RSS.  ``--warmup`` runs
-    prime caches and the allocator; ``--repeats`` measured runs are all
-    recorded and the best (by queries/sec) becomes the headline — this
-    box shares cores, so single runs are too noisy to gate on.
-    ``--max-p95-ms``, ``--min-ingest-rps`` and ``--max-seconds`` turn it
-    into a CI perf gate (exit 1 on breach).
-    """
-    import time as _time
-
-    from repro.stream import run_loadgen
-    from repro.util.io import atomic_write_json
-    from repro.util.pool import pool_provenance
-
-    params = _world_params(args)
-    world = build_or_load_world(args)
-
-    def one_run():
-        return run_loadgen(
-            world,
-            clients=args.clients,
-            requests=args.requests,
-            batch=args.batch,
-            pace=args.pace,
-            keepalive=not args.no_keepalive,
-        )
-
-    started = _time.monotonic()
-    for _ in range(max(0, args.warmup)):
-        one_run()
-    runs = [one_run() for _ in range(max(1, args.repeats))]
-    total = _time.monotonic() - started
-    result = max(runs, key=lambda r: r["queries_per_second"])
-    self_mb, children_mb = _peak_rss_mb()
-    record = _provenance(args, params)
-    record.update(result)
-    record["total_seconds"] = round(total, 4)
-    record["warmup_runs"] = max(0, args.warmup)
-    record["runs"] = [
-        {
-            "queries_per_second": r["queries_per_second"],
-            "ingest_records_per_second": r["ingest"]["records_per_second"],
-            "p95_ms": r["latency_ms"]["p95"],
-            "best": r is result,
-        }
-        for r in runs
-    ]
-    record["memory"] = {
-        "peak_rss_mb": round(self_mb + children_mb, 2),
-        "self_mb": self_mb,
-        "children_mb": children_mb,
-    }
-    record["pool"] = pool_provenance()
-    atomic_write_json(args.out, record)
-    p95 = result["latency_ms"]["p95"]
-    ingest_rps = result["ingest"]["records_per_second"]
-    print(
-        f"bench-serve: {result['queries_per_second']} q/s, "
-        f"{ingest_rps} rec/s ingest, "
-        f"p50 {result['latency_ms']['p50']} ms, p95 {p95} ms "
-        f"({result['requests_ok']}/{result['requests_total']} ok, "
-        f"best of {len(runs)}) -> {args.out}"
-    )
-    failed = []
-    if result["requests_failed"]:
-        failed.append(f"{result['requests_failed']} requests failed")
-    if not result["ingest"]["balanced"]:
-        failed.append("ingest accounting unbalanced")
-    if args.max_p95_ms is not None and (p95 is None or p95 > args.max_p95_ms):
-        failed.append(f"p95 {p95} ms > ceiling {args.max_p95_ms} ms")
-    if args.min_ingest_rps is not None and ingest_rps < args.min_ingest_rps:
-        failed.append(
-            f"ingest {ingest_rps} rec/s < floor {args.min_ingest_rps} rec/s"
-        )
-    if args.max_seconds is not None and total > args.max_seconds:
-        failed.append(f"took {total:.2f}s > ceiling {args.max_seconds:.2f}s")
-    if failed:
-        print("FAIL: " + "; ".join(failed), file=sys.stderr)
-        return 1
     return 0
 
 
@@ -1170,18 +748,9 @@ def _verify_manifest(args):
     return 0 if ok else 1
 
 
-def _add_world_args(parser, scale_list=False):
+def _add_world_args(parser):
     parser.add_argument("--seed", type=int, default=2014)
-    if scale_list:
-        parser.add_argument(
-            "--scale",
-            type=str,
-            default=None,
-            metavar="S[,S...]",
-            help="overrides --preset; comma-separated values run a scaling sweep",
-        )
-    else:
-        parser.add_argument("--scale", type=float, default=None, help="overrides --preset")
+    parser.add_argument("--scale", type=float, default=None, help="overrides --preset")
     parser.add_argument("--preset", default="small", choices=sorted(PRESETS))
     parser.add_argument(
         "--faults",
@@ -1243,104 +812,6 @@ def main(argv=None):
     p_summary.add_argument(
         "--timings", action="store_true", default=False, help="append per-phase build timings"
     )
-
-    p_bench = subparsers.add_parser(
-        "bench-build", help="time a world build and write a BENCH_build.json record"
-    )
-    _add_world_args(p_bench, scale_list=True)
-    p_bench.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="shard the build phases over N fork-pool workers "
-        "(the world is byte-identical at any N)",
-    )
-    p_bench.add_argument("--out", default="BENCH_build.json", help="output JSON path")
-    p_bench.add_argument(
-        "--max-seconds",
-        type=float,
-        default=None,
-        help="exit nonzero if the build exceeds this wall-clock ceiling (CI smoke)",
-    )
-    p_bench.add_argument(
-        "--max-rss-mb",
-        type=float,
-        default=None,
-        help="exit nonzero if peak RSS (self + children) exceeds this ceiling "
-        "(memory-regression tripwire)",
-    )
-
-    p_bench_pipe = subparsers.add_parser(
-        "bench-pipeline",
-        help="time build + parse + serial/parallel render of all artifacts",
-    )
-    _add_world_args(p_bench_pipe)
-    _add_jobs_arg(p_bench_pipe)
-    p_bench_pipe.add_argument("--out", default="BENCH_pipeline.json", help="output JSON path")
-    p_bench_pipe.add_argument(
-        "--max-seconds",
-        type=float,
-        default=None,
-        help="exit nonzero if the pipeline exceeds this wall-clock ceiling (CI smoke)",
-    )
-    p_bench_pipe.add_argument(
-        "--max-parse-seconds",
-        type=float,
-        default=None,
-        help="exit nonzero if the parse phase alone exceeds this ceiling "
-        "(decode-regression tripwire)",
-    )
-    p_bench_pipe.add_argument(
-        "--max-render-seconds",
-        type=float,
-        default=None,
-        help="exit nonzero if the serial render pass exceeds this ceiling "
-        "(aggregation-kernel regression tripwire)",
-    )
-    p_bench_pipe.add_argument(
-        "--max-rss-mb",
-        type=float,
-        default=None,
-        help="exit nonzero if peak RSS (self + children) exceeds this ceiling",
-    )
-
-    p_bench_verify = subparsers.add_parser(
-        "bench-verify",
-        help="time the conformance matrix and write a BENCH_verify.json record",
-    )
-    p_bench_verify.add_argument("--seeds", default="7,2014,99", help="comma-separated seeds")
-    p_bench_verify.add_argument(
-        "--scales", default="0.0005,0.001", help="comma-separated scales"
-    )
-    p_bench_verify.add_argument(
-        "--faults",
-        default="clean,paper",
-        help=f"comma-separated fault presets ({', '.join(FAULT_PROFILES)})",
-    )
-    p_bench_verify.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="build matrix cells over N fork-pool workers",
-    )
-    p_bench_verify.add_argument(
-        "--build-jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="shard each world build over N workers (compose with --jobs carefully)",
-    )
-    p_bench_verify.add_argument("--out", default="BENCH_verify.json", help="output JSON path")
-    p_bench_verify.add_argument(
-        "--max-seconds",
-        type=float,
-        default=None,
-        help="exit nonzero if the matrix exceeds this wall-clock ceiling (CI smoke)",
-    )
-    p_bench_verify.add_argument("--quiet", action="store_true", default=False)
-    _add_supervision_args(p_bench_verify)
 
     p_figure = subparsers.add_parser("figure", help="render figures F1..F16")
     p_figure.add_argument("ids", nargs="+", metavar="F#")
@@ -1474,57 +945,6 @@ def main(argv=None):
     p_squery.add_argument("--n", type=int, default=None, help="top-K size for top_* queries")
     p_squery.add_argument("--timeout", type=float, default=10.0)
 
-    p_bench_serve = subparsers.add_parser(
-        "bench-serve",
-        help="load-test the streaming service, write BENCH_serve.json",
-    )
-    _add_world_args(p_bench_serve)
-    p_bench_serve.add_argument("--clients", type=int, default=8, metavar="N")
-    p_bench_serve.add_argument(
-        "--requests", type=int, default=25, metavar="N", help="queries per client"
-    )
-    p_bench_serve.add_argument("--batch", type=int, default=512, metavar="N")
-    p_bench_serve.add_argument("--pace", type=float, default=0.0, metavar="SECONDS")
-    p_bench_serve.add_argument(
-        "--no-keepalive",
-        action="store_true",
-        default=False,
-        help="one connection per request: measures the keep-alive win",
-    )
-    p_bench_serve.add_argument(
-        "--warmup",
-        type=int,
-        default=1,
-        metavar="N",
-        help="unrecorded priming runs before the measured ones",
-    )
-    p_bench_serve.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        metavar="N",
-        help="measured runs; all are recorded, the best becomes the headline",
-    )
-    p_bench_serve.add_argument("--out", default="BENCH_serve.json")
-    p_bench_serve.add_argument(
-        "--max-p95-ms",
-        type=float,
-        default=None,
-        help="exit 1 if p95 query latency exceeds this many milliseconds",
-    )
-    p_bench_serve.add_argument(
-        "--min-ingest-rps",
-        type=float,
-        default=None,
-        help="exit 1 if ingest records/sec falls below this floor",
-    )
-    p_bench_serve.add_argument(
-        "--max-seconds",
-        type=float,
-        default=None,
-        help="exit 1 if the whole exercise exceeds this wall clock",
-    )
-
     subparsers.add_parser("list", help="list artifacts and presets")
 
     args = parser.parse_args(argv)
@@ -1538,20 +958,6 @@ def main(argv=None):
             print(f"  {preset.name:>8}  scale={preset.scale}  {preset.description}")
         return 0
 
-    if args.command == "bench-build":
-        try:
-            return _bench_build(args)
-        except CliError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    if args.command == "bench-pipeline":
-        return _bench_pipeline(args)
-    if args.command == "bench-verify":
-        try:
-            return _bench_verify(args)
-        except CliError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
     if args.command == "verify-world":
         try:
             return _verify_world(args)
@@ -1568,12 +974,6 @@ def main(argv=None):
             return 2
     if args.command == "stream-query":
         return _stream_query(args)
-    if args.command == "bench-serve":
-        try:
-            return _bench_serve(args)
-        except CliError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
 
     if args.command == "render":
         if args.all:

@@ -22,7 +22,7 @@ import bisect
 
 import numpy as np
 
-from repro.ntp.constants import MODE_CLIENT, NTP_PORT
+from repro.ntp.constants import MODE_CLIENT
 from repro.ntp.server import NtpServer, ServerConfig
 
 __all__ = ["AmplifierStateManager"]

@@ -31,7 +31,7 @@ from repro.attack.scanner import ONP_PROBER_IP
 from repro.measurement.capture_store import PackedCaptures, PackedCapturesBuilder
 from repro.ntp.constants import IMPL_XNTPD, MODE_CONTROL, MODE_PRIVATE
 from repro.util.pool import ShardRunner
-from repro.util.simtime import WEEK, date_to_sim, format_sim, week_samples
+from repro.util.simtime import date_to_sim, format_sim, week_samples
 
 __all__ = [
     "MONLIST_SAMPLE_TIMES",

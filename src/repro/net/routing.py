@@ -20,7 +20,6 @@ class RoutedBlockTable:
         self._trie = PrefixTrie()
         for prefix, system in registry.all_prefixes():
             self._trie.insert(prefix, (prefix, system))
-        self._registry = registry
 
     def lookup(self, ip):
         """``(Prefix, AutonomousSystem)`` covering ``ip``, or ``None``."""

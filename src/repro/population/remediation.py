@@ -17,7 +17,7 @@ remediation time.
 
 import math
 
-from repro.util.simtime import WEEK, date_to_sim
+from repro.util.simtime import date_to_sim
 
 __all__ = [
     "SurvivalCurve",

@@ -44,7 +44,7 @@ _CHECKPOINT_LAYOUT = b"repro/checkpoint:envelope,state\n"
 class BuildCheckpoint:
     """One build's checkpoint file, keyed like the world cache.
 
-    :attr:`stats` accumulates provenance for BENCH records: whether a
+    :attr:`stats` (the built world's ``checkpoint_stats``) records whether a
     resume happened, which phases were loaded, how many saves landed,
     and why a present-but-unusable checkpoint was ignored.
     """

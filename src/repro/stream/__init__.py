@@ -21,9 +21,9 @@ serving layer for the repro:
   point without a full reparse — one vectorized ingest path, whatever
   the batch size;
 * :mod:`repro.stream.service` — a long-running asyncio HTTP/JSON service
-  over one engine (``python -m repro serve`` / ``repro stream-query``);
-* :mod:`repro.stream.loadgen` — the concurrent-client harness behind
-  ``repro bench-serve`` and ``BENCH_serve.json``.
+  over one engine (``python -m repro serve`` / ``repro stream-query``).
+  The benchmark's ``serve-live`` and ``serve-steady`` workloads load it
+  from outside (``perf/``).
 
 The conformance contract is the heart of the package: the
 ``world.streaming_matches_batch`` invariant in :mod:`repro.verify`
@@ -34,7 +34,6 @@ estimates), across the usual seed x scale x fault matrix.
 """
 
 from repro.stream.ingest import QUERY_NAMES, StreamEngine
-from repro.stream.loadgen import run_loadgen
 from repro.stream.replay import RecordBatch, replay_plan, replay_records
 from repro.stream.service import StreamService, serve_world
 from repro.stream.sketches import CountMinSketch, SpaceSavingTopK
@@ -46,7 +45,6 @@ __all__ = [
     "RecordBatch",
     "StreamService",
     "serve_world",
-    "run_loadgen",
     "replay_records",
     "replay_plan",
     "CountMinSketch",

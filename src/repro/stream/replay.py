@@ -261,8 +261,8 @@ def replay_plan(world, site_name="merit"):
 
     ``capture_origin`` aligns the weekly capture windows so each monlist
     sample lands in its own window; ``expected`` carries per-kind record
-    counts for ingest-rate provenance (BENCH_serve.json) and end-of-run
-    accounting checks.
+    counts for the end-of-run accounting checks (the service's ingest
+    ledger, the ``ingest`` benchmark and ``world.streaming_matches_batch``).
     """
     samples = world.onp.monlist_samples
     origin = float(samples[0].t) if samples else 0.0

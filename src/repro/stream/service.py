@@ -132,22 +132,17 @@ class StreamService:
         finally:
             self.ingest_seconds = time.monotonic() - started
 
-    def request_shutdown(self):
-        self._shutdown.set()
-
-    async def serve_until_shutdown(self, install_signals=True):
-        """Run until SIGTERM/SIGINT or :meth:`request_shutdown`; drain."""
+    async def serve_until_shutdown(self):
+        """Run until SIGTERM/SIGINT; drain."""
         loop = asyncio.get_running_loop()
-        if install_signals:
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                loop.add_signal_handler(signum, self._shutdown.set)
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            loop.add_signal_handler(signum, self._shutdown.set)
         try:
             await self._shutdown.wait()
         finally:
             await self.stop()
-            if install_signals:
-                for signum in (signal.SIGTERM, signal.SIGINT):
-                    loop.remove_signal_handler(signum)
+            for signum in (signal.SIGTERM, signal.SIGINT):
+                loop.remove_signal_handler(signum)
 
     async def stop(self):
         """Stop accepting, cancel ingestion at a batch boundary, close

@@ -1,20 +1,18 @@
 """Atomic file writes: temp file + ``os.replace``.
 
 Every writer of a file another process may read — the world cache,
-build checkpoints, BENCH records, golden manifests, conformance
-reports, rendered artifacts — gets the same guarantee: a reader never
-observes a truncated file.  Either the old bytes are still
-there or the new bytes are complete; an interrupted writer leaves at
-worst an orphaned ``*.tmp.<pid>`` alongside, never a half-written
-target.
+build checkpoints, golden manifests, conformance reports, rendered
+artifacts — gets the same guarantee: a reader never observes a truncated
+file.  Either the old bytes are still there or the new bytes are
+complete; an interrupted writer leaves at worst an orphaned
+``*.tmp.<pid>`` alongside, never a half-written target.
 """
 
 from __future__ import annotations
 
-import json
 import os
 
-__all__ = ["atomic_write_stream", "atomic_write_bytes", "atomic_write_text", "atomic_write_json"]
+__all__ = ["atomic_write_stream", "atomic_write_bytes", "atomic_write_text"]
 
 
 def atomic_write_stream(path, write):
@@ -48,10 +46,3 @@ def atomic_write_text(path, text, encoding="utf-8"):
     """Write ``text`` to ``path`` atomically; returns ``path``."""
     return atomic_write_bytes(path, text.encode(encoding))
 
-
-def atomic_write_json(path, record, indent=2, sort_keys=True):
-    """Serialize ``record`` and write it atomically with a trailing
-    newline.  Serialization happens fully *before* the first byte is
-    written, so an unserializable record never touches the target."""
-    text = json.dumps(record, indent=indent, sort_keys=sort_keys) + "\n"
-    return atomic_write_text(path, text)

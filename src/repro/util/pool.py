@@ -37,7 +37,7 @@ every shard task is a pure function of ``(ctx, index)`` with its own
 derived RNG stream, so a retried task is byte-identical to a first-try
 task, and a deterministic in-task exception surfaces in the parent with
 its genuine traceback.  The supervisor's counters land in
-:attr:`ShardRunner.stats` per phase for BENCH provenance.
+:attr:`ShardRunner.stats` per phase.
 
 This module deliberately imports nothing else from ``repro`` except its
 sibling :mod:`repro.util.chaos` so every layer can use it.
@@ -54,7 +54,6 @@ import time
 __all__ = [
     "available_cpus",
     "fork_pool_gate",
-    "pool_provenance",
     "ShardRunner",
     "summarize_shard_stats",
 ]
@@ -73,17 +72,16 @@ def fork_pool_gate(jobs, n_tasks, cpus=None, phase=None):
     """Decide whether a fork pool should engage.
 
     Returns ``(engaged, reason)``; ``reason`` is ``None`` when engaged,
-    otherwise a stable human-readable string recorded in provenance
-    (BENCH files, shard stats) so a silently-serial run is explainable
-    after the fact.  ``phase`` (when given) prefixes the reason, so a
-    BENCH record with several phases reads unambiguously — every
-    :meth:`ShardRunner.map` call passes its phase name.
+    otherwise a stable human-readable string recorded in the shard
+    stats so a silently-serial run is explainable after the fact.
+    ``phase`` (when given) prefixes the reason, so stats covering several
+    phases read unambiguously — every :meth:`ShardRunner.map` call
+    passes its phase name.
 
     ``cpus`` lets the caller pass the :func:`available_cpus` value it
-    will record in provenance, so the recorded ``cpu_count`` and the
-    engagement decision can never disagree (a BENCH record saying
-    ``cpu_count: 1`` next to ``pool_engaged: true`` is a provenance
-    bug, not a configuration).
+    will record in the stats, so the recorded ``cpu_count`` and the
+    engagement decision can never disagree (``cpu_count: 1`` next to
+    ``engaged: true`` would be a recording bug, not a configuration).
     """
 
     def veto(reason):
@@ -106,24 +104,6 @@ def fork_pool_gate(jobs, n_tasks, cpus=None, phase=None):
     return True, None
 
 
-def pool_provenance():
-    """The execution-environment facts every BENCH record should carry.
-
-    One shared helper so ``cpu_count`` and fork availability are reported
-    identically across BENCH_build / BENCH_verify / BENCH_serve — the
-    same never-disagree rule :func:`fork_pool_gate` applies to its own
-    engagement decision.
-    """
-    import multiprocessing
-
-    try:
-        multiprocessing.get_context("fork")
-        fork_available = True
-    except ValueError:
-        fork_available = False
-    return {"cpu_count": available_cpus(), "fork_available": fork_available}
-
-
 def _percentile(ordered, q):
     """Linear-interpolation percentile of an ascending list (numpy's
     default method, dependency-free)."""
@@ -137,13 +117,15 @@ def _percentile(ordered, q):
 
 
 def summarize_shard_stats(stats):
-    """Condense live :attr:`ShardRunner.stats` for provenance records.
+    """Condense live :attr:`ShardRunner.stats` into ``world.shard_stats``.
 
     The live dicts carry one float and one source string **per task** —
-    thousands of entries at scale, which used to dominate the checked-in
-    BENCH files.  The record form replaces ``task_seconds`` with its
+    thousands of entries at scale, too many to keep on every built
+    world.  The condensed form replaces ``task_seconds`` with its
     summary (count/p50/p95/max/sum) and ``task_source`` with per-source
-    counts; everything else is copied through unchanged.
+    counts; everything else is copied through unchanged.  The benchmark's
+    ``batch`` workload reads the result for its ``util.pool.*``
+    metrics.
     """
     out = {}
     for phase, stat in stats.items():
@@ -281,8 +263,7 @@ class ShardRunner:
     delay (``backoff * 2**(attempt-1)`` seconds).
 
     Per-phase engagement decisions, per-task wall-clock timings, and
-    the supervisor's fault counters are recorded in :attr:`stats` for
-    BENCH provenance.
+    the supervisor's fault counters are recorded in :attr:`stats`.
     """
 
     def __init__(self, jobs=1, task_timeout=None, retries=2, backoff=0.1):

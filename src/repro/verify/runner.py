@@ -205,9 +205,6 @@ class ConformanceReport:
     cells: list = field(default_factory=list)
     outcomes: list = field(default_factory=list)
     invariants_run: int = 0
-    #: Shard-pool provenance for the cell-build pool (engagement, per-task
-    #: timings, supervisor fault counters); empty on serial runs.
-    shards: dict = field(default_factory=dict)
 
     @property
     def ok(self):
@@ -233,11 +230,6 @@ class ConformanceReport:
         return counts
 
     def as_dict(self):
-        # ``shards`` is deliberately NOT serialized: the report dict is
-        # contractually identical at any ``jobs`` value, while pool
-        # provenance (worker counts, per-task timings, retry counters)
-        # varies by run.  ``bench-verify`` records ``report.shards``
-        # separately in BENCH_verify.json.
         return {
             "ok": self.ok,
             "invariants_registered": self.invariants_run,
@@ -391,7 +383,7 @@ def run_conformance(
     invariants = all_invariants()
     world_invs = [inv for inv in invariants if inv.scope == "world"]
 
-    from repro.util.pool import ShardRunner, fork_pool_gate, summarize_shard_stats
+    from repro.util.pool import ShardRunner, fork_pool_gate
 
     runner_kwargs = {}
     if task_timeout is not None:
@@ -416,9 +408,7 @@ def run_conformance(
         records[cell] = record
         world_outcomes[cell] = outcomes
 
-    report = ConformanceReport(
-        cells=cells, invariants_run=len(invariants), shards=summarize_shard_stats(runner.stats)
-    )
+    report = ConformanceReport(cells=cells, invariants_run=len(invariants))
     say(f"evaluating {len(invariants)} invariants over {len(cells)} worlds")
 
     for inv in invariants:

@@ -96,8 +96,8 @@ VERDICTS = {name: reason for reason, *names in [
         "repro.analysis.local:coordination_report",
     ),
     (
-        "path: T3's note when no capture in the sample holds a probe-topped table; no test "
-        "drives it",
+        "path: T3's note when no capture in the sample holds a probe-topped table; "
+        "test_degradation_render::test_table3_note_when_no_table_is_probe_topped",
         "repro.analysis.monlist_parse:ParseStats.captures_parsed",
         "repro.measurement.onp:OnpSample.date",
     ),
@@ -153,21 +153,6 @@ VERDICTS = {name: reason for reason, *names in [
         "claim: test_analysis_victimology::test_amplifiers_per_victim_declines (the §6.3 "
         "decline)",
         "repro.analysis.victimology:VictimologyReport.amplifiers_per_victim",
-    ),
-    (
-        "path: the bench-* commands until ROADMAP item 1 deletes them; test_build_shards, "
-        "test_pipeline_context and test_decode_fast run them",
-        "repro.cli:_bench_build",
-        "repro.cli:_bench_pipeline",
-        "repro.cli:_bench_verify",
-        "repro.cli:_peak_rss_mb",
-        "repro.cli:_provenance",
-        "repro.util.io:atomic_write_json",
-    ),
-    (
-        "path: bench-serve until ROADMAP item 1 deletes it; only CI's stream job runs it",
-        "repro.cli:_bench_serve",
-        "repro.util.pool:pool_provenance",
     ),
     (
         "oracle: test_faults reads injected-fault counts through it",
@@ -346,19 +331,6 @@ VERDICTS = {name: reason for reason, *names in [
         "repro.scenario.world:PaperWorld.__copy__",
     ),
     (
-        "path: bench-serve's load generator until ROADMAP item 1 deletes it; "
-        "test_stream_service::test_loadgen_reports_connection_reuse",
-        "repro.stream.loadgen:_Client.__init__",
-        "repro.stream.loadgen:_Client._connect",
-        "repro.stream.loadgen:_Client.close",
-        "repro.stream.loadgen:_Client.fetch",
-        "repro.stream.loadgen:_fetch",
-        "repro.stream.loadgen:_read_response",
-        "repro.stream.loadgen:_run",
-        "repro.stream.loadgen:_run_client",
-        "repro.stream.loadgen:run_loadgen",
-    ),
-    (
         "path: names a late or duplicate row when ingest rejects it; test_stream_properties",
         "repro.stream.replay:RecordBatch.uid",
     ),
@@ -366,11 +338,6 @@ VERDICTS = {name: reason for reason, *names in [
         "path: a request the service refuses (400, 431); "
         "test_stream_service::test_unframeable_request_is_refused_once_and_closes",
         "repro.stream.service:StreamService._refuse",
-    ),
-    (
-        "path: stops an in-process service (bench-serve, test_stream_service); the serve "
-        "command stops on SIGTERM",
-        "repro.stream.service:StreamService.request_shutdown",
     ),
     (
         "oracle: test_stream_properties compares add_many and the engine's sketches with the "
@@ -415,8 +382,8 @@ VERDICTS = {name: reason for reason, *names in [
         "repro.util.pool:_untrap_sigterm",
     ),
     (
-        "path: names the faulted cell in a world.fault_ground_truth violation; no test forces "
-        "one",
+        "path: names the faulted cell in a fault.ground_truth_invariant violation; "
+        "test_verify_conformance::test_fault_ground_truth_violation_names_the_profile",
         "repro.verify.runner:WorldRecord.fault_name",
     ),
 ] for name in names}

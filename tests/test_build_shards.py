@@ -5,12 +5,11 @@ byte-identical to the serial build, because both paths run the same
 fixed-block algorithm in the same block order with the same derived RNG
 child streams.  These tests pin that contract at bench scale across
 seeds and shard counts, the gating decisions that keep the pool off
-one-CPU machines, the partitioner's invariants, and the BENCH_build
-record schema (memory + shard provenance) the CI gates read.
+one-CPU machines, the partitioner's invariants, and the shape of
+``world.shard_stats``, which the benchmark's ``batch`` workload reads.
 """
 
 import hashlib
-import json
 from dataclasses import fields
 
 import numpy as np
@@ -240,48 +239,20 @@ def test_cache_hit_across_jobs(tmp_path, monkeypatch):
     assert not any("miss" in line for line in notes)
 
 
-# -- BENCH_build record schema -------------------------------------------------
+# -- shard stats ---------------------------------------------------------------
 
 
-def test_bench_build_record_schema(tmp_path):
-    from repro.cli import main
-
-    out = tmp_path / "bench.json"
-    rc = main(
-        ["bench-build", "--seed", "7", "--scale", "0.0002", "--jobs", "2",
-         "--out", str(out), "--quiet"]
-    )
-    assert rc == 0
-    record = json.loads(out.read_text())
-    assert record["jobs"] == 2
-    memory = record["memory"]
-    assert set(memory) == {"peak_rss_mb", "self_mb", "children_mb", "spill_threshold_mb"}
-    assert memory["peak_rss_mb"] >= memory["self_mb"] > 0
+def test_shard_stats_schema():
+    """``world.shard_stats``, the dict the benchmark's ``batch`` workload
+    reads for its ``util.pool.*`` metrics: per-phase engagement facts and
+    per-task *summaries*, never per-task arrays (thousands at scale)."""
+    world = PaperWorld.build(seed=7, scale=0.0002, quiet=True, jobs=2)
     for phase in ("hosts", "campaign", "onp"):
-        shard = record["shards"][phase]
+        shard = world.shard_stats[phase]
         assert {"engaged", "reason", "jobs", "workers", "tasks", "cpu_count"} <= set(shard)
-        # Records carry per-task *summaries*, never per-task arrays
-        # (thousands of entries at scale).
         seconds = shard["task_seconds"]
         assert set(seconds) == {"count", "p50", "p95", "max", "sum"}
         assert seconds["count"] == shard["tasks"]
         assert seconds["p50"] <= seconds["p95"] <= seconds["max"] <= seconds["sum"]
         assert isinstance(shard["task_source"], dict)
         assert sum(shard["task_source"].values()) == shard["tasks"]
-
-
-def test_bench_build_scale_sweep_and_rss_tripwire(tmp_path):
-    from repro.cli import main
-
-    out = tmp_path / "sweep.json"
-    rc = main(
-        ["bench-build", "--seed", "7", "--scale", "0.0002,0.0003", "--jobs", "1",
-         "--max-rss-mb", "1", "--out", str(out), "--quiet"]
-    )
-    assert rc == 1  # no build fits in 1 MB: the tripwire must fire
-    record = json.loads(out.read_text())
-    assert record["scales"] == [0.0002, 0.0003]
-    assert "scale" not in record
-    assert [run["scale"] for run in record["runs"]] == [0.0002, 0.0003]
-    for run in record["runs"]:
-        assert {"hosts", "total_seconds", "phases", "memory", "shards"} <= set(run)

@@ -11,8 +11,6 @@ Two contracts from this layer of the pipeline:
   serial runner.
 """
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -405,39 +403,3 @@ def test_run_conformance_jobs_catches_injected_bug():
     parallel = run_conformance([11], [0.0002, 0.0004], ["clean"], builder=broken_builder, jobs=2)
     assert serial.as_dict() == parallel.as_dict()
     assert not serial.ok
-
-
-def test_bench_verify_cli(tmp_path, capsys):
-    from repro.cli import main
-
-    out = tmp_path / "BENCH_verify.json"
-    code = main(
-        [
-            "bench-verify",
-            "--seeds",
-            "7,99",
-            "--scales",
-            "0.0004",
-            "--faults",
-            "clean",
-            "--jobs",
-            "2",
-            "--out",
-            str(out),
-            "--quiet",
-        ]
-    )
-    assert code == 0
-    record = json.loads(out.read_text())
-    assert record["ok"] is True
-    assert record["jobs"] == 2
-    assert record["cells"] == 2
-    assert record["total_seconds"] > 0
-    assert set(record["counts"]) == {"pass", "fail", "skip"}
-
-
-def test_bench_verify_cli_bad_fault_exits_2(tmp_path):
-    from repro.cli import main
-
-    code = main(["bench-verify", "--faults", "nope", "--out", str(tmp_path / "b.json")])
-    assert code == 2

@@ -108,3 +108,31 @@ def test_summary_on_clean_world_reports_all_sections(world):
     for marker in ("NTP traffic fraction:", "Amplifier pool:", "BAF:", "Victims observed:", "Window:"):
         assert marker in text
     assert "(no data" not in text
+
+
+# -- Table 3's note when no table is probe-topped --------------------------------
+
+
+def test_table3_note_when_no_table_is_probe_topped(world, monkeypatch):
+    """With the prober at an address no monlist table holds, T3 renders a
+    note instead of a table: its counts add up and it names the sample."""
+    import re
+
+    import repro.attack
+    from repro.cli import render_artifact
+
+    monkeypatch.setattr(repro.attack, "ONP_PROBER_IP", 0)
+    text = render_artifact(world, "T3")
+    samples = world.onp.monlist_samples
+    sample = samples[min(6, len(samples) - 1)]
+    match = re.fullmatch(
+        r"\(no probe-topped table found: scanned (\d+) captures of sample (\S+) — "
+        r"(\d+) parsed, (\d+) unparseable\)",
+        text,
+    )
+    assert match, text
+    total, date, parsed, failed = match.groups()
+    assert date == sample.date
+    assert int(total) == len(sample.captures) > 0
+    assert int(parsed) + int(failed) == int(total)
+    assert int(parsed) > 0

@@ -11,8 +11,6 @@ These tests pin the equivalences the performance work relies on:
   original bit-for-bit.
 """
 
-import json
-
 import numpy as np
 import pytest
 
@@ -126,52 +124,6 @@ def test_render_cli_out_dir(tmp_path):
     names = sorted(p.name for p in out_dir.iterdir())
     assert names == ["F1.txt", "F2.txt", "T5.txt"]
     assert (out_dir / "F1.txt").read_text().startswith("Fig 1:")
-
-
-def test_bench_pipeline_record(tmp_path):
-    out = tmp_path / "BENCH_pipeline.json"
-    argv = [
-        "bench-pipeline", "--scale", "0.0003", "--seed", "3",
-        "--quiet", "--jobs", "2", "--out", str(out),
-    ]
-    assert main(argv) == 0
-    record = json.loads(out.read_text())
-    assert record["byte_identical"] is True
-    assert record["n_artifacts"] == len(ARTIFACTS)
-    assert record["faults"] == "clean"
-    assert record["preset"] == "small"
-    assert record["jobs"] == 2
-    assert set(record["phases"]) == {"build", "parse", "render_serial", "render_parallel"}
-    assert record["parse_calls"] > 0
-    memory = record["memory"]
-    assert set(memory) == {"peak_rss_mb", "self_mb", "children_mb", "spill_threshold_mb"}
-    assert memory["peak_rss_mb"] >= memory["self_mb"] > 0
-
-
-def test_bench_pipeline_render_and_rss_tripwires(tmp_path):
-    """--max-render-seconds and --max-rss-mb are CI gates: impossible
-    ceilings must fail the run (and still write the record)."""
-    out = tmp_path / "BENCH_pipeline.json"
-    argv = [
-        "bench-pipeline", "--scale", "0.0003", "--seed", "3",
-        "--quiet", "--jobs", "1", "--out", str(out),
-        "--max-render-seconds", "0", "--max-rss-mb", "1",
-    ]
-    assert main(argv) == 1
-    record = json.loads(out.read_text())
-    assert record["byte_identical"] is True
-
-
-def test_bench_build_records_faults_and_preset(tmp_path):
-    out = tmp_path / "BENCH_build.json"
-    argv = [
-        "bench-build", "--scale", "0.0003", "--seed", "3",
-        "--quiet", "--out", str(out),
-    ]
-    assert main(argv) == 0
-    record = json.loads(out.read_text())
-    assert record["faults"] == "clean"
-    assert record["preset"] == "small"
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ import pytest
 
 from repro.scenario.world import PaperWorld
 from repro.stream import StreamEngine, StreamService, replay_plan, replay_records
-from repro.stream.loadgen import _fetch
 
 SCALE = 0.0002
 SEED = 7
@@ -58,7 +57,7 @@ def test_concurrent_queries_see_consistent_snapshots(small_world):
 
         async def reader():
             while not service.ingest_done:
-                status, body = await _fetch(host, port, "/stats")
+                status, body = await _fetch_method(host, port, "GET", "/stats")
                 assert status == 200
                 windowed = body["windowed_victim_pairs"]
                 total = body["totals"]["victim_pairs"]
@@ -68,11 +67,10 @@ def test_concurrent_queries_see_consistent_snapshots(small_world):
         await asyncio.gather(reader(), reader(), reader())
         assert service.ingest_done
         # End state: everything ingested, ledger balanced.
-        status, body = await _fetch(host, port, "/query/ingest")
+        status, body = await _fetch_method(host, port, "GET", "/query/ingest")
         assert status == 200
         assert body["result"]["balanced"] is True
         assert body["result"]["records_seen"] == plan["expected_total"]
-        service.request_shutdown()
         await service.stop()
         return inconsistencies
 
@@ -93,7 +91,7 @@ def test_malformed_queries_are_4xx_json_not_crashes(small_world):
         ]
         results = []
         for target, expected in cases:
-            status, body = await _fetch(host, port, target)
+            status, body = await _fetch_method(host, port, "GET", target)
             results.append((target, status, expected, body))
         # A garbage request line must not kill the server either.
         reader, writer = await asyncio.open_connection(host, port)
@@ -105,8 +103,7 @@ def test_malformed_queries_are_4xx_json_not_crashes(small_world):
         # POST is rejected, not crashed on.
         post_status, _ = await _fetch_method(host, port, "POST", "/health")
         # The service must still answer normally afterwards.
-        status_after, body_after = await _fetch(host, port, "/health")
-        service.request_shutdown()
+        status_after, body_after = await _fetch_method(host, port, "GET", "/health")
         await service.stop()
         return results, garbage_reply, post_status, status_after, body_after
 
@@ -140,8 +137,7 @@ def test_queries_after_ingest_completion_match_direct_engine(small_world):
         await service.start()
         while not service.ingest_done:
             await asyncio.sleep(0.01)
-        status, body = await _fetch(service.host, service.port, "/query/victims")
-        service.request_shutdown()
+        status, body = await _fetch_method(service.host, service.port, "GET", "/query/victims")
         await service.stop()
         return status, body["result"], service.engine
 
@@ -254,7 +250,6 @@ def test_keepalive_connection_serves_many_requests(small_world):
         writer.close()
         await writer.wait_closed()
         opened, served = service.connections_opened, service.requests_served
-        service.request_shutdown()
         await service.stop()
         return bodies, opened, served
 
@@ -273,7 +268,6 @@ def test_no_keepalive_service_closes_after_each_response(small_world):
         trailing = await reader.read()  # server closes: EOF after the body
         writer.close()
         await writer.wait_closed()
-        service.request_shutdown()
         await service.stop()
         return head, body, trailing
 
@@ -292,7 +286,6 @@ def test_http10_client_without_keepalive_header_gets_closed(small_world):
         trailing = await reader.read()
         writer.close()
         await writer.wait_closed()
-        service.request_shutdown()
         await service.stop()
         return head, body, trailing
 
@@ -300,18 +293,6 @@ def test_http10_client_without_keepalive_header_gets_closed(small_world):
     assert b"Connection: close" in head
     assert body["ok"] is True
     assert trailing == b""
-
-
-def test_loadgen_reports_connection_reuse(small_world):
-    from repro.stream import run_loadgen
-
-    kept = run_loadgen(small_world, clients=2, requests=4, batch=64)
-    assert kept["keepalive"] is True
-    assert kept["connections"]["opened_by_clients"] < kept["requests_total"]
-    assert kept["response_cache"]["hits"] + kept["response_cache"]["misses"] > 0
-    unkept = run_loadgen(small_world, clients=2, requests=4, batch=64, keepalive=False)
-    assert unkept["keepalive"] is False
-    assert unkept["connections"]["opened_by_clients"] >= unkept["requests_total"]
 
 
 # ---------------------------------------------------------------------------

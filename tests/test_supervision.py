@@ -30,7 +30,7 @@ from repro.util.chaos import (
     chaos_from_env,
     parse_chaos_spec,
 )
-from repro.util.io import atomic_write_json, atomic_write_text
+from repro.util.io import atomic_write_stream, atomic_write_text
 from repro.util.pool import ShardRunner, fork_pool_gate
 
 from tests.test_build_shards import _fingerprint
@@ -509,7 +509,8 @@ def test_gate_decision_uses_caller_provided_cpu_count():
 def test_stat_cpu_count_never_contradicts_engagement(monkeypatch):
     """The recorded cpu_count and the engagement decision come from one
     ``available_cpus()`` call: ``cpu_count: 1`` next to ``engaged: true``
-    (the old BENCH_pipeline bug) is impossible by construction."""
+    (a bug an older benchmark record once showed) is impossible by
+    construction."""
     for cpus in (1, 8):
         monkeypatch.setattr(pool_mod, "available_cpus", lambda n=cpus: n)
         runner = ShardRunner(4)
@@ -603,17 +604,21 @@ def test_sweep_is_inert_without_a_spill_dir(monkeypatch):
 
 
 def test_atomic_write_json_roundtrip_and_no_tmp(tmp_path):
+    """A JSON report (``verify-world --report``) written atomically."""
     path = tmp_path / "record.json"
-    atomic_write_json(path, {"b": 2, "a": 1})
+    atomic_write_text(path, json.dumps({"b": 2, "a": 1}) + "\n")
     assert json.loads(path.read_text()) == {"a": 1, "b": 2}
     assert path.read_text().endswith("\n")
     assert [p for p in os.listdir(tmp_path) if ".tmp." in p] == []
 
 
 def test_atomic_write_json_failure_leaves_target_untouched(tmp_path):
+    """Serialization that fails after the temp file opened removes it."""
     path = tmp_path / "record.json"
     atomic_write_text(path, "previous contents\n")
     with pytest.raises(TypeError):
-        atomic_write_json(path, {"bad": object()})
+        atomic_write_stream(
+            path, lambda handle: handle.write(json.dumps({"bad": object()}).encode())
+        )
     assert path.read_text() == "previous contents\n"
     assert [p for p in os.listdir(tmp_path) if ".tmp." in p] == []

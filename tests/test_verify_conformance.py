@@ -144,6 +144,28 @@ def test_crashing_check_becomes_a_violation(conformance):
     assert "ZeroDivisionError" in outcome.violations[0]
 
 
+def test_fault_ground_truth_violation_names_the_profile(conformance):
+    """A faulted world whose ground truth moved (one attack dropped) fails
+    the ground-truth invariant, and the message names the fault profile."""
+    import copy
+
+    from repro.verify.runner import WorldRecord
+
+    _, built = conformance
+    clean_cell = Cell(SEEDS[0], SCALES[0], "clean")
+    paper_cell = Cell(SEEDS[0], SCALES[0], "paper")
+    moved = copy.copy(built[paper_cell])
+    moved.attacks = moved.attacks[:-1]
+    invariant = REGISTRY["fault.ground_truth_invariant"]
+    result = invariant.check(
+        WorldRecord(clean_cell, built[clean_cell]),
+        WorldRecord(paper_cell, moved),
+        invariant.tolerance,
+    )
+    n = len(built[clean_cell].attacks)
+    assert f"attacks: clean {n} != paper {n - 1}" in result["violations"]
+
+
 # -- CLI ----------------------------------------------------------------------
 
 
