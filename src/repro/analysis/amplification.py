@@ -72,21 +72,15 @@ def sample_baf_boxplot(parsed_sample):
 
 def version_sample_baf_boxplot(version_sample):
     """Figure 4c: BAF summary of one mode-6 version sample."""
-    packed = getattr(version_sample, "packed", None)
-    if packed is not None:
-        wire = on_wire_bytes_array(packed.pkt_lens)
-        cum = np.concatenate(([0], np.cumsum(wire)))
-        offsets = np.asarray(packed.pkt_offsets, dtype=np.int64)
-        totals = (cum[offsets[1:]] - cum[offsets[:-1]]) * np.asarray(
-            packed.n_repeats, dtype=np.int64
-        )
-        bafs = totals.astype(np.float64) / float(QUERY_ON_WIRE)
-        return boxplot_summary(bafs.tolist())
-    bafs = []
-    for capture in version_sample.captures:
-        total = sum(on_wire_bytes(len(p)) for p in capture.packets) * capture.n_repeats
-        bafs.append(total / QUERY_ON_WIRE)
-    return boxplot_summary(bafs)
+    packed = version_sample.packed
+    wire = on_wire_bytes_array(packed.pkt_lens)
+    cum = np.concatenate(([0], np.cumsum(wire)))
+    offsets = np.asarray(packed.pkt_offsets, dtype=np.int64)
+    totals = (cum[offsets[1:]] - cum[offsets[:-1]]) * np.asarray(
+        packed.n_repeats, dtype=np.int64
+    )
+    bafs = totals.astype(np.float64) / float(QUERY_ON_WIRE)
+    return boxplot_summary(bafs.tolist())
 
 
 def aggregate_bytes_per_amplifier(parsed_samples):

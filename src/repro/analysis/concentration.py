@@ -40,19 +40,13 @@ class ConcentrationReport:
 def _as_packets(ips, packets, table):
     """{asn: packets} by group-by, keys in first-observation order.
 
-    The AS lookup runs once per *unique* IP (a Python call per IP would
-    dominate); per-AS packet sums are exact in float64 accumulation and
-    returned as ints, and the dict is built in first-observation order,
-    which is how ``sorted`` ties in the rank methods above resolve.
+    The AS lookup runs once per *unique* IP, as one array lookup; per-AS
+    packet sums are exact in float64 accumulation and returned as ints,
+    and the dict is built in first-observation order, which is how
+    ``sorted`` ties in the rank methods above resolve.
     """
     unique_ips = np.unique(ips)
-    asn_lookup = np.array(
-        [
-            asn if (asn := table.asn_of(ip)) is not None else -1
-            for ip in unique_ips.tolist()
-        ],
-        dtype=np.int64,
-    )
+    asn_lookup = table.asns_of(unique_ips)
     asn_per_obs = asn_lookup[np.searchsorted(unique_ips, ips)]
     routed = asn_per_obs >= 0
     asns = asn_per_obs[routed]

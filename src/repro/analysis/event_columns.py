@@ -24,8 +24,7 @@ kept).  Only a capture with a malformed packet is re-parsed from scratch
 by the salvage path,
 :func:`~repro.analysis.monlist_parse.reconstruct_table_lenient` — so
 hostile corpora produce the tables and :class:`ParseStats` that path
-alone would, entry for entry and counter for counter.  A sample without
-a packed store is packed first and decoded the same way.
+alone would, entry for entry and counter for counter.
 
 The entries array is the memory ceiling at scale; :meth:`EventColumns
 .maybe_spill` moves it through the same integrity-checked ``np.memmap``
@@ -40,7 +39,6 @@ import numpy as np
 
 from repro.measurement.capture_store import (
     map_spill,
-    pack_captures,
     spill_threshold_bytes,
     sweep_stale_spills,
     write_spill,
@@ -757,14 +755,9 @@ def decode_capture_batch(packed, cap_idx, stats):
 
 
 def columns_for_sample(sample):
-    """Decode one ONP sample into a single-sample :class:`EventColumns`.
-
-    A sample without a packed store (an outage gap, a test fixture) is
-    packed first, so every sample goes through the one decoder.
-    """
-    packed = getattr(sample, "packed", None)
-    if packed is None:
-        packed = pack_captures(sample.captures, sample.t)
+    """Decode one ONP sample's packed store into a single-sample
+    :class:`EventColumns` (an outage gap's store is empty)."""
+    packed = sample.packed
     stats = ParseStats()
     batch = decode_capture_batch(packed, np.arange(len(packed), dtype=np.int64), stats)
     n_tbl = len(batch.amplifier)
@@ -782,8 +775,8 @@ def columns_for_sample(sample):
 
     row = np.zeros(1, dtype=SAMPLE_DTYPE)
     row["t"] = sample.t
-    row["outage"] = 1 if getattr(sample, "outage", False) else 0
-    row["coverage"] = getattr(sample, "coverage", 1.0)
+    row["outage"] = 1 if sample.outage else 0
+    row["coverage"] = sample.coverage
     row["table_start"] = 0
     row["table_count"] = n_tbl
     for name in _STAT_FIELDS:

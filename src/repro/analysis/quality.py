@@ -136,11 +136,9 @@ def quality_report(world, parsed_samples=None):
     ``parsed_samples`` lets a caller that already parsed the monlist
     samples (the CLI renders several artifacts from one parse) reuse them.
     """
-    profile = getattr(world.params, "faults", None)
-    log = getattr(world, "fault_log", None)
-    injected = log.as_dict() if log is not None else {}
+    injected = world.fault_log.as_dict()
     report = QualityReport(
-        profile_description=profile.describe() if profile is not None else "(unknown)",
+        profile_description=world.params.faults.describe(),
         injected=injected,
     )
 
@@ -156,14 +154,14 @@ def quality_report(world, parsed_samples=None):
 
     report.version_samples = len(world.onp.version_samples)
     for sample in world.onp.version_samples:
-        if getattr(sample, "outage", False):
+        if sample.outage:
             report.version_outages += 1
-        elif getattr(sample, "coverage", 1.0) < 1.0:
+        elif sample.coverage < 1.0:
             report.version_partial += 1
 
-    report.darknet_down_days = len(getattr(world.darknet, "down_days", ()) or ())
+    report.darknet_down_days = len(world.darknet.down_days)
     report.arbor_days = len(world.arbor.daily)
-    report.arbor_missing_days = len(getattr(world.arbor, "missing_days", ()) or ())
+    report.arbor_missing_days = len(world.arbor.missing_days)
 
     def get(kind):
         return injected.get(kind, 0)

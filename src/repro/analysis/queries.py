@@ -84,23 +84,14 @@ def daily_traffic_answers(world):
             )
         else:
             out[int(daily.day)] = (0.0, 0.0)
-    for day in getattr(world.arbor, "missing_days", ()) or ():
+    for day in world.arbor.missing_days:
         out.setdefault(int(day), (None, None))
     return out
 
 
 def _site_cells(site):
-    """Every (victim ip, hour, bytes) cell of a site, columnar + overlay."""
-    cols = getattr(site, "_victim_cols", None)
-    if cols is not None:
-        ips, hours, volumes = cols
-        yield from zip(
-            (int(v) for v in ips.tolist()),
-            (int(h) for h in hours.tolist()),
-            (float(v) for v in volumes.tolist()),
-        )
-    for (ip, hour), volume in getattr(site, "victim_hourly", {}).items():
-        yield int(ip), int(hour), float(volume)
+    """Every (victim ip, hour, bytes) cell of a site as Python numbers."""
+    return zip(*(column.tolist() for column in site.victim_cells()))
 
 
 def isp_day_answers(world, site_name="merit"):

@@ -55,7 +55,7 @@ def amplifier_counts(parsed_samples, table, pbl):
                 end_hosts=end_hosts,
                 end_host_fraction=end_hosts / agg.ips if agg.ips else 0.0,
                 ips_per_block=agg.ips_per_block,
-                outage=getattr(parsed, "outage", False),
+                outage=parsed.outage,
             )
         )
     return rows

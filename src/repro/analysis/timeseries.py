@@ -20,7 +20,7 @@ def traffic_fractions(arbor_dataset, include_gaps=False):
         for d in arbor_dataset.daily
     ]
     if include_gaps:
-        for day in getattr(arbor_dataset, "missing_days", ()) or ():
+        for day in arbor_dataset.missing_days:
             rows.append((day, format_sim(day * DAY), None, None))
         rows.sort(key=lambda r: r[0])
     return [(date, ntp, dns) for _, date, ntp, dns in rows]

@@ -168,27 +168,20 @@ def parse_version_captures(captures):
 
 
 def parse_version_samples(version_samples):
-    """Parse version samples straight from their packed blobs.
+    """Parse version samples straight from their packed stores.
 
-    Samples holding a :class:`~repro.measurement.capture_store
-    .PackedCaptures` are read column-wise — memo keys come from the raw
-    payload slice and packet-length vector, so byte-identical replies
-    still share one parse — and packet bytes are only sliced out on a
-    memo miss.  Samples without a packed blob fall back to the per-object
-    walk; both paths fill the same last-write-wins IP table in capture
-    order, so the record list is identical to flattening every sample's
-    captures through :func:`parse_version_captures`.
+    Each :class:`~repro.measurement.capture_store.PackedCaptures` is read
+    column-wise — memo keys come from the raw payload slice and
+    packet-length vector, so byte-identical replies still share one
+    parse — and packet bytes are only sliced out on a memo miss.  The
+    last-write-wins IP table fills in capture order, so the record list
+    is identical to flattening every sample's captures through
+    :func:`parse_version_captures`.
     """
     by_ip = {}
     memo = {}
     for sample in version_samples:
-        packed = getattr(sample, "packed", None)
-        if packed is None:
-            for capture in sample.captures:
-                _record_fields(
-                    by_ip, memo, capture.packets, capture.packets, capture.target_ip
-                )
-            continue
+        packed = sample.packed
         pkt_offsets = packed.pkt_offsets
         byte_offsets = packed.byte_offsets
         pkt_lens = packed.pkt_lens

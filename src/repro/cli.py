@@ -399,22 +399,18 @@ def _table2(ctx):
 
 
 def _table3(ctx):
-    from repro.analysis import ParseStats, reconstruct_table_lenient
     from repro.attack import ONP_PROBER_IP
     from repro.reporting import render_monlist_table
 
-    samples = ctx.world.onp.monlist_samples
-    sample = samples[min(6, len(samples) - 1)]
-    stats = ParseStats()
-    for capture in sample.captures:
-        table = reconstruct_table_lenient(capture, stats)
-        if table is None:
-            continue
-        if table.entries and table.entries[0].addr == ONP_PROBER_IP and len(table.entries) >= 4:
+    parsed = ctx.parsed_samples()
+    index = min(6, len(parsed) - 1)
+    for table in parsed[index].tables:
+        if len(table) >= 4 and table.entries[0].addr == ONP_PROBER_IP:
             return render_monlist_table(table.entries[:8], title="Table 3: an amplifier's monlist table")
+    stats, date = parsed[index].stats, ctx.world.onp.monlist_samples[index].date
     return (
         f"(no probe-topped table found: scanned {stats.captures_total} captures "
-        f"of sample {sample.date} — {stats.captures_parsed} parsed, "
+        f"of sample {date} — {stats.captures_parsed} parsed, "
         f"{stats.captures_failed} unparseable)"
     )
 

@@ -47,12 +47,12 @@ import numpy as np
 __all__ = [
     "PackedCaptures",
     "PackedCapturesBuilder",
-    "pack_captures",
     "SpillError",
     "spill_threshold_bytes",
     "write_spill",
     "map_spill",
     "maybe_spill_array",
+    "day_pair_array",
     "inline_array",
     "sweep_stale_spills",
 ]
@@ -167,6 +167,19 @@ def maybe_spill_array(array, threshold=None):
     finally:
         os.unlink(path)
     return mapped.view(array.dtype).reshape(array.shape)
+
+
+def day_pair_array(by_day):
+    """``{day: IPs}`` as one ``(n, 2)`` int64 array of (day, ip) pairs,
+    sorted by day then IP and spilled past the threshold: the compacted
+    form of the darknet's and the ISP sites' per-day scanner sets."""
+    days = np.repeat(
+        np.fromiter(by_day, dtype=np.int64, count=len(by_day)),
+        [len(ips) for ips in by_day.values()],
+    )
+    ips = np.fromiter((ip for day_ips in by_day.values() for ip in day_ips), dtype=np.int64)
+    order = np.lexsort((ips, days))
+    return maybe_spill_array(np.stack((days[order], ips[order]), axis=1))
 
 
 def inline_array(array):
@@ -299,10 +312,9 @@ class PackedCaptures:
 
     @classmethod
     def concat(cls, parts):
-        """Merge block-ordered parts into one store (offsets recomputed)."""
+        """Merge block-ordered parts (at least one) into one store, offsets
+        recomputed."""
         parts = list(parts)
-        if not parts:
-            return cls.empty(0.0)
         t = parts[0].t
         target_ips = np.concatenate([p.target_ips for p in parts])
         n_repeats = np.concatenate([p.n_repeats for p in parts])
@@ -312,11 +324,7 @@ class PackedCaptures:
         np.cumsum(pkt_counts, out=pkt_offsets[1:])
         byte_offsets = np.zeros(len(pkt_lens) + 1, dtype=np.int64)
         np.cumsum(pkt_lens, out=byte_offsets[1:])
-        payload = np.concatenate(
-            [np.asarray(p.payload) for p in parts]
-            if parts
-            else [np.empty(0, dtype=np.uint8)]
-        )
+        payload = np.concatenate([np.asarray(p.payload) for p in parts])
         return cls(t, target_ips, n_repeats, pkt_counts, pkt_offsets, pkt_lens, byte_offsets, payload)
 
     def maybe_spill(self, threshold=None):
@@ -405,14 +413,3 @@ class PackedCapturesBuilder:
             np.frombuffer(bytes(self._blob), dtype=np.uint8),
         )
 
-
-def pack_captures(captures, t=0.0):
-    """Pack :class:`ProbeCapture`-shaped captures into one store, in order.
-
-    This is how a capture set that never had a store (a test fixture, an
-    outage gap, a loose stream payload) reaches the columnar decoder.
-    """
-    builder = PackedCapturesBuilder(t)
-    for capture in captures:
-        builder.add(capture.target_ip, capture.packets, n_repeats=capture.n_repeats)
-    return builder.finish()

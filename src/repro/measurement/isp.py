@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.measurement.capture_store import inline_array, maybe_spill_array
+from repro.measurement.capture_store import day_pair_array, inline_array, maybe_spill_array
 from repro.net.framing import MIN_ONWIRE_FRAME
 from repro.population.amplifiers import estimate_monlist_reply_bytes
 from repro.util.simtime import DAY, HOUR, date_to_sim
@@ -130,10 +130,11 @@ class SiteDataset:
         self.ntp_in_queries = np.zeros(n_hours)  # dport=123 ingress
         self.amplifier_forensics = {}
         self.victim_forensics = {}
+        #: Observation accumulators, None once compact() has turned them
+        #: into ``_victim_cols`` ((ips, hours, bytes) arrays) and
+        #: ``_scanner_pairs`` ((day, ip) pairs), the forms readers read.
         self.victim_hourly = defaultdict(float)  # (victim_ip, hour) -> bytes
         self.scanners_by_day = defaultdict(set)
-        #: Compacted forms of the two dict accumulators above (see
-        #: compact()): (ips, hours, bytes) arrays and (day, ip) pairs.
         self._victim_cols = None
         self._scanner_pairs = None
         self._background = None
@@ -165,77 +166,44 @@ class SiteDataset:
     # -- compaction ----------------------------------------------------------------
 
     def compact(self):
-        """Freeze the dict accumulators into flat arrays, spilled to
-        unlinked memmaps past ``REPRO_SPILL_MB``.
+        """End the observation: freeze the dict accumulators into flat
+        arrays, spilled to unlinked memmaps past ``REPRO_SPILL_MB``, and
+        drop the dicts.
 
         ``victim_hourly`` becomes three parallel (ip, hour, bytes) columns
-        and ``scanners_by_day`` a (day, ip)-sorted pair array.  Later
-        observations still work (they land in the emptied dict overlays
-        and merge additively on the next compact), and every figure read
-        below folds both layers, so outputs are unchanged.  Returns
-        ``self`` so it chains.
+        sorted by (ip, hour), and ``scanners_by_day`` a (day, ip)-sorted
+        pair array.  The build compacts once, after every observation;
+        every read below reads the arrays, and an observation made
+        afterwards raises.  Returns ``self`` so it chains.
         """
         items = self.victim_hourly
         ips = np.fromiter((k[0] for k in items), dtype=np.int64, count=len(items))
         hours = np.fromiter((k[1] for k in items), dtype=np.int64, count=len(items))
         volumes = np.fromiter(items.values(), dtype=np.float64, count=len(items))
-        if self._victim_cols is not None:
-            ips = np.concatenate([np.asarray(self._victim_cols[0]), ips])
-            hours = np.concatenate([np.asarray(self._victim_cols[1]), hours])
-            volumes = np.concatenate([np.asarray(self._victim_cols[2]), volumes])
         order = np.lexsort((hours, ips))
-        ips, hours, volumes = ips[order], hours[order], volumes[order]
-        if len(ips):
-            first = np.ones(len(ips), dtype=bool)
-            first[1:] = (ips[1:] != ips[:-1]) | (hours[1:] != hours[:-1])
-            starts = np.flatnonzero(first)
-            volumes = np.add.reduceat(volumes, starts)
-            ips, hours = ips[starts], hours[starts]
-        self._victim_cols = (
-            maybe_spill_array(np.ascontiguousarray(ips)),
-            maybe_spill_array(np.ascontiguousarray(hours)),
-            maybe_spill_array(np.ascontiguousarray(volumes)),
+        self._victim_cols = tuple(
+            maybe_spill_array(column[order]) for column in (ips, hours, volumes)
         )
-        self.victim_hourly = defaultdict(float)
+        self.victim_hourly = None
 
-        parts = []
-        if self._scanner_pairs is not None and len(self._scanner_pairs):
-            parts.append(np.asarray(self._scanner_pairs))
-        for day, day_ips in self.scanners_by_day.items():
-            pair = np.empty((len(day_ips), 2), dtype=np.int64)
-            pair[:, 0] = day
-            pair[:, 1] = np.fromiter(day_ips, dtype=np.int64, count=len(day_ips))
-            parts.append(pair)
-        if parts:
-            pairs = np.concatenate(parts)
-            order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-            pairs = pairs[order]
-            keep = np.ones(len(pairs), dtype=bool)
-            keep[1:] = (pairs[1:] != pairs[:-1]).any(axis=1)
-            pairs = np.ascontiguousarray(pairs[keep])
-        else:
-            pairs = np.empty((0, 2), dtype=np.int64)
-        self._scanner_pairs = maybe_spill_array(pairs)
-        self.scanners_by_day = defaultdict(set)
+        self._scanner_pairs = day_pair_array(self.scanners_by_day)
+        self.scanners_by_day = None
         return self
+
+    def victim_cells(self):
+        """Every (victim ip, hour, bytes) cell as three parallel columns,
+        sorted by IP then hour, each cell once."""
+        return self._victim_cols
 
     def scanner_days(self):
         """Every day index with at least one detected scanner."""
-        days = {int(d) for d in self.scanners_by_day}
-        if self._scanner_pairs is not None and len(self._scanner_pairs):
-            days.update(np.unique(self._scanner_pairs[:, 0]).tolist())
-        return days
+        return set(np.unique(self._scanner_pairs[:, 0]).tolist())
 
     def scanners_on(self, day):
-        """The set of scanner IPs detected on one day (both layers)."""
-        ips = set(self.scanners_by_day.get(day, ()))
+        """The set of scanner IPs detected on one day."""
         pairs = self._scanner_pairs
-        if pairs is not None and len(pairs):
-            days = pairs[:, 0]
-            lo = np.searchsorted(days, day, side="left")
-            hi = np.searchsorted(days, day, side="right")
-            ips.update(pairs[lo:hi, 1].tolist())
-        return ips
+        lo, hi = np.searchsorted(pairs[:, 0], [day, day + 1])
+        return set(pairs[lo:hi, 1].tolist())
 
     # -- views ---------------------------------------------------------------------
 
@@ -263,15 +231,11 @@ class SiteDataset:
         """Hourly MB/s destined to one victim (Figure 13/15)."""
         n_hours = len(self.ntp_out)
         series = np.zeros(n_hours)
-        if self._victim_cols is not None:
-            ips, hours, volumes = self._victim_cols
-            mask = ips == victim_ip
-            hour_hits = hours[mask]
-            in_range = (hour_hits >= 0) & (hour_hits < n_hours)
-            series[hour_hits[in_range]] += volumes[mask][in_range]
-        for (ip, hour), volume in self.victim_hourly.items():
-            if ip == victim_ip and 0 <= hour < n_hours:
-                series[hour] += volume
+        ips, hours, volumes = self._victim_cols
+        mask = ips == victim_ip
+        hour_hits = hours[mask]
+        in_range = (hour_hits >= 0) & (hour_hits < n_hours)
+        series[hour_hits[in_range]] += volumes[mask][in_range]
         return series / HOUR / 1e6
 
     def background_series(self, rng):
@@ -298,12 +262,11 @@ class SiteDataset:
     # are re-inlined so the pickle never references an unlinked temp file.
 
     def __getstate__(self):
-        state = self.__dict__.copy()
-        if state.get("_victim_cols") is not None:
-            state["_victim_cols"] = tuple(inline_array(a) for a in state["_victim_cols"])
-        if state.get("_scanner_pairs") is not None:
-            state["_scanner_pairs"] = inline_array(state["_scanner_pairs"])
-        return state
+        return dict(
+            self.__dict__,
+            _victim_cols=tuple(map(inline_array, self._victim_cols)),
+            _scanner_pairs=inline_array(self._scanner_pairs),
+        )
 
 
 class IspMeasurement:

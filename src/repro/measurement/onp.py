@@ -68,24 +68,22 @@ class ProbeCapture:
 class OnpSample:
     """One Internet-wide scan: a date and every capture it produced.
 
-    Captures live in a :class:`PackedCaptures` store (flat arrays over one
-    payload blob, possibly memory-mapped); ``sample.captures`` lazily
-    materializes a list of :class:`ProbeCapture`-shaped views on first
-    access, so analysis code is unchanged while a full-scale sample costs
-    arrays, not millions of tuples.
+    Captures live in the sample's :class:`PackedCaptures` store ``packed``
+    (flat arrays over one payload blob, possibly memory-mapped), an empty
+    one for an outage gap; a full-scale sample costs arrays, not millions
+    of tuples.
     """
 
-    def __init__(self, t, mode, captures=None, outage=False, coverage=1.0):
+    def __init__(self, t, mode, packed, outage=False, coverage=1.0):
         self.t = t
         self.mode = mode
+        self.packed = packed
         #: True when the whole weekly sweep is missing (apparatus outage);
         #: the sample is kept in the dataset so consumers can mark the gap.
         self.outage = outage
         #: Fraction of the target list the sweep actually covered (< 1.0
         #: when the apparatus aborted partway through the address space).
         self.coverage = coverage
-        self._packed = None
-        self._captures = list(captures) if captures is not None else None
         self._responder_cache = None
 
     @property
@@ -93,61 +91,22 @@ class OnpSample:
         return format_sim(self.t)
 
     @property
-    def packed(self):
-        """The backing :class:`PackedCaptures` store (None when the sample
-        was built capture-by-capture or is an outage gap)."""
-        return self._packed
-
-    def attach_packed(self, packed):
-        """Adopt a packed store as this sample's capture set."""
-        self._packed = packed
-        self._captures = None
-        self._responder_cache = None
-
-    @property
     def captures(self):
-        captures = self._captures
-        if captures is None:
-            packed = self._packed
-            captures = packed.views() if packed is not None else []
-            self._captures = captures
-        return captures
+        """A :class:`ProbeCapture`-shaped view of each capture, in order."""
+        return self.packed.views()
 
     def __len__(self):
-        if self._captures is None and self._packed is not None:
-            return len(self._packed)
-        return len(self.captures)
+        return len(self.packed)
 
     def responder_ips(self):
-        """The set of target IPs that produced a capture (cached).
+        """The set of target IPs that produced a capture (cached)."""
+        if self._responder_cache is None:
+            self._responder_cache = set(self.packed.target_ips.tolist())
+        return self._responder_cache
 
-        Analysis loops call this once per (sample, artifact) pair; the set
-        is rebuilt only when the capture list has grown since the last
-        call, which never happens after the sweep completes.  The packed
-        path reads the target-ip column directly — no views needed.
-        """
-        n = len(self)
-        cache = self._responder_cache
-        if cache is None or cache[0] != n:
-            if self._captures is None and self._packed is not None:
-                ips = {int(ip) for ip in self._packed.target_ips}
-            else:
-                ips = {c.target_ip for c in self.captures}
-            cache = (n, ips)
-            self._responder_cache = cache
-        return cache[1]
-
-    # Cache pickles: views and responder sets re-materialize from the
-    # packed store, so only the store itself is worth carrying.
+    # Cache pickles: the responder set re-materializes from the store.
     def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_responder_cache"] = None
-        if state["_packed"] is not None:
-            state["_captures"] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
+        return dict(self.__dict__, _responder_cache=None)
 
 
 @dataclass
@@ -370,10 +329,11 @@ class OnpProber:
         ctx = (self, host_pool, rng, schedule, plan)
         outputs = runner.map("onp", _onp_block_worker, ctx, n_blocks)
         for i, ((t, mode), (outage, limit, coverage)) in enumerate(zip(schedule, plan)):
-            sample = OnpSample(t=t, mode=mode, outage=outage, coverage=coverage)
-            if not outage:
-                parts = [block_parts[i] for block_parts, _ in outputs]
-                sample.attach_packed(PackedCaptures.concat(parts).maybe_spill())
+            if outage:
+                packed = PackedCapturesBuilder(t).finish()
+            else:
+                packed = PackedCaptures.concat(block_parts[i] for block_parts, _ in outputs)
+            sample = OnpSample(t, mode, packed.maybe_spill(), outage=outage, coverage=coverage)
             if mode == 7:
                 dataset.monlist_samples.append(sample)
             else:

@@ -1,4 +1,5 @@
-"""Networking substrate: addresses, framing, routing, AS registry, PBL, geo."""
+"""Networking substrate: addresses, framing, AS registry, geo, and the routed-block
+table and PBL as sorted address intervals."""
 
 from repro.net.ipv4 import (
     Prefix,
@@ -14,7 +15,6 @@ from repro.net.framing import (
     on_wire_bytes,
     udp_datagram_bytes,
 )
-from repro.net.trie import PrefixTrie
 from repro.net.routing import RoutedBlockTable, aggregate_counts
 from repro.net.asn import ASRegistry, AutonomousSystem, NetworkKind
 from repro.net.geo import CONTINENT_OF, GeoView
@@ -31,7 +31,6 @@ __all__ = [
     "UDP_IP_HEADERS",
     "on_wire_bytes",
     "udp_datagram_bytes",
-    "PrefixTrie",
     "RoutedBlockTable",
     "aggregate_counts",
     "ASRegistry",

@@ -9,11 +9,12 @@ overwhelmingly residential/dynamic pools.  Our stand-in lists:
   (universities and offices also have workstation pools).
 
 Lookup semantics mirror the real PBL: an IP either is or is not covered.
+The listed space is held as sorted, merged intervals
+(:class:`~repro.net.intervals.IntervalIndex`).
 """
 
 from repro.net.asn import NetworkKind
-from repro.net.ipv4 import Prefix
-from repro.net.trie import PrefixTrie
+from repro.net.intervals import IntervalIndex, ip_array
 
 __all__ = ["PolicyBlockList"]
 
@@ -28,52 +29,32 @@ class PolicyBlockList:
     """End-host (residential/dynamic) address labeling."""
 
     def __init__(self, registry):
-        self._trie = PrefixTrie()
+        # The leading ``fraction`` of a pool prefix is the dynamic pool: a
+        # deterministic convention that keeps the labeling reproducible
+        # without extra state; host generators elsewhere honor the same
+        # convention when they need to place a server vs. a workstation.
+        listed = []
         for system in registry:
             if system.kind == NetworkKind.RESIDENTIAL:
-                for prefix in system.prefixes:
-                    self._list(prefix)
+                listed.extend((p.first, p.last) for p in system.prefixes)
             elif system.kind in _WORKSTATION_POOL_FRACTION:
                 fraction = _WORKSTATION_POOL_FRACTION[system.kind]
-                for prefix in system.prefixes:
-                    self._list_leading_fraction(prefix, fraction)
-
-    def _list(self, prefix):
-        self._trie.insert(prefix, True)
-
-    def _list_leading_fraction(self, prefix, fraction):
-        """List the leading ``fraction`` of a prefix, as aligned sub-prefixes.
-
-        A deterministic convention ("low half of the prefix is the dynamic
-        pool") keeps the labeling reproducible without extra state; host
-        generators elsewhere honor the same convention when they need to
-        place a server vs. a workstation.
-        """
-        if fraction <= 0:
-            return
-        remaining = int(prefix.n_addresses * fraction)
-        cursor = prefix.network
-        length = prefix.length
-        while remaining > 0 and length <= 32:
-            size = 1 << (32 - length)
-            if size <= remaining and cursor % size == 0:
-                self._list(Prefix(cursor, length))
-                cursor += size
-                remaining -= size
+                for p in system.prefixes:
+                    size = int(p.n_addresses * fraction)
+                    if size > 0:
+                        listed.append((p.first, p.first + size - 1))
+        merged = []
+        for first, last in sorted(listed):
+            if merged and first <= merged[-1][1] + 1:
+                merged[-1][1] = max(merged[-1][1], last)
             else:
-                length += 1
+                merged.append([first, last])
+        self._index = IntervalIndex((f for f, _ in merged), (last for _, last in merged))
 
     def is_end_host(self, ip):
         """True when ``ip`` is inside listed (end-host) space."""
-        return self._trie.lookup(ip) is not None
+        return self._index.find(ip) >= 0
 
     def end_host_count(self, ips):
         """How many of the given IPs are end hosts (Table 1's columns)."""
-        return sum(1 for ip in ips if self.is_end_host(ip))
-
-    def end_host_fraction(self, ips):
-        """Fraction of the given IPs on the list; 0 for an empty input."""
-        ips = list(ips)
-        if not ips:
-            return 0.0
-        return self.end_host_count(ips) / len(ips)
+        return int((self._index.find_many(ip_array(ips)) >= 0).sum())

@@ -34,8 +34,10 @@ from repro.scenario.cache import CacheMiss, cache_key, read_enveloped, write_env
 __all__ = ["BuildCheckpoint"]
 
 #: Bumped when the checkpoint file layout changes (2: envelope and
-#: state as two pickles, population packed; 3: the layout prefix).
-_CHECKPOINT_FORMAT = 3
+#: state as two pickles, population packed; 3: the layout prefix; 4: no
+#: state manager after ``onp``, interval routing tables, every ONP
+#: sample packed).
+_CHECKPOINT_FORMAT = 4
 
 #: The first bytes of every checkpoint file.
 _CHECKPOINT_LAYOUT = b"repro/checkpoint:envelope,state\n"

@@ -102,7 +102,6 @@ class PaperWorld:
     victims: object
     sweeps: list
     attacks: list
-    state: object
     onp: object
     arbor: object
     darknet: object
@@ -117,11 +116,11 @@ class PaperWorld:
     #: :class:`~repro.util.pool.ShardRunner`); observational only.
     shard_stats: dict = field(default_factory=dict)
     #: The :class:`~repro.faults.InjectionLog` of every apparatus fault
-    #: injected during the build (None on worlds from older caches).
+    #: injected during the build.
     fault_log: object = None
     #: :class:`~repro.scenario.checkpoint.BuildCheckpoint` provenance
     #: (resumed?, phases loaded, saves) when ``checkpoint_dir`` was set;
-    #: None otherwise and on worlds from older caches.
+    #: None otherwise.
     checkpoint_stats: object = None
 
     # -- pickling --------------------------------------------------------------------
@@ -344,7 +343,6 @@ class PaperWorld:
             victims=state["victims"],
             sweeps=state["sweeps"],
             attacks=state["attacks"],
-            state=state["state"],
             onp=state["onp"],
             arbor=state["arbor"],
             darknet=state["darknet"],
@@ -473,6 +471,10 @@ def _phase_state(env, state):
 def _phase_onp(env, state):
     prober = OnpProber(state["state"], faults=state["injector"])
     state["onp"] = prober.run_all(state["hosts"], env.rng.child("onp"), runner=env.runner)
+    # The state manager is the sweep's apparatus, not a dataset: no reader
+    # of a built world needs it, so neither the world nor a later
+    # checkpoint carries it.
+    del state["state"]
 
 
 def _phase_arbor(env, state):

@@ -372,10 +372,9 @@ class StreamEngine:
 
         # Capture micro-batch machinery: window indices with undecoded
         # buffered captures, the watermark the windows were last advanced
-        # to (skip redundant sweeps), per-IP ASN memo, sketch-view cache.
+        # to (skip redundant sweeps), sketch-view cache.
         self._dirty = set()
         self._advanced_to = None
-        self._asn_cache = {}
         # Per-family sketch-view cache, keyed on the *source* mutation
         # counters below rather than the global generation: a darknet-
         # only batch leaves every capture/ISP aggregate untouched, so
@@ -656,13 +655,7 @@ class StreamEngine:
         if self.asn_of is None or not len(keys):
             asns, sums = _NO_KEYS, _NO_KEYS
         else:
-            cache, asn_of = self._asn_cache, self.asn_of
-            found = []
-            for ip in keys.tolist():
-                asn = cache.get(ip, -1)
-                if asn == -1:
-                    asn = cache[ip] = asn_of(ip)
-                found.append(asn)
+            found = list(map(self.asn_of, keys.tolist()))
             routed = np.array([asn is not None for asn in found])
             asns, sums = _sum_by_key(
                 np.array([asn for asn in found if asn is not None], dtype=np.int64),

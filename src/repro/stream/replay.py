@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.measurement.capture_store import pack_captures
 from repro.util.simtime import DAY, HOUR, WEEK
 
 __all__ = ["KINDS", "RecordBatch", "ReplayTables", "replay_records", "replay_plan"]
@@ -122,55 +121,13 @@ class RecordBatch:
         return ("?", kind, a, b)
 
 
-def _darknet_pairs(world):
-    """Deduplicated ``(days, ips)`` scanner memberships, sorted by day
-    then IP."""
-    darknet = world.darknet
-    parts = []
-    pairs = getattr(darknet, "_scanner_pairs", None)
-    if pairs is not None and len(pairs):
-        parts.append(np.asarray(pairs, dtype=np.int64))
-    extra = [
-        (int(day), int(ip))
-        for day, ips in getattr(darknet, "_daily_scanners", {}).items()
-        for ip in ips
-    ]
-    if extra:
-        parts.append(np.array(extra, dtype=np.int64))
-    if not parts:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    merged = np.concatenate(parts) if len(parts) > 1 else parts[0]
-    # Dedupe + lex-sort (day, ip) in one pass over a packed 64-bit key;
-    # IPs are u32 and days small, so the packing is lossless.
-    uniq = np.unique((merged[:, 0] << np.int64(32)) | merged[:, 1])
-    return uniq >> np.int64(32), uniq & np.int64(0xFFFFFFFF)
-
-
 def _isp_cells(world, site_name):
-    """The Merit site's ``(hours, ips, bytes)`` cells sorted by (hour, IP),
-    or None when the world has no such site.  The sort is stable, so a
-    cell present in both the compacted columns and the overlay keeps that
-    order."""
+    """The site's ``(hours, ips, bytes)`` cells sorted by (hour, IP), or
+    None when the world has no such site."""
     site = world.isp.sites.get(site_name)
     if site is None:
         return None
-    ips, hours, volumes = [], [], []
-    cols = getattr(site, "_victim_cols", None)
-    if cols is not None:
-        ips.append(np.asarray(cols[0], dtype=np.int64))
-        hours.append(np.asarray(cols[1], dtype=np.int64))
-        volumes.append(np.asarray(cols[2], dtype=np.float64))
-    overlay = getattr(site, "victim_hourly", {})
-    if overlay:
-        keys = list(overlay)
-        ips.append(np.array([ip for ip, _hour in keys], dtype=np.int64))
-        hours.append(np.array([hour for _ip, hour in keys], dtype=np.int64))
-        volumes.append(np.array(list(overlay.values()), dtype=np.float64))
-    if not ips:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, np.empty(0, dtype=np.float64)
-    ips, hours, volumes = (np.concatenate(c) for c in (ips, hours, volumes))
+    ips, hours, volumes = site.victim_cells()
     order = np.lexsort((ips, hours))
     return hours[order], ips[order], volumes[order]
 
@@ -185,7 +142,7 @@ def _arbor_rows(world):
         (daily.day, 0, (daily.total_bps, daily.ntp_bps, daily.dns_bps))
         for daily in arbor.daily
     ]
-    rows.extend((day, 1, None) for day in getattr(arbor, "missing_days", ()) or ())
+    rows.extend((day, 1, None) for day in arbor.missing_days)
     rows.sort(key=lambda r: (r[0], r[1]))
     return [(day, payload) for day, _rank, payload in rows]
 
@@ -198,21 +155,15 @@ def replay_records(world, site_name="merit"):
     tie-break rank, so one stable lexsort over ``(t, kind)`` reproduces
     exactly the order a ``heapq.merge`` on ``(t, rank, sequence)`` keys
     would — records of equal key keep their source order.  Two replays of
-    the same world produce identical batches.  A sample without a packed
-    store (built capture-by-capture, or an outage gap) is packed here, so
-    the engine only ever sees packed captures.
+    the same world produce identical batches.  Capture rows point into
+    each sample's own packed store (an outage gap's is empty).
     """
     samples = world.onp.monlist_samples
-    stores = []
-    for sample in samples:
-        packed = getattr(sample, "packed", None)
-        if packed is None:
-            packed = pack_captures(sample.captures, sample.t)
-        stores.append(packed)
+    stores = [sample.packed for sample in samples]
     sweeps = [
         {
-            "outage": bool(getattr(sample, "outage", False)),
-            "coverage": float(getattr(sample, "coverage", 1.0)),
+            "outage": bool(sample.outage),
+            "coverage": float(sample.coverage),
             "n_captures": len(sample),
         }
         for sample in samples
@@ -241,7 +192,7 @@ def replay_records(world, site_name="merit"):
     starts = np.cumsum(sizes) - sizes
     positions = np.arange(int(sizes.sum()), dtype=np.int64) - np.repeat(starts, sizes)
     add(np.repeat(sample_t, sizes), CAPTURE, np.repeat(sample_ix, sizes), positions)
-    days, ips = _darknet_pairs(world)
+    days, ips = world.darknet.scanner_pairs()
     add(days * DAY, DARKNET, days, ips)
     cells = _isp_cells(world, site_name)
     if cells is not None:
@@ -271,9 +222,9 @@ def replay_plan(world, site_name="merit"):
     counts = {
         "sweep": len(samples),
         "capture": sum(len(s) for s in samples),
-        "darknet": len(_darknet_pairs(world)[0]),
+        "darknet": len(world.darknet.scanner_pairs()[0]),
         "isp": 0 if cells is None else len(cells[0]),
-        "arbor": len(world.arbor.daily) + len(getattr(world.arbor, "missing_days", ()) or ()),
+        "arbor": len(world.arbor.daily) + len(world.arbor.missing_days),
     }
     return {
         "capture_origin": origin,

@@ -19,7 +19,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from repro.measurement.capture_store import inline_array, maybe_spill_array
+from repro.measurement.capture_store import day_pair_array, inline_array
 from repro.net.asn import DARKNET_POOL
 from repro.util.simtime import DAY, month_key
 
@@ -42,9 +42,9 @@ class Ipv4Darknet:
         self._base_coverage = coverage
         self._coverage_jitter = coverage_jitter
         self._monthly_packets = defaultdict(_empty_month_counts)
+        #: {day: scanner IPs} while observing; None once compact() has
+        #: turned it into ``_scanner_pairs``, the form every reader reads.
         self._daily_scanners = defaultdict(set)
-        #: Compacted (day, scanner_ip) pairs — flat arrays instead of a
-        #: dict of sets once the observation phase ends (see compact()).
         self._scanner_pairs = None
         self._monthly_coverage = {}
         #: Optional :class:`~repro.faults.FaultInjector`; fault draws use the
@@ -137,45 +137,28 @@ class Ipv4Darknet:
         return counts["benign"] / total
 
     def compact(self):
-        """Freeze the per-day scanner sets into one flat, (day, ip)-sorted
-        pair array, spilled to an unlinked memmap past ``REPRO_SPILL_MB``.
+        """End the observation: freeze the per-day scanner sets into one
+        flat, (day, ip)-sorted pair array, spilled to an unlinked memmap
+        past ``REPRO_SPILL_MB``, and drop the sets.
 
         A full-scale observation season holds millions of (day, scanner)
         memberships; as Python sets of ints they cost ~100 bytes each,
-        as int64 pairs 16.  Observation can continue afterwards (new
-        sightings land in the dict overlay and are merged on the next
-        compact), and every figure-facing count is unchanged.  Returns
-        ``self`` so it chains.
+        as int64 pairs 16.  The build compacts once, right after the
+        sweeps; every scanner read below reads the pairs, and a sweep
+        observed afterwards raises.  Returns ``self`` so it chains.
         """
-        parts = []
-        if self._scanner_pairs is not None and len(self._scanner_pairs):
-            parts.append(np.asarray(self._scanner_pairs))
-        for day, ips in self._daily_scanners.items():
-            pair = np.empty((len(ips), 2), dtype=np.int64)
-            pair[:, 0] = day
-            pair[:, 1] = np.fromiter(ips, dtype=np.int64, count=len(ips))
-            parts.append(pair)
-        if parts:
-            pairs = np.concatenate(parts)
-            order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-            pairs = pairs[order]
-            keep = np.ones(len(pairs), dtype=bool)
-            keep[1:] = (pairs[1:] != pairs[:-1]).any(axis=1)
-            pairs = np.ascontiguousarray(pairs[keep])
-        else:
-            pairs = np.empty((0, 2), dtype=np.int64)
-        self._scanner_pairs = maybe_spill_array(pairs)
-        self._daily_scanners = defaultdict(set)
+        self._scanner_pairs = day_pair_array(self._daily_scanners)
+        self._daily_scanners = None
         return self
+
+    def scanner_pairs(self):
+        """Every (day, scanner IP) membership as two int64 columns, sorted
+        by day then IP, each pair once."""
+        return self._scanner_pairs[:, 0], self._scanner_pairs[:, 1]
 
     def daily_unique_scanners(self):
         """{day index: unique scanner source IPs seen that day}."""
-        if self._scanner_pairs is None:
-            return {day: len(ips) for day, ips in sorted(self._daily_scanners.items())}
-        if self._daily_scanners:
-            self.compact()
-        pairs = self._scanner_pairs
-        days, counts = np.unique(pairs[:, 0], return_counts=True)
+        days, counts = np.unique(self._scanner_pairs[:, 0], return_counts=True)
         return {int(d): int(c) for d, c in zip(days.tolist(), counts.tolist())}
 
     # -- pickling ------------------------------------------------------------------
@@ -183,10 +166,7 @@ class Ipv4Darknet:
     # re-inlined so the pickle never references an unlinked temp file.
 
     def __getstate__(self):
-        state = self.__dict__.copy()
-        if state.get("_scanner_pairs") is not None:
-            state["_scanner_pairs"] = inline_array(state["_scanner_pairs"])
-        return state
+        return dict(self.__dict__, _scanner_pairs=inline_array(self._scanner_pairs))
 
 
 class Ipv6Darknet:

@@ -139,7 +139,8 @@ VERDICTS = {name: reason for reason, *names in [
         "repro.analysis.scanning:ScanningReport.rise_factor",
     ),
     (
-        "benchmark: benchmarks/test_table2_os_strings.py (per-sample Table 2 reports)",
+        "oracle: test_event_columns::test_version_parse_packed_matches_object_path checks the "
+        "packed parse against it (benchmarks/test_table2_os_strings.py too)",
         "repro.analysis.versions:parse_version_captures",
     ),
     (
@@ -179,6 +180,12 @@ VERDICTS = {name: reason for reason, *names in [
         "repro.measurement.capture_store:map_spill",
         "repro.measurement.capture_store:sweep_stale_spills",
         "repro.measurement.capture_store:write_spill",
+    ),
+    (
+        "oracle: tests/strategies.lenient_parse and test_measurement_onp read a sample's "
+        "captures as views (benchmarks/test_table2_os_strings.py and test_ablations.py too)",
+        "repro.measurement.capture_store:PackedCaptures.views",
+        "repro.measurement.onp:OnpSample.captures",
     ),
     (
         "claim: test_measurement_onp::test_responders_only_answer_probed_implementation (§3.1: "
@@ -234,16 +241,6 @@ VERDICTS = {name: reason for reason, *names in [
         "oracle: test_net_asn::test_reserved_pools_untouched checks the registry's allocations "
         "with it",
         "repro.net.ipv4:Prefix.contains_prefix",
-    ),
-    (
-        "oracle: test_net_ipv4 and test_net_asn::test_pbl_education_split read prefix bounds "
-        "through it",
-        "repro.net.ipv4:Prefix.first",
-    ),
-    (
-        "oracle: test_net_asn::test_pbl_labels_residential_space and test_pbl_empty_fraction "
-        "read the PBL through it",
-        "repro.net.pbl:PolicyBlockList.end_host_fraction",
     ),
     (
         "oracle: test_ntp_monlist, test_ntp_server and test_measurement_state read monitor "

@@ -14,6 +14,7 @@ deterministic helper for building canonical wire fixtures.
 from hypothesis import strategies as st
 
 from repro.analysis.monlist_parse import ParseStats, reconstruct_table_lenient
+from repro.measurement.capture_store import PackedCapturesBuilder
 from repro.measurement.onp import ProbeCapture
 from repro.net import Prefix
 from repro.ntp import MonlistTable
@@ -40,6 +41,7 @@ __all__ = [
     "shard_partitions",
     "build_packets",
     "capture_of",
+    "pack_captures",
     "lenient_parse",
     "BASE_PACKET_SETS",
     "V1_PACKET_SETS",
@@ -122,6 +124,15 @@ def build_packets(n_clients, now=1000.0, entry_version=2):
 def capture_of(packets, target_ip=42, t=1000.0):
     """Wrap raw packets as a :class:`ProbeCapture` (the parser's input)."""
     return ProbeCapture(target_ip=target_ip, t=t, packets=tuple(packets), n_repeats=1)
+
+
+def pack_captures(captures, t=0.0):
+    """Pack :class:`ProbeCapture`-shaped captures into one store, in order:
+    how a fixture's hand-built captures reach the columnar decoder."""
+    builder = PackedCapturesBuilder(t)
+    for capture in captures:
+        builder.add(capture.target_ip, capture.packets, n_repeats=capture.n_repeats)
+    return builder.finish()
 
 
 def lenient_parse(sample):

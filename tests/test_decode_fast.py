@@ -19,13 +19,13 @@ from hypothesis import strategies as st
 from repro.analysis import event_columns
 from repro.analysis.event_columns import decode_capture_batch
 from repro.analysis.monlist_parse import ParseStats, reconstruct_table_lenient
-from repro.measurement.capture_store import pack_captures
 from repro.ntp import MonlistTable
 from repro.ntp.constants import IMPL_XNTPD, IMPL_XNTPD_OLD
 from tests.strategies import (
     BASE_PACKET_SETS,
     V1_PACKET_SETS,
     capture_of,
+    pack_captures,
 )
 
 #: Every clean fixture by (entry version, client count).

@@ -136,3 +136,47 @@ def test_table3_note_when_no_table_is_probe_topped(world, monkeypatch):
     assert int(total) == len(sample.captures) > 0
     assert int(parsed) + int(failed) == int(total)
     assert int(parsed) > 0
+
+
+# -- an outage sample: an empty packed store, read as a gap ------------------
+
+
+def test_outage_sample_carries_an_empty_store_through_every_reader(world):
+    """A sweep lost to an apparatus outage is still a sample, holding an
+    empty packed store: the corpus decode, the replay, the version parse
+    and Fig 4c each read it as a gap."""
+    from repro.analysis.event_columns import columns_for_sample
+    from repro.analysis.versions import parse_version_samples
+    from repro.attack.scanner import RESEARCH_SCANNERS
+    from repro.cli import render_artifact
+    from repro.faults import FaultInjector, FaultProfile
+    from repro.measurement.amplifier_state import AmplifierStateManager
+    from repro.measurement.onp import OnpProber
+    from repro.stream.replay import CAPTURE, SWEEP, replay_records
+    from repro.util import RngStream, format_sim
+
+    faults = FaultInjector(FaultProfile(onp_sample_outage_rate=1.0), RngStream(1, "faults"))
+    state = AmplifierStateManager(RngStream(1, "state"), RESEARCH_SCANNERS)
+    t_monlist = world.onp.monlist_samples[0].t
+    t_version = world.onp.version_samples[0].t
+    onp = OnpProber(state, faults=faults).run_all(
+        world.hosts, RngStream(1, "onp"), monlist_times=[t_monlist], version_times=[t_version]
+    )
+    (monlist,), (version,) = onp.monlist_samples, onp.version_samples
+    for sample in (monlist, version):
+        assert sample.outage and len(sample) == len(sample.packed) == 0
+
+    (view,) = columns_for_sample(monlist).sample_views()
+    assert view.outage and not view.tables and view.stats.captures_total == 0
+
+    degraded = _degraded_copy(world)
+    degraded.onp = onp
+    records = replay_records(degraded)
+    assert (records.kind == SWEEP).sum() == 1
+    assert (records.kind == CAPTURE).sum() == 0
+    assert records.tables.sweeps == [{"outage": True, "coverage": 1.0, "n_captures": 0}]
+
+    assert parse_version_samples([version]).records == []
+    fig4c = render_artifact(degraded, "F4").split("Fig 4c")[1]
+    row = next(line for line in fig4c.splitlines() if line.startswith(format_sim(t_version)))
+    assert row.rstrip().endswith("- (no data)")

@@ -14,6 +14,7 @@ byte-identical.
 
 from collections import Counter, defaultdict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from repro.analysis.churn import ChurnReport, churn_report
 from repro.analysis.concentration import as_concentration
 from repro.analysis.event_columns import build_event_columns, columns_for_sample
-from repro.analysis.versions import parse_version_samples
+from repro.analysis.versions import parse_version_captures, parse_version_samples
 from repro.analysis.victimology import (
     CLASS_NON_VICTIM,
     CLASS_SCANNER,
@@ -60,9 +61,7 @@ def packed_sample(capture_specs, t=1000.0, mode=7, outage=False, coverage=1.0):
     builder = PackedCapturesBuilder(t)
     for target_ip, packets, n_repeats in capture_specs:
         builder.add(target_ip, packets, n_repeats=n_repeats)
-    sample = OnpSample(t=t, mode=mode, outage=outage, coverage=coverage)
-    sample.attach_packed(builder.finish())
-    return sample
+    return OnpSample(t, mode, builder.finish(), outage=outage, coverage=coverage)
 
 
 def mutate(packets, mutation, data):
@@ -165,7 +164,7 @@ def test_columnar_matches_object_under_mutations(data):
 
 
 def test_columnar_outage_and_empty_captures():
-    outage = OnpSample(t=500.0, mode=7, outage=True, coverage=0.0)
+    outage = packed_sample([], t=500.0, outage=True, coverage=0.0)
     empties = packed_sample([(3, (), 1), (4, (), 1)], t=900.0)
     for sample in (outage, empties):
         columns = columns_for_sample(sample)
@@ -199,12 +198,18 @@ def test_columnar_decode_advances_ledger_once_per_sample(decode_spy):
 
 class _FakeAsnTable:
     """asn_of with unrouted holes, ASN 0 included (the -1 sentinel must
-    not shadow a real AS number)."""
+    not shadow a real AS number); asns_of is its array form."""
 
     def asn_of(self, ip):
         if ip % 4 == 0:
             return None
         return ip % 7
+
+    def asns_of(self, ips):
+        return np.array(
+            [-1 if (asn := self.asn_of(ip)) is None else asn for ip in ips.tolist()],
+            dtype=np.int64,
+        )
 
 
 def reference_victimology(sample, onp_ip=None):
@@ -306,7 +311,7 @@ def test_churn_kernel_matches(data):
     assert churn_report(build_event_columns(samples).sample_views()) == expected
 
 
-def version_sample(specs, t=1000.0, packed=True):
+def version_sample(specs, t=1000.0):
     """A mode-6 version sweep sample; ``specs`` is ``[(ip, payload)]``
     where payload is a READVAR string or pre-built raw packets."""
     built = []
@@ -329,33 +334,22 @@ def version_sample(specs, t=1000.0, packed=True):
             for index, fragment in enumerate(fragments)
         )
         built.append((ip, packets, 1))
-    if packed:
-        return packed_sample(built, t=t, mode=6)
-    from tests.strategies import capture_of
-
-    sample = OnpSample(
-        t=t,
-        mode=6,
-        captures=[capture_of(packets, target_ip=ip, t=t) for ip, packets, _ in built],
-    )
-    return sample
+    return packed_sample(built, t=t, mode=6)
 
 
 def test_version_parse_packed_matches_object_path():
     """The packed version-sweep reader slices payloads straight from the
-    blob; records (and their last-write-wins order) match the view loop."""
+    blob; records (and their last-write-wins order) match the per-capture
+    oracle over the same samples' capture views."""
     payloads = [
         render_system_variables("4.2.6p5", 2010, "Linux/2.6.32", "x86_64", 3, "GPS"),
         render_system_variables("4.1.1", 2004, "cisco", "unknown", 16, ".INIT."),
         (b"\x00\x01",),  # short mode-6 packet: unparseable, memoized skip
     ]
     specs = [(50, payloads[0]), (51, payloads[1]), (52, payloads[2]), (50, payloads[1])]
-    fast = parse_version_samples(
-        [version_sample(specs), version_sample(specs, t=2000.0)]
-    )
-    slow = parse_version_samples(
-        [version_sample(specs, packed=False), version_sample(specs, t=2000.0, packed=False)]
-    )
+    samples = [version_sample(specs), version_sample(specs, t=2000.0)]
+    fast = parse_version_samples(samples)
+    slow = parse_version_captures([c for sample in samples for c in sample.captures])
     assert len(fast) == len(slow) > 0
     assert [(r.ip, r.os_family, r.system, r.stratum, r.compile_year) for r in fast.records] == [
         (r.ip, r.os_family, r.system, r.stratum, r.compile_year) for r in slow.records
@@ -381,8 +375,6 @@ def test_concat_then_spill_preserves_byte_order(monkeypatch, tmp_path):
         packed_sample([(9, attack_packets(2), 1)], t=2000.0),
     ]
     merged = build_event_columns(samples)  # concat + spill engaged
-    import numpy as np
-
     assert isinstance(merged.entries.base, np.memmap) or isinstance(
         merged.entries, np.memmap
     )

@@ -117,3 +117,22 @@ def test_background_series_protocol_mix(world):
     total = sum(s.mean() for s in series.values())
     # 20 Gbps site at ~1.0x diurnal average, in bytes/hour.
     assert total == pytest.approx(20e9 / 8 * 3600, rel=0.2)
+
+
+def test_site_is_read_compacted(world):
+    """The build compacts every site once: its cells and scanner pairs are
+    sorted arrays, and a late observation fails loudly instead of landing
+    where no reader looks."""
+    from repro.measurement.isp import IspMeasurement
+
+    merit = world.isp.sites["merit"]
+    ips, hours, volumes = merit.victim_cells()
+    assert len(ips) == len(hours) == len(volumes) > 0
+    keys = list(zip(ips.tolist(), hours.tolist()))
+    assert keys == sorted(set(keys))
+    for day in sorted(merit.scanner_days())[:5]:
+        assert merit.scanners_on(day)
+    assert merit.scanners_on(-1) == set()
+    late = IspMeasurement(world.registry).compact()
+    with pytest.raises(TypeError):
+        late.observe_attacks(world.attacks)

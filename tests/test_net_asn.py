@@ -1,18 +1,28 @@
 """Tests for the AS registry, routing table, geo view, and PBL."""
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net import (
     ASRegistry,
+    AutonomousSystem,
     CONTINENT_OF,
     GeoView,
     NetworkKind,
     PolicyBlockList,
+    Prefix,
     RoutedBlockTable,
     aggregate_counts,
 )
-from repro.net.asn import DARKNET_POOL, MEASUREMENT_POOL
+from repro.net.asn import CONTINENTS, DARKNET_POOL, MEASUREMENT_POOL
+from repro.net.ipv4 import MAX_IPV4
+from repro.net.pbl import _WORKSTATION_POOL_FRACTION
+from repro.net.routing import AggregateCounts
 from repro.util import RngStream
+from tests.strategies import ips
 
 
 @pytest.fixture(scope="module")
@@ -131,8 +141,8 @@ def test_pbl_labels_residential_space(registry, table):
     hosting = registry.systems_of_kind(NetworkKind.HOSTING)[:20]
     res_ips = [s.random_ip(rng) for s in residential]
     host_ips = [s.random_ip(rng) for s in hosting]
-    assert pbl.end_host_fraction(res_ips) == 1.0
-    assert pbl.end_host_fraction(host_ips) == 0.0
+    assert pbl.end_host_count(res_ips) == len(res_ips)
+    assert pbl.end_host_count(host_ips) == 0
     assert pbl.end_host_count(res_ips + host_ips) == len(res_ips)
 
 
@@ -146,4 +156,119 @@ def test_pbl_education_split(registry):
 
 
 def test_pbl_empty_fraction(registry):
-    assert PolicyBlockList(registry).end_host_fraction([]) == 0.0
+    """No IPs, no end hosts (Table 1 guards its fraction on the count)."""
+    assert PolicyBlockList(registry).end_host_count([]) == 0
+
+
+# -- interval tables vs a brute-force scan over random address plans ----------
+
+
+class _Plan:
+    """A registry stand-in: the given ASes and their prefixes."""
+
+    def __init__(self, systems):
+        self._systems = systems
+
+    def __iter__(self):
+        return iter(self._systems)
+
+    def all_prefixes(self):
+        return [(prefix, system) for system in self._systems for prefix in system.prefixes]
+
+
+@st.composite
+def address_plans(draw):
+    """Disjoint prefixes of /8 to /32 in address order, adjacent or apart,
+    the first at address 0 and the last ending at 2**32 - 1, spread over a
+    few ASes of drawn kinds."""
+    top_length = draw(st.integers(min_value=8, max_value=32))
+    top = Prefix(MAX_IPV4 + 1 - (1 << (32 - top_length)), top_length)
+    prefixes, cursor = [], 0
+    for length in draw(st.lists(st.integers(min_value=8, max_value=32), min_size=1, max_size=12)):
+        size = 1 << (32 - length)
+        if prefixes:
+            cursor += draw(st.sampled_from([0, 0, 1, 300, 70_000, 1 << 24]))
+        cursor = -(-cursor // size) * size
+        if cursor + size > top.network:
+            break
+        prefixes.append(Prefix(cursor, length))
+        cursor += size
+    prefixes.append(top)
+    n_ases = draw(st.integers(min_value=1, max_value=4))
+    systems = [
+        AutonomousSystem(
+            asn=asn,
+            name=f"AS{asn}",
+            kind=draw(st.sampled_from(list(NetworkKind))),
+            country="XX",
+            continent=draw(st.sampled_from(CONTINENTS)),
+        )
+        for asn in range(n_ases)
+    ]
+    for prefix in prefixes:
+        systems[draw(st.integers(min_value=0, max_value=n_ases - 1))].prefixes.append(prefix)
+    return _Plan(systems)
+
+
+def _scan(plan, ip):
+    """The ``(Prefix, AutonomousSystem)`` covering ``ip``, by linear scan."""
+    hits = [hit for hit in plan.all_prefixes() if hit[0].contains(ip)]
+    assert len(hits) <= 1
+    return hits[0] if hits else None
+
+
+def _listed(plan, ip):
+    """PBL membership by its definition: residential space, plus the
+    leading fraction of each education and enterprise prefix."""
+    hit = _scan(plan, ip)
+    if hit is None:
+        return False
+    prefix, system = hit
+    if system.kind == NetworkKind.RESIDENTIAL:
+        return True
+    fraction = _WORKSTATION_POOL_FRACTION.get(system.kind, 0.0)
+    return ip - prefix.first < int(prefix.n_addresses * fraction)
+
+
+@given(plan=address_plans(), random_ips=st.lists(ips, max_size=20))
+@settings(max_examples=100, deadline=None)
+def test_interval_lookups_match_a_linear_scan(plan, random_ips):
+    table = RoutedBlockTable(plan)
+    pbl = PolicyBlockList(plan)
+    probes = list(random_ips)
+    for prefix, _ in plan.all_prefixes():
+        probes += [prefix.first, prefix.last, prefix.first - 1, prefix.last + 1]
+    probes = [ip for ip in probes if 0 <= ip <= MAX_IPV4]
+    for ip in probes:
+        hit = _scan(plan, ip)
+        assert table.lookup(ip) == hit
+        assert table.asn_of(ip) == (hit[1].asn if hit else None)
+        assert table.continent_of(ip) == (hit[1].continent if hit else None)
+        assert pbl.is_end_host(ip) == _listed(plan, ip)
+    hits = [hit for hit in map(lambda ip: _scan(plan, ip), set(probes)) if hit]
+    assert aggregate_counts(probes, table) == AggregateCounts(
+        ips=len(set(probes)),
+        slash24s=len({ip & 0xFFFFFF00 for ip in probes}),
+        blocks=len({prefix for prefix, _ in hits}),
+        asns=len({system.asn for _, system in hits}),
+    )
+    assert pbl.end_host_count(probes) == sum(_listed(plan, ip) for ip in probes)
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ("10.0.0.0/8", "10.1.0.0/16"),
+        ("10.0.0.0/16", "10.0.0.0/16"),
+        ("10.0.0.0/24", "10.0.0.128/25"),
+        ("10.0.0.0/32", "10.0.0.0/24"),  # the /24 starts at the /32's last address
+    ],
+)
+def test_overlapping_routed_prefixes_are_refused(first, second):
+    """An interval table cannot take a longest match: it names the pair."""
+    systems = [
+        AutonomousSystem(asn, f"AS{asn}", NetworkKind.HOSTING, "US", "NA", [Prefix.parse(text)])
+        for asn, text in ((1, first), (2, second))
+    ]
+    with pytest.raises(ValueError, match=f"{re.escape(first)} and {re.escape(second)} overlap"):
+        RoutedBlockTable(_Plan(systems))

@@ -17,12 +17,19 @@ import pickle
 import numpy as np
 import pytest
 
+import repro.scenario.cache as cache_mod
 import repro.scenario.world as world_mod
 from repro.attack.campaign import AttackSpec
 from repro.faults import resolve_fault_profile
 from repro.population.amplifiers import BackgroundClients, NtpHost, pack_hosts, unpack_hosts
 from repro.scenario import PaperWorld, WorldParams
-from repro.scenario.cache import CacheMiss, build_world_cached, load_world, save_world
+from repro.scenario.cache import (
+    CacheMiss,
+    build_world_cached,
+    load_world,
+    save_world,
+    write_enveloped,
+)
 from repro.scenario.checkpoint import BuildCheckpoint
 from repro.verify import artifact_checksums
 from repro.verify.runner import Cell, _cell_task
@@ -258,6 +265,13 @@ def test_stale_cache_is_rejected_before_the_world_loads(tiny_world, tmp_path, mo
         load_world(path, WorldParams(seed=8, scale=TINY.scale))
     assert calls == []
     assert load_world(path, TINY).params == TINY
+    assert calls == [1]
+    # A format-3 file (a world with its state manager and prefix tries)
+    # misses with a note, before its world is unpickled.
+    old = str(tmp_path / "format3.pkl")
+    write_enveloped(old, cache_mod._WORLD_LAYOUT, 3, TINY, tiny_world)
+    with pytest.raises(CacheMiss, match="envelope format 3"):
+        load_world(old, TINY)
     assert calls == [1]
 
 

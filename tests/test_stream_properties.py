@@ -14,10 +14,12 @@ plus real-world engine checks:
 * the engine's ledger, ``late_uids`` and every answer on reordered and
   redelivered replays of a small world equal the reference ledger's, at
   chunk sizes from one row to the whole stream;
-* a sample built capture-by-capture replays like the same sample packed;
+* captures with a torn fragment replay through the salvage decoder with
+  the batch corpus decode's ParseStats;
 * a retired engine is freed by reference counting alone.
 """
 
+import dataclasses
 import gc
 import json
 import math
@@ -29,7 +31,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.measurement.capture_store import pack_captures
+from repro.analysis.event_columns import build_event_columns
+from repro.analysis.monlist_parse import ParseStats
 from repro.measurement.onp import OnpSample, ProbeCapture
 from repro.scenario.world import PaperWorld
 from repro.stream import QUERY_NAMES, StreamEngine, replay_plan, replay_records
@@ -41,6 +44,7 @@ from tests.strategies import (
     bounded_skews,
     chunkings,
     index_streams,
+    pack_captures,
     record_streams,
     reference_ledger,
     sketch_streams,
@@ -426,13 +430,11 @@ def test_records_after_close_are_late(small_world, small_replay):
     }
 
 
-def test_capture_by_capture_sample_replays_like_the_packed_sample(small_world):
-    """A sample built capture-by-capture (no packed store) is packed once
-    by the replay and takes the one decoder: every answer, window
-    summaries and ParseStats included, equals the same captures served
-    out of a ``PackedCaptures`` store — mutated captures on the salvage
-    path too."""
-    loose_samples, packed_samples = [], []
+def test_torn_fragment_sample_replays_like_the_batch_decode(small_world):
+    """Captures with a torn fragment take the salvage decoder in the
+    replay: the engine's stream-global ParseStats equal the batch corpus
+    decode of the same samples, counter for counter."""
+    samples = []
     for sample in small_world.onp.monlist_samples:
         captures = []
         for view in sample.captures:
@@ -440,28 +442,27 @@ def test_capture_by_capture_sample_replays_like_the_packed_sample(small_world):
             if len(captures) % 5 == 0 and packets:
                 packets[0] = packets[0][:-3]  # a torn fragment: irregular capture
             captures.append(ProbeCapture(view.target_ip, view.t, tuple(packets), view.n_repeats))
-        extra = {"outage": sample.outage, "coverage": sample.coverage}
-        loose_samples.append(OnpSample(sample.t, sample.mode, captures=captures, **extra))
-        packed = OnpSample(sample.t, sample.mode, **extra)
-        packed.attach_packed(pack_captures(captures, sample.t))
-        packed_samples.append(packed)
-    answers = []
-    for samples in (loose_samples, packed_samples):
-        world = types.SimpleNamespace(
-            onp=types.SimpleNamespace(monlist_samples=samples),
-            darknet=small_world.darknet,
-            isp=small_world.isp,
-            arbor=small_world.arbor,
-            table=small_world.table,
+        packed = pack_captures(captures, sample.t)
+        samples.append(
+            OnpSample(sample.t, sample.mode, packed, outage=sample.outage, coverage=sample.coverage)
         )
-        records = replay_records(world)
-        engine = StreamEngine.for_world(world)
-        for lo in range(0, len(records), 64):
-            engine.ingest_many(records[lo : lo + 64])
-        engine.close()
-        answers.append(_served_answers(engine))
-    assert answers[0] == answers[1]
-    stats = json.loads(answers[0]["parse_stats"])
+    world = types.SimpleNamespace(
+        onp=types.SimpleNamespace(monlist_samples=samples),
+        darknet=small_world.darknet,
+        isp=small_world.isp,
+        arbor=small_world.arbor,
+        table=small_world.table,
+    )
+    records = replay_records(world)
+    engine = StreamEngine.for_world(world)
+    for lo in range(0, len(records), 64):
+        engine.ingest_many(records[lo : lo + 64])
+    engine.close()
+    batch = ParseStats()
+    for view in build_event_columns(samples).sample_views():
+        batch.merge(view.stats)
+    stats = engine.query_parse_stats()
+    assert stats == dataclasses.asdict(batch)
     assert stats["captures_salvaged"] + stats["captures_failed"] > 0
 
 

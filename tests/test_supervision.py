@@ -340,6 +340,7 @@ def test_completed_build_leaves_no_checkpoint(tmp_path):
     [
         (lambda p: {**p, "version": "0.0.1"}, "written by repro '0.0.1'"),
         (lambda p: {**p, "format": 99}, "envelope format"),
+        (lambda p: {**p, "format": 3}, "envelope format 3"),
         (lambda p: {**p, "params": WorldParams(seed=8, scale=0.0002)}, "built for"),
         (lambda p: {**p, "phases": ["hosts", "registry"]}, "does not prefix"),
         (lambda p: {"state": p["state"]}, "envelope format"),

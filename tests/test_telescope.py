@@ -53,10 +53,24 @@ def test_daily_unique_scanners_spanning_days():
     t = date_to_sim(2014, 1, 5)
     darknet.observe_sweep(make_sweep(t, ip=1, duration=3 * 86400.0))
     darknet.observe_sweep(make_sweep(t, ip=2))
-    daily = darknet.daily_unique_scanners()
+    darknet.observe_sweep(make_sweep(t, ip=2))
+    daily = darknet.compact().daily_unique_scanners()
     day0 = int(t // 86400)
     assert daily[day0] == 2
     assert daily[day0 + 1] == 1  # only the long sweep persists
+    days, ips = darknet.scanner_pairs()
+    assert list(zip(days.tolist(), ips.tolist())) == [
+        (day0, 1), (day0, 2), (day0 + 1, 1), (day0 + 2, 1), (day0 + 3, 1)
+    ]
+
+
+def test_observation_after_compact_raises():
+    """compact() ends the observation: a late sweep fails loudly instead
+    of landing where no reader looks."""
+    darknet = Ipv4Darknet(RngStream(4, "d")).compact()
+    assert darknet.daily_unique_scanners() == {}
+    with pytest.raises(TypeError):
+        darknet.observe_sweep(make_sweep(date_to_sim(2014, 1, 5)))
 
 
 def test_coverage_is_deterministic_per_month():
