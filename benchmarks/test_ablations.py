@@ -14,11 +14,11 @@ from repro.analysis import on_wire_baf, payload_baf
 from repro.ntp.constants import IMPL_XNTPD, IMPL_XNTPD_OLD
 
 
-def test_ablation_onwire_vs_payload_baf(benchmark, parsed_monlist):
-    tables = parsed_monlist[0].tables
+def test_ablation_onwire_vs_payload_baf(benchmark, world):
+    captures = world.onp.monlist_samples[0].captures
 
     def compute():
-        return [(on_wire_baf(t), payload_baf(t)) for t in tables]
+        return [(on_wire_baf(c), payload_baf(c)) for c in captures]
 
     pairs = benchmark(compute)
     # The payload ratio always exceeds the on-wire ratio: the 8-byte query

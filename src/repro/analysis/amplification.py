@@ -7,7 +7,6 @@ lower than Rossow's UDP-payload-ratio BAF — it models real bandwidth
 exhaustion on Ethernet links; an ablation benchmark compares the two.
 """
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ from repro.net.framing import (
     on_wire_bytes_array,
 )
 from repro.ntp.wire import decode_mode6
-from repro.util.stats import boxplot_summary, rank_series
+from repro.util.stats import boxplot_summary, group_sums, rank_series
 
 __all__ = [
     "on_wire_baf",
@@ -36,37 +35,28 @@ QUERY_ON_WIRE = MIN_ONWIRE_FRAME
 QUERY_PAYLOAD = 8
 
 
-def on_wire_baf(table_or_capture):
-    """On-wire BAF of one reply (works for reconstructed tables and raw
-    probe captures: both expose total packets/bytes once + repeats)."""
-    if hasattr(table_or_capture, "total_on_wire_bytes"):
-        total = table_or_capture.total_on_wire_bytes
-    else:
-        total = (
-            sum(on_wire_bytes(len(p)) for p in table_or_capture.packets)
-            * table_or_capture.n_repeats
-        )
+def on_wire_baf(capture):
+    """On-wire BAF of one raw probe capture: its packets' on-wire bytes
+    once, times its repeats, over the query's."""
+    total = sum(on_wire_bytes(len(p)) for p in capture.packets) * capture.n_repeats
     return total / QUERY_ON_WIRE
 
 
-def payload_baf(table_or_capture):
-    """Rossow-style UDP-payload BAF (for the ablation comparison)."""
-    if hasattr(table_or_capture, "total_payload_bytes"):
-        total = table_or_capture.total_payload_bytes
-    else:
-        total = sum(len(p) for p in table_or_capture.packets) * table_or_capture.n_repeats
-    return total / QUERY_PAYLOAD
+def payload_baf(capture):
+    """Rossow-style UDP-payload BAF of one raw probe capture (for the
+    ablation comparison)."""
+    return capture.total_payload_bytes / QUERY_PAYLOAD
+
+
+def _reply_bytes(parsed_sample):
+    """On-wire reply bytes (once x repeats) of each of a parsed sample's
+    tables, in table order."""
+    return parsed_sample.table_column("wire_once") * parsed_sample.table_column("n_repeats")
 
 
 def sample_baf_boxplot(parsed_sample):
     """Figure 4b: the five-number BAF summary of one monlist sample."""
-    columns = parsed_sample.columns
-    lo, hi = columns.sample_table_span(parsed_sample.sample_index)
-    totals = (
-        columns.table_native("wire_once")[lo:hi]
-        * columns.table_native("n_repeats")[lo:hi]
-    )
-    bafs = totals.astype(np.float64) / float(QUERY_ON_WIRE)
+    bafs = _reply_bytes(parsed_sample).astype(np.float64) / float(QUERY_ON_WIRE)
     return boxplot_summary(bafs.tolist())
 
 
@@ -83,14 +73,20 @@ def version_sample_baf_boxplot(version_sample):
     return boxplot_summary(bafs.tolist())
 
 
+def _amplifier_replies(parsed_samples):
+    """``(amplifier, reply bytes)`` columns over every table of the given
+    parsed samples, in corpus order (empty columns for no samples)."""
+    amplifiers = [p.table_column("amplifier") for p in parsed_samples]
+    replies = [_reply_bytes(p) for p in parsed_samples]
+    empty = np.zeros(0, dtype=np.int64)
+    return np.concatenate([empty, *amplifiers]), np.concatenate([empty, *replies])
+
+
 def aggregate_bytes_per_amplifier(parsed_samples):
     """Figure 4a: aggregate on-wire response bytes per amplifier over all
     samples, plus the rank series (sorted descending)."""
-    totals = defaultdict(int)
-    for parsed in parsed_samples:
-        for table in parsed.tables:
-            totals[table.amplifier_ip] += table.total_on_wire_bytes
-    return dict(totals), rank_series(totals.values())
+    totals = group_sums(*_amplifier_replies(parsed_samples))
+    return totals, rank_series(totals.values())
 
 
 @dataclass(frozen=True)
@@ -107,23 +103,17 @@ def mega_amplifier_census(parsed_samples):
     """Count amplifiers whose *single-sample* reply exceeded the mega
     thresholds, and the fraction whose aggregate stayed under a full
     table's worth (~50 KB)."""
-    max_reply = defaultdict(int)
-    totals = defaultdict(int)
-    for parsed in parsed_samples:
-        for table in parsed.tables:
-            max_reply[table.amplifier_ip] = max(
-                max_reply[table.amplifier_ip], table.total_on_wire_bytes
-            )
-            totals[table.amplifier_ip] += table.total_on_wire_bytes
-    if not max_reply:
+    amplifiers, replies = _amplifier_replies(parsed_samples)
+    if not len(amplifiers):
         return MegaCensus(0, 0, 0, 0.0)
-    over_100kb = sum(1 for v in max_reply.values() if v > 100e3)
-    over_1gb = sum(1 for v in max_reply.values() if v > 1e9)
-    largest = max(max_reply.values())
-    under_50kb = sum(1 for v in totals.values() if v < 50e3) / len(totals)
+    uniq, inverse = np.unique(amplifiers, return_inverse=True)
+    max_reply = np.zeros(len(uniq), dtype=np.int64)
+    np.maximum.at(max_reply, inverse, replies)
+    totals = np.zeros(len(uniq), dtype=np.int64)
+    np.add.at(totals, inverse, replies)
     return MegaCensus(
-        n_over_100kb=over_100kb,
-        n_over_1gb=over_1gb,
-        largest_bytes=largest,
-        fraction_under_50kb=under_50kb,
+        n_over_100kb=int((max_reply > 100e3).sum()),
+        n_over_1gb=int((max_reply > 1e9).sum()),
+        largest_bytes=int(max_reply.max()),
+        fraction_under_50kb=float((totals < 50e3).sum()) / len(uniq),
     )

@@ -31,11 +31,7 @@ def churn_report(parsed_samples):
     first row of each ip run is its discovery sample, and the run length
     is its seen-count.
     """
-    per_sample = []
-    for parsed in parsed_samples:
-        cols = parsed.columns
-        lo, hi = cols.sample_table_span(parsed.sample_index)
-        per_sample.append(np.unique(cols.table_native("amplifier")[lo:hi]))
+    per_sample = [np.unique(parsed.table_column("amplifier")) for parsed in parsed_samples]
     sample_of = np.repeat(
         np.arange(len(per_sample)), [len(u) for u in per_sample]
     )

@@ -1,6 +1,6 @@
 """AS-level concentration of attack traffic (Figure 5).
 
-For each victim observation, attribute its packets both to the victim's
+For each amplifier/victim pair, attribute its packets both to the victim's
 origin AS and to the amplifier's origin AS, then build the two rank-CDFs
 the paper plots: the top 100 amplifier ASes source ~60% of victim packets,
 and the top 100 victim ASes absorb ~75%.
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.util.stats import Ecdf
+from repro.util.stats import Ecdf, group_sums
 
 __all__ = ["ConcentrationReport", "as_concentration"]
 
@@ -40,28 +40,21 @@ class ConcentrationReport:
 def _as_packets(ips, packets, table):
     """{asn: packets} by group-by, keys in first-observation order.
 
-    The AS lookup runs once per *unique* IP, as one array lookup; per-AS
-    packet sums are exact in float64 accumulation and returned as ints,
-    and the dict is built in first-observation order, which is how
-    ``sorted`` ties in the rank methods above resolve.
+    The AS lookup runs once per *unique* IP, as one array lookup; the
+    dict is built in first-observation order, which is how ``sorted``
+    ties in the rank methods above resolve.
     """
     unique_ips = np.unique(ips)
     asn_lookup = table.asns_of(unique_ips)
     asn_per_obs = asn_lookup[np.searchsorted(unique_ips, ips)]
     routed = asn_per_obs >= 0
-    asns = asn_per_obs[routed]
-    if not len(asns):
-        return {}
-    uniq, first_idx, inverse = np.unique(asns, return_index=True, return_inverse=True)
-    sums = np.bincount(inverse, weights=packets[routed].astype(np.float64))
-    order = np.argsort(first_idx, kind="stable")
-    return {int(uniq[k]): int(sums[k]) for k in order}
+    return group_sums(asn_per_obs[routed], packets[routed])
 
 
 def as_concentration(report, table):
     """Build the Figure-5 view from a victimology report and a routing
     table (IPs outside the plan are dropped, as unrouted junk would be)."""
-    parts = [(s._victim, s._amplifier, s._packets) for s in report.samples]
+    parts = [(s.victim_ip, s.amplifier_ip, s.packets) for s in report.samples]
     parts = [p for p in parts if len(p[0])]
     if not parts:
         return ConcentrationReport(victim_as_packets={}, amplifier_as_packets={})

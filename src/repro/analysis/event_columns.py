@@ -8,8 +8,8 @@ blobs into three flat structured arrays — one row per sample, per table,
 per monitor entry — in the big-endian ``MON_V1_DTYPE`` style the world core
 adopted in PR 6.  Aggregation kernels (victimology, concentration, churn,
 versions, timeseries) then run as NumPy group-bys over these columns, and
-object views are materialized lazily only where a renderer still asks for
-them.
+every reader of the corpus reads these columns: no table or entry objects
+are built from them.
 
 :func:`decode_capture_batch` is the only capture decoder; the batch
 corpus and the streaming engine both call it.  It works on a *stride-1
@@ -45,7 +45,7 @@ from repro.measurement.capture_store import (
 )
 from repro.net.framing import on_wire_bytes_array
 from repro.ntp.constants import MODE7_HEADER_SIZE, MON_ENTRY_V1_SIZE, MON_ENTRY_V2_SIZE
-from repro.ntp.wire import MON_V1_DTYPE, MonitorEntry
+from repro.ntp.wire import MON_V1_DTYPE
 from repro.analysis.monlist_parse import ParseStats, reconstruct_table_lenient
 
 __all__ = [
@@ -232,8 +232,8 @@ class EventColumns:
     def sample_views(self):
         """One :class:`ColumnarSample` per sample row (memoized).
 
-        Each exposes the sample's flags, :class:`ParseStats`, and lazily
-        materialized tables and entries.
+        Each exposes the sample's flags, :class:`ParseStats` and table
+        count; its tables and entries are read through the spans above.
         """
         if self._views is None:
             self._views = [ColumnarSample(self, i) for i in range(self.n_samples)]
@@ -304,137 +304,16 @@ class EventColumns:
         return self
 
 
-class _TableView:
-    """A :class:`ReconstructedTable`-shaped view of one tables row.
-
-    Scalar fields read straight out of the columns; ``entries`` lazily
-    materializes :class:`MonitorEntry` objects only when a renderer still
-    needs them.
-    """
-
-    __slots__ = ("_cols", "_index", "_entries")
-
-    def __init__(self, cols, index):
-        self._cols = cols
-        self._index = index
-        self._entries = None
-
-    @property
-    def amplifier_ip(self):
-        return int(self._cols.tables["amplifier"][self._index])
-
-    @property
-    def t(self):
-        sample = int(self._cols.tables["sample"][self._index])
-        return float(self._cols.samples["t"][sample])
-
-    @property
-    def entry_size(self):
-        return int(self._cols.tables["entry_size"][self._index])
-
-    @property
-    def n_packets_once(self):
-        return int(self._cols.tables["n_packets_once"][self._index])
-
-    @property
-    def n_repeats(self):
-        return int(self._cols.tables["n_repeats"][self._index])
-
-    @property
-    def payload_bytes_once(self):
-        return int(self._cols.tables["payload_once"][self._index])
-
-    @property
-    def on_wire_bytes_once(self):
-        return int(self._cols.tables["wire_once"][self._index])
-
-    @property
-    def total_packets(self):
-        return self.n_packets_once * self.n_repeats
-
-    @property
-    def total_on_wire_bytes(self):
-        return self.on_wire_bytes_once * self.n_repeats
-
-    @property
-    def total_payload_bytes(self):
-        return self.payload_bytes_once * self.n_repeats
-
-    @property
-    def is_mega(self):
-        return self.n_repeats > 1
-
-    def __len__(self):
-        return int(self._cols.tables["entry_count"][self._index])
-
-    @property
-    def entries(self):
-        if self._entries is None:
-            cols, index = self._cols, self._index
-            lo = int(cols.tables["entry_start"][index])
-            seg = cols.entries[lo : lo + len(self)]
-            cells = {name: seg[name].tolist() for name in ENTRY_DTYPE.names}
-            new = MonitorEntry.__new__
-            out = []
-            append = out.append
-            for k in range(len(seg)):
-                entry = new(MonitorEntry)
-                entry.__dict__.update(
-                    last_int=cells["last"][k],
-                    first_int=cells["first"][k],
-                    count=cells["count"][k],
-                    addr=cells["addr"][k],
-                    daddr=cells["daddr"][k],
-                    flags=cells["flags"][k],
-                    port=cells["port"][k],
-                    mode=cells["mode"][k],
-                    version=cells["version"][k],
-                    restr=cells["restr"][k],
-                )
-                append(entry)
-            self._entries = tuple(out)
-        return self._entries
-
-
-class _TableList:
-    """Lazy list of :class:`_TableView` for one sample's tables slice."""
-
-    __slots__ = ("_cols", "_lo", "_hi", "_views")
-
-    def __init__(self, cols, lo, hi):
-        self._cols = cols
-        self._lo = lo
-        self._hi = hi
-        self._views = None
-
-    def __len__(self):
-        return self._hi - self._lo
-
-    def __bool__(self):
-        return self._hi > self._lo
-
-    def _materialized(self):
-        if self._views is None:
-            self._views = [_TableView(self._cols, i) for i in range(self._lo, self._hi)]
-        return self._views
-
-    def __getitem__(self, key):
-        return self._materialized()[key]
-
-    def __iter__(self):
-        return iter(self._materialized())
-
-
 class ColumnarSample:
-    """A view of one samples row: flags, stats, and lazy tables."""
+    """A view of one samples row: flags, stats, and its slice of the
+    tables columns (``len`` is its table count)."""
 
-    __slots__ = ("_cols", "_index", "_stats", "_tables", "_ip_cache")
+    __slots__ = ("_cols", "_index", "_stats", "_ip_cache")
 
     def __init__(self, cols, index):
         self._cols = cols
         self._index = index
         self._stats = None
-        self._tables = None
         self._ip_cache = None
 
     @property
@@ -464,21 +343,20 @@ class ColumnarSample:
             self._stats = self._cols.stats_of(self._index)
         return self._stats
 
-    @property
-    def tables(self):
-        if self._tables is None:
-            lo, hi = self._cols.sample_table_span(self._index)
-            self._tables = _TableList(self._cols, lo, hi)
-        return self._tables
-
     def __len__(self):
-        return len(self.tables)
+        lo, hi = self._cols.sample_table_span(self._index)
+        return hi - lo
+
+    def table_column(self, name):
+        """The named tables column over this sample's tables, as native
+        int64 (a slice of the memoized corpus column)."""
+        lo, hi = self._cols.sample_table_span(self._index)
+        return self._cols.table_native(name)[lo:hi]
 
     def amplifier_ips(self):
         """The set of amplifier IPs with a parsed table (cached)."""
         if self._ip_cache is None:
-            lo, hi = self._cols.sample_table_span(self._index)
-            self._ip_cache = set(self._cols.table_native("amplifier")[lo:hi].tolist())
+            self._ip_cache = set(self.table_column("amplifier").tolist())
         return self._ip_cache
 
 

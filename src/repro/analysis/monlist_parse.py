@@ -51,10 +51,6 @@ class ReconstructedTable:
         return self.on_wire_bytes_once * self.n_repeats
 
     @property
-    def total_payload_bytes(self):
-        return self.payload_bytes_once * self.n_repeats
-
-    @property
     def is_mega(self):
         return self.n_repeats > 1
 

@@ -21,6 +21,7 @@ import math
 
 from repro.analysis.monlist_parse import ParseStats
 from repro.util.simtime import DAY, HOUR
+from repro.util.stats import group_sums
 
 __all__ = [
     "capture_window_answers",
@@ -55,7 +56,7 @@ def capture_window_answers(ctx):
                 "amplifiers": len(parsed_sample.amplifier_ips()),
                 "victim_pairs": vict.n_victim_pairs,
                 "unique_victims": len(vict.victim_ips()),
-                "victim_packets": sum(o.packets for o in vict.observations),
+                "victim_packets": int(vict.packets.sum()),
                 "scanner_entries": vict.n_scanner,
                 "non_victim_entries": vict.n_non_victim,
                 "median_view_hours": vict.median_view_window_hours(),
@@ -148,22 +149,19 @@ def victim_as_packet_totals(ctx):
     them)."""
     table = ctx.world.table
     totals = {}
-    for sample in ctx.victim_report().samples:
-        for obs in sample.observations:
-            asn = table.asn_of(obs.victim_ip)
-            if asn is None:
-                continue
-            totals[asn] = totals.get(asn, 0) + obs.packets
+    for ip, packets in victim_packet_totals(ctx).items():
+        asn = table.asn_of(ip)
+        if asn is not None:
+            totals[asn] = totals.get(asn, 0) + packets
     return totals
 
 
 def amplifier_entry_totals(ctx):
     """{amplifier ip: recovered monlist entries across all samples}."""
-    totals = {}
-    for parsed_sample in ctx.parsed_samples():
-        for table in parsed_sample.tables:
-            if table.entries:
-                totals[table.amplifier_ip] = totals.get(
-                    table.amplifier_ip, 0
-                ) + len(table.entries)
-    return totals
+    parsed = ctx.parsed_samples()
+    if not parsed:
+        return {}
+    cols = parsed[0].columns
+    counts = cols.table_native("entry_count")
+    has_entries = counts > 0
+    return group_sums(cols.table_native("amplifier")[has_entries], counts[has_entries])

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.util.simtime import HOUR
-from repro.util.stats import percentile
+from repro.util.stats import group_sums, percentile
 
 __all__ = [
     "CLASS_NON_VICTIM",
@@ -30,7 +30,6 @@ __all__ = [
     "CODE_VICTIM",
     "classify_entry",
     "classify_columns",
-    "VictimObservation",
     "SampleVictimology",
     "VictimologyReport",
     "analyze_dataset",
@@ -82,40 +81,14 @@ def classify_columns(addr, mode, count, first, last, onp_ip=None):
     return codes, avg
 
 
-@dataclass(frozen=True)
-class VictimObservation:
-    """One (amplifier, victim) pair seen in one weekly sample."""
-
-    sample_t: float
-    amplifier_ip: int
-    victim_ip: int
-    port: int
-    mode: int
-    packets: int
-    avg_interval: float
-    last_seen_ago: int
-
-    @property
-    def duration(self):
-        """§4.2's attack-duration estimate: count x inter-arrival."""
-        return self.packets * self.avg_interval
-
-    @property
-    def end_time(self):
-        return self.sample_t - self.last_seen_ago
-
-    @property
-    def start_time(self):
-        return self.end_time - self.duration
-
-
 class SampleVictimology:
     """Classification results for one weekly sample.
 
-    Holds the victim-classified entry columns (entry order preserved);
-    ``observations`` materializes :class:`VictimObservation` objects only
-    if a consumer still iterates them — the report-level aggregations
-    below never do.
+    Holds one row per victim-classified entry (an amplifier/victim pair),
+    in entry order, as native int64 columns: ``amplifier_ip``,
+    ``victim_ip``, ``port``, ``packets`` and ``last_seen_ago``, plus the
+    float64 ``avg_interval``.  The report-level aggregations below, the
+    AS concentration and the conformance queries all read these columns.
     """
 
     __slots__ = (
@@ -123,80 +96,49 @@ class SampleVictimology:
         "n_non_victim",
         "n_scanner",
         "max_last_seen",
-        "_victim",
-        "_amplifier",
-        "_port",
-        "_mode",
-        "_packets",
-        "_avg",
-        "_last",
-        "_obs",
+        "victim_ip",
+        "amplifier_ip",
+        "port",
+        "packets",
+        "avg_interval",
+        "last_seen_ago",
         "_ips",
     )
 
-    def __init__(self, t, n_non_victim, n_scanner, max_last_seen, victim, amplifier, port, mode, packets, avg, last):
+    def __init__(
+        self, t, n_non_victim, n_scanner, max_last_seen,
+        victim_ip, amplifier_ip, port, packets, avg_interval, last_seen_ago,
+    ):
         self.t = t
         self.n_non_victim = n_non_victim
         self.n_scanner = n_scanner
         self.max_last_seen = max_last_seen
-        self._victim = victim
-        self._amplifier = amplifier
-        self._port = port
-        self._mode = mode
-        self._packets = packets
-        self._avg = avg
-        self._last = last
-        self._obs = None
+        self.victim_ip = victim_ip
+        self.amplifier_ip = amplifier_ip
+        self.port = port
+        self.packets = packets
+        self.avg_interval = avg_interval
+        self.last_seen_ago = last_seen_ago
         self._ips = None
 
     @property
     def n_victim_pairs(self):
-        return len(self._victim)
-
-    @property
-    def observations(self):
-        if self._obs is None:
-            t = self.t
-            amp = self._amplifier.tolist()
-            vic = self._victim.tolist()
-            port = self._port.tolist()
-            mode = self._mode.tolist()
-            packets = self._packets.tolist()
-            avg = self._avg.tolist()
-            last = self._last.tolist()
-            self._obs = [
-                VictimObservation(
-                    sample_t=t,
-                    amplifier_ip=amp[k],
-                    victim_ip=vic[k],
-                    port=port[k],
-                    mode=mode[k],
-                    packets=packets[k],
-                    avg_interval=avg[k],
-                    last_seen_ago=last[k],
-                )
-                for k in range(len(vic))
-            ]
-        return self._obs
+        return len(self.victim_ip)
 
     def victim_ips(self):
         if self._ips is None:
-            self._ips = set(self._victim.tolist())
+            self._ips = set(self.victim_ip.tolist())
         return self._ips
 
     def packets_per_victim(self):
         """{victim ip: total packets received across amplifiers}."""
-        uniq, first_idx, inv = np.unique(self._victim, return_index=True, return_inverse=True)
-        sums = np.bincount(inv, weights=self._packets.astype(np.float64))
-        order = np.argsort(first_idx, kind="stable")
-        keys = uniq[order].tolist()
-        values = sums[order].tolist()
-        return {k: int(v) for k, v in zip(keys, values)}
+        return group_sums(self.victim_ip, self.packets)
 
     def start_times(self):
-        """Derived per-observation start times (vectorized, entry order)."""
-        end = self.t - self._last.astype(np.float64)
-        return end - self._packets.astype(np.float64) * self._avg
+        """§4.2's derived start per victim pair, in entry order: the end
+        (``t`` minus last seen) less the duration (packets x inter-arrival)."""
+        end = self.t - self.last_seen_ago.astype(np.float64)
+        return end - self.packets.astype(np.float64) * self.avg_interval
 
     def median_view_window_hours(self):
         """Median (over tables) largest last-seen, in hours (§4.2: ~44 h)."""
@@ -208,17 +150,15 @@ class SampleVictimology:
 def _sample_victimology(parsed, onp_ip=None):
     """Classify every entry of one columnar sample's tables."""
     cols = parsed.columns
-    index = parsed.sample_index
-    e_lo, e_hi = cols.sample_entry_span(index)
-    t_lo, t_hi = cols.sample_table_span(index)
+    e_lo, e_hi = cols.sample_entry_span(parsed.sample_index)
 
     last = cols.entry_native("last")[e_lo:e_hi]
     addr = cols.entry_native("addr")[e_lo:e_hi]
     mode = cols.entry_native("mode")[e_lo:e_hi]
     count = cols.entry_native("count")[e_lo:e_hi]
 
-    counts_tbl = cols.table_native("entry_count")[t_lo:t_hi]
-    starts_tbl = cols.table_native("entry_start")[t_lo:t_hi]
+    counts_tbl = parsed.table_column("entry_count")
+    starts_tbl = parsed.table_column("entry_start")
     nonzero = counts_tbl > 0
     if nonzero.any():
         seg_starts = starts_tbl[nonzero] - e_lo
@@ -231,19 +171,18 @@ def _sample_victimology(parsed, onp_ip=None):
     )
     n_by_code = np.bincount(codes, minlength=4)
     victim = codes == CODE_VICTIM
-    amp_entry = np.repeat(cols.table_native("amplifier")[t_lo:t_hi], counts_tbl)
+    amp_entry = np.repeat(parsed.table_column("amplifier"), counts_tbl)
     return SampleVictimology(
         t=parsed.t,
         n_non_victim=int(n_by_code[CODE_NON_VICTIM]),
         n_scanner=int(n_by_code[CODE_SCANNER]),
         max_last_seen=max_last_seen,
-        victim=addr[victim],
-        amplifier=amp_entry[victim],
+        victim_ip=addr[victim],
+        amplifier_ip=amp_entry[victim],
         port=cols.entry_native("port")[e_lo:e_hi][victim],
-        mode=mode[victim],
         packets=count[victim],
-        avg=avg[victim],
-        last=last[victim],
+        avg_interval=avg[victim],
+        last_seen_ago=last[victim],
     )
 
 
@@ -266,7 +205,7 @@ class VictimologyReport:
 
     def total_attack_packets(self):
         """§4.3.3's headline: ~2.92 trillion packets at full scale."""
-        return sum(int(s._packets.sum()) for s in self.samples)
+        return sum(int(s.packets.sum()) for s in self.samples)
 
     def total_attack_bytes(self, median_packet_bytes=420):
         """Packets x the 420-byte median on-wire response packet."""
@@ -276,12 +215,12 @@ class VictimologyReport:
         """Per-sample (mean, median, 95th) of per-victim packets (Fig. 6)."""
         rows = []
         for sample in self.samples:
-            if not len(sample._victim):
+            if not len(sample.victim_ip):
                 rows.append((sample.t, 0.0, 0.0, 0.0))
                 continue
-            uniq, inv = np.unique(sample._victim, return_inverse=True)
-            sums = np.bincount(inv, weights=sample._packets.astype(np.float64))
-            total = int(sample._packets.sum())
+            uniq, inv = np.unique(sample.victim_ip, return_inverse=True)
+            sums = np.bincount(inv, weights=sample.packets.astype(np.float64))
+            total = int(sample.packets.sum())
             rows.append(
                 (
                     sample.t,
@@ -295,7 +234,7 @@ class VictimologyReport:
     def port_table(self, top=20):
         """Table 4: top attacked ports by fraction of amplifier/victim
         pairs."""
-        parts = [s._port for s in self.samples if len(s._port)]
+        parts = [s.port for s in self.samples if len(s.port)]
         if not parts:
             return []
         ports = np.concatenate(parts)
@@ -314,13 +253,13 @@ class VictimologyReport:
         """
         hours = {}
         for sample in self.samples:
-            if not len(sample._victim):
+            if not len(sample.victim_ip):
                 continue
             starts = sample.start_times()
-            order = np.lexsort((starts, sample._victim))
+            order = np.lexsort((starts, sample.victim_ip))
             starts_sorted = starts[order]
             _, group_start, group_count = np.unique(
-                sample._victim[order], return_index=True, return_counts=True
+                sample.victim_ip[order], return_index=True, return_counts=True
             )
             medians = starts_sorted[group_start + group_count // 2]
             bins = np.floor_divide(medians, HOUR).astype(np.int64)
@@ -333,10 +272,10 @@ class VictimologyReport:
         """Per-sample median amplifiers seen attacking each victim (§6.3)."""
         rows = []
         for sample in self.samples:
-            if not len(sample._victim):
+            if not len(sample.victim_ip):
                 rows.append((sample.t, 0.0))
                 continue
-            _, counts = np.unique(sample._victim, return_counts=True)
+            _, counts = np.unique(sample.victim_ip, return_counts=True)
             rows.append((sample.t, percentile(counts, 50)))
         return rows
 

@@ -158,7 +158,7 @@ def _fig4(ctx):
 
     rows = []
     for p in ctx.parsed_samples():
-        if not p.tables:
+        if not len(p):
             rows.append([format_sim(p.t), "-", "-", "-", "- (no data)"])
             continue
         b = sample_baf_boxplot(p)
@@ -399,15 +399,29 @@ def _table2(ctx):
 
 
 def _table3(ctx):
+    import numpy as np
+
     from repro.attack import ONP_PROBER_IP
+    from repro.ntp.wire import MonitorEntry
     from repro.reporting import render_monlist_table
 
     parsed = ctx.parsed_samples()
     index = min(6, len(parsed) - 1)
-    for table in parsed[index].tables:
-        if len(table) >= 4 and table.entries[0].addr == ONP_PROBER_IP:
-            return render_monlist_table(table.entries[:8], title="Table 3: an amplifier's monlist table")
-    stats, date = parsed[index].stats, ctx.world.onp.monlist_samples[index].date
+    sample = parsed[index]
+    starts = sample.table_column("entry_start")
+    counts = sample.table_column("entry_count")
+    entries = sample.columns.entries
+    big = np.flatnonzero(counts >= 4)
+    topped = big[entries["addr"][starts[big]] == ONP_PROBER_IP]
+    if len(topped):
+        lo = starts[topped[0]]
+        rows = entries[lo : lo + min(counts[topped[0]], 8)].tolist()
+        top = [
+            MonitorEntry(last, first, count, addr, daddr, flags, port, mode, version, restr)
+            for last, first, restr, count, addr, daddr, flags, port, mode, version in rows
+        ]
+        return render_monlist_table(top, title="Table 3: an amplifier's monlist table")
+    stats, date = sample.stats, ctx.world.onp.monlist_samples[index].date
     return (
         f"(no probe-topped table found: scanned {stats.captures_total} captures "
         f"of sample {date} — {stats.captures_parsed} parsed, "
@@ -623,7 +637,6 @@ def _serve(args):
             skew=args.skew,
             batch=args.batch,
             pace=args.pace,
-            keepalive=not args.no_keepalive,
         )
     )
 
@@ -701,7 +714,6 @@ def _verify_world(args):
         faults,
         progress=progress,
         jobs=args.jobs,
-        build_jobs=args.build_jobs,
         **_supervision_kwargs(args),
     )
     if args.report:
@@ -859,16 +871,8 @@ def main(argv=None):
         type=int,
         default=1,
         metavar="N",
-        help="build matrix cells over N fork-pool workers "
-        "(the report is identical at any N)",
-    )
-    p_verify.add_argument(
-        "--build-jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="shard each world build over N workers; use instead of --jobs "
-        "when cells are few but large (the report is identical at any N)",
+        help="build matrix cells over N fork-pool workers, or a one-cell matrix's "
+        "world over N build shards (the report is identical at any N)",
     )
     p_verify.add_argument("--quiet", action="store_true", default=False)
     _add_supervision_args(p_verify)
@@ -921,12 +925,6 @@ def main(argv=None):
         default=0.0,
         metavar="SECONDS",
         help="sleep between ingest batches (0 = ingest as fast as the loop allows)",
-    )
-    p_serve.add_argument(
-        "--no-keepalive",
-        action="store_true",
-        default=False,
-        help="close every connection after one response (HTTP/1.0 behaviour)",
     )
 
     p_squery = subparsers.add_parser(

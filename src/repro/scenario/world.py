@@ -218,7 +218,7 @@ class PaperWorld:
             f"Unique amplifier IPs: {churn.total_unique} "
             f"(first sample {100 * churn.first_sample_share:.0f}%; paper: ~60%)"
         )
-        with_tables = [p for p in parsed if p.tables]
+        with_tables = [p for p in parsed if len(p)]
         version_ok = [s for s in self.onp.version_samples if len(s)]
         if with_tables and version_ok:
             box = sample_baf_boxplot(with_tables[0])

@@ -7,12 +7,13 @@ the repro.  Everything is standard library: ``asyncio.start_server`` plus
 a hand-rolled HTTP/1.1 exchange, because the container ships no aiohttp
 and the protocol surface here is tiny.
 
-Connections are **keep-alive** by default (HTTP/1.1 semantics: persistent
-unless the client sends ``Connection: close``; an HTTP/1.0 client must
-opt in with ``Connection: keep-alive``), so a load generator pays the
-TCP handshake once per client instead of once per request; the drain
-summary reports connections opened next to requests served so the reuse
-ratio is visible.
+Connections are **keep-alive** under HTTP/1.1 semantics: persistent
+unless the client sends ``Connection: close`` (a client that wants one
+request per connection sends it), while an HTTP/1.0 client must opt in
+with ``Connection: keep-alive``.  A load generator thus pays the TCP
+handshake once per client instead of once per request; the drain summary
+reports connections opened next to requests served so the reuse ratio is
+visible.
 
 Responses are cached **per version token**: each cached body remembers
 the engine version it was rendered at and is revalidated on every
@@ -79,7 +80,6 @@ class StreamService:
         port=0,
         batch=256,
         pace=0.0,
-        keepalive=True,
     ):
         if batch < 1:
             raise ValueError("batch must be >= 1")
@@ -89,7 +89,6 @@ class StreamService:
         self.port = int(port)
         self.batch = int(batch)
         self.pace = float(pace)
-        self.keepalive = bool(keepalive)
         self.server = None
         self.ingest_task = None
         self.ingest_done = False
@@ -167,7 +166,6 @@ class StreamService:
             "queries": list(QUERY_NAMES),
             "batch": self.batch,
             "pace": self.pace,
-            "keepalive": self.keepalive,
         }
 
     def drain_summary(self):
@@ -193,7 +191,6 @@ class StreamService:
                 if exchange is None:
                     break  # clean EOF between requests
                 keep, status, payload = exchange
-                keep = keep and self.keepalive
                 head = (
                     f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
                     "Content-Type: application/json\r\n"
@@ -369,7 +366,6 @@ async def serve_world(
     skew=0.0,
     batch=256,
     pace=0.0,
-    keepalive=True,
 ):
     """Build engine + replay for ``world``, serve until SIGTERM/SIGINT.
 
@@ -388,7 +384,6 @@ async def serve_world(
         port=port,
         batch=batch,
         pace=pace,
-        keepalive=keepalive,
     )
     await service.start()
     print(json.dumps({"serving": {**service.describe(), "plan": plan["expected"]}}), flush=True)

@@ -15,6 +15,7 @@ __all__ = [
     "boxplot_summary",
     "Ecdf",
     "rank_series",
+    "group_sums",
 ]
 
 
@@ -87,3 +88,16 @@ def rank_series(values):
     """
     ordered = sorted((float(v) for v in values), reverse=True)
     return [(i + 1, v) for i, v in enumerate(ordered)]
+
+
+def group_sums(keys, values):
+    """``{key: sum of its values}`` over paired integer arrays.
+
+    Keys come in first-occurrence order, as a dict filled by a loop over
+    the pairs would hold them; sums are exact int64.
+    """
+    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    sums = np.zeros(len(uniq), dtype=np.int64)
+    np.add.at(sums, inverse, values)
+    order = np.argsort(first, kind="stable")
+    return dict(zip(uniq[order].tolist(), sums[order].tolist()))

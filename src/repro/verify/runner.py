@@ -13,6 +13,7 @@ converted into a violation of that invariant (the harness's own contract is
 exactly the kind of bug the run exists to catch).
 """
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -330,7 +331,6 @@ def run_conformance(
     builder=None,
     progress=None,
     jobs=1,
-    build_jobs=1,
     task_timeout=None,
     retries=None,
 ):
@@ -354,12 +354,11 @@ def run_conformance(
         order.  Pool engagement is decided by the shared
         :func:`repro.util.pool.fork_pool_gate` — the serial path runs
         where fork is unavailable, the matrix has a single cell, or the
-        host exposes one CPU.
-    build_jobs:
-        Forwarded to :func:`default_builder`: each cell's *build* phases
-        shard over this many workers (byte-identical at any value).
-        Useful for few-but-large cells, where cell-level parallelism
-        alone leaves CPUs idle.  Ignored with an injected ``builder``.
+        host exposes one CPU.  Where the cell pool does not engage,
+        :func:`default_builder` shards each cell's build over ``jobs``
+        workers instead (byte-identical at any value); inside the cell
+        pool it builds serially, so no pool is ever started in a pool
+        worker.
     task_timeout, retries:
         Supervision knobs for the cell pool (see
         :class:`~repro.util.pool.ShardRunner`): per-cell wall-clock
@@ -367,11 +366,6 @@ def run_conformance(
         They affect scheduling only — a retried cell re-derives the same
         seeded world and the same outcomes.
     """
-    if builder is None:
-        if build_jobs > 1:
-            builder = lambda cell: default_builder(cell, jobs=build_jobs)  # noqa: E731
-        else:
-            builder = default_builder
     say = progress or (lambda message: None)
 
     cells = [
@@ -392,6 +386,10 @@ def run_conformance(
         runner_kwargs["retries"] = retries
     runner = ShardRunner(jobs, **runner_kwargs)
     engaged, gate_reason = fork_pool_gate(jobs, len(cells), phase="cells")
+    if builder is None:
+        builder = default_builder
+        if not engaged and jobs > 1:
+            builder = functools.partial(default_builder, jobs=jobs)
     if engaged:
         say(f"building {len(cells)} worlds over {min(jobs, len(cells))} workers")
     elif jobs > 1:

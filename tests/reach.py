@@ -39,6 +39,11 @@ VERDICTS = {name: reason for reason, *names in [
         "repro.analysis.amplification:mega_amplifier_census",
     ),
     (
+        "benchmark: the per-amplifier reply columns that Fig 4a's rank curve and the mega "
+        "census in benchmarks/test_fig04_amplification.py group",
+        "repro.analysis.amplification:_amplifier_replies",
+    ),
+    (
         "benchmark: benchmarks/test_ablations.py (on-wire vs payload BAF)",
         "repro.analysis.amplification:on_wire_baf",
         "repro.analysis.amplification:payload_baf",
@@ -57,34 +62,9 @@ VERDICTS = {name: reason for reason, *names in [
         "repro.analysis.context:AnalysisContext.warm",
     ),
     (
-        "oracle: test_analysis_monlist::test_columns_for_sample_skips_malformed counts a view's "
-        "tables through it",
-        "repro.analysis.event_columns:ColumnarSample.__len__",
-    ),
-    (
         "path: concat of a corpus with no monlist samples; "
         "test_degradation_render::test_summary_survives_empty_monlist_corpus",
         "repro.analysis.event_columns:EventColumns.empty",
-    ),
-    (
-        "oracle: test_event_columns::assert_sample_equivalent and test_scenario_and_reporting "
-        "index a sample's tables through it",
-        "repro.analysis.event_columns:_TableList.__getitem__",
-        "repro.analysis.event_columns:_TableList.__len__",
-    ),
-    (
-        "benchmark: the ReconstructedTable shape benchmarks/test_fig04_amplification.py and "
-        "test_ablations.py read; test_event_columns::assert_sample_equivalent pins it",
-        "repro.analysis.event_columns:_TableView.entry_size",
-        "repro.analysis.event_columns:_TableView.is_mega",
-        "repro.analysis.event_columns:_TableView.n_packets_once",
-        "repro.analysis.event_columns:_TableView.n_repeats",
-        "repro.analysis.event_columns:_TableView.on_wire_bytes_once",
-        "repro.analysis.event_columns:_TableView.payload_bytes_once",
-        "repro.analysis.event_columns:_TableView.t",
-        "repro.analysis.event_columns:_TableView.total_on_wire_bytes",
-        "repro.analysis.event_columns:_TableView.total_packets",
-        "repro.analysis.event_columns:_TableView.total_payload_bytes",
     ),
     (
         "benchmark: benchmarks/test_fig16_common_scanners.py (§7 TTL forensics)",
@@ -107,13 +87,12 @@ VERDICTS = {name: reason for reason, *names in [
         "repro.analysis.monlist_parse:ParseStats.degraded",
     ),
     (
-        "oracle: the strict parser's table; test_event_columns::assert_sample_equivalent "
-        "compares the columnar views with it",
+        "oracle: the strict parser's table; test_analysis_monlist checks the strict parse of "
+        "small and mega replies through them",
         "repro.analysis.monlist_parse:ReconstructedTable.__len__",
         "repro.analysis.monlist_parse:ReconstructedTable.is_mega",
         "repro.analysis.monlist_parse:ReconstructedTable.total_on_wire_bytes",
         "repro.analysis.monlist_parse:ReconstructedTable.total_packets",
-        "repro.analysis.monlist_parse:ReconstructedTable.total_payload_bytes",
     ),
     (
         "oracle: the strict reference parser; test_analysis_monlist, test_decode_fast and "
@@ -142,13 +121,6 @@ VERDICTS = {name: reason for reason, *names in [
         "oracle: test_event_columns::test_version_parse_packed_matches_object_path checks the "
         "packed parse against it (benchmarks/test_table2_os_strings.py too)",
         "repro.analysis.versions:parse_version_captures",
-    ),
-    (
-        "oracle: test_event_columns::test_victimology_kernels_match derives its reference from "
-        "these attributes",
-        "repro.analysis.victimology:VictimObservation.duration",
-        "repro.analysis.victimology:VictimObservation.end_time",
-        "repro.analysis.victimology:VictimObservation.start_time",
     ),
     (
         "claim: test_analysis_victimology::test_amplifiers_per_victim_declines (the §6.3 "

@@ -71,7 +71,7 @@ def test_table_sizes_match_paper_shape(parsed_monlist):
     """Median table small, mean pulled up by a heavy tail (§4.1)."""
     import numpy as np
 
-    sizes = [len(t) for t in parsed_monlist[0].tables]
+    sizes = parsed_monlist[0].table_column("entry_count")
     median = float(np.median(sizes))
     mean = float(np.mean(sizes))
     assert 2 <= median <= 12

@@ -17,7 +17,7 @@ from repro.analysis.victimology import (
     CODE_NON_VICTIM,
     CODE_SCANNER,
     CODE_VICTIM,
-    VictimObservation,
+    SampleVictimology,
     classify_columns,
 )
 from repro.ntp.wire import MonitorEntry
@@ -103,19 +103,22 @@ def test_classify_columns_matches_classify_entry(entries, data):
 
 
 def test_observation_derived_times():
-    obs = VictimObservation(
-        sample_t=1_000_000.0,
-        amplifier_ip=1,
-        victim_ip=2,
-        port=80,
-        mode=7,
-        packets=100,
-        avg_interval=2.0,
-        last_seen_ago=500,
+    """§4.2's derived start of a victim pair: the end (t minus last seen)
+    less the duration (packets x inter-arrival)."""
+    sample = SampleVictimology(
+        t=1_000_000.0,
+        n_non_victim=0,
+        n_scanner=0,
+        max_last_seen=[500],
+        victim_ip=np.array([2]),
+        amplifier_ip=np.array([1]),
+        port=np.array([80]),
+        packets=np.array([100]),
+        avg_interval=np.array([2.0]),
+        last_seen_ago=np.array([500]),
     )
-    assert obs.duration == 200.0
-    assert obs.end_time == 999_500.0
-    assert obs.start_time == 999_300.0
+    # End 999,500; duration 200 s.
+    assert sample.start_times().tolist() == [999_300.0]
 
 
 def test_report_victims_nonzero(victim_report):

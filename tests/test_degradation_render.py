@@ -167,7 +167,7 @@ def test_outage_sample_carries_an_empty_store_through_every_reader(world):
         assert sample.outage and len(sample) == len(sample.packed) == 0
 
     (view,) = columns_for_sample(monlist).sample_views()
-    assert view.outage and not view.tables and view.stats.captures_total == 0
+    assert view.outage and len(view) == 0 and view.stats.captures_total == 0
 
     degraded = _degraded_copy(world)
     degraded.onp = onp

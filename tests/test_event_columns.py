@@ -6,38 +6,51 @@ reorders, duplicates) — decoding straight out of the packed blob
 produces tables, entries, and :class:`ParseStats` identical to running
 the lenient salvage path over every capture (``lenient_parse``),
 decodes each sample exactly once, and every aggregation
-kernel (victimology, concentration, churn) computes what small
+kernel (victimology, concentration, churn, the conformance batch
+queries, Table 3's pick) computes what small
 ``Counter``/set references built from ``classify_entry`` over those
 tables compute.  These properties are what keep every artifact
 byte-identical.
 """
 
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, namedtuple
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.attack
+from repro.analysis import queries
+from repro.analysis.amplification import (
+    MegaCensus,
+    aggregate_bytes_per_amplifier,
+    mega_amplifier_census,
+)
 from repro.analysis.churn import ChurnReport, churn_report
 from repro.analysis.concentration import as_concentration
+from repro.analysis.context import AnalysisContext
 from repro.analysis.event_columns import build_event_columns, columns_for_sample
 from repro.analysis.versions import parse_version_captures, parse_version_samples
 from repro.analysis.victimology import (
     CLASS_NON_VICTIM,
     CLASS_SCANNER,
     CLASS_VICTIM,
-    VictimObservation,
     analyze_dataset,
     classify_entry,
 )
+from repro.attack.scanner import ONP_PROBER_IP
+from repro.cli import render_artifact
 from repro.measurement.capture_store import PackedCapturesBuilder
 from repro.measurement.onp import OnpSample
 from repro.ntp import MonlistTable, encode_mode6_response
 from repro.ntp.constants import CTL_OP_READVAR, IMPL_XNTPD, MODE6_DATA_AREA
 from repro.ntp.variables import render_system_variables
+from repro.reporting import render_monlist_table
 from repro.util.simtime import HOUR
-from repro.util.stats import percentile
+from repro.util.stats import percentile, rank_series
 from tests.strategies import BASE_PACKET_SETS, lenient_parse
 
 # ---------------------------------------------------------------------------
@@ -117,29 +130,41 @@ def corpus_from(data, n_samples, mutated):
 
 
 def assert_sample_equivalent(view, sample):
-    """A ColumnarSample view is indistinguishable from the lenient
-    per-capture parse of ``sample``."""
+    """A ColumnarSample view, and its sample's rows of the tables and
+    entries columns, are indistinguishable from the lenient per-capture
+    parse of ``sample``, field by field."""
     tables, stats = lenient_parse(sample)
+    cols = view.columns
     assert view.t == sample.t
     assert view.outage == sample.outage
     assert view.coverage == sample.coverage
     assert view.stats == stats
-    assert len(view.tables) == len(tables)
+    assert len(view) == len(tables)
     assert view.amplifier_ips() == {table.amplifier_ip for table in tables}
-    for table_view, table in zip(view.tables, tables):
-        assert table_view.amplifier_ip == table.amplifier_ip
-        assert table_view.t == table.t
-        assert table_view.entry_size == table.entry_size
-        assert table_view.n_packets_once == table.n_packets_once
-        assert table_view.n_repeats == table.n_repeats
-        assert table_view.payload_bytes_once == table.payload_bytes_once
-        assert table_view.on_wire_bytes_once == table.on_wire_bytes_once
-        assert table_view.total_packets == table.total_packets
-        assert table_view.total_on_wire_bytes == table.total_on_wire_bytes
-        assert table_view.total_payload_bytes == table.total_payload_bytes
-        assert table_view.is_mega == table.is_mega
-        assert len(table_view) == len(table.entries)
-        assert table_view.entries == tuple(table.entries)
+    t_lo, t_hi = cols.sample_table_span(view.sample_index)
+    e_lo, e_hi = cols.sample_entry_span(view.sample_index)
+    expected_tables, expected_entries = [], []
+    for table in tables:
+        assert table.t == view.t
+        expected_tables.append(
+            (
+                view.sample_index,
+                table.amplifier_ip,
+                table.entry_size,
+                table.n_packets_once,
+                table.n_repeats,
+                table.payload_bytes_once,
+                table.on_wire_bytes_once,
+                e_lo + len(expected_entries),
+                len(table.entries),
+            )
+        )
+        expected_entries.extend(
+            (e.last_int, e.first_int, e.restr, e.count, e.addr, e.daddr, e.flags, e.port, e.mode, e.version)
+            for e in table.entries
+        )
+    assert cols.tables[t_lo:t_hi].tolist() == expected_tables
+    assert cols.entries[e_lo:e_hi].tolist() == expected_entries
 
 
 @pytest.mark.parametrize("n_clients", sorted(BASE_PACKET_SETS))
@@ -212,10 +237,33 @@ class _FakeAsnTable:
         )
 
 
+#: One victim-classified entry as :class:`SampleVictimology` holds it,
+#: with the start time its ``start_times()`` derives.
+Pair = namedtuple(
+    "Pair", "amplifier_ip victim_ip port packets avg_interval last_seen_ago start_time"
+)
+
+
+def victim_pairs(got):
+    """A :class:`SampleVictimology`'s victim columns as :data:`Pair` rows."""
+    return [
+        Pair(*row)
+        for row in zip(
+            got.amplifier_ip.tolist(),
+            got.victim_ip.tolist(),
+            got.port.tolist(),
+            got.packets.tolist(),
+            got.avg_interval.tolist(),
+            got.last_seen_ago.tolist(),
+            got.start_times().tolist(),
+        )
+    ]
+
+
 def reference_victimology(sample, onp_ip=None):
-    """``(observations, class counts, per-table max last-seen)`` of one
+    """``(victim pairs, class counts, per-table max last-seen)`` of one
     sample: :func:`classify_entry` over its lenient tables."""
-    observations, kinds, max_last_seen = [], Counter(), []
+    pairs, kinds, max_last_seen = [], Counter(), []
     for table in lenient_parse(sample)[0]:
         if table.entries:
             max_last_seen.append(max(e.last_int for e in table.entries))
@@ -225,13 +273,11 @@ def reference_victimology(sample, onp_ip=None):
             kind = classify_entry(e)
             kinds[kind] += 1
             if kind == CLASS_VICTIM:
-                observations.append(
-                    VictimObservation(
-                        sample.t, table.amplifier_ip, e.addr, e.port, e.mode,
-                        e.count, e.avg_interval, e.last_int,
-                    )
+                start = sample.t - e.last_int - e.count * e.avg_interval
+                pairs.append(
+                    Pair(table.amplifier_ip, e.addr, e.port, e.count, e.avg_interval, e.last_int, start)
                 )
-    return observations, kinds, max_last_seen
+    return pairs, kinds, max_last_seen
 
 
 @given(st.data())
@@ -241,20 +287,22 @@ def test_victimology_kernels_match(data):
     report = analyze_dataset(build_event_columns(samples).sample_views(), onp_ip=1)
     every, rows, per_victim_amps, hours = [], [], [], Counter()
     for got, sample in zip(report.samples, samples):
-        observations, kinds, max_last_seen = reference_victimology(sample, onp_ip=1)
-        assert got.observations == observations
+        pairs, kinds, max_last_seen = reference_victimology(sample, onp_ip=1)
+        assert victim_pairs(got) == pairs
         assert got.n_non_victim == kinds[CLASS_NON_VICTIM]
         assert got.n_scanner == kinds[CLASS_SCANNER]
         assert got.max_last_seen == max_last_seen
-        every.extend(observations)
+        every.extend(pairs)
         packets, amps = Counter(), Counter()
         starts = defaultdict(list)
-        for o in observations:
-            packets[o.victim_ip] += o.packets
-            amps[o.victim_ip] += 1
-            starts[o.victim_ip].append(o.start_time)
+        for pair in pairs:
+            packets[pair.victim_ip] += pair.packets
+            amps[pair.victim_ip] += 1
+            starts[pair.victim_ip].append(pair.start_time)
         for values in starts.values():
             hours[int(sorted(values)[len(values) // 2] // HOUR)] += 1
+        assert got.packets_per_victim() == dict(packets)
+        assert list(got.packets_per_victim()) == list(packets)
         values = list(packets.values())
         rows.append(
             (sample.t, sum(values) / len(values), percentile(values, 50), percentile(values, 95))
@@ -265,9 +313,9 @@ def test_victimology_kernels_match(data):
     assert report.victim_packet_stats() == rows
     assert report.amplifiers_per_victim() == per_victim_amps
     assert report.attacks_per_hour() == dict(sorted(hours.items()))
-    assert report.total_attack_packets() == sum(o.packets for o in every)
-    assert report.all_victim_ips() == {o.victim_ip for o in every}
-    ports = Counter(o.port for o in every)
+    assert report.total_attack_packets() == sum(pair.packets for pair in every)
+    assert report.all_victim_ips() == {pair.victim_ip for pair in every}
+    ports = Counter(pair.port for pair in every)
     assert report.port_table() == [(p, n / len(every)) for p, n in ports.most_common(20)]
 
 
@@ -283,12 +331,103 @@ def test_concentration_kernel_matches_in_value_and_order(data):
     )
     victims, amplifiers = defaultdict(int), defaultdict(int)
     for sample in samples:
-        for o in reference_victimology(sample)[0]:
-            for totals, ip in ((victims, o.victim_ip), (amplifiers, o.amplifier_ip)):
+        for pair in reference_victimology(sample)[0]:
+            for totals, ip in ((victims, pair.victim_ip), (amplifiers, pair.amplifier_ip)):
                 if table.asn_of(ip) is not None:
-                    totals[table.asn_of(ip)] += o.packets
+                    totals[table.asn_of(ip)] += pair.packets
     assert list(got.victim_as_packets.items()) == list(victims.items())
     assert list(got.amplifier_as_packets.items()) == list(amplifiers.items())
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_conformance_batch_answers_match_reference(data):
+    """The batch side of ``world.streaming_matches_batch`` and Table 3,
+    on a stand-in world over a mangled corpus, against counts over the
+    lenient tables and :func:`classify_entry`."""
+    samples = corpus_from(data, n_samples=3, mutated=True)
+    asn_table = _FakeAsnTable()
+    world = SimpleNamespace(onp=SimpleNamespace(monlist_samples=samples), table=asn_table)
+    ctx = AnalysisContext(world)
+
+    entry_totals, as_totals, windows = {}, {}, []
+    for sample in samples:
+        tables = lenient_parse(sample)[0]
+        victims = [
+            e
+            for table in tables
+            for e in table.entries
+            if e.addr != ONP_PROBER_IP and classify_entry(e) == CLASS_VICTIM
+        ]
+        for table in tables:
+            if table.entries:
+                entry_totals[table.amplifier_ip] = (
+                    entry_totals.get(table.amplifier_ip, 0) + len(table.entries)
+                )
+        for e in victims:
+            asn = asn_table.asn_of(e.addr)
+            if asn is not None:
+                as_totals[asn] = as_totals.get(asn, 0) + e.count
+        windows.append(
+            (len({t.amplifier_ip for t in tables}), len(victims), sum(e.count for e in victims))
+        )
+    assert list(queries.amplifier_entry_totals(ctx).items()) == list(entry_totals.items())
+    assert list(queries.victim_as_packet_totals(ctx).items()) == list(as_totals.items())
+    assert [
+        (row["amplifiers"], row["victim_pairs"], row["victim_packets"])
+        for row in queries.capture_window_answers(ctx)
+    ] == windows
+
+    # Table 3: the first table of sample min(6, n - 1) with at least four
+    # entries whose top entry is the prober's, else the note.
+    prober = data.draw(st.sampled_from([0, 1003, 1019, 5003, 5005]))
+    sample = samples[min(6, len(samples) - 1)]
+    tables, stats = lenient_parse(sample)
+    topped = [t for t in tables if len(t.entries) >= 4 and t.entries[0].addr == prober]
+    if topped:
+        expected = render_monlist_table(
+            topped[0].entries[:8], title="Table 3: an amplifier's monlist table"
+        )
+    else:
+        expected = (
+            f"(no probe-topped table found: scanned {stats.captures_total} captures "
+            f"of sample {sample.date} — {stats.captures_parsed} parsed, "
+            f"{stats.captures_failed} unparseable)"
+        )
+    with mock.patch.object(repro.attack, "ONP_PROBER_IP", prober):
+        assert render_artifact(world, "T3", context=ctx) == expected
+
+
+def test_reply_byte_kernels_match():
+    """Fig 4a's per-amplifier byte totals and the §3.4 mega census, read
+    from the columns, against the lenient tables' on-wire totals: one
+    amplifier answering in two samples, a mega reply, an empty capture
+    and an empty sample."""
+    samples = [
+        packed_sample([(7, BASE_PACKET_SETS[20], 1), (9, attack_packets(3), 100)]),
+        packed_sample(
+            [(11, BASE_PACKET_SETS[1], 1), (9, BASE_PACKET_SETS[4], 10**7), (8, (), 1),
+             (7, attack_packets(2), 1)],
+            t=2000.0,
+        ),
+        packed_sample([], t=3000.0),
+    ]
+    totals, max_reply = {}, {}
+    for sample in samples:
+        for table in lenient_parse(sample)[0]:
+            amp, reply = table.amplifier_ip, table.total_on_wire_bytes
+            totals[amp] = totals.get(amp, 0) + reply
+            max_reply[amp] = max(max_reply.get(amp, 0), reply)
+    views = build_event_columns(samples).sample_views()
+    got, ranks = aggregate_bytes_per_amplifier(views)
+    assert list(got.items()) == list(totals.items())
+    assert ranks == rank_series(totals.values())
+    assert mega_amplifier_census(views) == MegaCensus(
+        n_over_100kb=sum(1 for v in max_reply.values() if v > 100e3),
+        n_over_1gb=sum(1 for v in max_reply.values() if v > 1e9),
+        largest_bytes=max(max_reply.values()),
+        fraction_under_50kb=sum(1 for v in totals.values() if v < 50e3) / len(totals),
+    )
 
 
 @given(st.data())

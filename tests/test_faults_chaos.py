@@ -79,7 +79,7 @@ def test_bounded_drift_from_clean_world(hostile_world):
     churn = churn_report(parsed)
     assert churn.total_unique <= CLEAN_UNIQUE_AMPLIFIER_IPS
     assert churn.total_unique >= 0.5 * CLEAN_UNIQUE_AMPLIFIER_IPS
-    measured = [len(p.amplifier_ips()) for p in parsed if not p.outage and p.tables]
+    measured = [len(p.amplifier_ips()) for p in parsed if not p.outage and len(p)]
     assert measured, "every weekly sweep was lost"
     assert max(measured) <= CLEAN_FIRST_SAMPLE_POOL
     assert max(measured) >= 0.4 * CLEAN_FIRST_SAMPLE_POOL

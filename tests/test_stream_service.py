@@ -35,12 +35,12 @@ def small_world():
     return PaperWorld.build(seed=SEED, scale=SCALE)
 
 
-def _service_for(world, **kwargs):
+def _service_for(world):
     plan = replay_plan(world)
     engine = StreamEngine.for_world(world, plan=plan)
     # Tiny batches maximize ingest/query interleaving: more chances to
     # catch a torn read if one were possible.
-    return StreamService(engine, replay_records(world), batch=16, **kwargs), plan
+    return StreamService(engine, replay_records(world), batch=16), plan
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +220,7 @@ def test_sketch_backed_tops_survive_darknet_only_batches(small_world):
 
 
 # ---------------------------------------------------------------------------
-# Keep-alive: connection reuse, opt-out, HTTP/1.0 close
+# Keep-alive: connection reuse, Connection: close, HTTP/1.0 close
 # ---------------------------------------------------------------------------
 
 
@@ -259,12 +259,17 @@ def test_keepalive_connection_serves_many_requests(small_world):
     assert opened == 1 and served == 3
 
 
-def test_no_keepalive_service_closes_after_each_response(small_world):
+def test_connection_close_request_is_answered_then_closed(small_world):
+    """An HTTP/1.1 client that wants one request per connection sends
+    ``Connection: close``: one response, then the server closes."""
+
     async def exercise():
-        service, _plan = _service_for(small_world, keepalive=False)
+        service, _plan = _service_for(small_world)
         await service.start()
         reader, writer = await asyncio.open_connection(service.host, service.port)
-        head, body = await _raw_exchange(reader, writer, "/health")
+        head, body = await _raw_exchange(
+            reader, writer, "/health", headers="Connection: close\r\n"
+        )
         trailing = await reader.read()  # server closes: EOF after the body
         writer.close()
         await writer.wait_closed()

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.util.pool import available_cpus
 from repro.verify import REGISTRY, all_invariants, run_conformance
 from repro.verify.runner import Cell, default_builder
 
@@ -164,6 +165,33 @@ def test_fault_ground_truth_violation_names_the_profile(conformance):
     )
     n = len(built[clean_cell].attacks)
     assert f"attacks: clean {n} != paper {n - 1}" in result["violations"]
+
+
+# -- a one-cell matrix builds over --jobs ---------------------------------------
+
+
+@pytest.mark.skipif(available_cpus() < 2, reason="the build pool needs two CPUs to engage")
+def test_one_cell_matrix_builds_over_jobs(monkeypatch):
+    """With one cell the cell pool cannot engage, so ``jobs`` shards that
+    cell's build instead; the report is the serial one."""
+    import repro.verify.runner as runner_mod
+
+    calls = []
+
+    def watched_builder(cell, jobs=1):
+        world = default_builder(cell, jobs=jobs)
+        calls.append((jobs, world.shard_stats))
+        return world
+
+    monkeypatch.setattr(runner_mod, "default_builder", watched_builder)
+    pooled = run_conformance([7], [0.0004], ["clean"], jobs=2)
+    ((jobs, shard_stats),) = calls
+    assert jobs == 2
+    for phase in ("hosts", "onp", "campaign"):
+        assert shard_stats[phase]["engaged"], (phase, shard_stats[phase])
+    serial = run_conformance([7], [0.0004], ["clean"], jobs=1)
+    assert calls[1][0] == 1
+    assert pooled.to_json() == serial.to_json()
 
 
 # -- CLI ----------------------------------------------------------------------
