@@ -7,22 +7,19 @@ only there.  19% of version responders report stratum 16 (unsynchronized);
 only 21% of builds were compiled in 2013-14 and 13% predate 2004.
 """
 
-from repro.analysis import parse_version_captures
+from repro.analysis import parse_version_samples
 from repro.reporting import render_table2
 
 
 def build_reports(world):
-    captures = []
-    for sample in world.onp.version_samples:
-        captures.extend(sample.captures)
-    report = parse_version_captures(captures)
+    report = parse_version_samples(world.onp.version_samples)
     amplifier_ips = {h.ip for h in world.hosts.monlist_hosts}
     mega_ips = {h.ip for h in world.hosts.mega_hosts()}
     return (
         report,
         report.restrict_to(amplifier_ips),
         report.restrict_to(mega_ips),
-        report.restrict_to({r.ip for r in report.records} - amplifier_ips),
+        report.restrict_to(set(report.ip.tolist()) - amplifier_ips),
     )
 
 

@@ -49,7 +49,7 @@ from repro.analysis.timeseries import (
     peak_traffic_date,
     traffic_fractions,
 )
-from repro.analysis.versions import VersionReport, os_family_of, parse_version_captures
+from repro.analysis.versions import VersionReport, os_family_of, parse_version_samples
 from repro.analysis.victimology import (
     CLASS_NON_VICTIM,
     CLASS_SCANNER,
@@ -102,7 +102,7 @@ __all__ = [
     "traffic_fractions",
     "VersionReport",
     "os_family_of",
-    "parse_version_captures",
+    "parse_version_samples",
     "CLASS_NON_VICTIM",
     "CLASS_SCANNER",
     "CLASS_VICTIM",

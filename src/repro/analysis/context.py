@@ -70,11 +70,10 @@ class AnalysisContext:
         return self._concentration
 
     def version_report(self):
-        """The §3.3 version-probe report over all mode-6 captures.
-
-        The regex-heavy system-variable parse is the most expensive
-        non-monlist analysis; Table 2 and the conformance invariants both
-        consume it, so it is memoized here like the monlist corpus.
+        """The §3.3 version-probe report over all mode-6 captures (one
+        batch decode of the packed stores); Table 2 and the conformance
+        invariants both consume it, so it is memoized here like the
+        monlist corpus.
         """
         if self._version_report is None:
             from repro.analysis.versions import parse_version_samples

@@ -379,13 +379,15 @@ def _table1(ctx):
 
 
 def _table2(ctx):
+    import numpy as np
+
     from repro.reporting import render_table2
 
     world = ctx.world
     report = ctx.version_report()
-    amplifier_ips = {h.ip for h in world.hosts.monlist_hosts}
-    mega_ips = {h.ip for h in world.hosts.mega_hosts()}
-    non_amp = report.restrict_to({r.ip for r in report.records} - amplifier_ips)
+    amplifier_ips = np.fromiter((h.ip for h in world.hosts.monlist_hosts), dtype=np.int64)
+    mega_ips = np.fromiter((h.ip for h in world.hosts.mega_hosts()), dtype=np.int64)
+    non_amp = report.restrict_to(np.setdiff1d(report.ip, amplifier_ips))
     text = render_table2(
         report.restrict_to(mega_ips).os_distribution(),
         report.restrict_to(amplifier_ips).os_distribution(),

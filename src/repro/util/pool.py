@@ -87,16 +87,20 @@ def fork_pool_gate(jobs, n_tasks, cpus=None, phase=None):
     def veto(reason):
         return False, f"{phase}: {reason}" if phase else reason
 
+    import multiprocessing
+
     if jobs <= 1:
         return veto("jobs <= 1: serial path requested")
     if n_tasks <= 1:
         return veto("single task: nothing to parallelize")
+    if multiprocessing.current_process().daemon:
+        # A pool worker is daemonic and may not fork children; a nested
+        # map must also leave the worker's inherited shard state alone.
+        return veto("inside a pool worker: nested maps run serially")
     if cpus is None:
         cpus = available_cpus()
     if cpus <= 1:
         return veto("single CPU available: fork pool would add overhead")
-    import multiprocessing
-
     try:
         multiprocessing.get_context("fork")
     except ValueError:

@@ -118,11 +118,6 @@ VERDICTS = {name: reason for reason, *names in [
         "repro.analysis.scanning:ScanningReport.rise_factor",
     ),
     (
-        "oracle: test_event_columns::test_version_parse_packed_matches_object_path checks the "
-        "packed parse against it (benchmarks/test_table2_os_strings.py too)",
-        "repro.analysis.versions:parse_version_captures",
-    ),
-    (
         "claim: test_analysis_victimology::test_amplifiers_per_victim_declines (the §6.3 "
         "decline)",
         "repro.analysis.victimology:VictimologyReport.amplifiers_per_victim",
@@ -236,6 +231,18 @@ VERDICTS = {name: reason for reason, *names in [
         "oracle: test_ntp_server::test_handle_datagram_dispatch and test_ntp_wire build the "
         "READVAR probe with it",
         "repro.ntp.wire:encode_mode6_request",
+    ),
+    (
+        "path: the version decode's tokenizer for a body in any form but the canonical one, "
+        "which no command's corpus holds (the apparatus never mangles a mode-6 reply); "
+        "test_analysis_versions's hostile corpora, and tests.strategies.parse_version_captures",
+        "repro.ntp.variables:parse_system_variables",
+    ),
+    (
+        "path: NtpServer.handle_datagram's READVAR branch (test_ntp_server::"
+        "test_handle_datagram_dispatch); tests.strategies.parse_version_captures decodes "
+        "through it",
+        "repro.ntp.wire:decode_mode6",
     ),
     (
         "claim: test_population_pools::test_pool_sizes_scale (6M hosts x scale)",

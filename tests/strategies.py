@@ -11,15 +11,20 @@ Everything exported is either a Hypothesis ``SearchStrategy`` or a small
 deterministic helper for building canonical wire fixtures.
 """
 
+from collections import Counter
+from dataclasses import dataclass
+
 from hypothesis import strategies as st
 
 from repro.analysis.monlist_parse import ParseStats, reconstruct_table_lenient
+from repro.analysis.versions import os_family_of
 from repro.measurement.capture_store import PackedCapturesBuilder
 from repro.measurement.onp import ProbeCapture
 from repro.net import Prefix
 from repro.ntp import MonlistTable
-from repro.ntp.constants import IMPL_XNTPD, IMPL_XNTPD_OLD
-from repro.ntp.wire import MonitorEntry
+from repro.ntp.constants import IMPL_XNTPD, IMPL_XNTPD_OLD, STRATUM_UNSYNCHRONIZED
+from repro.ntp.variables import extract_compile_year, parse_system_variables
+from repro.ntp.wire import MonitorEntry, WireError, decode_mode6
 from repro.stream.windows import TumblingWindows
 from repro.util.simtime import DAY
 
@@ -43,6 +48,9 @@ __all__ = [
     "capture_of",
     "pack_captures",
     "lenient_parse",
+    "VersionRecord",
+    "parse_version_captures",
+    "version_statistics",
     "BASE_PACKET_SETS",
     "V1_PACKET_SETS",
     "sketch_streams",
@@ -153,6 +161,93 @@ def lenient_parse(sample):
         if table is not None:
             tables.append(table)
     return tables, stats
+
+
+@dataclass(frozen=True)
+class VersionRecord:
+    """One server's parsed version variables."""
+
+    ip: int
+    os_family: str
+    system: str
+    stratum: int
+    compile_year: int  # None when absent
+
+
+#: Memo sentinel for packet tuples that failed to decode.
+_UNPARSEABLE = object()
+
+
+def _parse_one_version_capture(packets):
+    """Parse one capture's packets into IP-independent record fields:
+    ``(os_family, system, stratum, compile_year)`` or ``_UNPARSEABLE``."""
+    try:
+        fragments = sorted((decode_mode6(p) for p in packets), key=lambda p: p.offset)
+    except WireError:
+        return _UNPARSEABLE
+    payload = b"".join(f.data for f in fragments)
+    variables = parse_system_variables(payload)
+    system = variables.get("system", "")
+    try:
+        stratum = int(variables.get("stratum", "-1"))
+    except ValueError:
+        stratum = -1
+    return (
+        os_family_of(system),
+        system,
+        stratum,
+        extract_compile_year(variables.get("version")),
+    )
+
+
+def _record_fields(by_ip, memo, key, packets, target_ip):
+    fields = memo.get(key)
+    if fields is None:
+        fields = memo[key] = _parse_one_version_capture(packets)
+    if fields is _UNPARSEABLE:
+        return
+    os_family, system, stratum, compile_year = fields
+    by_ip[target_ip] = VersionRecord(
+        ip=target_ip,
+        os_family=os_family,
+        system=system,
+        stratum=stratum,
+        compile_year=compile_year,
+    )
+
+
+def parse_version_captures(captures):
+    """Reference parse of raw mode-6 captures, one capture at a time:
+    one record per IP in order of its first parseable capture, holding
+    its last one's fields (last write wins).  The batch decode,
+    :func:`repro.analysis.versions.parse_version_samples`, must equal it
+    record for record."""
+    by_ip = {}
+    # Keyed by the packets tuple *value*: two servers with byte-identical
+    # replies share one parse but still get their own records.
+    memo = {}
+    for capture in captures:
+        _record_fields(by_ip, memo, capture.packets, capture.packets, capture.target_ip)
+    return list(by_ip.values())
+
+
+def version_statistics(records, years=(2004, 2010, 2011, 2012, 2013)):
+    """Table 2's statistics over oracle records, one record at a time:
+    ``(os_distribution, stratum16_fraction, compile_year_cdf)``."""
+    counts = Counter(r.os_family for r in records)
+    total = sum(counts.values())
+    distribution = {family: n / total for family, n in counts.most_common()} if total else {}
+    stratum16 = (
+        sum(1 for r in records if r.stratum == STRATUM_UNSYNCHRONIZED) / len(records)
+        if records
+        else 0.0
+    )
+    with_years = [r.compile_year for r in records if r.compile_year]
+    cdf = {
+        year: sum(1 for y in with_years if y < year) / len(with_years) if with_years else 0.0
+        for year in years
+    }
+    return distribution, stratum16, cdf
 
 
 #: Clean baseline packet sets by client count — the corpus the mutation

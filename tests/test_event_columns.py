@@ -33,7 +33,7 @@ from repro.analysis.churn import ChurnReport, churn_report
 from repro.analysis.concentration import as_concentration
 from repro.analysis.context import AnalysisContext
 from repro.analysis.event_columns import build_event_columns, columns_for_sample
-from repro.analysis.versions import parse_version_captures, parse_version_samples
+from repro.analysis.versions import parse_version_samples
 from repro.analysis.victimology import (
     CLASS_NON_VICTIM,
     CLASS_SCANNER,
@@ -51,7 +51,12 @@ from repro.ntp.variables import render_system_variables
 from repro.reporting import render_monlist_table
 from repro.util.simtime import HOUR
 from repro.util.stats import percentile, rank_series
-from tests.strategies import BASE_PACKET_SETS, lenient_parse
+from tests.strategies import (
+    BASE_PACKET_SETS,
+    lenient_parse,
+    parse_version_captures,
+    version_statistics,
+)
 
 # ---------------------------------------------------------------------------
 # Fixture builders
@@ -477,24 +482,33 @@ def version_sample(specs, t=1000.0):
 
 
 def test_version_parse_packed_matches_object_path():
-    """The packed version-sweep reader slices payloads straight from the
-    blob; records (and their last-write-wins order) match the per-capture
-    oracle over the same samples' capture views."""
+    """The packed version-sweep reader decodes the stores as columns; its
+    rows (in first-capture order, last write winning) match the
+    per-capture oracle over the same samples' capture views."""
     payloads = [
         render_system_variables("4.2.6p5", 2010, "Linux/2.6.32", "x86_64", 3, "GPS"),
         render_system_variables("4.1.1", 2004, "cisco", "unknown", 16, ".INIT."),
-        (b"\x00\x01",),  # short mode-6 packet: unparseable, memoized skip
+        (b"\x00\x01",),  # short mode-6 packet: unparseable, skipped
     ]
     specs = [(50, payloads[0]), (51, payloads[1]), (52, payloads[2]), (50, payloads[1])]
     samples = [version_sample(specs), version_sample(specs, t=2000.0)]
     fast = parse_version_samples(samples)
     slow = parse_version_captures([c for sample in samples for c in sample.captures])
     assert len(fast) == len(slow) > 0
-    assert [(r.ip, r.os_family, r.system, r.stratum, r.compile_year) for r in fast.records] == [
-        (r.ip, r.os_family, r.system, r.stratum, r.compile_year) for r in slow.records
+    rows = zip(
+        fast.ip.tolist(),
+        fast.family.tolist(),
+        fast.system.tolist(),
+        fast.stratum.tolist(),
+        fast.compile_year.tolist(),
+    )
+    assert [row[:4] + (row[4] or None,) for row in rows] == [
+        (r.ip, r.os_family, r.system, r.stratum, r.compile_year) for r in slow
     ]
-    assert fast.os_distribution() == slow.os_distribution()
-    assert fast.stratum16_fraction() == slow.stratum16_fraction()
+    distribution, stratum16, cdf = version_statistics(slow)
+    assert list(fast.os_distribution().items()) == list(distribution.items())
+    assert fast.stratum16_fraction() == stratum16
+    assert fast.compile_year_cdf() == cdf
 
 
 # ---------------------------------------------------------------------------

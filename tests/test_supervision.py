@@ -507,6 +507,27 @@ def test_gate_decision_uses_caller_provided_cpu_count():
     assert engaged and reason is None
 
 
+def _nested_map(ctx, i):
+    inner = ShardRunner(2)
+    return inner.map("inner", lambda _, j: (i, j), None, 3), inner.stats["inner"]["reason"]
+
+
+def test_nested_map_runs_serially_inside_a_worker(eight_cpus):
+    """A map inside a pool worker runs serially, so it never clears the
+    shard state the worker inherited: every worker's next task still
+    runs, with no retry, error, crash or fallback."""
+    outer = ShardRunner(2, retries=1)
+    results = outer.map("outer", _nested_map, None, 4)
+    assert [inner for inner, _ in results] == [[(i, j) for j in range(3)] for i in range(4)]
+    assert {reason for _, reason in results} == {
+        "inner: inside a pool worker: nested maps run serially"
+    }
+    stat = outer.stats["outer"]
+    assert stat["engaged"] and stat["task_source"] == ["pooled"] * 4
+    for counter in ("retries", "task_errors", "worker_crashes", "serial_fallbacks"):
+        assert stat[counter] == 0, (counter, stat["errors"])
+
+
 def test_stat_cpu_count_never_contradicts_engagement(monkeypatch):
     """The recorded cpu_count and the engagement decision come from one
     ``available_cpus()`` call: ``cpu_count: 1`` next to ``engaged: true``
