@@ -183,6 +183,57 @@ def serial_worlds():
     }
 
 
+@pytest.fixture(scope="module")
+def fault_worlds():
+    from repro.faults import resolve_fault_profile
+
+    return {
+        name: PaperWorld.build(
+            params=WorldParams(seed=7, scale=BENCH_SCALE, faults=resolve_fault_profile(name)),
+            quiet=True,
+            jobs=1,
+        )
+        for name in ("paper", "hostile")
+    }
+
+
+def _onp_digest(world):
+    """SHA-256 over the ONP corpus: each sample's ``t``, mode, outage and
+    coverage, every packed array and the payload, then the fault log."""
+    digest = hashlib.sha256()
+    for sample in world.onp.monlist_samples + world.onp.version_samples:
+        digest.update(repr((sample.t, sample.mode, sample.outage, sample.coverage)).encode())
+        packed = sample.packed
+        for array in (
+            packed.target_ips,
+            packed.n_repeats,
+            packed.pkt_counts,
+            packed.pkt_offsets,
+            packed.pkt_lens,
+            packed.byte_offsets,
+            np.asarray(packed.payload),
+        ):
+            _digest_value(digest, array)
+    digest.update(repr(world.fault_log.as_dict()).encode())
+    return digest.hexdigest()
+
+
+#: The ONP corpus of each world, pinned across commits: the sweep may be
+#: rewritten, but no capture byte, sample field or fault count may move.
+ONP_PINS = {
+    ("clean", 7): "abc166392de24c38d77bf903690c2d0c300ef6b3a5a6775b9cc9fcdeb1bc8825",
+    ("clean", 2014): "4ebf6c3775c72d2bbd375fcbaa2becbecf16576606fd85162cc4d99b6540e89b",
+    ("paper", 7): "39570ed293cd14dfee42fccc231ffdedacf6678661269cdc952099235be0c205",
+    ("hostile", 7): "8a3a572320f1e1d20bb684fc502d948a918ec349f3689c9e0004ea239b5c9821",
+}
+
+
+@pytest.mark.parametrize("faults, seed", sorted(ONP_PINS))
+def test_onp_corpus_pinned(serial_worlds, fault_worlds, faults, seed):
+    world = serial_worlds[seed] if faults == "clean" else fault_worlds[faults]
+    assert _onp_digest(world) == ONP_PINS[(faults, seed)]
+
+
 @pytest.mark.parametrize("jobs", [2, 4, 8])
 @pytest.mark.parametrize("seed", BENCH_SEEDS)
 def test_sharded_build_byte_identical_to_serial(serial_worlds, many_cpus, seed, jobs):
@@ -192,16 +243,12 @@ def test_sharded_build_byte_identical_to_serial(serial_worlds, many_cpus, seed, 
     assert _fingerprint(sharded) == _fingerprint(serial_worlds[seed])
 
 
-def test_sharded_build_byte_identical_under_faults(many_cpus):
+def test_sharded_build_byte_identical_under_faults(fault_worlds, many_cpus):
     """Fault injection must also be jobs-invariant: sweep-level draws
     (outages, coverage cutoffs) happen parent-side in chronological order,
     per-capture mangling on derived per-block streams."""
-    from repro.faults import resolve_fault_profile
-
-    profile = resolve_fault_profile("paper")
-    params = WorldParams(seed=7, scale=BENCH_SCALE, faults=profile)
-    serial = PaperWorld.build(params=params, quiet=True, jobs=1)
-    sharded = PaperWorld.build(params=params, quiet=True, jobs=4)
+    serial = fault_worlds["paper"]
+    sharded = PaperWorld.build(params=serial.params, quiet=True, jobs=4)
     assert _fingerprint(sharded) == _fingerprint(serial)
 
 
