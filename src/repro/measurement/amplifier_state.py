@@ -1,74 +1,115 @@
-"""Lazy per-amplifier state: materialized ntpd servers with synced tables.
+"""The ONP sweep's monitor tables, kept as columns per build block.
 
-Maintaining 1.4M monlist tables packet-by-packet would be wasteful: the
-world only *observes* a table when something queries it (the weekly ONP
-probe, mostly).  The :class:`AmplifierStateManager` therefore materializes
-an :class:`~repro.ntp.server.NtpServer` per host on first touch and, before
-each observation, synchronizes its table from three sources:
+Maintaining 1.4M monlist tables packet by packet would be wasteful: the
+world only *observes* a table when the weekly ONP probe renders it.  A
+table is therefore caught up to each sweep time from four feeds, which
+the :class:`AmplifierStateManager` holds:
 
-* the host's static **background clients** (absolute cumulative state
-  from :meth:`~repro.population.amplifiers.BackgroundClients.state_at`:
-  one count/first/last row per client, all a monitor table keeps);
-* **scanner hits**: research sweeps touch every host on every sweep;
-  malicious sweeps hit a host with probability equal to their coverage;
+* the host's static **background clients** (absolute state: one
+  count/first/last row per client, computed in closed form);
+* **research scanners**, which sweep on a fixed schedule (absolute rows);
+* **malicious scanners**, which hit a host with probability equal to
+  their coverage (the only random draws, from a per-IP stream);
 * **attack legs** (:class:`~repro.population.columns.PulseColumns`)
-  routed through this amplifier since the last sync.
+  that ended since the table's last sync.
 
-Daemon restarts (table flushes) are honored: state is rebuilt only from
-events after the latest flush boundary before the observation time.
+A :class:`MonitorTableStore` keeps every table one build block ever
+materialized as row arrays.  A sweep builds the new rows of all its
+active hosts at once, folds them into the store with one sort, and
+encodes every surviving reply through ``MON_V2_DTYPE``.  The store
+reproduces the per-host ntpd table exactly (``tests/onp_oracle.py`` is
+that per-host sync, the oracle it is checked against):
+
+* a server is keyed by IP within its block, and its configuration comes
+  from the first host that touched the IP, in either sweep;
+* daemon restarts flush a table at ``(ip % 997) / 997 × interval`` and
+  every ``interval`` after it (accumulated by repeated addition); a
+  monlist sync rebuilds absolute rows from the flush base, the last
+  boundary it crossed, while a flush inside a version sweep leaves that
+  base where it was;
+* absolute rows replace a row's values but keep its position;
+  accumulating rows add their packets, take the max of last seen and the
+  min of first seen, and replace port, mode and version;
+* MRU order is last seen descending, then insertion order since the
+  last flush; a table that grows past twice its capacity keeps its
+  ``capacity`` most recent rows, a case the store replays one row at a
+  time through a :class:`~repro.ntp.monlist.MonlistTable`.
 """
-
-import bisect
 
 import numpy as np
 
-from repro.ntp.constants import MODE_CLIENT
-from repro.ntp.server import NtpServer, ServerConfig
+from repro.ntp.constants import IMPL_XNTPD, MODE_CLIENT, MODE_CONTROL, MODE_PRIVATE, MONLIST_CAPACITY
+from repro.ntp.monlist import MonlistTable, encode_reply_tables
+from repro.ntp.server import ServerConfig, version_reply_packets
+from repro.measurement.capture_store import PackedCaptures
+from repro.population.amplifiers import client_columns
+from repro.population.columns import index_ranges
+from repro.util.simtime import DAY
 
-__all__ = ["AmplifierStateManager"]
+__all__ = ["AmplifierStateManager", "MonitorTableStore", "extra_vars_for"]
+
+#: The store's rows, one per (server slot, client address), as an int64
+#: array with one row per field below and a float64 array with first and
+#: last seen.  ``pos`` orders a table's rows by first insertion since its
+#: last flush, which breaks MRU ties.  Columns are kept sorted by slot,
+#: each table in MRU order: last seen descending, then ``pos``.
+ROW_INTS = ("slot", "addr", "port", "mode", "version", "count", "pos")
+SLOT, ADDR, PORT, MODE, VERSION, COUNT, POS = range(len(ROW_INTS))
+FIRST, LAST, SPAN = range(3)
+
+#: A sweep's table operations, the same way: the row fields up to
+#: ``count``, then ``sync`` (which host sync an operation belongs to; a
+#: sync's operations apply in column order) and ``absolute``; and
+#: first, last and span as floats.  An absolute operation sets a row; any
+#: other adds ``count`` packets arriving over ``[last - span, last]``
+#: (``first`` is ``last - span``).
+OP_INTS = ROW_INTS[:POS] + ("sync", "absolute")
+SYNC, ABSOLUTE = POS, POS + 1
+
+#: A probe's source port: the sweep's ``int(t) % 1000`` above this base.
+_PROBE_PORT_BASE = 50557
+
+#: Every simulated build reports the default reference ID.
+_REFID = ServerConfig.refid
 
 
-def _config_for(host):
-    """Build the ntpd configuration matching a pool host."""
-    attrs = host.attrs
-    return ServerConfig(
-        stratum=attrs.stratum,
-        system=attrs.system,
-        processor=attrs.processor,
-        daemon_version=attrs.daemon_version,
-        compile_year=attrs.compile_year,
-        monlist_enabled=host.monlist_amplifier,
-        implementations=host.implementations,
-        responds_version=host.responds_version,
-        loop_factor=host.loop_factor,
-        restart_interval=host.restart_interval,
-        # Most builds report a modest variable set; a minority are chatty.
-        extra_vars=(host.ip % 23) if host.ip % 5 == 0 else (host.ip % 9),
-    )
+def extra_vars_for(ip):
+    """How many optional system variables the build at ``ip`` reports:
+    most builds a modest set, a minority a chatty one."""
+    return (ip % 23) if ip % 5 == 0 else (ip % 9)
+
+
+def _ops(n, first=0.0, last=0.0, span=0.0, **ints):
+    """``n`` operations as ``(ints, floats)``; a scalar field (or a
+    missing one, as zero) is the same for every operation."""
+    out = np.zeros((len(OP_INTS), n), dtype=np.int64)
+    for name, value in ints.items():
+        out[OP_INTS.index(name)] = value
+    floats = np.empty((3, n), dtype=np.float64)
+    floats[FIRST], floats[LAST], floats[SPAN] = first, last, span
+    return out, floats
+
+
+def _concat_ops(parts):
+    return tuple(np.concatenate([part[i] for part in parts], axis=1) for i in (0, 1))
 
 
 class AmplifierStateManager:
-    """Owns the materialized servers and their event feeds."""
+    """The feeds every monitor table is caught up from.
 
-    def __init__(self, rng, research_scanners, malicious_coverage_per_day=None):
+    ``table_capacity`` is the monlist capacity the stores render and
+    prune at; only tests shrink it, so that their tables prune.
+    """
+
+    def __init__(self, rng, research_scanners, malicious_coverage_per_day=None, table_capacity=MONLIST_CAPACITY):
         self._rng = rng.child("amp-state")
-        self._servers = {}
-        self._last_sync = {}
-        self._flush_base = {}
         #: Every attack leg as one PulseColumns batch (None until registered).
         self._pulse_columns = None
-        # Per-host malicious-hit streams, derived lazily from the manager
-        # RNG by host ip.  Keying draws by host (not by global sync order)
-        # is what lets block-sharded sweeps consume the same draws for the
-        # same host regardless of which worker syncs it.
-        self._mal_rngs = {}
         self._research = research_scanners
-        # Each research scanner's sweep schedule is fixed; computing it once
-        # here (sorted) turns the per-host window query in `_sync_research`
-        # into two bisects instead of an O(sweeps) rebuild per sync.
-        self._research_times = [sorted(s.sweep_times()) for s in research_scanners]
+        self._research_times = [np.array(sorted(s.sweep_times()), dtype=np.float64) for s in research_scanners]
         #: {day index: (total malicious coverage, [scanner ips sample])}
         self._malicious_by_day = malicious_coverage_per_day or {}
+        self.table_capacity = table_capacity
         # Derived (rebuilt on demand, dropped from pickles): a day-sorted
         # prefix index over _malicious_by_day plus a per-(day0, day1) memo
         # of window sums — sync windows are day-quantized, so thousands of
@@ -80,30 +121,11 @@ class AmplifierStateManager:
         state = self.__dict__.copy()
         state["_malicious_index"] = None
         state["_malicious_window_cache"] = {}
-        # Per-host streams re-derive from (_rng, host ip) on demand —
-        # identical in any process, so never worth pickling.
-        state["_mal_rngs"] = {}
         return state
 
-    def block_view(self):
-        """A worker-process view sharing the registries but owning its own
-        materialization state.
-
-        Shared (read-only in workers): the RNG root, the pulse columns,
-        research schedules, malicious-day summaries.  Owned: the server
-        map, sync clocks, and per-process caches — each build block syncs
-        a disjoint slice of hosts, so views never contend and the draws a
-        host consumes (keyed per host) match the monolithic build's.
-        """
-        view = self.__class__.__new__(self.__class__)
-        view.__dict__.update(self.__dict__)
-        view._servers = {}
-        view._last_sync = {}
-        view._flush_base = {}
-        view._malicious_index = None
-        view._malicious_window_cache = {}
-        view._mal_rngs = {}
-        return view
+    def block_store(self, hosts):
+        """A fresh :class:`MonitorTableStore` over one build block's hosts."""
+        return MonitorTableStore(self, hosts)
 
     # -- wiring -------------------------------------------------------------------
 
@@ -111,19 +133,15 @@ class AmplifierStateManager:
         """Give the manager every attack leg as one columnar batch.
 
         ``columns`` is a :class:`~repro.population.columns.PulseColumns`
-        (sorted by amplifier, then end): a host's window query in
-        ``_sync_pulses`` is two ``searchsorted`` calls over its contiguous
-        slice, and the ~35M legs of a full-scale campaign never exist as
-        objects.  A later call replaces the batch.  Legs must be
-        registered before any sync whose window should contain them: a
-        leg whose ``end`` precedes the host's last sync is never replayed.
+        (sorted by amplifier, then end).  A later call replaces the batch.
+        Legs must be registered before any sync whose window should
+        contain them: a leg whose ``end`` precedes the table's last sync
+        is never replayed.
         """
         self._pulse_columns = columns
 
     def register_malicious_activity(self, sweeps):
         """Summarize malicious sweeps into per-day (coverage, scanner IPs)."""
-        from repro.util.simtime import DAY
-
         for sweep in sweeps:
             if sweep.kind != "malicious":
                 continue
@@ -153,154 +171,507 @@ class AmplifierStateManager:
             self._malicious_index = index
         return index
 
-    # -- server access ----------------------------------------------------------------
-
-    def server_for(self, host):
-        """The materialized server for a host (created on first touch)."""
-        server = self._servers.get(host.ip)
-        if server is None:
-            server = NtpServer(ip=host.ip, config=_config_for(host))
-            self._servers[host.ip] = server
-            self._last_sync[host.ip] = host.birth
-        return server
-
-    def is_materialized(self, ip):
-        return ip in self._servers
-
-    @property
-    def n_materialized(self):
-        return len(self._servers)
-
-    # -- synchronization ------------------------------------------------------------
-
-    def sync(self, host, now):
-        """Bring the host's table up to date as of ``now``; returns server."""
-        server = self.server_for(host)
-        last = self._last_sync[host.ip]
-        if now < last:
-            raise ValueError("sync cannot move backwards")
-        if server.maybe_flush(now):
-            # Everything before the last flush boundary is gone for good.
-            self._flush_base[host.ip] = server.next_flush - server.config.restart_interval
-        base = max(self._flush_base.get(host.ip, host.birth), host.birth)
-        window_start = max(last, base)
-        self._sync_background(host, server, now, base)
-        self._sync_research(host, server, now, base)
-        self._sync_malicious(host, server, now, window_start)
-        self._sync_pulses(host, server, now, window_start)
-        self._last_sync[host.ip] = now
-        return server
-
-    def _sync_background(self, host, server, now, base):
-        if host.clients is None or len(host.clients) == 0:
-            return
-        since = base if base > host.birth else None
-        # Absolute overwrite: recomputes cumulative counts since the last
-        # flush, so syncing twice is idempotent for background clients.
-        rows = host.clients.state_at(now, since=since)
-        if rows:
-            server.table.put_client_records(rows, MODE_CLIENT, 4)
-
-    def _sync_research(self, host, server, now, base):
-        for scanner, times in zip(self._research, self._research_times):
-            # Absolute state: all sweeps since the flush base (idempotent).
-            lo = bisect.bisect_right(times, base)
-            hi = bisect.bisect_right(times, now)
-            if lo >= hi:
-                continue
-            server.table.put_record(
-                scanner.ip,
-                50000 + (scanner.ip % 10000),
-                scanner.mode,
-                2,
-                hi - lo,
-                times[lo],
-                times[hi - 1],
-            )
-
-    def _sync_malicious(self, host, server, now, window_start):
-        from repro.util.simtime import DAY
-
-        if not self._malicious_by_day:
-            return
-        day0 = int(window_start // DAY)
-        day1 = int(now // DAY)
+    def _malicious_window(self, day0, day1):
+        """(summed coverage, pool lo, pool hi) of the days ``day0..day1``."""
         window = self._malicious_window_cache.get((day0, day1))
         if window is None:
-            days, coverages, flat, offsets = self._malicious_prefix()
-            lo = bisect.bisect_left(days, day0)
-            hi = bisect.bisect_right(days, day1)
-            # Ascending-day sequential sum: the exact float the old
-            # day-range loop accumulated (prefix-sum differences would
-            # round differently and shift the poisson draw below).
+            days, coverages, _flat, offsets = self._malicious_prefix()
+            lo = int(np.searchsorted(days, day0, side="left"))
+            hi = int(np.searchsorted(days, day1, side="right"))
+            # Ascending-day sequential sum: prefix-sum differences would
+            # round differently and shift the Poisson draw.
             total_coverage = 0.0
             for i in range(lo, hi):
                 total_coverage += coverages[i]
             window = (total_coverage, offsets[lo], offsets[hi])
             self._malicious_window_cache[(day0, day1)] = window
-        total_coverage, pool_lo, pool_hi = window
-        pool_len = pool_hi - pool_lo
-        if pool_len == 0 or total_coverage <= 0:
+        return window
+
+
+class MonitorTableStore:
+    """The monitor tables of one build block's servers, as row arrays.
+
+    ``hosts`` is the block's host list; every method takes hosts as
+    indices into it, in sweep (host) order.  A host may share its IP,
+    and so its server, with other hosts of the block.
+    """
+
+    def __init__(self, feeds, hosts):
+        self._feeds = feeds
+        self._capacity = feeds.table_capacity
+        self._hosts = hosts
+        ips = np.array([h.ip for h in hosts], dtype=np.int64)
+        self._birth = np.array([h.birth for h in hosts], dtype=np.float64)
+        self._loop = np.array([h.loop_factor for h in hosts], dtype=np.int64)
+        self._restart = np.array(
+            [np.nan if h.restart_interval is None else h.restart_interval for h in hosts], dtype=np.float64
+        )
+        #: A server renders monlist replies only for IMPL_XNTPD builds.
+        self._renders = np.array(
+            [h.monlist_amplifier and IMPL_XNTPD in h.implementations for h in hosts], dtype=bool
+        )
+        self._answers_version = np.array([h.responds_version for h in hosts], dtype=bool)
+        self._clients, self._client_offsets = client_columns(hosts)
+        self._slot_ip, self._slot = np.unique(ips, return_inverse=True)
+        n_slots = len(self._slot_ip)
+        #: Per server slot: the host that configured it (-1: not yet touched).
+        self._config = np.full(n_slots, -1, dtype=np.int64)
+        self._last_sync = np.zeros(n_slots, dtype=np.float64)
+        self._next_flush = np.full(n_slots, np.nan)
+        self._flush_base = np.full(n_slots, np.nan)
+        self._ints = np.zeros((len(ROW_INTS), 0), dtype=np.int64)
+        self._floats = np.zeros((2, 0), dtype=np.float64)
+        self._next_pos = 0
+        self._now = -np.inf
+        self._mal_rngs = {}
+        # Every research sweep time, scanner by scanner, and each scanner's
+        # row fields.
+        scanners = feeds._research
+        self._research = (
+            np.concatenate(feeds._research_times) if scanners else np.zeros(0),
+            np.cumsum([0] + [len(times) for times in feeds._research_times[:-1]], dtype=np.int64),
+            np.array([s.ip for s in scanners], dtype=np.int64),
+            np.array([50000 + (s.ip % 10000) for s in scanners], dtype=np.int64),
+            np.array([s.mode for s in scanners], dtype=np.int64),
+        )
+        self._legs_source = None
+        self._legs = None
+        # Each slot's mode-6 reply, rendered once: its bytes, its packet
+        # count (-1 until rendered) and where its packet lengths start.
+        self._reply_bytes = [b""] * n_slots
+        self._reply_count = np.full(n_slots, -1, dtype=np.int64)
+        self._reply_first = np.zeros(n_slots, dtype=np.int64)
+        self._reply_lens = np.zeros(0, dtype=np.int64)
+
+    # -- servers -----------------------------------------------------------------------
+
+    def _materialize(self, hosts, slots):
+        """Configure each untouched server from the first of its hosts here."""
+        fresh = self._config[slots] < 0
+        if not fresh.any():
             return
-        flat = self._malicious_prefix()[2]
-        # Per-host stream: derived once from (manager rng, host ip), so a
-        # host consumes the same draws whether the sweep that syncs it runs
-        # monolithically or inside any build-block worker.
-        rng = self._mal_rngs.get(host.ip)
-        if rng is None:
-            rng = self._rng.child(f"host-{host.ip}")
-            self._mal_rngs[host.ip] = rng
-        # A scanner with coverage c hits this amplifier with probability c;
-        # the window's expected hits is the summed coverage.  Capped: the
-        # table only needs a plausible scanner background, not a census.
-        hits = min(int(rng.poisson(total_coverage)), 6)
-        for _ in range(hits):
-            ip, mode = flat[pool_lo + int(rng.integers(0, pool_len))]
-            t = window_start + float(rng.uniform(0, max(1.0, now - window_start)))
-            server.record_client(ip, int(rng.integers(1024, 65535)), mode, 2, min(t, now))
+        new_slots, first = np.unique(slots[fresh], return_index=True)
+        source = hosts[fresh][first]
+        self._config[new_slots] = source
+        self._last_sync[new_slots] = self._birth[source]
+        self._next_flush[new_slots] = (self._slot_ip[new_slots] % 997) / 997.0 * self._restart[source]
 
-    def _sync_pulses(self, host, server, now, window_start):
-        """Fold every attack leg that ended in ``(window_start, now]``.
+    def _advance_flush(self, slots, t):
+        """Pass every restart boundary ``<= t`` of these (distinct) slots;
+        returns the slots that flushed.
 
-        Spoofed queries appear to ntpd as ordinary mode-6/7 queries from
-        the victim, recorded at the leg's end instant.  With a loop
-        pathology each is re-processed ``loop_factor`` times, which is
-        why victim counts in mega-amplifier tables reach into the
-        billions (Table 3b).  The recorded count is bounded by the
-        amplifier's uplink (~30K response packets/second sustained): a
-        loop can only resend as fast as the box can transmit.
-
-        Legs still in flight at ``now`` are deliberately not recorded:
-        applying them partially here and fully at the next sync would
-        double-count.  Weekly probes land inside an attack rarely (median
-        durations are seconds to minutes), so the undercount is small and
-        conservative — the paper argues its own victim numbers are lower
-        bounds for the same kind of reason.
+        ntpd adds the interval once per boundary.  A cumulative sum along
+        each row adds in the same order, so every boundary is the float
+        that repeated addition gives (``start + k × interval`` is not);
+        rows take up to 64 boundaries a round.
         """
-        columns = self._pulse_columns
-        if columns is None:
-            return
-        lo, hi = columns.ip_range(host.ip)
-        if lo >= hi:
-            return
-        ends = columns.end
-        # This amplifier's slice is end-sorted.
-        a = lo + int(np.searchsorted(ends[lo:hi], window_start, side="right"))
-        b = lo + int(np.searchsorted(ends[lo:hi], now, side="right"))
-        loop_factor = server.config.loop_factor
-        record = server.record_client
-        # Inline, not a method per leg: this loop runs inside the ONP
-        # sweep for every leg of every synced amplifier.
-        for j in range(a, b):
-            duration = float(columns.duration[j])
-            link_cap = int(30_000 * max(1.0, duration))
-            packets = min(int(columns.query_count[j]) * loop_factor, link_cap)
-            record(
-                int(columns.victim_ip[j]),
-                int(columns.victim_port[j]),
-                int(columns.mode[j]),
-                2,
-                float(ends[j]),
-                packets=packets,
-                span=duration,
+        flushed = slots[self._next_flush[slots] <= t]
+        boundary = self._next_flush[flushed]
+        interval = self._restart[self._config[flushed]]
+        late = np.arange(len(flushed))
+        while len(late):
+            steps = np.empty((len(late), 65))
+            steps[:, 0] = boundary[late]
+            steps[:, 1:] = interval[late, None]
+            np.cumsum(steps, axis=1, out=steps)
+            passed = np.minimum((steps <= t).sum(axis=1), 64)
+            boundary[late] = steps[np.arange(len(late)), passed]
+            late = late[boundary[late] <= t]
+        self._next_flush[flushed] = boundary
+        return flushed
+
+    # -- the monlist sweep ----------------------------------------------------------------
+
+    def sync(self, hosts, t, prober_ip=None):
+        """Catch the tables of these hosts' servers up to ``t`` and record
+        the probe from ``prober_ip`` (none when None); returns the hosts
+        whose server answers, in order.
+
+        Servers that never render a monlist reply are configured but not
+        synced: their tables, and the per-IP streams they would draw
+        from, can never show in a capture.
+        """
+        if t < self._now:
+            raise ValueError("sync cannot move backwards")
+        self._now = t
+        slots = self._slot[hosts]
+        self._materialize(hosts, slots)
+        renders = self._renders[self._config[slots]]
+        hosts, slots = hosts[renders], slots[renders]
+        if not len(hosts):
+            return hosts
+        # A host's second sync of one sweep (its IP shared) starts where
+        # its first ended.
+        last = self._last_sync[slots]
+        shared = np.bincount(slots).max() > 1
+        if shared:
+            uniq, first = np.unique(slots, return_index=True)
+            last = np.full(len(hosts), t)
+            last[first] = self._last_sync[uniq]
+        else:
+            uniq = slots
+        flushed = self._advance_flush(uniq, t)
+        self._flush_base[flushed] = self._next_flush[flushed] - self._restart[self._config[flushed]]
+        self._last_sync[uniq] = t
+        birth = self._birth[hosts]
+        flush_base = self._flush_base[slots]
+        base = np.where(np.isnan(flush_base), birth, np.maximum(flush_base, birth))
+        start = np.maximum(last, base)
+        loop = self._loop[self._config[slots]]
+        ops = [
+            self._background_ops(hosts, slots, np.where(base > birth, base, -np.inf), t),
+            self._research_ops(slots, base, t),
+            self._malicious_ops(slots, start, t),
+            self._leg_ops(slots, start, t, loop),
+        ]
+        if prober_ip is not None:
+            ops.append(
+                _ops(
+                    len(hosts),
+                    sync=np.arange(len(hosts)),
+                    slot=slots,
+                    addr=prober_ip,
+                    port=_PROBE_PORT_BASE + int(t) % 1000,
+                    mode=MODE_PRIVATE,
+                    version=2,
+                    count=loop,
+                    first=t,
+                    last=t,
+                )
             )
+        op_ints, op_floats = _concat_ops(ops)
+        if shared:
+            # The operations of a server's syncs apply sync by sync.
+            order = np.argsort(op_ints[SYNC], kind="stable")
+            op_ints, op_floats = op_ints.take(order, axis=1), op_floats.take(order, axis=1)
+        self._fold((op_ints, op_floats), flushed)
+        return hosts
+
+    def _background_ops(self, hosts, slots, since, t):
+        """Each client's absolute row: its polls in ``(since, t]``."""
+        lo = self._client_offsets[hosts]
+        lengths = self._client_offsets[hosts + 1] - lo
+        rows = index_ranges(lo, lengths)
+        sync = np.repeat(np.arange(len(hosts)), lengths)
+        clients = self._clients
+        firsts = clients.first_polls[rows]
+        intervals = clients.intervals[rows]
+        ones = clients.one_shot[rows]
+        since = since[sync]
+        total = np.where(ones, 1, 1 + np.floor((t - firsts) / intervals)).astype(np.int64)
+        lasts = firsts + (total - 1) * intervals
+        before = np.where(
+            ones,
+            (firsts <= since).astype(np.int64),
+            np.clip(1 + np.floor((since - firsts) / intervals), 0, None).astype(np.int64),
+        )
+        before = np.minimum(before, total)
+        counts = total - before
+        keep = (firsts <= t) & (counts >= 1) & (lasts > since)
+        return _ops(
+            int(keep.sum()),
+            sync=sync[keep],
+            slot=slots[sync[keep]],
+            addr=clients.ips[rows[keep]],
+            port=clients.ports[rows[keep]],
+            mode=MODE_CLIENT,
+            version=4,
+            count=counts[keep],
+            first=(firsts + before * intervals)[keep],
+            last=lasts[keep],
+            absolute=True,
+        )
+
+    def _research_ops(self, slots, base, t):
+        """Each research scanner's absolute row: its sweeps in ``(base, t]``."""
+        times = self._feeds._research_times
+        lo = np.array([np.searchsorted(sweeps, base, side="right") for sweeps in times], dtype=np.int64)
+        lo = lo.reshape(len(times), len(slots))
+        hi = np.array([np.searchsorted(sweeps, t, side="right") for sweeps in times], dtype=np.int64)
+        scanner, sync = np.nonzero(lo < hi[:, None])
+        lo, hi = lo[scanner, sync], hi[scanner]
+        flat, offsets, addr, port, mode = self._research
+        return _ops(
+            len(sync),
+            sync=sync,
+            slot=slots[sync],
+            addr=addr[scanner],
+            port=port[scanner],
+            mode=mode[scanner],
+            version=2,
+            count=hi - lo,
+            first=flat[offsets[scanner] + lo],
+            last=flat[offsets[scanner] + hi - 1],
+            absolute=True,
+        )
+
+    def _malicious_ops(self, slots, start, t):
+        """Malicious scanner hits in ``[start, t]``: up to six a sync, drawn
+        per sync in host order from the server IP's own stream."""
+        feeds = self._feeds
+        if not feeds._malicious_by_day:
+            return _ops(0)
+        days, which = np.unique((start // DAY).astype(np.int64), return_inverse=True)
+        windows = np.array([feeds._malicious_window(day0, int(t // DAY)) for day0 in days.tolist()])
+        coverage, pool_lo, pool_hi = windows[which].T
+        draws = np.flatnonzero((pool_hi > pool_lo) & (coverage > 0))
+        flat = feeds._malicious_prefix()[2]
+        hits = []
+        for k, slot, lam, lo, n, window_start in zip(
+            draws.tolist(),
+            slots[draws].tolist(),
+            coverage[draws].tolist(),
+            pool_lo[draws].astype(np.int64).tolist(),
+            (pool_hi - pool_lo)[draws].astype(np.int64).tolist(),
+            start[draws].tolist(),
+        ):
+            rng = self._mal_rngs.get(slot)
+            if rng is None:
+                rng = self._mal_rngs[slot] = feeds._rng.child(f"host-{int(self._slot_ip[slot])}").generator
+            span = max(1.0, t - window_start)
+            for _ in range(min(int(rng.poisson(lam)), 6)):
+                ip, mode = flat[lo + int(rng.integers(0, n))]
+                # rng.uniform(0, span), which NumPy draws as 0 + span * random().
+                at = window_start + span * rng.random()
+                hits.append((k, ip, int(rng.integers(1024, 65535)), mode, min(at, t)))
+        sync, addr, port, mode, at = np.array(hits, dtype=np.float64).reshape(-1, 5).T
+        sync = sync.astype(np.int64)
+        return _ops(
+            len(hits),
+            sync=sync,
+            slot=slots[sync],
+            addr=addr,
+            port=port,
+            mode=mode,
+            version=2,
+            count=1,
+            first=at,
+            last=at,
+        )
+
+    def _leg_index(self):
+        """The attack legs of this block's servers: a key that sorts them
+        by (slot, end) exactly, plus their columns (rebuilt when the
+        manager's legs are replaced)."""
+        columns = self._feeds._pulse_columns
+        if columns is not self._legs_source:
+            self._legs_source = columns
+            self._legs = None
+            if columns is not None:
+                lo = np.searchsorted(columns.amp_ip, self._slot_ip, side="left")
+                lengths = np.searchsorted(columns.amp_ip, self._slot_ip, side="right") - lo
+                legs = index_ranges(lo, lengths)
+                ends = columns.end[legs]
+                distinct = np.unique(ends)
+                stride = len(distinct) + 1
+                key = np.repeat(np.arange(len(self._slot_ip)), lengths) * stride
+                key += np.searchsorted(distinct, ends, side="right")
+                self._legs = (key, distinct, stride, legs)
+        return self._legs
+
+    def _leg_ops(self, slots, start, t, loop):
+        """Every leg of a synced server that ended in ``(start, t]``,
+        recorded at its end; legs still in flight wait for a later sync."""
+        index = self._leg_index()
+        if index is None:
+            return _ops(0)
+        key, distinct, stride, legs = index
+        lo = np.searchsorted(key, slots * stride + np.searchsorted(distinct, start, side="right"), side="right")
+        hi = np.searchsorted(key, slots * stride + np.searchsorted(distinct, t, side="right"), side="right")
+        chosen = legs[index_ranges(lo, hi - lo)]
+        sync = np.repeat(np.arange(len(slots)), hi - lo)
+        columns = self._legs_source
+        duration = columns.duration[chosen]
+        end = columns.end[chosen]
+        # A loop resends no faster than the uplink: ~30K replies a second.
+        link_cap = (30_000 * np.maximum(1.0, duration)).astype(np.int64)
+        return _ops(
+            len(chosen),
+            sync=sync,
+            slot=slots[sync],
+            addr=columns.victim_ip[chosen],
+            port=columns.victim_port[chosen],
+            mode=columns.mode[chosen],
+            version=2,
+            count=np.minimum(columns.query_count[chosen] * loop[sync], link_cap),
+            first=end - duration,
+            last=end,
+            span=duration,
+        )
+
+    # -- the version sweep ---------------------------------------------------------------
+
+    def version_repliers(self, hosts):
+        """The hosts whose server answers a mode-6 READVAR, in order."""
+        slots = self._slot[hosts]
+        self._materialize(hosts, slots)
+        return hosts[self._answers_version[self._config[slots]]]
+
+    def record_version_probes(self, hosts, t, prober_ip):
+        """Record the version probe each of these hosts received.
+
+        ``record_client`` flushes at the probe's own time, so a restart
+        boundary passed here clears the table, but the flush base the next
+        monlist sync rebuilds from does not move.
+        """
+        if t < self._now:
+            raise ValueError("sync cannot move backwards")
+        self._now = t
+        slots = self._slot[hosts]
+        slots = slots[self._renders[self._config[slots]]]
+        if not len(slots):
+            return
+        flushed = self._advance_flush(np.unique(slots), t)
+        ops = _ops(
+            len(slots),
+            sync=np.arange(len(slots)),
+            slot=slots,
+            addr=prober_ip,
+            port=_PROBE_PORT_BASE,
+            mode=MODE_CONTROL,
+            version=2,
+            count=self._loop[self._config[slots]],
+            first=t,
+            last=t,
+        )
+        self._fold(ops, flushed)
+
+    def render_version(self, hosts, t):
+        """The mode-6 replies of these hosts' servers, one capture each.
+
+        Each server's reply is rendered once; a sweep gathers its
+        captures from those.
+        """
+        slots = self._slot[hosts]
+        fresh = np.unique(slots[self._reply_count[slots] < 0])
+        lens = []
+        for slot in fresh.tolist():
+            host = self._hosts[self._config[slot]]
+            packets = version_reply_packets(host.attrs, host.ip, _REFID, extra_vars_for(host.ip))
+            self._reply_bytes[slot] = b"".join(packets)
+            self._reply_first[slot] = len(self._reply_lens) + len(lens)
+            self._reply_count[slot] = len(packets)
+            lens.extend(map(len, packets))
+        if lens:
+            self._reply_lens = np.concatenate([self._reply_lens, lens])
+        count = self._reply_count[slots]
+        return PackedCaptures.build(
+            t,
+            self._slot_ip[slots],
+            self._loop[self._config[slots]],
+            count,
+            self._reply_lens[index_ranges(self._reply_first[slots], count)],
+            np.frombuffer(b"".join(map(self._reply_bytes.__getitem__, slots.tolist())), dtype=np.uint8),
+        )
+
+    # -- tables --------------------------------------------------------------------------
+
+    def _fold(self, ops, flushed):
+        """Apply ``ops`` to the tables, after clearing the ``flushed``
+        slots' tables; a server's operations must be in the order they
+        apply.
+
+        Each (slot, addr) group folds its accumulating operations onto its
+        last absolute one (an existing row counts as absolute), or onto
+        nothing; a row keeps the position it was first inserted at.  Only
+        the rows of the slots ``ops`` touches take part.
+        """
+        op_ints, op_floats = ops
+        ints, floats = self._ints, self._floats
+        touched = np.zeros(len(self._slot_ip), dtype=np.int8)
+        touched[op_ints[SLOT]] = 1
+        touched[flushed] = 2
+        row_touched = touched.take(ints[SLOT])
+        old = np.flatnonzero(row_touched == 1)
+        # A new row's position is the rank of its first operation.
+        n_old, n_ops = len(old), op_ints.shape[1]
+        merged = np.concatenate([ints.take(old, axis=1), op_ints[: POS + 1]], axis=1)
+        merged[POS, n_old:] = np.arange(self._next_pos, self._next_pos + n_ops)
+        self._next_pos += n_ops
+        merged_floats = np.concatenate([floats.take(old, axis=1), op_floats[:2]], axis=1)
+        # By (slot, addr): existing rows first, then the operations in order.
+        key = (merged[SLOT] << 32) | merged[ADDR]
+        order = np.argsort(key, kind="stable")
+        merged = merged.take(order, axis=1)
+        merged_floats = merged_floats.take(order, axis=1)
+        absolute = np.concatenate([np.ones(n_old, dtype=bool), op_ints[ABSOLUTE] != 0]).take(order)
+        key = key.take(order)
+        n = len(order)
+        start = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+        end = np.append(start[1:], n)
+        index = np.arange(n)
+        last_absolute = np.maximum.accumulate(np.where(absolute, index, -1))[end - 1]
+        keep = index >= np.repeat(np.maximum(last_absolute, start), end - start)
+        folded = merged.take(start, axis=1)
+        folded[PORT : VERSION + 1] = merged[PORT : VERSION + 1].take(end - 1, axis=1)
+        folded_floats = np.empty((2, len(start)), dtype=np.float64)
+        if n:
+            folded[COUNT] = np.add.reduceat(np.where(keep, merged[COUNT], 0), start)
+            folded_floats[FIRST] = np.minimum.reduceat(np.where(keep, merged_floats[FIRST], np.inf), start)
+            folded_floats[LAST] = np.maximum.reduceat(np.where(keep, merged_floats[LAST], -np.inf), start)
+        pruned = np.flatnonzero(np.bincount(folded[SLOT], minlength=len(self._slot_ip)) > 2 * self._capacity)
+        if len(pruned):
+            folded, folded_floats = self._replay(
+                pruned,
+                (ints.take(old, axis=1), floats.take(old, axis=1)),
+                ops,
+                folded,
+                folded_floats,
+            )
+        mru = np.lexsort((folded[POS], -folded_floats[LAST], folded[SLOT]))
+        kept = row_touched == 0
+        ints = np.concatenate([ints.compress(kept, axis=1), folded.take(mru, axis=1)], axis=1)
+        floats = np.concatenate([floats.compress(kept, axis=1), folded_floats.take(mru, axis=1)], axis=1)
+        order = np.argsort(ints[SLOT], kind="stable")
+        self._ints, self._floats = ints.take(order, axis=1), floats.take(order, axis=1)
+
+    def _replay(self, slots, old, ops, folded, folded_floats):
+        """Re-run the tables of ``slots``, which grew past twice their
+        capacity and so pruned on the way, one row at a time; ``old`` are
+        their rows before ``ops``."""
+        drop = np.isin(folded[SLOT], slots)
+        ints, floats = [folded[:, ~drop]], [folded_floats[:, ~drop]]
+        for slot in slots.tolist():
+            table = MonlistTable(self._capacity)
+            mine = np.flatnonzero(old[0][SLOT] == slot)
+            mine = mine[np.argsort(old[0][POS, mine], kind="stable")]
+            for addr, port, mode, version, count, first, last in zip(
+                *old[0][ADDR:POS, mine].tolist(), *old[1][:, mine].tolist()
+            ):
+                table.put_record(addr, port, mode, version, count, first, last)
+            mine = ops[0][SLOT] == slot
+            for addr, port, mode, version, count, absolute, first, last, span in zip(
+                *ops[0][[ADDR, PORT, MODE, VERSION, COUNT, ABSOLUTE]][:, mine].tolist(),
+                *ops[1][:, mine].tolist(),
+            ):
+                if absolute:
+                    table.put_record(addr, port, mode, version, count, first, last)
+                else:
+                    table.record(addr, port, mode, version, last, packets=count, span=span)
+            records = table.records()
+            part = np.zeros((len(ROW_INTS), len(records)), dtype=np.int64)
+            part[SLOT] = slot
+            part[ADDR:POS] = np.array(
+                [(r.addr, r.port, r.mode, r.version, r.count) for r in records], dtype=np.int64
+            ).reshape(-1, COUNT).T
+            part[POS] = self._next_pos + np.arange(len(records))
+            self._next_pos += len(records)
+            ints.append(part)
+            floats.append(np.array([(r.first_seen, r.last_seen) for r in records], dtype=np.float64).reshape(-1, 2).T)
+        return np.concatenate(ints, axis=1), np.concatenate(floats, axis=1)
+
+    def render_monlist(self, hosts, t):
+        """The monlist replies of these hosts' servers at ``t``, one
+        capture each, as a :class:`PackedCaptures`: each table's first
+        ``capacity`` rows in MRU order."""
+        ints = self._ints
+        slots = self._slot[hosts]
+        lo = np.searchsorted(ints[SLOT], slots, side="left")
+        sizes = np.minimum(np.searchsorted(ints[SLOT], slots, side="right") - lo, self._capacity)
+        chosen = index_ranges(lo, sizes)
+        rows = dict(zip(ROW_INTS, ints.take(chosen, axis=1)))
+        rows["first"], rows["last"] = self._floats.take(chosen, axis=1)
+        pkt_counts, pkt_lens, payload = encode_reply_tables(t, sizes, rows)
+        return PackedCaptures.build(
+            t, self._slot_ip[slots], self._loop[self._config[slots]], pkt_counts, pkt_lens, payload
+        )

@@ -311,21 +311,28 @@ class PackedCaptures:
         return [_CaptureView(self, i) for i in range(len(self.target_ips))]
 
     @classmethod
+    def build(cls, t, target_ips, n_repeats, pkt_counts, pkt_lens, payload):
+        """A store from its per-capture and per-packet arrays (int64) and
+        payload (uint8), the two prefix-sum offset arrays computed."""
+        pkt_offsets = np.zeros(len(pkt_counts) + 1, dtype=np.int64)
+        np.cumsum(pkt_counts, out=pkt_offsets[1:])
+        byte_offsets = np.zeros(len(pkt_lens) + 1, dtype=np.int64)
+        np.cumsum(pkt_lens, out=byte_offsets[1:])
+        return cls(t, target_ips, n_repeats, pkt_counts, pkt_offsets, pkt_lens, byte_offsets, payload)
+
+    @classmethod
     def concat(cls, parts):
         """Merge block-ordered parts (at least one) into one store, offsets
         recomputed."""
         parts = list(parts)
-        t = parts[0].t
-        target_ips = np.concatenate([p.target_ips for p in parts])
-        n_repeats = np.concatenate([p.n_repeats for p in parts])
-        pkt_counts = np.concatenate([p.pkt_counts for p in parts])
-        pkt_lens = np.concatenate([p.pkt_lens for p in parts])
-        pkt_offsets = np.zeros(len(target_ips) + 1, dtype=np.int64)
-        np.cumsum(pkt_counts, out=pkt_offsets[1:])
-        byte_offsets = np.zeros(len(pkt_lens) + 1, dtype=np.int64)
-        np.cumsum(pkt_lens, out=byte_offsets[1:])
-        payload = np.concatenate([np.asarray(p.payload) for p in parts])
-        return cls(t, target_ips, n_repeats, pkt_counts, pkt_offsets, pkt_lens, byte_offsets, payload)
+        return cls.build(
+            parts[0].t,
+            np.concatenate([p.target_ips for p in parts]),
+            np.concatenate([p.n_repeats for p in parts]),
+            np.concatenate([p.pkt_counts for p in parts]),
+            np.concatenate([p.pkt_lens for p in parts]),
+            np.concatenate([np.asarray(p.payload) for p in parts]),
+        )
 
     def maybe_spill(self, threshold=None):
         """Move the payload into an unlinked memory-mapped spill file when
@@ -396,20 +403,12 @@ class PackedCapturesBuilder:
             self._blob += packet
 
     def finish(self):
-        pkt_counts = np.array(self._pkt_counts, dtype=np.int64)
-        pkt_offsets = np.zeros(len(pkt_counts) + 1, dtype=np.int64)
-        np.cumsum(pkt_counts, out=pkt_offsets[1:])
-        pkt_lens = np.array(self._pkt_lens, dtype=np.int64)
-        byte_offsets = np.zeros(len(pkt_lens) + 1, dtype=np.int64)
-        np.cumsum(pkt_lens, out=byte_offsets[1:])
-        return PackedCaptures(
+        return PackedCaptures.build(
             self.t,
             np.array(self._target_ips, dtype=np.int64),
             np.array(self._n_repeats, dtype=np.int64),
-            pkt_counts,
-            pkt_offsets,
-            pkt_lens,
-            byte_offsets,
+            np.array(self._pkt_counts, dtype=np.int64),
+            np.array(self._pkt_lens, dtype=np.int64),
             np.frombuffer(bytes(self._blob), dtype=np.uint8),
         )
 

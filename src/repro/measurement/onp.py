@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 from repro.attack.scanner import ONP_PROBER_IP
 from repro.measurement.capture_store import PackedCaptures, PackedCapturesBuilder
-from repro.ntp.constants import IMPL_XNTPD, MODE_CONTROL, MODE_PRIVATE
 from repro.util.pool import ShardRunner
 from repro.util.simtime import date_to_sim, format_sim, week_samples
 
@@ -131,104 +130,44 @@ class OnpDataset:
         return cache[1]
 
 
-def _sweep_monlist(prober, state, active, t, rng, mangler):
+def _sweep_monlist(prober, store, active, t, rng, mangler):
     """One block's slice of a monlist sweep; returns a PackedCaptures.
 
-    Two-pass, replicating the paper apparatus: every *existing* active
-    host is probed (ntpd monitors all traffic regardless of response
-    loss), then a small loss rate models rate-limiting and filtering of
-    the single scanning source.
+    Every active host is probed (ntpd monitors all traffic regardless of
+    response loss), then a small loss rate models rate-limiting and
+    filtering of the single scanning source.
     """
-    builder = PackedCapturesBuilder(t)
-    src_ip = prober._ip
-    src_port = 50557 + (int(t) % 1000)  # hoisted: constant per sweep
-    sync = state.sync
-    # Pass 1 — probe every active host in target-list order: sync its
-    # table, record the probe, and note which hosts would reply.  The
-    # reply conditions mirror NtpServer.monlist_reply exactly.
-    repliers = []
-    for host in active:
-        server = sync(host, t)
-        config = server.config
-        # Direct table.record: sync(host, t) already consumed every
-        # flush boundary <= t, so record_client's maybe_flush(t) would
-        # be a guaranteed no-op here.
-        server.table.record(src_ip, src_port, MODE_PRIVATE, 2, t, packets=config.loop_factor)
-        if config.monlist_enabled and IMPL_XNTPD in config.implementations:
-            repliers.append((host, server))
-    if not repliers:
-        return builder.finish()
+    repliers = store.sync(active, t, prober._ip)
     # RNG-order contract (pinned; both sweep helpers obey it): the loss
-    # draw happens AFTER reply generation and ONLY for hosts that produced
-    # a reply.  One block draw consumes the PCG64 stream exactly like
-    # len(repliers) scalar random() calls (pinned by the block-vs-scalar
-    # RNG test), so each replier still sees the draw the per-host loop
-    # would have given it — reordering either part shifts every subsequent
-    # draw and breaks world determinism.
-    draws = rng.random(len(repliers))
-    loss = prober._loss
-    # Pass 2 — render replies only for survivors.  Rendering is a pure
-    # function of the table at ``t`` (no table mutates between the
-    # passes), so skipping lost replies changes no surviving bytes.
-    for (host, server), u in zip(repliers, draws):
-        if u < loss:
-            continue
-        reply = server.monlist_reply(t, IMPL_XNTPD)
-        packets = reply.packets
-        if mangler is not None:
-            # Degrade only what the apparatus recorded (post-loss), from
-            # the block's own stream — the sweep RNG is untouched.
-            packets = mangler.mangle(packets)
-        builder.add(host.ip, packets, reply.n_repeats)
-    return builder.finish()
-
-
-def _sweep_version(prober, state, reply_memo, active, t, rng):
-    """One block's slice of a mode-6 version sweep."""
+    # draw happens AFTER reply generation and ONLY for hosts that produce
+    # a reply, in host order.  One block draw consumes the PCG64 stream
+    # exactly like len(repliers) scalar random() calls (pinned by the
+    # block-vs-scalar RNG test).  Rendering is a pure function of the
+    # tables at ``t``, so only survivors are rendered.
+    survivors = repliers[rng.random(len(repliers)) >= prober._loss]
+    packed = store.render_monlist(survivors, t)
+    if mangler is None:
+        return packed
+    # Degrade only what the apparatus recorded (post-loss), capture by
+    # capture from the block's own stream; the sweep RNG is untouched.
     builder = PackedCapturesBuilder(t)
-    src_ip = prober._ip
-    server_for = state.server_for
-    # Pass 1 — render every active host's reply.  Version replies don't
-    # depend on monitor-table state (no sync needed) and are rendered
-    # without logging the probe: version-scan loss models the probe being
-    # filtered before it reaches the target, so a lost probe leaves no
-    # monitor-table trace (unlike monlist loss, which drops only the
-    # response of an already-recorded probe).  A mode-6 reply is a pure
-    # function of the server's frozen config and ip, so the per-block
-    # memo lets later sweeps skip the render.
-    repliers = []
-    for host in active:
-        entry = reply_memo.get(host.ip)
-        if entry is None:
-            server = server_for(host)
-            entry = (server, server.respond_version(src_ip, 50557, t, record=False))
-            reply_memo[host.ip] = entry
-        server, reply = entry
-        if reply is not None:
-            repliers.append((host, server, reply))
-    if not repliers:
-        return builder.finish()
-    # Same RNG-order contract as the monlist sweep (pinned): loss is drawn
-    # AFTER reply generation, one draw per replying host, and the block
-    # draw equals len(repliers) scalar draws on the same stream.  The
-    # surviving hosts' probes are then recorded in host order — each
-    # record touches only that host's own table, so batching the records
-    # after the draws mutates exactly the tables the interleaved ordering
-    # did, identically.
-    draws = rng.random(len(repliers))
-    loss = prober._loss
-    for (host, server, reply), u in zip(repliers, draws):
-        if u < loss:
-            continue
-        if server.config.monlist_enabled:
-            # The probe's monitor-table trace is observable only where
-            # the table can ever be rendered — monlist amplifiers.  A
-            # version-only server's table is write-only dead state, so
-            # recording there is skipped (no RNG involved; the world's
-            # observable bytes are identical).
-            server.record_client(src_ip, 50557, MODE_CONTROL, 2, t, packets=server.config.loop_factor)
-        builder.add(host.ip, reply.packets, reply.n_repeats)
+    for capture in packed.views():
+        builder.add(capture.target_ip, mangler.mangle(capture.packets), capture.n_repeats)
     return builder.finish()
+
+
+def _sweep_version(prober, store, active, t, rng):
+    """One block's slice of a mode-6 version sweep.
+
+    Version-scan loss models the probe being filtered before it reaches
+    the target, so only a surviving probe leaves a monitor-table trace
+    (unlike monlist loss, which drops only the response of an
+    already-recorded probe).  The same RNG-order contract holds.
+    """
+    repliers = store.version_repliers(active)
+    survivors = repliers[rng.random(len(repliers)) >= prober._loss]
+    store.record_version_probes(survivors, t, prober._ip)
+    return store.render_version(survivors, t)
 
 
 def _onp_block_worker(ctx, block):
@@ -241,10 +180,10 @@ def _onp_block_worker(ctx, block):
     any process, in any worker arrangement.
     """
     prober, host_pool, rng, schedule, plan = ctx
-    state = prober._state.block_view()
+    lo, hi = host_pool.host_block_bounds(block)
+    store = prober._state.block_store(host_pool.hosts[lo:hi])
     faults = prober._faults
     mangler = faults.block_mangler(block) if faults is not None else None
-    reply_memo = {}
     parts = []
     for (t, mode), (outage, limit, _coverage) in zip(schedule, plan):
         if outage:
@@ -252,14 +191,14 @@ def _onp_block_worker(ctx, block):
             continue
         if mode == 7:
             window = host_pool.monlist_block_bounds(block)
-            active = host_pool.monlist_alive(t, limit=limit, window=window)
+            active = host_pool.monlist_alive_index(t, limit=limit, window=window) - lo
             srng = rng.child(f"monlist-{int(t)}").child(f"b{block}")
-            parts.append(_sweep_monlist(prober, state, active, t, srng, mangler))
+            parts.append(_sweep_monlist(prober, store, active, t, srng, mangler))
         else:
             window = host_pool.version_block_bounds(block)
-            active = host_pool.version_alive(t, limit=limit, window=window)
+            active = host_pool.version_alive_index(t, limit=limit, window=window) - lo
             srng = rng.child(f"version-{int(t)}").child(f"b{block}")
-            parts.append(_sweep_version(prober, state, reply_memo, active, t, srng))
+            parts.append(_sweep_version(prober, store, active, t, srng))
     counts = dict(mangler.log.counts) if mangler is not None else None
     return parts, counts
 

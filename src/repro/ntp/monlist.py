@@ -20,12 +20,17 @@ from operator import attrgetter
 
 import numpy as np
 
+from repro.population.columns import index_ranges
 from repro.ntp.constants import (
+    IMPL_XNTPD,
+    MODE_PRIVATE,
     MON_ENTRY_V1_SIZE,
     MON_ENTRY_V2_SIZE,
+    MODE7_HEADER_SIZE,
     MONLIST_CAPACITY,
     REQ_MON_GETLIST,
     REQ_MON_GETLIST_1,
+    VN_NTPV2,
     items_per_packet,
 )
 from repro.ntp.wire import (
@@ -37,7 +42,7 @@ from repro.ntp.wire import (
     encode_monitor_fields,
 )
 
-__all__ = ["MonlistRecord", "MonlistTable"]
+__all__ = ["MonlistRecord", "MonlistTable", "encode_reply_tables"]
 
 _U32_MAX = 2**32 - 1
 
@@ -52,6 +57,14 @@ _V1_DTYPE = MON_V1_DTYPE
 #: Below this many entries the per-array NumPy overhead exceeds the struct
 #: loop; measured crossover is ~10 records on CPython 3.10–3.12.
 _BULK_RENDER_MIN = 12
+
+#: A v2 monlist reply packet's header before its "more" bit, sequence
+#: number and item count: response, version 2, mode 7, IMPL_XNTPD,
+#: REQ_MON_GETLIST_1, 72-byte items.
+_V2_REPLY_HEADER = np.array(
+    [0x80 | (VN_NTPV2 << 3) | MODE_PRIVATE, 0, IMPL_XNTPD, REQ_MON_GETLIST_1, 0, 0, 0, MON_ENTRY_V2_SIZE],
+    dtype=np.uint8,
+)
 
 #: C-level sort key for the MRU orderings (the sorts dominate render time
 #: for large tables; an attrgetter beats a lambda measurably there).
@@ -78,6 +91,49 @@ def _encode_records_blob(ordered, entry_version, now):
     arr["mode"] = ints[:, 3] & 0xFF
     arr["version"] = ints[:, 4] & 0xFF
     return arr.tobytes()
+
+
+def encode_reply_tables(now, sizes, rows):
+    """Render many MRU-ordered tables as IMPL_XNTPD (v2) monlist replies
+    in one pass.
+
+    ``rows`` maps ``last``, ``first``, ``count``, ``addr``, ``port``,
+    ``mode`` and ``version`` to aligned arrays (a record array works too): the rows of
+    every table back to back, most recent first, ``sizes[i]`` of them
+    for table ``i``.  Returns ``(packet counts, packet lengths,
+    payload)``: the bytes :meth:`MonlistTable.render_response_packets`
+    gives for each table in turn, 6 entries a packet, the sequence number
+    wrapping at 128, "more" on every packet but a table's last, and one
+    header-only packet for an empty table.
+    """
+    per = items_per_packet(MON_ENTRY_V2_SIZE)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    pkt_counts = np.maximum(1, (sizes + per - 1) // per)
+    first_packet = np.cumsum(pkt_counts) - pkt_counts
+    index = np.arange(int(pkt_counts.sum())) - np.repeat(first_packet, pkt_counts)
+    items = np.clip(np.repeat(sizes, pkt_counts) - index * per, 0, per)
+    width = MODE7_HEADER_SIZE + per * MON_ENTRY_V2_SIZE
+    packets = np.zeros((len(index), width), dtype=np.uint8)
+    packets[:, :MODE7_HEADER_SIZE] = _V2_REPLY_HEADER
+    packets[:, 0] |= (index < np.repeat(pkt_counts, pkt_counts) - 1) * np.uint8(0x40)
+    packets[:, 1] = index % 128
+    packets[:, 5] = items
+    # Same clips as _encode_records_blob: truncation toward zero, then u32.
+    entries = np.zeros(len(rows["addr"]), dtype=_V2_DTYPE)
+    entries["last"] = np.clip((now - rows["last"]).astype(np.int64), 0, _U32_MAX)
+    entries["first"] = np.clip((now - rows["first"]).astype(np.int64), 0, _U32_MAX)
+    entries["count"] = np.clip(rows["count"], 0, _U32_MAX)
+    entries["addr"] = rows["addr"] & _U32_MAX
+    entries["port"] = rows["port"] & 0xFFFF
+    entries["mode"] = rows["mode"] & 0xFF
+    entries["version"] = rows["version"] & 0xFF
+    # Each table's rows fill its packets' entry slots in order.
+    slot = index_ranges(first_packet * per, sizes)
+    body = packets[:, MODE7_HEADER_SIZE:].reshape(len(index), per, MON_ENTRY_V2_SIZE)
+    body[slot // per, slot % per] = entries.view(np.uint8).reshape(-1, MON_ENTRY_V2_SIZE)
+    pkt_lens = MODE7_HEADER_SIZE + items * MON_ENTRY_V2_SIZE
+    payload = packets[np.arange(width) < pkt_lens[:, None]]
+    return pkt_counts, pkt_lens, payload
 
 
 @dataclass(slots=True)
@@ -185,35 +241,9 @@ class MonlistTable:
         if len(self._records) > 2 * self.capacity:
             self._prune()
 
-    def put_client_records(self, rows, mode, version):
-        """Bulk :meth:`put_record` for background-client sync rows.
-
-        ``rows`` is ``state_at`` output — ``(addr, port, count, first_seen,
-        last_seen)`` tuples whose invariants (count >= 1, ordering) the
-        analytic client model guarantees, so the per-row validation is
-        skipped.  The prune cadence matches per-row :meth:`put_record`
-        calls exactly, keeping the table byte-identical to the slow path.
-        """
-        records = self._records
-        threshold = 2 * self.capacity
-        for addr, port, count, first_seen, last_seen in rows:
-            existing = records.get(addr)
-            if existing is None:
-                records[addr] = MonlistRecord(addr, port, mode, version, count, first_seen, last_seen)
-                if len(records) > threshold:
-                    self._prune()
-                    records = self._records
-            else:
-                # Overwrite in place: replacing the dict value would keep
-                # the key's insertion position anyway, so mutating the
-                # existing record preserves MRU tie-breaking bit-for-bit
-                # while skipping a construction (the common resync case).
-                existing.port = port
-                existing.mode = mode
-                existing.version = version
-                existing.count = count
-                existing.first_seen = first_seen
-                existing.last_seen = last_seen
+    def records(self):
+        """The tracked records in insertion order, which breaks MRU ties."""
+        return list(self._records.values())
 
     def get(self, addr):
         return self._records.get(addr)

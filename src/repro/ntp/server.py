@@ -33,7 +33,7 @@ from repro.ntp.monlist import MonlistTable
 from repro.ntp.variables import render_system_variables
 from repro.ntp.wire import decode_mode6, decode_mode7, encode_mode6_response, mode_of
 
-__all__ = ["ServerConfig", "ProbeReply", "NtpServer", "REQUEST_CODE_TO_IMPL"]
+__all__ = ["ServerConfig", "ProbeReply", "NtpServer", "REQUEST_CODE_TO_IMPL", "version_reply_packets"]
 
 #: Which implementation code each monlist request code belongs with.
 REQUEST_CODE_TO_IMPL = {
@@ -109,6 +109,36 @@ class ProbeReply:
     @property
     def total_on_wire_bytes(self):
         return self.on_wire_bytes_once * self.n_repeats
+
+
+def version_reply_packets(build, ip, refid, extra_vars):
+    """One rendition of the READVAR reply of a server at ``ip``: its
+    system variables in 468-byte mode-6 fragments.  ``build`` carries the
+    daemon version, compile year, system, processor and stratum (a
+    :class:`ServerConfig`, or a host's system attributes)."""
+    payload = render_system_variables(
+        build.daemon_version,
+        build.compile_year,
+        build.system,
+        build.processor,
+        build.stratum,
+        refid,
+        extra_vars=extra_vars,
+        weekday_index=ip % 7,
+    ).encode("ascii")
+    fragments = [
+        payload[i : i + MODE6_DATA_AREA] for i in range(0, len(payload), MODE6_DATA_AREA)
+    ] or [b""]
+    return tuple(
+        encode_mode6_response(
+            CTL_OP_READVAR,
+            fragment,
+            sequence=index,
+            offset=index * MODE6_DATA_AREA,
+            more=index < len(fragments) - 1,
+        )
+        for index, fragment in enumerate(fragments)
+    )
 
 
 class NtpServer:
@@ -194,31 +224,8 @@ class NtpServer:
         if self._version_reply is not None:
             return self._version_reply
         cfg = self.config
-        payload = render_system_variables(
-            cfg.daemon_version,
-            cfg.compile_year,
-            cfg.system,
-            cfg.processor,
-            cfg.stratum,
-            cfg.refid,
-            extra_vars=cfg.extra_vars,
-            weekday_index=self.ip % 7,
-        ).encode("ascii")
-        fragments = [
-            payload[i : i + MODE6_DATA_AREA] for i in range(0, len(payload), MODE6_DATA_AREA)
-        ] or [b""]
-        packets = []
-        for index, fragment in enumerate(fragments):
-            packets.append(
-                encode_mode6_response(
-                    CTL_OP_READVAR,
-                    fragment,
-                    sequence=index,
-                    offset=index * MODE6_DATA_AREA,
-                    more=index < len(fragments) - 1,
-                )
-            )
-        self._version_reply = ProbeReply(packets=tuple(packets), n_repeats=loop)
+        packets = version_reply_packets(cfg, self.ip, cfg.refid, cfg.extra_vars)
+        self._version_reply = ProbeReply(packets, n_repeats=loop)
         return self._version_reply
 
     def handle_datagram(self, data, src_ip, src_port, now):

@@ -44,6 +44,7 @@ __all__ = [
     "build_host_pool",
     "pack_hosts",
     "unpack_hosts",
+    "client_columns",
     "estimate_monlist_reply_bytes",
     "HOST_BLOCKS",
 ]
@@ -61,8 +62,6 @@ def estimate_monlist_reply_bytes(host, include_loop=True):
     list-building tooling records (mega amplifiers were "DDoS jackpot"
     lucky finds, §3.4, not something booter scanners ranked for).
     """
-    import math
-
     entries = min(600, max(1, host.base_clients))
     packets = math.ceil(entries / 6)
     payload = packets * 8 + entries * 72
@@ -107,18 +106,14 @@ _INFRA_KIND_WEIGHTS = [
 ]
 
 
-#: Below this many clients the scalar ``state_at`` path beats NumPy (the
-#: median amplifier has single-digit clients; the vectorized path pays ~30 µs
-#: of fixed per-array overhead regardless of size).
-_STATE_AT_SCALAR_MAX = 32
-
-
 @dataclass
 class BackgroundClients:
     """Numpy-backed static description of a host's legitimate clients.
 
     ``one_shot`` clients polled exactly once (at ``first_poll``); periodic
     clients poll every ``interval`` seconds from ``first_poll`` onward.
+    The ONP sweep reads every host's clients at once through
+    :func:`client_columns`.
     """
 
     ips: np.ndarray
@@ -129,99 +124,6 @@ class BackgroundClients:
 
     def __len__(self):
         return len(self.ips)
-
-    def _rows(self):
-        rows = self.__dict__.get("_scalar_rows")
-        if rows is None:
-            rows = list(
-                zip(
-                    self.ips.tolist(),
-                    self.ports.tolist(),
-                    self.intervals.tolist(),
-                    self.first_polls.tolist(),
-                    self.one_shot.tolist(),
-                )
-            )
-            self._scalar_rows = rows
-        return rows
-
-    def state_at(self, now, since=None):
-        """(ip, port, count, first_seen, last_seen) rows for clients with at
-        least one poll in ``(since, now]`` (``since=None`` means "ever").
-
-        ``since`` is used after a daemon restart: only polls after the
-        flush may appear in the rebuilt table.
-        """
-        if len(self.ips) <= _STATE_AT_SCALAR_MAX:
-            return self._state_at_scalar(now, since)
-        active = self.first_polls <= now
-        if not active.any():
-            return []
-        ips = self.ips[active]
-        ports = self.ports[active]
-        intervals = self.intervals[active]
-        firsts = self.first_polls[active]
-        ones = self.one_shot[active]
-        total = np.where(ones, 1, 1 + np.floor((now - firsts) / intervals)).astype(np.int64)
-        lasts = firsts + (total - 1) * intervals
-        if since is None:
-            counts = total
-            first_seen = firsts
-        else:
-            # Polls strictly after `since`.
-            before = np.where(
-                ones,
-                (firsts <= since).astype(np.int64),
-                np.clip(1 + np.floor((since - firsts) / intervals), 0, None).astype(np.int64),
-            )
-            before = np.minimum(before, total)
-            counts = total - before
-            first_seen = firsts + before * intervals
-        keep = (counts >= 1) & (lasts > (since if since is not None else -np.inf))
-        if not keep.any():
-            return []
-        return list(
-            zip(
-                ips[keep].tolist(),
-                ports[keep].tolist(),
-                counts[keep].tolist(),
-                first_seen[keep].tolist(),
-                lasts[keep].tolist(),
-            )
-        )
-
-    def _state_at_scalar(self, now, since):
-        """Pure-Python :meth:`state_at` for small client sets.
-
-        NumPy's per-array overhead dominates below a few dozen elements
-        (the median host has ~6 clients).  Every arithmetic step mirrors
-        the vectorized path operation-for-operation on float64 scalars, so
-        the rows are bit-identical (``math.floor`` equals ``np.floor`` and
-        Python int arithmetic is exact where int64 is).
-        """
-        out = []
-        floor = math.floor
-        for ip, port, interval, first, one in self._rows():
-            if first > now:
-                continue
-            total = 1 if one else 1 + int(floor((now - first) / interval))
-            last = first + (total - 1) * interval
-            if since is None:
-                count = total
-                first_seen = first
-            else:
-                if one:
-                    before = 1 if first <= since else 0
-                else:
-                    before = max(0, 1 + int(floor((since - first) / interval)))
-                before = min(before, total)
-                count = total - before
-                first_seen = first + before * interval
-                if last <= since:
-                    continue
-            if count >= 1:
-                out.append((ip, port, count, first_seen, last))
-        return out
 
 
 @dataclass(slots=True)
@@ -327,6 +229,29 @@ def _unpack_column(column):
     return [None if missing else value for value, missing in zip(values, extra.tolist())]
 
 
+def _concat_clients(hosts):
+    """Each client array concatenated over ``hosts``, plus per-host lengths
+    (-1 for a host whose ``clients`` is None)."""
+    clients = [host.clients for host in hosts]
+    arrays = {}
+    for name in _CLIENT_ARRAYS:
+        # The client arrays are aligned, so every name gives the same lengths.
+        arrays[name], lengths = concat_with_lengths(
+            [None if c is None else getattr(c, name) for c in clients]
+        )
+    return arrays, lengths
+
+
+def client_columns(hosts):
+    """Every host's background clients as one :class:`BackgroundClients`
+    plus offsets: host ``i``'s clients are rows ``offsets[i]`` to
+    ``offsets[i + 1]`` (none for a host whose ``clients`` is None)."""
+    arrays, lengths = _concat_clients(hosts)
+    offsets = np.zeros(len(hosts) + 1, dtype=np.int64)
+    np.cumsum(np.maximum(lengths, 0), out=offsets[1:])
+    return BackgroundClients(**arrays), offsets
+
+
 def pack_hosts(hosts):
     """``hosts`` in packed form: one column per :class:`NtpHost` field.
 
@@ -340,13 +265,7 @@ def pack_hosts(hosts):
         for f in fields(NtpHost)
         if f.name != "clients"
     }
-    clients = [host.clients for host in hosts]
-    arrays = {}
-    for name in _CLIENT_ARRAYS:
-        # The client arrays are aligned, so every name gives the same lengths.
-        arrays[name], lengths = concat_with_lengths(
-            [None if c is None else getattr(c, name) for c in clients]
-        )
+    arrays, lengths = _concat_clients(hosts)
     return {"columns": columns, "clients": arrays, "client_lengths": lengths}
 
 
@@ -449,7 +368,11 @@ class _LivenessIndex:
         self._indexed = len(hosts)
 
     def alive(self, t, limit=None, window=None):
-        """Hosts alive at ``t``, in source-list order.
+        """Hosts alive at ``t``, in source-list order (see :meth:`alive_index`)."""
+        return list(map(self._hosts.__getitem__, self.alive_index(t, limit, window).tolist()))
+
+    def alive_index(self, t, limit=None, window=None):
+        """Source-list indices of the hosts alive at ``t``, ascending.
 
         ``limit`` restricts the query to the first ``limit`` hosts of the
         source list (a partial sweep probes only a prefix of the target
@@ -469,9 +392,9 @@ class _LivenessIndex:
         if limit is not None and limit < hi:
             hi = limit
         if hi <= lo:
-            return []
+            return np.empty(0, dtype=np.int64)
         mask = (births[lo:hi] <= t) & (t < ends[lo:hi])
-        return [hosts[lo + i] for i in np.flatnonzero(mask)]
+        return lo + np.flatnonzero(mask)
 
     def count_alive(self, t):
         self._ensure()
@@ -531,15 +454,17 @@ class HostPool:
         self._host_bounds = []
         self._mon_bounds = []
         self._ver_bounds = []
+        mon = np.array([host.monlist_amplifier for host in self.hosts], dtype=bool)
+        ver = np.array([host.responds_version for host in self.hosts], dtype=bool)
+        #: Index into ``hosts`` of each monlist (version) host.
+        self._mon_pos = np.flatnonzero(mon)
+        self._ver_pos = np.flatnonzero(ver)
         pos = mi = vi = 0
         for length in self._block_lengths:
             h0, m0, v0 = pos, mi, vi
-            for host in self.hosts[pos : pos + length]:
-                if host.monlist_amplifier:
-                    mi += 1
-                if host.responds_version:
-                    vi += 1
             pos += length
+            mi += int(mon[h0:pos].sum())
+            vi += int(ver[h0:pos].sum())
             self._host_bounds.append((h0, pos))
             self._mon_bounds.append((m0, mi))
             self._ver_bounds.append((v0, vi))
@@ -547,6 +472,9 @@ class HostPool:
     @property
     def n_blocks(self):
         return len(self._block_lengths)
+
+    def host_block_bounds(self, block):
+        return self._host_bounds[block]
 
     def monlist_block_bounds(self, block):
         return self._mon_bounds[block]
@@ -607,6 +535,14 @@ class HostPool:
 
     def version_alive(self, t, limit=None, window=None):
         return self._version_index.alive(t, limit=limit, window=window)
+
+    def monlist_alive_index(self, t, limit=None, window=None):
+        """:meth:`monlist_alive` as ascending indices into ``hosts``."""
+        return self._mon_pos[self._monlist_index.alive_index(t, limit, window)]
+
+    def version_alive_index(self, t, limit=None, window=None):
+        """:meth:`version_alive` as ascending indices into ``hosts``."""
+        return self._ver_pos[self._version_index.alive_index(t, limit, window)]
 
     def mega_hosts(self):
         return [h for h in self.hosts if h.is_mega]

@@ -22,6 +22,7 @@ __all__ = [
     "balanced_split",
     "concat_with_lengths",
     "length_slices",
+    "index_ranges",
     "MonlistColumns",
     "PulseColumns",
 ]
@@ -66,6 +67,15 @@ def length_slices(lengths):
         out.append(slice(end, end + length))
         end += length
     return out
+
+
+def index_ranges(starts, lengths):
+    """The indices ``starts[i] .. starts[i] + lengths[i] - 1`` of every
+    range, concatenated in range order: one gather of many slices."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.repeat(np.asarray(starts, dtype=np.int64) - (ends - lengths), lengths) + np.arange(total)
 
 
 class MonlistColumns:

@@ -7,8 +7,8 @@ an interrupted build re-run with the same checkpoint directory resumes
 from the last finished phase and produces a byte-identical world —
 every phase draws from an RNG stream derived statelessly from
 ``(seed, phase name)`` (see :mod:`repro.util.rng`), and the stateful
-objects a later phase reads (the fault injector, the amplifier state
-manager, ...) travel inside the pickled state, so replaying the
+objects a later phase reads (the fault injector, the monitor-table
+feeds, ...) travel inside the pickled state, so replaying the
 remaining phases is exactly the suffix of the uninterrupted build.
 
 Files share the world cache's layout and validation
@@ -36,8 +36,9 @@ __all__ = ["BuildCheckpoint"]
 #: Bumped when the checkpoint file layout changes (2: envelope and
 #: state as two pickles, population packed; 3: the layout prefix; 4: no
 #: state manager after ``onp``, interval routing tables, every ONP
-#: sample packed).
-_CHECKPOINT_FORMAT = 4
+#: sample packed; 5: the ``state`` phase keeps the monitor-table feeds,
+#: not the per-host state manager).
+_CHECKPOINT_FORMAT = 5
 
 #: The first bytes of every checkpoint file.
 _CHECKPOINT_LAYOUT = b"repro/checkpoint:envelope,state\n"

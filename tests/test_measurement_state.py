@@ -1,4 +1,5 @@
-"""Tests for the lazy amplifier-state manager."""
+"""Monitor-table semantics, against both the per-host sync (the oracle)
+and the columnar store behind it (``tests.onp_oracle.StoreSync``)."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from repro.population import PoolParams, build_host_pool
 from repro.population.columns import PulseColumns
 from repro.net import ASRegistry, PolicyBlockList
 from repro.util import RngStream, date_to_sim
+
+from tests.onp_oracle import OracleStateManager, StoreSync, state_at
 
 
 @pytest.fixture(scope="module")
@@ -31,8 +34,28 @@ def host():
     raise AssertionError("no suitable host in pool")
 
 
-def make_manager():
-    return AmplifierStateManager(RngStream(12, "mgr"), RESEARCH_SCANNERS)
+class _Manager:
+    """The feeds (``register_*``) with a per-host sync attached."""
+
+    def __init__(self, feeds, sync):
+        self.feeds = feeds
+        self.syncer = sync
+
+    def __getattr__(self, name):
+        return getattr(self.syncer if hasattr(self.syncer, name) else self.feeds, name)
+
+
+@pytest.fixture(params=["oracle", "store"])
+def make_manager(request):
+    """A factory of managers that sync ``hosts`` one at a time, through
+    the per-host oracle or the columnar store."""
+
+    def make(*hosts):
+        feeds = AmplifierStateManager(RngStream(12, "mgr"), RESEARCH_SCANNERS)
+        sync = OracleStateManager(feeds) if request.param == "oracle" else StoreSync(feeds, hosts)
+        return _Manager(feeds, sync)
+
+    return make
 
 
 def pulse_columns(*legs):
@@ -51,8 +74,8 @@ def pulse_columns(*legs):
     )
 
 
-def test_server_materialized_once(host):
-    manager = make_manager()
+def test_server_materialized_once(host, make_manager):
+    manager = make_manager(host)
     a = manager.server_for(host)
     b = manager.server_for(host)
     assert a is b
@@ -60,34 +83,34 @@ def test_server_materialized_once(host):
     assert manager.is_materialized(host.ip)
 
 
-def test_sync_is_monotonic(host):
-    manager = make_manager()
+def test_sync_is_monotonic(host, make_manager):
+    manager = make_manager(host)
     manager.sync(host, date_to_sim(2014, 1, 10))
     with pytest.raises(ValueError):
         manager.sync(host, date_to_sim(2014, 1, 1))
 
 
-def test_background_clients_appear(host):
-    manager = make_manager()
+def test_background_clients_appear(host, make_manager):
+    manager = make_manager(host)
     server = manager.sync(host, date_to_sim(2014, 1, 10))
     # Every background client that has started polling appears.
-    expected = host.clients.state_at(date_to_sim(2014, 1, 10))
+    expected = state_at(host.clients, date_to_sim(2014, 1, 10))
     for ip, port, count, first, last in expected:
         record = server.table.get(ip)
         assert record is not None
         assert record.count == count
 
 
-def test_sync_idempotent_for_background(host):
-    manager = make_manager()
+def test_sync_idempotent_for_background(host, make_manager):
+    manager = make_manager(host)
     t = date_to_sim(2014, 1, 10)
     a = manager.sync(host, t).table.entries_mru(t)
     b = manager.sync(host, t).table.entries_mru(t)
     assert a == b
 
 
-def test_research_scanners_recorded(host):
-    manager = make_manager()
+def test_research_scanners_recorded(host, make_manager):
+    manager = make_manager(host)
     t = date_to_sim(2014, 2, 1)
     server = manager.sync(host, t)
     onp = next(s for s in RESEARCH_SCANNERS if s.name == "onp-monlist")
@@ -98,8 +121,8 @@ def test_research_scanners_recorded(host):
     assert record.mode == 7
 
 
-def test_attack_pulse_applied_between_syncs(host):
-    manager = make_manager()
+def test_attack_pulse_applied_between_syncs(host, make_manager):
+    manager = make_manager(host)
     t0 = date_to_sim(2014, 1, 10)
     manager.sync(host, t0)
     manager.register_pulse_columns(pulse_columns((host.ip, 0xDEADBEEF, t0 + 86400, 60.0, 10.0)))
@@ -109,8 +132,8 @@ def test_attack_pulse_applied_between_syncs(host):
     assert record.count == 600
 
 
-def test_pulse_not_applied_twice(host):
-    manager = make_manager()
+def test_pulse_not_applied_twice(host, make_manager):
+    manager = make_manager(host)
     t0 = date_to_sim(2014, 1, 10)
     manager.register_pulse_columns(pulse_columns((host.ip, 0xCAFE, t0 + 100, 10.0, 10.0)))
     manager.sync(host, t0 + 1000)
@@ -118,8 +141,8 @@ def test_pulse_not_applied_twice(host):
     assert server.table.get(0xCAFE).count == 100
 
 
-def test_inflight_pulse_not_recorded(host):
-    manager = make_manager()
+def test_inflight_pulse_not_recorded(host, make_manager):
+    manager = make_manager(host)
     t0 = date_to_sim(2014, 1, 10)
     manager.register_pulse_columns(pulse_columns((host.ip, 0xBEEF, t0 - 50, 1000.0, 10.0)))
     server = manager.sync(host, t0)
@@ -129,10 +152,10 @@ def test_inflight_pulse_not_recorded(host):
     assert server.table.get(0xBEEF).count == 10000
 
 
-def test_legs_apply_in_end_order_across_syncs(host):
+def test_legs_apply_in_end_order_across_syncs(host, make_manager):
     """Legs given out of order, some on another amplifier, land at the
     sync whose window holds their end — not their start — exactly once."""
-    manager = make_manager()
+    manager = make_manager(host)
     t0 = date_to_sim(2014, 1, 10)
     manager.register_pulse_columns(
         pulse_columns(
@@ -153,8 +176,8 @@ def test_legs_apply_in_end_order_across_syncs(host):
     assert server.table.get(0xA1).count == 600
 
 
-def test_malicious_activity_creates_scanner_entries(host):
-    manager = make_manager()
+def test_malicious_activity_creates_scanner_entries(host, make_manager):
+    manager = make_manager(host)
     from repro.sim.events import ScanSweep
 
     t0 = date_to_sim(2014, 1, 10)
@@ -181,7 +204,7 @@ def test_malicious_activity_creates_scanner_entries(host):
     assert scanner_records  # high coverage => hits expected
 
 
-def test_restart_flushes_old_state():
+def test_restart_flushes_old_state(make_manager):
     """A host with a short restart interval forgets pre-flush history."""
     rng = RngStream(13, "restart-test")
     registry = ASRegistry(rng.child("asn"), n_ases=300)
@@ -191,8 +214,9 @@ def test_restart_flushes_old_state():
         h
         for h in pool.monlist_hosts
         if h.restart_interval is not None and h.restart_interval < 5 * 86400 and h.birth == 0.0
+        and h.answers_implementation(IMPL_XNTPD)
     )
-    manager = make_manager()
+    manager = make_manager(host)
     t0 = date_to_sim(2014, 1, 10)
     manager.register_pulse_columns(pulse_columns((host.ip, 0xF00D, t0 + 3600, 10.0, 100.0)))
     assert manager.sync(host, t0 + 7200).table.get(0xF00D).count == 1000

@@ -21,6 +21,7 @@ from repro.population.amplifiers import NtpHost
 from repro.population.osmodel import SystemAttributes
 from repro.util import RngStream
 
+from tests.onp_oracle import StoreSync
 from tests.test_measurement_state import pulse_columns
 
 ONP_IP = 0xCB000001
@@ -138,11 +139,9 @@ def attacked_record(loop_factor, query_rate, duration, start=5000.0):
         primed_full=False,
         loop_factor=loop_factor,
     )
-    manager = AmplifierStateManager(RngStream(12, "mgr"), [])
-    manager.register_pulse_columns(
-        pulse_columns((AMP_IP, VICTIM_IP, start, duration, query_rate))
-    )
-    return manager.sync(host, start + duration + 1.0).table.get(VICTIM_IP)
+    feeds = AmplifierStateManager(RngStream(12, "mgr"), [])
+    feeds.register_pulse_columns(pulse_columns((AMP_IP, VICTIM_IP, start, duration, query_rate)))
+    return StoreSync(feeds, [host]).sync(host, start + duration + 1.0).table.get(VICTIM_IP)
 
 
 def test_attack_pulse_recording():

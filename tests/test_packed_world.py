@@ -239,6 +239,29 @@ def test_checkpoint_resumes_after_any_phase_prefix(tiny_world, crash_phase, tmp_
     assert _fingerprint(resumed) == _fingerprint(tiny_world)
 
 
+def test_format_4_checkpoint_after_state_misses(tiny_world, tmp_path, monkeypatch):
+    """A checkpoint the format-4 code saved after ``state`` holds the
+    per-host state manager: it misses on its format, before its state is
+    unpickled, and the build starts over to the same world."""
+    import repro.scenario.checkpoint as checkpoint_mod
+
+    armed = tmp_path / "armed"
+    armed.touch()
+    directory = str(tmp_path / "ckpt")
+    with monkeypatch.context() as patch:
+        patch.setattr(world_mod, "_BUILD_PHASES", _boom_phases("onp", str(armed)))
+        patch.setattr(checkpoint_mod, "_CHECKPOINT_FORMAT", 4)
+        with pytest.raises(RuntimeError, match="injected mid-build crash"):
+            PaperWorld.build(params=TINY, checkpoint_dir=directory)
+    armed.unlink()
+    monkeypatch.setattr(checkpoint_mod, "_unpack_state", None)
+    rebuilt = PaperWorld.build(params=TINY, checkpoint_dir=directory)
+    stats = rebuilt.checkpoint_stats
+    assert stats["resumed"] is False and stats["phases_loaded"] == []
+    assert "envelope format 4" in stats["reason"]
+    assert _fingerprint(rebuilt) == _fingerprint(tiny_world)
+
+
 def test_shallow_copy_shares_the_population(tiny_world):
     clone = copy.copy(tiny_world)
     assert clone is not tiny_world

@@ -187,11 +187,13 @@ def test_bulk_render_matches_struct_path(n, entry_version):
 
 
 def test_background_client_state_scalar_matches_numpy(monkeypatch):
-    """state_at's small-pool scalar path equals the NumPy path exactly."""
+    """The oracle's state_at: its small-pool scalar path equals its NumPy
+    path exactly."""
     import repro.population.amplifiers as amplifiers
+    from tests import onp_oracle
 
     rng = np.random.default_rng(99)
-    for n in (1, 3, amplifiers._STATE_AT_SCALAR_MAX):
+    for n in (1, 3, onp_oracle._STATE_AT_SCALAR_MAX):
         clients = amplifiers.BackgroundClients(
             ips=rng.integers(1, 2**31, size=n).astype(np.int64),
             ports=rng.integers(1024, 65535, size=n).astype(np.int64),
@@ -200,11 +202,11 @@ def test_background_client_state_scalar_matches_numpy(monkeypatch):
             one_shot=rng.random(n) < 0.4,
         )
         for now, since in ((0.0, None), (3e5, None), (9e5, 1e5), (9e5, 8.9e5)):
-            scalar = clients._state_at_scalar(now, since)
+            scalar = onp_oracle.state_at_scalar(clients, now, since)
             # Forcing the threshold below any n routes state_at through
             # the vectorized branch for the same inputs.
-            monkeypatch.setattr(amplifiers, "_STATE_AT_SCALAR_MAX", -1)
-            vectorized = clients.state_at(now, since=since)
+            monkeypatch.setattr(onp_oracle, "_STATE_AT_SCALAR_MAX", -1)
+            vectorized = onp_oracle.state_at(clients, now, since=since)
             monkeypatch.undo()
             assert scalar == vectorized
 

@@ -13,6 +13,8 @@ from repro.population import (
 )
 from repro.util import RngStream, date_to_sim
 
+from tests.onp_oracle import state_at
+
 SCALE = 0.0015
 
 
@@ -125,7 +127,7 @@ def test_background_clients_generated(world):
     for host in hosts.monlist_hosts[:100]:
         assert host.clients is not None
         assert len(host.clients) == host.base_clients
-    rows = hosts.monlist_hosts[0].clients.state_at(date_to_sim(2014, 3, 1))
+    rows = state_at(hosts.monlist_hosts[0].clients, date_to_sim(2014, 3, 1))
     for ip, port, count, first, last in rows:
         assert count >= 1
         assert first <= last
