@@ -53,18 +53,17 @@ __all__ = ["AmplifierStateManager", "MonitorTableStore", "extra_vars_for"]
 #: last seen.  ``pos`` orders a table's rows by first insertion since its
 #: last flush, which breaks MRU ties.  Columns are kept sorted by slot,
 #: each table in MRU order: last seen descending, then ``pos``.
-ROW_INTS = ("slot", "addr", "port", "mode", "version", "count", "pos")
-SLOT, ADDR, PORT, MODE, VERSION, COUNT, POS = range(len(ROW_INTS))
+ROW_INTS = ("slot", "addr", "port", "mode", "version", "count", "pos", "absolute")
+SLOT, ADDR, PORT, MODE, VERSION, COUNT, POS, ABSOLUTE = range(len(ROW_INTS))
 FIRST, LAST, SPAN = range(3)
 
-#: A sweep's table operations, the same way: the row fields up to
-#: ``count``, then ``sync`` (which host sync an operation belongs to; a
-#: sync's operations apply in column order) and ``absolute``; and
-#: first, last and span as floats.  An absolute operation sets a row; any
-#: other adds ``count`` packets arriving over ``[last - span, last]``
-#: (``first`` is ``last - span``).
+#: A sweep's table operations, the same way, with ``sync`` (which host
+#: sync an operation belongs to) where a row has ``pos``; and first, last
+#: and span as floats.  An absolute operation sets a row (a stored row
+#: counts as one); any other adds ``count`` packets arriving over
+#: ``[last - span, last]`` (``first`` is ``last - span``).
 OP_INTS = ROW_INTS[:POS] + ("sync", "absolute")
-SYNC, ABSOLUTE = POS, POS + 1
+SYNC = POS
 
 #: A probe's source port: the sweep's ``int(t) % 1000`` above this base.
 _PROBE_PORT_BASE = 50557
@@ -224,6 +223,8 @@ class MonitorTableStore:
         self._next_pos = 0
         self._now = -np.inf
         self._mal_rngs = {}
+        #: Version probes not yet folded in (see record_version_probes).
+        self._pending = None
         # Every research sweep time, scanner by scanner, and each scanner's
         # row fields.
         scanners = feeds._research
@@ -312,6 +313,7 @@ class MonitorTableStore:
             uniq = slots
         flushed = self._advance_flush(uniq, t)
         self._flush_base[flushed] = self._next_flush[flushed] - self._restart[self._config[flushed]]
+        self._clear(flushed)
         self._last_sync[uniq] = t
         birth = self._birth[hosts]
         flush_base = self._flush_base[slots]
@@ -319,6 +321,7 @@ class MonitorTableStore:
         start = np.maximum(last, base)
         loop = self._loop[self._config[slots]]
         ops = [
+            *([] if self._pending is None else [self._pending]),
             self._background_ops(hosts, slots, np.where(base > birth, base, -np.inf), t),
             self._research_ops(slots, base, t),
             self._malicious_ops(slots, start, t),
@@ -344,7 +347,8 @@ class MonitorTableStore:
             # The operations of a server's syncs apply sync by sync.
             order = np.argsort(op_ints[SYNC], kind="stable")
             op_ints, op_floats = op_ints.take(order, axis=1), op_floats.take(order, axis=1)
-        self._fold((op_ints, op_floats), flushed)
+        self._fold(op_ints, op_floats)
+        self._pending = None
         return hosts
 
     def _background_ops(self, hosts, slots, since, t):
@@ -352,7 +356,7 @@ class MonitorTableStore:
         lo = self._client_offsets[hosts]
         lengths = self._client_offsets[hosts + 1] - lo
         rows = index_ranges(lo, lengths)
-        sync = np.repeat(np.arange(len(hosts)), lengths)
+        sync = np.arange(len(hosts)).repeat(lengths)
         clients = self._clients
         firsts = clients.first_polls[rows]
         intervals = clients.intervals[rows]
@@ -385,9 +389,9 @@ class MonitorTableStore:
     def _research_ops(self, slots, base, t):
         """Each research scanner's absolute row: its sweeps in ``(base, t]``."""
         times = self._feeds._research_times
-        lo = np.array([np.searchsorted(sweeps, base, side="right") for sweeps in times], dtype=np.int64)
+        lo = np.array([sweeps.searchsorted(base, side="right") for sweeps in times], dtype=np.int64)
         lo = lo.reshape(len(times), len(slots))
-        hi = np.array([np.searchsorted(sweeps, t, side="right") for sweeps in times], dtype=np.int64)
+        hi = np.array([sweeps.searchsorted(t, side="right") for sweeps in times], dtype=np.int64)
         scanner, sync = np.nonzero(lo < hi[:, None])
         lo, hi = lo[scanner, sync], hi[scanner]
         flat, offsets, addr, port, mode = self._research
@@ -411,42 +415,26 @@ class MonitorTableStore:
         feeds = self._feeds
         if not feeds._malicious_by_day:
             return _ops(0)
-        days, which = np.unique((start // DAY).astype(np.int64), return_inverse=True)
-        windows = np.array([feeds._malicious_window(day0, int(t // DAY)) for day0 in days.tolist()])
-        coverage, pool_lo, pool_hi = windows[which].T
-        draws = np.flatnonzero((pool_hi > pool_lo) & (coverage > 0))
+        day1 = int(t // DAY)
         flat = feeds._malicious_prefix()[2]
+        rngs = self._mal_rngs
         hits = []
-        for k, slot, lam, lo, n, window_start in zip(
-            draws.tolist(),
-            slots[draws].tolist(),
-            coverage[draws].tolist(),
-            pool_lo[draws].astype(np.int64).tolist(),
-            (pool_hi - pool_lo)[draws].astype(np.int64).tolist(),
-            start[draws].tolist(),
-        ):
-            rng = self._mal_rngs.get(slot)
+        for k, (slot, window_start) in enumerate(zip(slots.tolist(), start.tolist())):
+            coverage, lo, hi = feeds._malicious_window(int(window_start // DAY), day1)
+            if hi == lo or coverage <= 0:
+                continue
+            rng = rngs.get(slot)
             if rng is None:
-                rng = self._mal_rngs[slot] = feeds._rng.child(f"host-{int(self._slot_ip[slot])}").generator
+                rng = rngs[slot] = feeds._rng.child(f"host-{int(self._slot_ip[slot])}").generator
             span = max(1.0, t - window_start)
-            for _ in range(min(int(rng.poisson(lam)), 6)):
-                ip, mode = flat[lo + int(rng.integers(0, n))]
+            for _ in range(min(int(rng.poisson(coverage)), 6)):
+                ip, mode = flat[lo + int(rng.integers(0, hi - lo))]
                 # rng.uniform(0, span), which NumPy draws as 0 + span * random().
-                at = window_start + span * rng.random()
-                hits.append((k, ip, int(rng.integers(1024, 65535)), mode, min(at, t)))
-        sync, addr, port, mode, at = np.array(hits, dtype=np.float64).reshape(-1, 5).T
-        sync = sync.astype(np.int64)
+                at = min(window_start + span * rng.random(), t)
+                hits.append((k, slot, ip, int(rng.integers(1024, 65535)), mode, at))
+        sync, slot, addr, port, mode, at = np.array(hits, dtype=np.float64).reshape(-1, 6).T
         return _ops(
-            len(hits),
-            sync=sync,
-            slot=slots[sync],
-            addr=addr,
-            port=port,
-            mode=mode,
-            version=2,
-            count=1,
-            first=at,
-            last=at,
+            len(hits), sync=sync, slot=slot, addr=addr, port=port, mode=mode, version=2, count=1, first=at, last=at
         )
 
     def _leg_index(self):
@@ -461,11 +449,9 @@ class MonitorTableStore:
                 lo = np.searchsorted(columns.amp_ip, self._slot_ip, side="left")
                 lengths = np.searchsorted(columns.amp_ip, self._slot_ip, side="right") - lo
                 legs = index_ranges(lo, lengths)
-                ends = columns.end[legs]
-                distinct = np.unique(ends)
+                distinct, rank = np.unique(columns.end[legs], return_inverse=True)
                 stride = len(distinct) + 1
-                key = np.repeat(np.arange(len(self._slot_ip)), lengths) * stride
-                key += np.searchsorted(distinct, ends, side="right")
+                key = np.repeat(np.arange(len(self._slot_ip)), lengths) * stride + rank + 1
                 self._legs = (key, distinct, stride, legs)
         return self._legs
 
@@ -476,10 +462,10 @@ class MonitorTableStore:
         if index is None:
             return _ops(0)
         key, distinct, stride, legs = index
-        lo = np.searchsorted(key, slots * stride + np.searchsorted(distinct, start, side="right"), side="right")
-        hi = np.searchsorted(key, slots * stride + np.searchsorted(distinct, t, side="right"), side="right")
+        lo = key.searchsorted(slots * stride + distinct.searchsorted(start, side="right"), side="right")
+        hi = key.searchsorted(slots * stride + distinct.searchsorted(t, side="right"), side="right")
         chosen = legs[index_ranges(lo, hi - lo)]
-        sync = np.repeat(np.arange(len(slots)), hi - lo)
+        sync = np.arange(len(slots)).repeat(hi - lo)
         columns = self._legs_source
         duration = columns.duration[chosen]
         end = columns.end[chosen]
@@ -512,7 +498,9 @@ class MonitorTableStore:
 
         ``record_client`` flushes at the probe's own time, so a restart
         boundary passed here clears the table, but the flush base the next
-        monlist sync rebuilds from does not move.
+        monlist sync rebuilds from does not move.  The probes themselves
+        wait, in order, for the next monlist sync to fold them in first:
+        no table is rendered before then.
         """
         if t < self._now:
             raise ValueError("sync cannot move backwards")
@@ -521,10 +509,10 @@ class MonitorTableStore:
         slots = slots[self._renders[self._config[slots]]]
         if not len(slots):
             return
-        flushed = self._advance_flush(np.unique(slots), t)
-        ops = _ops(
+        self._clear(self._advance_flush(slots, t))
+        probes = _ops(
             len(slots),
-            sync=np.arange(len(slots)),
+            sync=-1,
             slot=slots,
             addr=prober_ip,
             port=_PROBE_PORT_BASE,
@@ -534,7 +522,19 @@ class MonitorTableStore:
             first=t,
             last=t,
         )
-        self._fold(ops, flushed)
+        self._pending = probes if self._pending is None else _concat_ops([self._pending, probes])
+
+    def _clear(self, slots):
+        """Flush these slots' tables: their rows and pending probes."""
+        if not len(slots):
+            return
+        cleared = np.zeros(len(self._slot_ip), dtype=bool)
+        cleared[slots] = True
+        kept = ~cleared.take(self._ints[SLOT])
+        self._ints, self._floats = self._ints.compress(kept, axis=1), self._floats.compress(kept, axis=1)
+        if self._pending is not None:
+            kept = ~cleared.take(self._pending[0][SLOT])
+            self._pending = tuple(part.compress(kept, axis=1) for part in self._pending)
 
     def render_version(self, hosts, t):
         """The mode-6 replies of these hosts' servers, one capture each.
@@ -566,60 +566,58 @@ class MonitorTableStore:
 
     # -- tables --------------------------------------------------------------------------
 
-    def _fold(self, ops, flushed):
-        """Apply ``ops`` to the tables, after clearing the ``flushed``
-        slots' tables; a server's operations must be in the order they
-        apply.
+    def _fold(self, op_ints, op_floats):
+        """Apply the operations ``(op_ints, op_floats)`` to the tables; a
+        server's operations must be in the order they apply.
 
         Each (slot, addr) group folds its accumulating operations onto its
         last absolute one (an existing row counts as absolute), or onto
         nothing; a row keeps the position it was first inserted at.  Only
         the rows of the slots ``ops`` touches take part.
         """
-        op_ints, op_floats = ops
         ints, floats = self._ints, self._floats
-        touched = np.zeros(len(self._slot_ip), dtype=np.int8)
-        touched[op_ints[SLOT]] = 1
-        touched[flushed] = 2
+        touched = np.zeros(len(self._slot_ip), dtype=bool)
+        touched[op_ints[SLOT]] = True
         row_touched = touched.take(ints[SLOT])
-        old = np.flatnonzero(row_touched == 1)
+        old = row_touched.nonzero()[0]
         # A new row's position is the rank of its first operation.
         n_old, n_ops = len(old), op_ints.shape[1]
-        merged = np.concatenate([ints.take(old, axis=1), op_ints[: POS + 1]], axis=1)
+        merged = np.concatenate((ints.take(old, axis=1), op_ints), axis=1)
         merged[POS, n_old:] = np.arange(self._next_pos, self._next_pos + n_ops)
         self._next_pos += n_ops
-        merged_floats = np.concatenate([floats.take(old, axis=1), op_floats[:2]], axis=1)
+        merged_floats = np.concatenate((floats.take(old, axis=1), op_floats[:2]), axis=1)
         # By (slot, addr): existing rows first, then the operations in order.
         key = (merged[SLOT] << 32) | merged[ADDR]
-        order = np.argsort(key, kind="stable")
-        merged = merged.take(order, axis=1)
-        merged_floats = merged_floats.take(order, axis=1)
-        absolute = np.concatenate([np.ones(n_old, dtype=bool), op_ints[ABSOLUTE] != 0]).take(order)
+        order = key.argsort(kind="stable")
         key = key.take(order)
         n = len(order)
-        start = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
-        end = np.append(start[1:], n)
+        start = np.concatenate(([True], key[1:] != key[:-1])).nonzero()[0]
+        end = np.concatenate((start[1:], [n]))
         index = np.arange(n)
-        last_absolute = np.maximum.accumulate(np.where(absolute, index, -1))[end - 1]
-        keep = index >= np.repeat(np.maximum(last_absolute, start), end - start)
-        folded = merged.take(start, axis=1)
-        folded[PORT : VERSION + 1] = merged[PORT : VERSION + 1].take(end - 1, axis=1)
+        last_absolute = np.maximum.accumulate(np.where(merged[ABSOLUTE].take(order), index, -1))[end - 1]
+        keep = index >= np.maximum(last_absolute, start).repeat(end - start)
+        # Slot, addr and position from a group's first entry; port, mode
+        # and version from its last; the rest folded from its last absolute.
+        folded = merged.take(order.take(start), axis=1)
+        folded[PORT : VERSION + 1] = merged[PORT : VERSION + 1].take(order.take(end - 1), axis=1)
+        folded[ABSOLUTE] = 1
         folded_floats = np.empty((2, len(start)), dtype=np.float64)
         if n:
-            folded[COUNT] = np.add.reduceat(np.where(keep, merged[COUNT], 0), start)
-            folded_floats[FIRST] = np.minimum.reduceat(np.where(keep, merged_floats[FIRST], np.inf), start)
-            folded_floats[LAST] = np.maximum.reduceat(np.where(keep, merged_floats[LAST], -np.inf), start)
-        pruned = np.flatnonzero(np.bincount(folded[SLOT], minlength=len(self._slot_ip)) > 2 * self._capacity)
+            folded[COUNT] = np.add.reduceat(merged[COUNT].take(order) * keep, start)
+            first, last = merged_floats.take(order, axis=1)
+            folded_floats[FIRST] = np.minimum.reduceat(np.where(keep, first, np.inf), start)
+            folded_floats[LAST] = np.maximum.reduceat(np.where(keep, last, -np.inf), start)
+        pruned = (np.bincount(folded[SLOT], minlength=len(self._slot_ip)) > 2 * self._capacity).nonzero()[0]
         if len(pruned):
             folded, folded_floats = self._replay(
                 pruned,
                 (ints.take(old, axis=1), floats.take(old, axis=1)),
-                ops,
+                (op_ints, op_floats),
                 folded,
                 folded_floats,
             )
         mru = np.lexsort((folded[POS], -folded_floats[LAST], folded[SLOT]))
-        kept = row_touched == 0
+        kept = ~row_touched
         ints = np.concatenate([ints.compress(kept, axis=1), folded.take(mru, axis=1)], axis=1)
         floats = np.concatenate([floats.compress(kept, axis=1), folded_floats.take(mru, axis=1)], axis=1)
         order = np.argsort(ints[SLOT], kind="stable")
@@ -655,6 +653,7 @@ class MonitorTableStore:
                 [(r.addr, r.port, r.mode, r.version, r.count) for r in records], dtype=np.int64
             ).reshape(-1, COUNT).T
             part[POS] = self._next_pos + np.arange(len(records))
+            part[ABSOLUTE] = 1
             self._next_pos += len(records)
             ints.append(part)
             floats.append(np.array([(r.first_seen, r.last_seen) for r in records], dtype=np.float64).reshape(-1, 2).T)
@@ -666,8 +665,8 @@ class MonitorTableStore:
         ``capacity`` rows in MRU order."""
         ints = self._ints
         slots = self._slot[hosts]
-        lo = np.searchsorted(ints[SLOT], slots, side="left")
-        sizes = np.minimum(np.searchsorted(ints[SLOT], slots, side="right") - lo, self._capacity)
+        lo = ints[SLOT].searchsorted(slots, side="left")
+        sizes = np.minimum(ints[SLOT].searchsorted(slots, side="right") - lo, self._capacity)
         chosen = index_ranges(lo, sizes)
         rows = dict(zip(ROW_INTS, ints.take(chosen, axis=1)))
         rows["first"], rows["last"] = self._floats.take(chosen, axis=1)

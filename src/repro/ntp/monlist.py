@@ -109,20 +109,20 @@ def encode_reply_tables(now, sizes, rows):
     per = items_per_packet(MON_ENTRY_V2_SIZE)
     sizes = np.asarray(sizes, dtype=np.int64)
     pkt_counts = np.maximum(1, (sizes + per - 1) // per)
-    first_packet = np.cumsum(pkt_counts) - pkt_counts
-    index = np.arange(int(pkt_counts.sum())) - np.repeat(first_packet, pkt_counts)
-    items = np.clip(np.repeat(sizes, pkt_counts) - index * per, 0, per)
+    first_packet = pkt_counts.cumsum() - pkt_counts
+    index = np.arange(int(pkt_counts.sum())) - first_packet.repeat(pkt_counts)
+    items = np.minimum(np.maximum(sizes.repeat(pkt_counts) - index * per, 0), per)
     width = MODE7_HEADER_SIZE + per * MON_ENTRY_V2_SIZE
     packets = np.zeros((len(index), width), dtype=np.uint8)
     packets[:, :MODE7_HEADER_SIZE] = _V2_REPLY_HEADER
-    packets[:, 0] |= (index < np.repeat(pkt_counts, pkt_counts) - 1) * np.uint8(0x40)
+    packets[:, 0] |= (index < pkt_counts.repeat(pkt_counts) - 1) * np.uint8(0x40)
     packets[:, 1] = index % 128
     packets[:, 5] = items
-    # Same clips as _encode_records_blob: truncation toward zero, then u32.
+    # Same clamps as _encode_records_blob: truncation toward zero, then u32.
     entries = np.zeros(len(rows["addr"]), dtype=_V2_DTYPE)
-    entries["last"] = np.clip((now - rows["last"]).astype(np.int64), 0, _U32_MAX)
-    entries["first"] = np.clip((now - rows["first"]).astype(np.int64), 0, _U32_MAX)
-    entries["count"] = np.clip(rows["count"], 0, _U32_MAX)
+    entries["last"] = np.minimum(np.maximum((now - rows["last"]).astype(np.int64), 0), _U32_MAX)
+    entries["first"] = np.minimum(np.maximum((now - rows["first"]).astype(np.int64), 0), _U32_MAX)
+    entries["count"] = np.minimum(np.maximum(rows["count"], 0), _U32_MAX)
     entries["addr"] = rows["addr"] & _U32_MAX
     entries["port"] = rows["port"] & 0xFFFF
     entries["mode"] = rows["mode"] & 0xFF

@@ -73,9 +73,9 @@ def index_ranges(starts, lengths):
     """The indices ``starts[i] .. starts[i] + lengths[i] - 1`` of every
     range, concatenated in range order: one gather of many slices."""
     lengths = np.asarray(lengths, dtype=np.int64)
-    ends = np.cumsum(lengths)
+    ends = lengths.cumsum()
     total = int(ends[-1]) if len(ends) else 0
-    return np.repeat(np.asarray(starts, dtype=np.int64) - (ends - lengths), lengths) + np.arange(total)
+    return (np.asarray(starts, dtype=np.int64) - (ends - lengths)).repeat(lengths) + np.arange(total)
 
 
 class MonlistColumns:
@@ -127,9 +127,9 @@ class PulseColumns:
     """Every attack leg as flat arrays, lexsorted by (amplifier, end).
 
     One row per (attack, amplifier) pair: spoofed queries at
-    ``query_rate`` per second for ``duration`` seconds.  The amplifier
-    state manager's per-host sync is a ``searchsorted`` window over the
-    host's contiguous slice.  ``end`` is ``start + duration`` and
+    ``query_rate`` per second for ``duration`` seconds.  A monitor-table
+    sync reads a ``searchsorted`` window of each amplifier's contiguous
+    slice.  ``end`` is ``start + duration`` and
     ``query_count`` is ``max(1, int(query_rate * duration))``.
     """
 
@@ -189,9 +189,3 @@ class PulseColumns:
             np.array([a.query_rate_per_amp for a in attacks], dtype=np.float64), counts
         )
         return cls(amp_ip, victim_ip, victim_port, mode, start, duration, rate)
-
-    def ip_range(self, ip):
-        """Half-open slice ``(lo, hi)`` of this amplifier's pulses."""
-        lo = int(np.searchsorted(self.amp_ip, ip, side="left"))
-        hi = int(np.searchsorted(self.amp_ip, ip, side="right"))
-        return lo, hi

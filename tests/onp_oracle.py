@@ -241,7 +241,8 @@ class OracleStateManager:
         columns = self._feeds._pulse_columns
         if columns is None:
             return
-        lo, hi = columns.ip_range(host.ip)
+        lo = int(np.searchsorted(columns.amp_ip, host.ip, side="left"))
+        hi = int(np.searchsorted(columns.amp_ip, host.ip, side="right"))
         if lo >= hi:
             return
         ends = columns.end

@@ -127,10 +127,13 @@ VERDICTS = {name: reason for reason, *names in [
         "repro.faults:InjectionLog.get",
     ),
     (
-        "oracle: test_measurement_state::test_server_materialized_once checks lazy "
-        "materialization through them",
-        "repro.measurement.amplifier_state:AmplifierStateManager.is_materialized",
-        "repro.measurement.amplifier_state:AmplifierStateManager.n_materialized",
+        "path: a monitor table past twice its capacity, replayed row by row through a "
+        "MonlistTable (seed 7 at scale 0.05 prunes 28 times); test_onp_store prunes with tiny "
+        "tables, test_ntp_monlist::test_batch_encode_equals_table_render reads the records",
+        "repro.measurement.amplifier_state:MonitorTableStore._replay",
+        "repro.ntp.monlist:MonlistRecord.observe",
+        "repro.ntp.monlist:MonlistTable.put_record",
+        "repro.ntp.monlist:MonlistTable.records",
     ),
     (
         "claim: test_measurement_arbor::test_total_attacks_scale",
@@ -151,7 +154,6 @@ VERDICTS = {name: reason for reason, *names in [
     (
         "oracle: tests/strategies.lenient_parse and test_measurement_onp read a sample's "
         "captures as views (benchmarks/test_table2_os_strings.py and test_ablations.py too)",
-        "repro.measurement.capture_store:PackedCaptures.views",
         "repro.measurement.onp:OnpSample.captures",
     ),
     (
@@ -223,6 +225,13 @@ VERDICTS = {name: reason for reason, *names in [
         "repro.ntp.monlist:MonlistTable._prune",
     ),
     (
+        "path: a daemon restart on the protocol path (NtpServer.maybe_flush); "
+        "test_ntp_server::test_restart_flushes_table, and the per-host sync in "
+        "tests/onp_oracle.py reads the next boundary",
+        "repro.ntp.monlist:MonlistTable.clear",
+        "repro.ntp.server:NtpServer.next_flush",
+    ),
+    (
         "oracle: test_pipeline_context::_reference_render renders tables through it",
         "repro.ntp.monlist:MonlistTable.entries_mru",
         "repro.ntp.wire:encode_monitor_entry",
@@ -253,6 +262,12 @@ VERDICTS = {name: reason for reason, *names in [
     (
         "benchmark: benchmarks/test_ablations.py (dual-implementation probing)",
         "repro.population.amplifiers:NtpHost.answers_implementation",
+    ),
+    (
+        "oracle: the per-host ONP sweep in tests/onp_oracle.py walks version hosts as "
+        "objects and sizes client sets; test_perf_equivalence and test_population_pools too",
+        "repro.population.amplifiers:BackgroundClients.__len__",
+        "repro.population.amplifiers:HostPool.version_alive",
     ),
     (
         "oracle: test_pipeline_context::test_liveness_limit_equals_prefix_filter checks "

@@ -161,3 +161,43 @@ def test_mru_invariants(events):
     # than capacity distinct addrs were recorded).
     if len(counts) <= 25:
         assert {e.addr: e.count for e in entries} == counts
+
+
+@pytest.mark.parametrize("sizes", [[0], [1, 5, 6, 7], [12, 0, 13], [600, 700, 1300, 3]])
+def test_batch_encode_equals_table_render(sizes):
+    """``encode_reply_tables`` gives each table the bytes of its own
+    ``render_response_packets``: empty, partial and full packets, the
+    600-entry cap, wrapping sequence numbers and u32 clamps."""
+    import numpy as np
+
+    from repro.ntp.monlist import encode_reply_tables
+
+    rng = np.random.default_rng(sum(sizes))
+    now = 2e6
+    columns = {name: [] for name in ("last", "first", "count", "addr", "port", "mode", "version")}
+    rendered, shown = [], []
+    for size in sizes:
+        table = MonlistTable(capacity=600)
+        for _ in range(size):
+            table.record(
+                int(rng.integers(0, 2**32)),
+                int(rng.integers(0, 2**16)),
+                int(rng.integers(0, 8)),
+                2,
+                float(rng.uniform(0, 3e6)),
+                packets=int(rng.integers(1, 2**34)),
+                span=float(rng.uniform(0, 1e5)),
+            )
+        mru = sorted(table.records(), key=lambda r: r.last_seen, reverse=True)[:600]
+        for record in mru:
+            for name, field in (("last", "last_seen"), ("first", "first_seen"), ("count", "count"),
+                                ("addr", "addr"), ("port", "port"), ("mode", "mode"), ("version", "version")):
+                columns[name].append(getattr(record, field))
+        shown.append(len(mru))
+        rendered.append(table.render_response_packets(now, 2, IMPL_XNTPD))
+    rows = {name: np.array(values, dtype=np.float64 if name in ("last", "first") else np.int64)
+            for name, values in columns.items()}
+    pkt_counts, pkt_lens, payload = encode_reply_tables(now, shown, rows)
+    assert pkt_counts.tolist() == [len(packets) for packets in rendered]
+    assert pkt_lens.tolist() == [len(p) for packets in rendered for p in packets]
+    assert payload.tobytes() == b"".join(p for packets in rendered for p in packets)
