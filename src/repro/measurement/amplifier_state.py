@@ -258,8 +258,8 @@ class MonitorTableStore:
         self._next_flush[new_slots] = (self._slot_ip[new_slots] % 997) / 997.0 * self._restart[source]
 
     def _advance_flush(self, slots, t):
-        """Pass every restart boundary ``<= t`` of these (distinct) slots;
-        returns the slots that flushed.
+        """Pass every restart boundary ``<= t`` of these slots; returns
+        the slots that flushed.
 
         ntpd adds the interval once per boundary.  A cumulative sum along
         each row adds in the same order, so every boundary is the float
@@ -543,9 +543,10 @@ class MonitorTableStore:
         captures from those.
         """
         slots = self._slot[hosts]
-        fresh = np.unique(slots[self._reply_count[slots] < 0])
+        fresh = np.zeros(len(self._slot_ip), dtype=bool)
+        fresh[slots] = True
         lens = []
-        for slot in fresh.tolist():
+        for slot in (fresh & (self._reply_count < 0)).nonzero()[0].tolist():
             host = self._hosts[self._config[slot]]
             packets = version_reply_packets(host.attrs, host.ip, _REFID, extra_vars_for(host.ip))
             self._reply_bytes[slot] = b"".join(packets)
@@ -651,7 +652,7 @@ class MonitorTableStore:
             part[SLOT] = slot
             part[ADDR:POS] = np.array(
                 [(r.addr, r.port, r.mode, r.version, r.count) for r in records], dtype=np.int64
-            ).reshape(-1, COUNT).T
+            ).reshape(-1, POS - ADDR).T
             part[POS] = self._next_pos + np.arange(len(records))
             part[ABSOLUTE] = 1
             self._next_pos += len(records)

@@ -16,13 +16,19 @@ Sharded sweeps
 The sweep is partitioned along the host pool's fixed build blocks (see
 ``repro.population.columns.HOST_BLOCKS``): each block worker walks the
 *whole* chronological schedule over its own disjoint host slice, with its
-own :meth:`~repro.measurement.amplifier_state.AmplifierStateManager.block_view`
-and per-(sample, block) loss streams, and returns one
+own :class:`~repro.measurement.amplifier_state.MonitorTableStore` and
+per-(sample, block) loss streams, and returns one
 :class:`~repro.measurement.capture_store.PackedCaptures` per sample.  The
 parent concatenates block parts in block order — byte-identical at any
 ``--jobs`` because the blocks, their streams, and their merge order never
 depend on the worker count.  Sweep-level fault decisions (outages, partial
 sweeps) are drawn parent-side, serially, before any block runs.
+
+Within a block a sweep is arrays end to end: the store catches every
+active host's monitor table up to the sweep time at once, one loss draw
+covers the repliers, and the survivors' replies are encoded in one pass.
+Only the malicious-scanner hits (per sync, inside the store) and fault
+mangling (per surviving capture) stay scalar.
 """
 
 from dataclasses import dataclass, field

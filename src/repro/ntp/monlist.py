@@ -20,7 +20,6 @@ from operator import attrgetter
 
 import numpy as np
 
-from repro.population.columns import index_ranges
 from repro.ntp.constants import (
     IMPL_XNTPD,
     MODE_PRIVATE,
@@ -128,7 +127,7 @@ def encode_reply_tables(now, sizes, rows):
     entries["mode"] = rows["mode"] & 0xFF
     entries["version"] = rows["version"] & 0xFF
     # Each table's rows fill its packets' entry slots in order.
-    slot = index_ranges(first_packet * per, sizes)
+    slot = np.arange(len(entries)) + (first_packet * per - (sizes.cumsum() - sizes)).repeat(sizes)
     body = packets[:, MODE7_HEADER_SIZE:].reshape(len(index), per, MON_ENTRY_V2_SIZE)
     body[slot // per, slot % per] = entries.view(np.uint8).reshape(-1, MON_ENTRY_V2_SIZE)
     pkt_lens = MODE7_HEADER_SIZE + items * MON_ENTRY_V2_SIZE
