@@ -51,8 +51,8 @@ __all__ = ["AmplifierStateManager", "MonitorTableStore", "extra_vars_for"]
 #: The store's rows, one per (server slot, client address), as an int64
 #: array with one row per field below and a float64 array with first and
 #: last seen.  ``pos`` orders a table's rows by first insertion since its
-#: last flush, which breaks MRU ties.  Columns are kept sorted by slot,
-#: each table in MRU order: last seen descending, then ``pos``.
+#: last flush, which breaks MRU ties.  Each table's columns are
+#: contiguous and in MRU order: last seen descending, then ``pos``.
 ROW_INTS = ("slot", "addr", "port", "mode", "version", "count", "pos", "absolute")
 SLOT, ADDR, PORT, MODE, VERSION, COUNT, POS, ABSOLUTE = range(len(ROW_INTS))
 FIRST, LAST, SPAN = range(3)
@@ -617,12 +617,12 @@ class MonitorTableStore:
                 folded,
                 folded_floats,
             )
+        # Untouched tables as they were, then the folded ones in MRU order:
+        # each table's rows stay contiguous.
         mru = np.lexsort((folded[POS], -folded_floats[LAST], folded[SLOT]))
-        kept = ~row_touched
-        ints = np.concatenate([ints.compress(kept, axis=1), folded.take(mru, axis=1)], axis=1)
-        floats = np.concatenate([floats.compress(kept, axis=1), folded_floats.take(mru, axis=1)], axis=1)
-        order = np.argsort(ints[SLOT], kind="stable")
-        self._ints, self._floats = ints.take(order, axis=1), floats.take(order, axis=1)
+        kept = (~row_touched).nonzero()[0]
+        self._ints = np.concatenate((ints.take(kept, axis=1), folded.take(mru, axis=1)), axis=1)
+        self._floats = np.concatenate((floats.take(kept, axis=1), folded_floats.take(mru, axis=1)), axis=1)
 
     def _replay(self, slots, old, ops, folded, folded_floats):
         """Re-run the tables of ``slots``, which grew past twice their
@@ -666,8 +666,14 @@ class MonitorTableStore:
         ``capacity`` rows in MRU order."""
         ints = self._ints
         slots = self._slot[hosts]
-        lo = ints[SLOT].searchsorted(slots, side="left")
-        sizes = np.minimum(ints[SLOT].searchsorted(slots, side="right") - lo, self._capacity)
+        column = ints[SLOT]
+        heads = np.concatenate(([len(column) > 0], column[1:] != column[:-1])).nonzero()[0]
+        first = np.zeros(len(self._slot_ip), dtype=np.int64)
+        count = np.zeros(len(self._slot_ip), dtype=np.int64)
+        first[column.take(heads)] = heads
+        count[column.take(heads)] = np.diff(heads, append=len(column))
+        lo = first.take(slots)
+        sizes = np.minimum(count.take(slots), self._capacity)
         chosen = index_ranges(lo, sizes)
         rows = dict(zip(ROW_INTS, ints.take(chosen, axis=1)))
         rows["first"], rows["last"] = self._floats.take(chosen, axis=1)
