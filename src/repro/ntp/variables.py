@@ -49,6 +49,8 @@ _OPTIONAL_VARS = (
     ("build", "4.2.6p5@1.2349-o fallback config disabled monitor enabled"),
 )
 
+_OPTIONAL_FIELDS = tuple(f"{name}={value}" for name, value in _OPTIONAL_VARS)
+
 
 def render_system_variables(
     daemon_version,
@@ -84,7 +86,7 @@ def render_system_variables(
         "reftime=0xd63f8f2e.85b73b00",
         "clock=0xd63f9b42.577b0b0d",
     ]
-    fields.extend(f"{name}={value}" for name, value in _OPTIONAL_VARS[:extra_vars])
+    fields.extend(_OPTIONAL_FIELDS[:extra_vars])
     return ", ".join(fields)
 
 
