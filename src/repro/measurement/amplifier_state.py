@@ -106,6 +106,15 @@ class AmplifierStateManager:
         self._pulse_columns = None
         self._research = research_scanners
         self._research_times = [np.array(sorted(s.sweep_times()), dtype=np.float64) for s in research_scanners]
+        #: Every research sweep time, scanner after scanner; where each
+        #: scanner's times start; each scanner's row address, port and mode.
+        self._research_rows = (
+            np.concatenate(self._research_times) if research_scanners else np.zeros(0),
+            np.cumsum([0] + [len(times) for times in self._research_times[:-1]], dtype=np.int64),
+            np.array([s.ip for s in research_scanners], dtype=np.int64),
+            np.array([50000 + (s.ip % 10000) for s in research_scanners], dtype=np.int64),
+            np.array([s.mode for s in research_scanners], dtype=np.int64),
+        )
         #: {day index: (total malicious coverage, [scanner ips sample])}
         self._malicious_by_day = malicious_coverage_per_day or {}
         self.table_capacity = table_capacity
@@ -225,16 +234,6 @@ class MonitorTableStore:
         self._mal_rngs = {}
         #: Version probes not yet folded in (see record_version_probes).
         self._pending = None
-        # Every research sweep time, scanner by scanner, and each scanner's
-        # row fields.
-        scanners = feeds._research
-        self._research = (
-            np.concatenate(feeds._research_times) if scanners else np.zeros(0),
-            np.cumsum([0] + [len(times) for times in feeds._research_times[:-1]], dtype=np.int64),
-            np.array([s.ip for s in scanners], dtype=np.int64),
-            np.array([50000 + (s.ip % 10000) for s in scanners], dtype=np.int64),
-            np.array([s.mode for s in scanners], dtype=np.int64),
-        )
         self._legs_source = None
         self._legs = None
         # Each slot's mode-6 reply, rendered once: its bytes, its packet
@@ -283,10 +282,10 @@ class MonitorTableStore:
 
     # -- the monlist sweep ----------------------------------------------------------------
 
-    def sync(self, hosts, t, prober_ip=None):
+    def sync(self, hosts, t, prober_ip):
         """Catch the tables of these hosts' servers up to ``t`` and record
-        the probe from ``prober_ip`` (none when None); returns the hosts
-        whose server answers, in order.
+        the probe from ``prober_ip``; returns the hosts whose server
+        answers, in order.
 
         Servers that never render a monlist reply are configured but not
         synced: their tables, and the per-IP streams they would draw
@@ -326,22 +325,19 @@ class MonitorTableStore:
             self._research_ops(slots, base, t),
             self._malicious_ops(slots, start, t),
             self._leg_ops(slots, start, t, loop),
+            _ops(
+                len(hosts),
+                sync=np.arange(len(hosts)),
+                slot=slots,
+                addr=prober_ip,
+                port=_PROBE_PORT_BASE + int(t) % 1000,
+                mode=MODE_PRIVATE,
+                version=2,
+                count=loop,
+                first=t,
+                last=t,
+            ),
         ]
-        if prober_ip is not None:
-            ops.append(
-                _ops(
-                    len(hosts),
-                    sync=np.arange(len(hosts)),
-                    slot=slots,
-                    addr=prober_ip,
-                    port=_PROBE_PORT_BASE + int(t) % 1000,
-                    mode=MODE_PRIVATE,
-                    version=2,
-                    count=loop,
-                    first=t,
-                    last=t,
-                )
-            )
         op_ints, op_floats = _concat_ops(ops)
         if shared:
             # The operations of a server's syncs apply sync by sync.
@@ -367,7 +363,7 @@ class MonitorTableStore:
         before = np.where(
             ones,
             (firsts <= since).astype(np.int64),
-            np.clip(1 + np.floor((since - firsts) / intervals), 0, None).astype(np.int64),
+            np.maximum(1 + np.floor((since - firsts) / intervals), 0).astype(np.int64),
         )
         before = np.minimum(before, total)
         counts = total - before
@@ -394,7 +390,7 @@ class MonitorTableStore:
         hi = np.array([sweeps.searchsorted(t, side="right") for sweeps in times], dtype=np.int64)
         scanner, sync = np.nonzero(lo < hi[:, None])
         lo, hi = lo[scanner, sync], hi[scanner]
-        flat, offsets, addr, port, mode = self._research
+        flat, offsets, addr, port, mode = self._feeds._research_rows
         return _ops(
             len(sync),
             sync=sync,

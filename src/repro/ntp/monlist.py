@@ -32,93 +32,59 @@ from repro.ntp.constants import (
     VN_NTPV2,
     items_per_packet,
 )
-from repro.ntp.wire import (
-    MON_V1_DTYPE,
-    MON_V2_DTYPE,
-    MonitorEntry,
-    encode_mode7_response,
-    encode_mode7_response_raw,
-    encode_monitor_fields,
-)
+from repro.ntp.wire import MON_V1_DTYPE, MON_V2_DTYPE, MonitorEntry
 
 __all__ = ["MonlistRecord", "MonlistTable", "encode_reply_tables"]
 
 _U32_MAX = 2**32 - 1
 
-# The on-wire layouts live in repro.ntp.wire (MON_V1_DTYPE / MON_V2_DTYPE),
-# shared with the columnar capture decoder so encode and decode can never
-# drift apart.
-# ``np.zeros`` guarantees the pad bytes are zero, exactly like struct's
-# ``x`` pad codes, so ``tobytes()`` of a row equals the struct encoding.
-_V2_DTYPE = MON_V2_DTYPE
-_V1_DTYPE = MON_V1_DTYPE
-
-#: Below this many entries the per-array NumPy overhead exceeds the struct
-#: loop; measured crossover is ~10 records on CPython 3.10–3.12.
-_BULK_RENDER_MIN = 12
-
-#: A v2 monlist reply packet's header before its "more" bit, sequence
-#: number and item count: response, version 2, mode 7, IMPL_XNTPD,
-#: REQ_MON_GETLIST_1, 72-byte items.
-_V2_REPLY_HEADER = np.array(
-    [0x80 | (VN_NTPV2 << 3) | MODE_PRIVATE, 0, IMPL_XNTPD, REQ_MON_GETLIST_1, 0, 0, 0, MON_ENTRY_V2_SIZE],
-    dtype=np.uint8,
-)
+#: Per entry version: the on-wire entry layout (shared with the columnar
+#: capture decoder, so encode and decode cannot drift apart), its size and
+#: the monlist request code it answers.
+_ENTRY_FORMATS = {
+    1: (MON_V1_DTYPE, MON_ENTRY_V1_SIZE, REQ_MON_GETLIST),
+    2: (MON_V2_DTYPE, MON_ENTRY_V2_SIZE, REQ_MON_GETLIST_1),
+}
 
 #: C-level sort key for the MRU orderings (the sorts dominate render time
 #: for large tables; an attrgetter beats a lambda measurably there).
 _BY_LAST_SEEN = attrgetter("last_seen")
 
 
-def _encode_records_blob(ordered, entry_version, now):
-    """Encode MRU-ordered records as one contiguous bytes blob.
-
-    Byte-identical to concatenating :func:`encode_monitor_fields` per
-    record: truncation toward zero (``astype``) matches ``int()``, and the
-    clips reproduce ``_clamp_u32``; counts can legitimately exceed u32
-    (loop-pathology amplifiers), hence int64 intermediates.
-    """
-    n = len(ordered)
-    arr = np.zeros(n, dtype=_V2_DTYPE if entry_version == 2 else _V1_DTYPE)
-    times = np.array([(r.last_seen, r.first_seen) for r in ordered], dtype=np.float64)
-    ints = np.array([(r.count, r.addr, r.port, r.mode, r.version) for r in ordered], dtype=np.int64)
-    arr["last"] = np.clip((now - times[:, 0]).astype(np.int64), 0, _U32_MAX)
-    arr["first"] = np.clip((now - times[:, 1]).astype(np.int64), 0, _U32_MAX)
-    arr["count"] = np.clip(ints[:, 0], 0, _U32_MAX)
-    arr["addr"] = ints[:, 1] & _U32_MAX
-    arr["port"] = ints[:, 2] & 0xFFFF
-    arr["mode"] = ints[:, 3] & 0xFF
-    arr["version"] = ints[:, 4] & 0xFF
-    return arr.tobytes()
-
-
-def encode_reply_tables(now, sizes, rows):
-    """Render many MRU-ordered tables as IMPL_XNTPD (v2) monlist replies
-    in one pass.
+def encode_reply_tables(now, sizes, rows, entry_version=2, implementation=IMPL_XNTPD, sequence_start=0):
+    """Render many MRU-ordered tables as mode-7 monlist replies in one pass.
 
     ``rows`` maps ``last``, ``first``, ``count``, ``addr``, ``port``,
-    ``mode`` and ``version`` to aligned arrays (a record array works too): the rows of
-    every table back to back, most recent first, ``sizes[i]`` of them
-    for table ``i``.  Returns ``(packet counts, packet lengths,
-    payload)``: the bytes :meth:`MonlistTable.render_response_packets`
-    gives for each table in turn, 6 entries a packet, the sequence number
-    wrapping at 128, "more" on every packet but a table's last, and one
-    header-only packet for an empty table.
+    ``mode`` and ``version`` to aligned arrays: the rows of every table
+    back to back, most recent first, ``sizes[i]`` of them for table
+    ``i``.  Returns ``(packet counts, packet lengths, payload)``: each
+    table's reply in turn, as many entries a packet as fit the 500-byte
+    data area, the 7-bit sequence number counting from
+    ``sequence_start``, "more" on every packet but a table's last, and
+    one header-only packet for an empty table.  Times become seconds ago
+    truncated toward zero and, like counts, clamp to u32 (loop-pathology
+    counts exceed it); ``np.zeros`` leaves the pad bytes zero, as
+    struct's ``x`` codes do.
     """
-    per = items_per_packet(MON_ENTRY_V2_SIZE)
+    if entry_version not in _ENTRY_FORMATS:
+        raise ValueError(f"unknown entry version {entry_version}")
+    dtype, item_size, request_code = _ENTRY_FORMATS[entry_version]
+    per = items_per_packet(item_size)
     sizes = np.asarray(sizes, dtype=np.int64)
     pkt_counts = np.maximum(1, (sizes + per - 1) // per)
     first_packet = pkt_counts.cumsum() - pkt_counts
     index = np.arange(int(pkt_counts.sum())) - first_packet.repeat(pkt_counts)
     items = np.minimum(np.maximum(sizes.repeat(pkt_counts) - index * per, 0), per)
-    width = MODE7_HEADER_SIZE + per * MON_ENTRY_V2_SIZE
+    width = MODE7_HEADER_SIZE + per * item_size
     packets = np.zeros((len(index), width), dtype=np.uint8)
-    packets[:, :MODE7_HEADER_SIZE] = _V2_REPLY_HEADER
+    packets[:, 0] = 0x80 | (VN_NTPV2 << 3) | MODE_PRIVATE
     packets[:, 0] |= (index < pkt_counts.repeat(pkt_counts) - 1) * np.uint8(0x40)
-    packets[:, 1] = index % 128
+    packets[:, 1] = (sequence_start + index) % 128
+    packets[:, 2] = implementation & 0xFF
+    packets[:, 3] = request_code
     packets[:, 5] = items
-    # Same clamps as _encode_records_blob: truncation toward zero, then u32.
-    entries = np.zeros(len(rows["addr"]), dtype=_V2_DTYPE)
+    packets[:, 7] = item_size
+    entries = np.zeros(len(rows["addr"]), dtype=dtype)
     entries["last"] = np.minimum(np.maximum((now - rows["last"]).astype(np.int64), 0), _U32_MAX)
     entries["first"] = np.minimum(np.maximum((now - rows["first"]).astype(np.int64), 0), _U32_MAX)
     entries["count"] = np.minimum(np.maximum(rows["count"], 0), _U32_MAX)
@@ -128,9 +94,9 @@ def encode_reply_tables(now, sizes, rows):
     entries["version"] = rows["version"] & 0xFF
     # Each table's rows fill its packets' entry slots in order.
     slot = np.arange(len(entries)) + (first_packet * per - (sizes.cumsum() - sizes)).repeat(sizes)
-    body = packets[:, MODE7_HEADER_SIZE:].reshape(len(index), per, MON_ENTRY_V2_SIZE)
-    body[slot // per, slot % per] = entries.view(np.uint8).reshape(-1, MON_ENTRY_V2_SIZE)
-    pkt_lens = MODE7_HEADER_SIZE + items * MON_ENTRY_V2_SIZE
+    body = packets[:, MODE7_HEADER_SIZE:].reshape(len(index), per, item_size)
+    body[slot // per, slot % per] = entries.view(np.uint8).reshape(-1, item_size)
+    pkt_lens = MODE7_HEADER_SIZE + items * item_size
     payload = packets[np.arange(width) < pkt_lens[:, None]]
     return pkt_counts, pkt_lens, payload
 
@@ -281,72 +247,16 @@ class MonlistTable:
         from the entry version; the "more" bit is set on all but the last
         packet and the 7-bit sequence number wraps as in ntpd.
         """
-        if entry_version == 2:
-            item_size = MON_ENTRY_V2_SIZE
-            request_code = REQ_MON_GETLIST_1
-        elif entry_version == 1:
-            item_size = MON_ENTRY_V1_SIZE
-            request_code = REQ_MON_GETLIST
-        else:
-            raise ValueError(f"unknown entry version {entry_version}")
-        # Hot path: encode straight from the records (same bytes as
-        # entries_mru + encode_monitor_entry, without building a
-        # MonitorEntry per record — this renders once per probe for every
-        # alive amplifier in every weekly sample).
-        ordered = sorted(self._records.values(), key=_BY_LAST_SEEN, reverse=True)
-        ordered = ordered[: self.capacity]
-        per_packet = items_per_packet(item_size)
-        packets = []
-        n = len(ordered)
-        if not ordered:
-            packets.append(
-                encode_mode7_response(implementation, request_code, sequence_start % 128, False, [], item_size)
-            )
-            return packets
-        if n >= _BULK_RENDER_MIN:
-            # Vectorized: one blob for the whole table, sliced per packet.
-            blob = _encode_records_blob(ordered, entry_version, now)
-            n_chunks = (n + per_packet - 1) // per_packet
-            stride = per_packet * item_size
-            for index in range(n_chunks):
-                start = index * per_packet
-                count = min(per_packet, n - start)
-                offset = index * stride
-                packets.append(
-                    encode_mode7_response_raw(
-                        implementation,
-                        request_code,
-                        (sequence_start + index) % 128,
-                        more=index < n_chunks - 1,
-                        data=blob[offset : offset + count * item_size],
-                        n_items=count,
-                        item_size=item_size,
-                    )
-                )
-            return packets
-        encoded = [
-            encode_monitor_fields(
-                entry_version,
-                max(0, int(now - rec.last_seen)),
-                max(0, int(now - rec.first_seen)),
-                rec.count,
-                rec.addr,
-                rec.port,
-                rec.mode,
-                rec.version,
-            )
-            for rec in ordered
-        ]
-        chunks = [encoded[i : i + per_packet] for i in range(0, len(encoded), per_packet)]
-        for index, chunk in enumerate(chunks):
-            packets.append(
-                encode_mode7_response(
-                    implementation,
-                    request_code,
-                    (sequence_start + index) % 128,
-                    more=index < len(chunks) - 1,
-                    items=chunk,
-                    item_size=item_size,
-                )
-            )
-        return packets
+        ordered = sorted(self._records.values(), key=_BY_LAST_SEEN, reverse=True)[: self.capacity]
+        rows = {
+            "last": np.array([r.last_seen for r in ordered], dtype=np.float64),
+            "first": np.array([r.first_seen for r in ordered], dtype=np.float64),
+        }
+        for name in ("count", "addr", "port", "mode", "version"):
+            rows[name] = np.array([getattr(r, name) for r in ordered], dtype=np.int64)
+        _, lens, payload = encode_reply_tables(
+            now, [len(ordered)], rows, entry_version, implementation, sequence_start
+        )
+        data = payload.tobytes()
+        ends = np.cumsum(lens).tolist()
+        return [data[end - n : end] for n, end in zip(lens.tolist(), ends)]

@@ -209,16 +209,10 @@ class NtpServer:
         packets = self.table.render_response_packets(now, entry_version, implementation)
         return ProbeReply(packets=tuple(packets), n_repeats=self.config.loop_factor)
 
-    def respond_version(self, src_ip, src_port, now, record=True):
-        """Handle one mode-6 READVAR ("version") probe.
-
-        ``record=False`` renders the reply without logging the probe in the
-        monitor table — used by samplers that decide only afterwards
-        whether the probe ever reached the server (probe-path loss).
-        """
+    def respond_version(self, src_ip, src_port, now):
+        """Handle one mode-6 READVAR ("version") probe."""
         loop = self.config.loop_factor
-        if record:
-            self.record_client(src_ip, src_port, MODE_CONTROL, 2, now, packets=loop)
+        self.record_client(src_ip, src_port, MODE_CONTROL, 2, now, packets=loop)
         if not self.config.responds_version:
             return None
         if self._version_reply is not None:

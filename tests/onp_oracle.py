@@ -20,7 +20,7 @@ from repro.measurement.amplifier_state import ADDR, FIRST, LAST, POS, SLOT, extr
 from repro.measurement.capture_store import PackedCapturesBuilder
 from repro.ntp.constants import IMPL_XNTPD, MODE_CLIENT, MODE_CONTROL, MODE_PRIVATE
 from repro.ntp.monlist import MonlistRecord, MonlistTable
-from repro.ntp.server import NtpServer, ServerConfig
+from repro.ntp.server import NtpServer, ProbeReply, ServerConfig, version_reply_packets
 
 __all__ = ["OracleStateManager", "StoreSync", "oracle_block_worker", "put_client_records", "state_at"]
 
@@ -264,12 +264,19 @@ class OracleStateManager:
             )
 
 
+#: The address ``StoreSync`` probes from: no host, client or scanner has
+#: it, so its row is the probe's alone and is left out of the view.
+_NO_PROBER = 0
+
+
 class StoreSync:
     """The oracle's per-host interface over a
     :class:`~repro.measurement.amplifier_state.MonitorTableStore`: each
-    ``sync(host, t)`` is a one-host sync of a store over the hosts seen so
-    far, and returns a server-like view whose ``table`` is a
-    :class:`~repro.ntp.monlist.MonlistTable` holding the store's rows."""
+    ``sync(host, t)`` is a one-host sync of a store over ``hosts``, and
+    returns a server-like view whose ``table`` is a
+    :class:`~repro.ntp.monlist.MonlistTable` holding the store's rows.
+    The store records the sweep's probe with every sync and the oracle's
+    ``sync`` records none, so the view drops the probe's row."""
 
     def __init__(self, feeds, hosts):
         self._hosts = list(hosts)
@@ -294,15 +301,26 @@ class StoreSync:
 
     def sync(self, host, now):
         store = self._store
-        store.sync(self._index(host), now)
+        store.sync(self._index(host), now, _NO_PROBER)
         slot = int(np.searchsorted(store._slot_ip, host.ip))
-        rows = np.flatnonzero(store._ints[SLOT] == slot)
+        rows = np.flatnonzero((store._ints[SLOT] == slot) & (store._ints[ADDR] != _NO_PROBER))
         rows = rows[np.argsort(store._ints[POS, rows])]
         table = MonlistTable(store._capacity)
         for i in rows.tolist():
             addr, port, mode, version, count = store._ints[ADDR:POS, i].tolist()
             table.put_record(addr, port, mode, version, count, *store._floats[[FIRST, LAST], i].tolist())
         return SimpleNamespace(ip=host.ip, table=table)
+
+
+def version_reply(server):
+    """``server``'s READVAR reply as ``NtpServer.respond_version`` gives
+    it, without logging the probe: a version probe that loss drops never
+    reaches the table."""
+    config = server.config
+    if not config.responds_version:
+        return None
+    packets = version_reply_packets(config, server.ip, config.refid, config.extra_vars)
+    return ProbeReply(packets, n_repeats=config.loop_factor)
 
 
 def oracle_sweep_monlist(prober, state, active, t, rng, mangler):
@@ -337,7 +355,7 @@ def oracle_sweep_version(prober, state, active, t, rng):
     repliers = []
     for host in active:
         server = state.server_for(host)
-        reply = server.respond_version(prober._ip, 50557, t, record=False)
+        reply = version_reply(server)
         if reply is not None:
             repliers.append((host, server, reply))
     if not repliers:

@@ -237,6 +237,14 @@ VERDICTS = {name: reason for reason, *names in [
         "repro.ntp.wire:encode_monitor_entry",
     ),
     (
+        "oracle: the per-entry struct.pack encoder; test_pipeline_context::_reference_render "
+        "pins the batch reply encoder against it, test_ntp_wire round-trips through it",
+        "repro.ntp.wire:_clamp_u32",
+        "repro.ntp.wire:encode_mode7_response",
+        "repro.ntp.wire:encode_mode7_response_raw",
+        "repro.ntp.wire:encode_monitor_fields",
+    ),
+    (
         "oracle: test_ntp_server::test_handle_datagram_dispatch and test_ntp_wire build the "
         "READVAR probe with it",
         "repro.ntp.wire:encode_mode6_request",

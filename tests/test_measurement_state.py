@@ -45,17 +45,20 @@ class _Manager:
         return getattr(self.syncer if hasattr(self.syncer, name) else self.feeds, name)
 
 
-@pytest.fixture(params=["oracle", "store"])
-def make_manager(request):
-    """A factory of managers that sync ``hosts`` one at a time, through
-    the per-host oracle or the columnar store."""
-
+def _factory(syncer):
     def make(*hosts):
         feeds = AmplifierStateManager(RngStream(12, "mgr"), RESEARCH_SCANNERS)
-        sync = OracleStateManager(feeds) if request.param == "oracle" else StoreSync(feeds, hosts)
-        return _Manager(feeds, sync)
+        return _Manager(feeds, syncer(feeds, hosts))
 
     return make
+
+
+@pytest.fixture
+def make_manager():
+    """A factory of managers that sync ``hosts`` one at a time through
+    the columnar store (``TestOracle`` reruns every test through the
+    per-host oracle)."""
+    return _factory(StoreSync)
 
 
 def pulse_columns(*legs):
@@ -223,3 +226,16 @@ def test_restart_flushes_old_state(make_manager):
     # After more than a restart interval, the victim entry must be gone.
     server = manager.sync(host, t0 + 3600 + 3 * host.restart_interval)
     assert server.table.get(0xF00D) is None
+
+
+class TestOracle:
+    """Every test above, against the per-host sync the store replaced."""
+
+    @pytest.fixture
+    def make_manager(self):
+        return _factory(lambda feeds, hosts: OracleStateManager(feeds))
+
+
+for _name, _test in list(globals().items()):
+    if _name.startswith("test_"):
+        setattr(TestOracle, _name, staticmethod(_test))

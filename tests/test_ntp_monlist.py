@@ -165,9 +165,9 @@ def test_mru_invariants(events):
 
 @pytest.mark.parametrize("sizes", [[0], [1, 5, 6, 7], [12, 0, 13], [600, 700, 1300, 3]])
 def test_batch_encode_equals_table_render(sizes):
-    """``encode_reply_tables`` gives each table the bytes of its own
-    ``render_response_packets``: empty, partial and full packets, the
-    600-entry cap, wrapping sequence numbers and u32 clamps."""
+    """One ``encode_reply_tables`` call over many tables gives each the
+    bytes it renders alone: empty, partial and full packets, the 600-entry
+    cap and u32 clamps, with each table's sequence numbers from 0."""
     import numpy as np
 
     from repro.ntp.monlist import encode_reply_tables
