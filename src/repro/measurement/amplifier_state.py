@@ -539,10 +539,10 @@ class MonitorTableStore:
         captures from those.
         """
         slots = self._slot[hosts]
-        fresh = np.zeros(len(self._slot_ip), dtype=bool)
-        fresh[slots] = True
+        needed = np.zeros(len(self._slot_ip), dtype=bool)
+        needed[slots] = True
         lens = []
-        for slot in (fresh & (self._reply_count < 0)).nonzero()[0].tolist():
+        for slot in (needed & (self._reply_count < 0)).nonzero()[0].tolist():
             host = self._hosts[self._config[slot]]
             packets = version_reply_packets(host.attrs, host.ip, _REFID, extra_vars_for(host.ip))
             self._reply_bytes[slot] = b"".join(packets)
