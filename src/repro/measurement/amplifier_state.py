@@ -131,10 +131,6 @@ class AmplifierStateManager:
         state["_malicious_window_cache"] = {}
         return state
 
-    def block_store(self, hosts):
-        """A fresh :class:`MonitorTableStore` over one build block's hosts."""
-        return MonitorTableStore(self, hosts)
-
     # -- wiring -------------------------------------------------------------------
 
     def register_pulse_columns(self, columns):

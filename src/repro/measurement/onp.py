@@ -34,6 +34,7 @@ mangling (per surviving capture) stay scalar.
 from dataclasses import dataclass, field
 
 from repro.attack.scanner import ONP_PROBER_IP
+from repro.measurement.amplifier_state import MonitorTableStore
 from repro.measurement.capture_store import PackedCaptures, PackedCapturesBuilder
 from repro.util.pool import ShardRunner
 from repro.util.simtime import date_to_sim, format_sim, week_samples
@@ -187,7 +188,7 @@ def _onp_block_worker(ctx, block):
     """
     prober, host_pool, rng, schedule, plan = ctx
     lo, hi = host_pool.host_block_bounds(block)
-    store = prober._state.block_store(host_pool.hosts[lo:hi])
+    store = MonitorTableStore(prober._state, host_pool.hosts[lo:hi])
     faults = prober._faults
     mangler = faults.block_mangler(block) if faults is not None else None
     parts = []

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from repro.measurement.amplifier_state import ADDR, FIRST, LAST, POS, SLOT, extra_vars_for
+from repro.measurement.amplifier_state import ADDR, FIRST, LAST, POS, SLOT, MonitorTableStore, extra_vars_for
 from repro.measurement.capture_store import PackedCapturesBuilder
 from repro.ntp.constants import IMPL_XNTPD, MODE_CLIENT, MODE_CONTROL, MODE_PRIVATE
 from repro.ntp.monlist import MonlistRecord, MonlistTable
@@ -280,7 +280,7 @@ class StoreSync:
 
     def __init__(self, feeds, hosts):
         self._hosts = list(hosts)
-        self._store = feeds.block_store(self._hosts)
+        self._store = MonitorTableStore(feeds, self._hosts)
         self._views = {}
 
     def _index(self, host):
