@@ -197,7 +197,7 @@ def _assert_same(got, want):
     st.sampled_from((0.0, 0.05, 0.5)),
     st.booleans(),
 )
-@settings(max_examples=60)
+@settings(max_examples=150)
 def test_store_equals_per_host_sync(block, capacity, loss, mangle):
     _assert_same(*_run_both(block, capacity, loss, mangle))
 
