@@ -163,7 +163,8 @@ def _reference_render(table, now, entry_version, implementation):
 @pytest.mark.parametrize("n", [0, 1, 11, 12, 13, 250, 700])
 @pytest.mark.parametrize("entry_version", [1, 2])
 def test_bulk_render_matches_struct_path(n, entry_version):
-    """The NumPy blob path crosses _BULK_RENDER_MIN byte-identically."""
+    """The table render (the batch reply encoder) equals the per-entry
+    struct path at every table size, in both entry versions."""
     from repro.ntp.constants import IMPL_XNTPD
     from repro.ntp.monlist import MonlistTable
 
