@@ -26,6 +26,16 @@ def world():
 
 
 @pytest.fixture(scope="session")
+def population(world):
+    """``(pool, local, attacks)``: the world's hosts, planted amplifiers
+    and attacks as objects, for the benchmarks that run the object-level
+    models (a finished world keeps them as columns)."""
+    from repro.scenario.world import unpack_population
+
+    return unpack_population(world.hosts, world.local_amplifiers, world.attacks, world.victims)
+
+
+@pytest.fixture(scope="session")
 def analysis_context(world):
     from repro.analysis import AnalysisContext
 

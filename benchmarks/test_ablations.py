@@ -29,12 +29,13 @@ def test_ablation_onwire_vs_payload_baf(benchmark, world):
     print(f"\nAblation BAF: median payload/on-wire ratio = {ratio:.1f}")
 
 
-def test_ablation_dual_implementation_probing(benchmark, world):
+def test_ablation_dual_implementation_probing(benchmark, world, population):
     """Probing both implementation codes recovers the v1-only amplifiers."""
     t = world.onp.monlist_samples[0].t
+    pool = population[0]
 
     def count_pools():
-        alive = [h for h in world.hosts.monlist_hosts if h.monlist_active(t)]
+        alive = [h for h in pool.monlist_hosts if h.monlist_active(t)]
         v2 = sum(1 for h in alive if h.answers_implementation(IMPL_XNTPD))
         both = sum(
             1

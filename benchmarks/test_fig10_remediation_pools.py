@@ -33,7 +33,7 @@ def test_fig10_remediation_pools(benchmark, world, parsed_monlist):
 
     # §6.2 overlap with the DNS pool.
     last_ips = parsed_monlist[-1].amplifier_ips()
-    overlap_ips = world.dns_pool.overlap_with_monlist(world.hosts.monlist_hosts)
+    overlap_ips = world.dns_pool.overlap_with_monlist(world.hosts)
     count, fraction = overlap_with_dns(last_ips, overlap_ips)
     assert 0.02 < fraction < 0.2  # paper: ~6.5% of the latest sample
 

@@ -25,7 +25,9 @@ def test_fig16_common_scanners(benchmark, world):
     research_days = sum(1 for ips in common.values() if ips & research_ips)
     assert research_days >= len(common) / 3
 
-    forensics = ttl_forensics(world.sweeps, world.attacks, world.isp.sites["csu"].spec.asns)
+    forensics = ttl_forensics(
+        world.sweeps, world.attacks, world.hosts, world.isp.sites["csu"].spec.asns
+    )
     assert forensics.scanners_look_linux  # paper: mode TTL 54
     assert forensics.attackers_look_windows  # paper: mode TTL 109
 

@@ -31,14 +31,15 @@ def test_counterfactual_notification(benchmark):
     )
 
 
-def test_counterfactual_bcp38(benchmark, world):
+def test_counterfactual_bcp38(benchmark, population):
     """SAV adoption removes attack volume proportionally: at 50% adoption,
     roughly half of the February wave never happens."""
+    attacks = population[2]
 
     def sweep():
         results = {}
         for adoption in (0.0, 0.25, 0.5, 0.75):
-            delivered, blocked = filter_attacks(world.attacks, Bcp38Policy(adoption))
+            delivered, blocked = filter_attacks(attacks, Bcp38Policy(adoption))
             volume = sum(a.target_bps * a.duration for a in delivered)
             results[adoption] = (len(delivered), volume)
         return results

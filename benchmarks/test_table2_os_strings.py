@@ -13,8 +13,9 @@ from repro.reporting import render_table2
 
 def build_reports(world):
     report = parse_version_samples(world.onp.version_samples)
-    amplifier_ips = {h.ip for h in world.hosts.monlist_hosts}
-    mega_ips = {h.ip for h in world.hosts.mega_hosts()}
+    hosts = world.hosts
+    amplifier_ips = set(hosts.ip[hosts.monlist_amplifier].tolist())
+    mega_ips = set(hosts.ip[hosts.is_mega].tolist())
     return (
         report,
         report.restrict_to(amplifier_ips),

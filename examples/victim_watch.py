@@ -47,7 +47,9 @@ def main():
     print()
     print(render_table6("Merit", top_victim_table(merit, world.table, world.geo)))
 
-    forensics = ttl_forensics(world.sweeps, world.attacks, world.isp.sites["csu"].spec.asns)
+    forensics = ttl_forensics(
+        world.sweeps, world.attacks, world.hosts, world.isp.sites["csu"].spec.asns
+    )
     print(
         f"\nTTL forensics at CSU: scanning mode TTL {forensics.scan_ttl_mode} (Linux), "
         f"attack mode TTL {forensics.attack_ttl_mode} (Windows bots) — paper: 54 vs 109"

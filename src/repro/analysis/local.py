@@ -4,6 +4,8 @@ the TTL forensics separating scanners from attack spoofers."""
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "top_amplifier_table",
     "top_victim_table",
@@ -66,14 +68,14 @@ class TtlForensics:
         return 98 <= self.attack_ttl_mode <= 128
 
 
-def ttl_forensics(sweeps, attacks, site_asns):
+def ttl_forensics(sweeps, attacks, hosts, site_asns):
     """Compute the TTL modes from sweeps (any — scanning is Internet-wide)
-    and from attacks whose amplifiers sit inside the site."""
+    and from attacks (an attack table) with a leg on a host (a host
+    table row) inside the site."""
     scan_ttls = Counter(s.ttl for s in sweeps)
-    attack_ttls = Counter()
-    for attack in attacks:
-        if any(h.asn in site_asns for h in attack.amplifiers):
-            attack_ttls[attack.spoofer_ttl] += 1
+    local = np.isin(hosts.asn[attacks.legs], list(site_asns))
+    hit = np.unique(attacks.leg_attacks()[local])
+    attack_ttls = Counter(attacks.spoofer_ttl[hit].tolist())
     if not scan_ttls or not attack_ttls:
         raise ValueError("need both scanning and local attack traffic")
     return TtlForensics(

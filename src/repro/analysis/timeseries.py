@@ -62,14 +62,15 @@ def attack_fraction_rows(arbor_dataset):
 
 
 def daily_attack_counts(attacks):
-    """Ground-truth attack starts per day (used for lead-lag checks).
+    """Ground-truth attack starts per day (used for lead-lag checks),
+    from an attack table's ``start`` column.
 
     Vectorized group-by; keys keep the scalar loop's first-occurrence
     insertion order (``//`` on floats is ``np.floor_divide`` exactly).
     """
     import numpy as np
 
-    starts = np.array([attack.start for attack in attacks], dtype=np.float64)
+    starts = attacks.start
     if not len(starts):
         return {}
     days = np.floor_divide(starts, DAY).astype(np.int64)

@@ -14,6 +14,8 @@ corpus (what the measurement saw).
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.attack.campaign import OVH_EVENT_END, OVH_EVENT_START
 
 __all__ = ["EventValidation", "validate_ovh_event"]
@@ -54,32 +56,31 @@ class EventValidation:
         return self.disclosed_asns == 0 or self.onp_asns == 0 or self.target_as_rank == 0
 
 
-def validate_ovh_event(attacks, parsed_samples, concentration, table, target_asn):
+def validate_ovh_event(world, parsed_samples, concentration, target_asn):
     """Cross-validate the February event against the ONP corpus.
 
     Parameters
     ----------
-    attacks:
-        The campaign's attack list (the "disclosure" side).
+    world:
+        The built world: its attack table, with the hosts and victims
+        its rows point at, is the "disclosure" side, and its routed-block
+        table attributes ONP amplifiers to ASes.
     parsed_samples:
         Reconstructed ONP monlist samples (the measurement side).
     concentration:
         A :class:`~repro.analysis.concentration.ConcentrationReport` built
         from the victimology (for packet attribution and AS ranks).
-    table:
-        Routed-block table for AS attribution.
     target_asn:
         The attacked hoster's ASN (the OVH-like AS).
     """
-    event = [
-        a
-        for a in attacks
-        if OVH_EVENT_START <= a.start <= OVH_EVENT_END and a.victim.asn == target_asn
-    ]
-    disclosed_asns = set()
-    for attack in event:
-        for host in attack.amplifiers:
-            disclosed_asns.add(host.asn)
+    attacks, table = world.attacks, world.table
+    victim_asns = np.array([victim.asn for victim in world.victims.victims], dtype=np.int64)
+    event = (
+        (OVH_EVENT_START <= attacks.start)
+        & (attacks.start <= OVH_EVENT_END)
+        & (victim_asns[attacks.victim] == target_asn)
+    )
+    disclosed_asns = set(world.hosts.asn[attacks.legs[event[attacks.leg_attacks()]]].tolist())
 
     onp_asns = set()
     for parsed in parsed_samples:
@@ -95,7 +96,7 @@ def validate_ovh_event(attacks, parsed_samples, concentration, table, target_asn
     rank = concentration.victim_as_rank(target_asn) or 0
 
     return EventValidation(
-        event_attacks=len(event),
+        event_attacks=int(event.sum()),
         disclosed_asns=len(disclosed_asns),
         overlapping_asns=len(overlap),
         victim_packet_share=share,

@@ -342,7 +342,9 @@ def _fig16(ctx):
 
     world = ctx.world
     timeline = common_scanner_timeline(world.isp)
-    forensics = ttl_forensics(world.sweeps, world.attacks, world.isp.sites["csu"].spec.asns)
+    forensics = ttl_forensics(
+        world.sweeps, world.attacks, world.hosts, world.isp.sites["csu"].spec.asns
+    )
     days = sorted(timeline)
     lines = ["Fig 16: common Merit/CSU scanners per day (first/last shown)"]
     for day in days[:4] + days[-4:]:
@@ -385,8 +387,9 @@ def _table2(ctx):
 
     world = ctx.world
     report = ctx.version_report()
-    amplifier_ips = np.fromiter((h.ip for h in world.hosts.monlist_hosts), dtype=np.int64)
-    mega_ips = np.fromiter((h.ip for h in world.hosts.mega_hosts()), dtype=np.int64)
+    hosts = world.hosts
+    amplifier_ips = hosts.ip[hosts.monlist_amplifier]
+    mega_ips = hosts.ip[hosts.is_mega]
     non_amp = report.restrict_to(np.setdiff1d(report.ip, amplifier_ips))
     text = render_table2(
         report.restrict_to(mega_ips).os_distribution(),
@@ -466,9 +469,7 @@ def _validate(ctx):
 
     world = ctx.world
     ovh = world.registry.special["HOSTING-FR-1"]
-    result = validate_ovh_event(
-        world.attacks, ctx.parsed_samples(), ctx.concentration(), world.table, ovh.asn
-    )
+    result = validate_ovh_event(world, ctx.parsed_samples(), ctx.concentration(), ovh.asn)
     rank = str(result.target_as_rank) if result.target_as_rank else "- (AS unobserved)"
     text = (
         "§4.4 cross-dataset validation (the OVH/CloudFlare event):\n"

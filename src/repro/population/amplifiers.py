@@ -19,21 +19,16 @@ scenario layer only for hosts that ever answer a probe or relay an attack.
 """
 
 import math
-from dataclasses import dataclass, field, fields
-from operator import attrgetter
+from dataclasses import dataclass, field, fields, is_dataclass
+from itertools import count, repeat
+from operator import attrgetter, is_
 
 import numpy as np
 
 from repro.net.asn import NetworkKind
 from repro.ntp.constants import IMPL_XNTPD, IMPL_XNTPD_OLD
-from repro.population.columns import (
-    HOST_BLOCKS,
-    MonlistColumns,
-    balanced_split,
-    concat_with_lengths,
-    length_slices,
-)
-from repro.population.osmodel import sample_system_attributes
+from repro.population.columns import HOST_BLOCKS, MonlistColumns, balanced_split
+from repro.population.osmodel import SystemAttributes, sample_system_attributes
 from repro.util.simtime import DAY, HOUR, WEEK, date_to_sim
 
 __all__ = [
@@ -42,8 +37,8 @@ __all__ = [
     "PoolParams",
     "HostPool",
     "build_host_pool",
-    "pack_hosts",
-    "unpack_hosts",
+    "FieldColumns",
+    "HostTable",
     "client_columns",
     "estimate_monlist_reply_bytes",
     "HOST_BLOCKS",
@@ -139,7 +134,7 @@ class NtpHost:
     continent: str
     country: str
     is_end_host: bool
-    attrs: object  # SystemAttributes
+    attrs: SystemAttributes
     responds_version: bool
     monlist_amplifier: bool
     implementations: frozenset
@@ -172,120 +167,141 @@ class NtpHost:
         return implementation in self.implementations
 
 
-# -- packed hosts ----------------------------------------------------------------------
+# -- host tables -----------------------------------------------------------------------
 #
 # Pickle rebuilds objects one at a time, and a world holds ~10^5 hosts
-# plus five tiny client arrays each.  The packed form carries the same
-# hosts as a handful of columns; it is what crosses every process and
-# file boundary (build transport, world cache, checkpoints), and
-# unpacking rebuilds equal NtpHost objects.
+# plus five tiny client arrays each.  A finished world keeps its hosts
+# as a HostTable instead: a handful of read-only columns that cross
+# every process and file boundary (build transport, world cache,
+# checkpoints) as they are.  Only a checkpoint resume, the build's own
+# host blocks and tests turn rows back into NtpHost objects.
 
-#: Column dtype for a host field whose every non-None value has exactly
-#: this Python type (``bool`` is not taken for ``int``).
-_NUMERIC_DTYPES = {bool: np.bool_, int: np.int64, float: np.float64}
+#: Column dtype of a dataclass field annotated with this type.
+_COLUMN_DTYPES = {bool: np.bool_, int: np.int64, float: np.float64}
+
+
+def read_only(array):
+    """``array``, no longer writeable (a protocol-5 pickle keeps the flag)."""
+    array.flags.writeable = False
+    return array
+
+
+class FieldColumns:
+    """Fields of a list of dataclass objects as read-only columns.
+
+    A field annotated ``bool``, ``int`` or ``float`` is an array of that
+    type; when its default is None, ``missing[name]`` masks its None
+    rows.  Any other field is an ``int32`` code array into
+    ``values[name]``, the field's distinct values in first-seen order; a
+    field annotated with a dataclass keeps each value as the tuple of its
+    fields, so the table holds no such object.
+    """
+
+    def __init__(self, objects, columns):
+        self.n_rows = len(objects)
+        self.missing = {}
+        self.values = {}
+        self.record_types = {}
+        for f in columns:
+            getter = attrgetter(f.name)
+            if is_dataclass(f.type):
+                getter = attrgetter(*(f"{f.name}.{g.name}" for g in fields(f.type)))
+                self.record_types[f.name] = f.type
+            values = list(map(getter, objects))
+            dtype = _COLUMN_DTYPES.get(f.type)
+            if dtype is None:
+                distinct = dict(zip(dict.fromkeys(values), count()))
+                column = np.fromiter(map(distinct.__getitem__, values), np.int32, len(values))
+                self.values[f.name] = tuple(distinct)
+            elif f.default is None:
+                self.missing[f.name] = read_only(
+                    np.fromiter(map(is_, values, repeat(None)), bool, len(values))
+                )
+                column = np.array([0 if v is None else v for v in values], dtype)
+            else:
+                column = np.array(values, dtype)
+            setattr(self, f.name, read_only(column))
+
+    def __len__(self):
+        return self.n_rows
+
+    def decoded(self, name):
+        """Column ``name`` as the Python values it was built from; rows
+        with equal dataclass values get one object."""
+        column = getattr(self, name).tolist()
+        if name in self.values:
+            distinct = self.values[name]
+            if name in self.record_types:
+                distinct = [self.record_types[name](*value) for value in distinct]
+            return list(map(distinct.__getitem__, column))
+        if name not in self.missing:
+            return column
+        return [None if gap else v for v, gap in zip(column, self.missing[name].tolist())]
+
 
 #: The per-client arrays of :class:`BackgroundClients`, in field order.
 _CLIENT_ARRAYS = tuple(f.name for f in fields(BackgroundClients))
-
-
-def _pack_column(values):
-    """One host field as ``(kind, data, extra)``.
-
-    ``"numeric"``: ``data`` is a NumPy array and ``extra`` a None mask
-    (or None when no value is None).  ``"objects"``: ``data`` lists the
-    distinct objects, deduplicated by identity, and ``extra`` indexes
-    them — so an object two hosts share (a DHCP successor's ``attrs``)
-    is one object again after unpacking.
-    """
-    kinds = set(map(type, values))
-    has_none = type(None) in kinds
-    kinds.discard(type(None))
-    dtype = _NUMERIC_DTYPES.get(kinds.pop()) if len(kinds) == 1 else None
-    if dtype is not None:
-        if not has_none:
-            return ("numeric", np.array(values, dtype=dtype), None)
-        mask = np.array([value is None for value in values], dtype=bool)
-        filled = [0 if value is None else value for value in values]
-        return ("numeric", np.array(filled, dtype=dtype), mask)
-    slots = {}
-    objects = []
-    index = []
-    for value in values:
-        slot = slots.get(id(value))
-        if slot is None:
-            slot = slots[id(value)] = len(objects)
-            objects.append(value)
-        index.append(slot)
-    return ("objects", objects, np.array(index, dtype=np.int64))
-
-
-def _unpack_column(column):
-    kind, data, extra = column
-    if kind == "objects":
-        return list(map(data.__getitem__, extra.tolist()))
-    values = data.tolist()
-    if extra is None:
-        return values
-    return [None if missing else value for value, missing in zip(values, extra.tolist())]
-
-
-def _concat_clients(hosts):
-    """Each client array concatenated over ``hosts``, plus per-host lengths
-    (-1 for a host whose ``clients`` is None)."""
-    clients = [host.clients for host in hosts]
-    arrays = {}
-    for name in _CLIENT_ARRAYS:
-        # The client arrays are aligned, so every name gives the same lengths.
-        arrays[name], lengths = concat_with_lengths(
-            [None if c is None else getattr(c, name) for c in clients]
-        )
-    return arrays, lengths
 
 
 def client_columns(hosts):
     """Every host's background clients as one :class:`BackgroundClients`
     plus offsets: host ``i``'s clients are rows ``offsets[i]`` to
     ``offsets[i + 1]`` (none for a host whose ``clients`` is None)."""
-    arrays, lengths = _concat_clients(hosts)
+    clients = [host.clients for host in hosts]
+    present = [c for c in clients if c is not None]
     offsets = np.zeros(len(hosts) + 1, dtype=np.int64)
-    np.cumsum(np.maximum(lengths, 0), out=offsets[1:])
+    np.cumsum([0 if c is None else len(c.ips) for c in clients], out=offsets[1:])
+    arrays = {}
+    for name in _CLIENT_ARRAYS:
+        parts = [getattr(c, name) for c in present]
+        # Concatenating would silently convert arrays of another dtype.
+        if len({part.dtype for part in parts}) > 1:
+            raise TypeError(f"client {name} arrays differ in dtype")
+        arrays[name] = np.concatenate(parts) if parts else np.empty(0)
     return BackgroundClients(**arrays), offsets
 
 
-def pack_hosts(hosts):
-    """``hosts`` in packed form: one column per :class:`NtpHost` field.
+class HostTable(FieldColumns):
+    """Hosts as read-only columns: row ``i`` is host ``i`` of the list.
 
-    The columns come from ``dataclasses.fields(NtpHost)``, so no field
-    can be left behind.  ``clients`` becomes each client array
-    concatenated over the hosts that have clients, plus per-host lengths
-    (-1 for a host whose ``clients`` is None).
+    Every :class:`NtpHost` field is an attribute (see
+    :class:`FieldColumns`): ``restart_interval``, ``death``,
+    ``remediation_time`` and ``version_off_time`` have None masks, and
+    ``continent``, ``country``, ``attrs`` and ``implementations`` are
+    codes, an ``attrs`` value being a tuple, so no per-host object
+    survives.  ``clients`` maps each :class:`BackgroundClients` array
+    name to the array concatenated over every host: host ``i``'s clients
+    are rows ``client_offsets[i]`` to ``client_offsets[i + 1]``, and
+    ``missing["clients"]`` marks hosts whose ``clients`` is None.
+    ``params`` and ``block_lengths`` are the pool's.
     """
-    columns = {
-        f.name: _pack_column(list(map(attrgetter(f.name), hosts)))
-        for f in fields(NtpHost)
-        if f.name != "clients"
-    }
-    arrays, lengths = _concat_clients(hosts)
-    return {"columns": columns, "clients": arrays, "client_lengths": lengths}
 
+    def __init__(self, hosts, params=None, block_lengths=None):
+        super().__init__(hosts, [f for f in fields(NtpHost) if f.name != "clients"])
+        self.params = params
+        self.block_lengths = block_lengths
+        clients, offsets = client_columns(hosts)
+        self.clients = {name: read_only(getattr(clients, name)) for name in _CLIENT_ARRAYS}
+        self.client_offsets = read_only(offsets)
+        self.missing["clients"] = read_only(
+            np.fromiter((h.clients is None for h in hosts), bool, len(hosts))
+        )
 
-def unpack_hosts(packed):
-    """The :class:`NtpHost` list :func:`pack_hosts` packed, in order.
+    def decoded(self, name):
+        """Column ``name`` as the hosts held it; client arrays are views
+        into the concatenated ones."""
+        if name == "clients":
+            arrays = [self.clients[array] for array in _CLIENT_ARRAYS]
+            bounds = self.client_offsets.tolist()
+            return [
+                None if gap else BackgroundClients(*[array[lo:hi] for array in arrays])
+                for gap, lo, hi in zip(self.missing["clients"].tolist(), bounds, bounds[1:])
+            ]
+        return super().decoded(name)
 
-    Each host's :class:`BackgroundClients` arrays are views into the
-    concatenated arrays; derived state (the scalar-row cache, pool
-    indexes) rebuilds lazily on first use.
-    """
-    arrays = [packed["clients"][name] for name in _CLIENT_ARRAYS]
-    clients = [
-        None if part is None else BackgroundClients(*[array[part] for array in arrays])
-        for part in length_slices(packed["client_lengths"])
-    ]
-    columns = [
-        clients if f.name == "clients" else _unpack_column(packed["columns"][f.name])
-        for f in fields(NtpHost)
-    ]
-    return [NtpHost(*row) for row in zip(*columns)]
+    def unpack(self):
+        """The :class:`NtpHost` list, in row order."""
+        return [NtpHost(*row) for row in zip(*(self.decoded(f.name) for f in fields(NtpHost)))]
 
 
 @dataclass(frozen=True)
@@ -496,9 +512,6 @@ class HostPool:
         self._monlist_columns = None
         self.invalidate_liveness_index()
 
-    def __len__(self):
-        return len(self.hosts)
-
     @property
     def monlist_hosts(self):
         """Every host that was ever a monlist amplifier (any lease/IP)."""
@@ -543,9 +556,6 @@ class HostPool:
     def version_alive_index(self, t, limit=None, window=None):
         """:meth:`version_alive` as ascending indices into ``hosts``."""
         return self._ver_pos[self._version_index.alive_index(t, limit, window)]
-
-    def mega_hosts(self):
-        return [h for h in self.hosts if h.is_mega]
 
     def host_count_alive(self, t):
         return self._exists_index.count_alive(t)
@@ -654,11 +664,11 @@ _CLUSTER_STRIDE = 2**22
 
 class _HostBlock(list):
     """One build block's hosts.  Pickled back from a fork worker, the
-    block travels packed: a few columns rather than one object per host
-    and client array.  A serial build never pickles it, so never packs."""
+    block travels as a :class:`HostTable`: a few columns rather than one
+    object per host and client array.  A serial build never pickles it."""
 
     def __reduce__(self):
-        return unpack_hosts, (pack_hosts(self),)
+        return HostTable.unpack, (HostTable(self),)
 
 
 def _host_block_worker(ctx, block):

@@ -1,16 +1,16 @@
 """Compute columns over the world core: hosts and attack legs as arrays.
 
 The object layer (:class:`~repro.population.amplifiers.NtpHost`,
-:class:`~repro.attack.campaign.AttackSpec`) stays the unit of
-*semantics* — tests and analysis reason about individual hosts and
-attacks.  This module is the unit of *throughput*:
+:class:`~repro.attack.campaign.AttackSpec`) is the build's unit of
+*semantics* — the generators reason about individual hosts and attacks,
+and a finished world keeps them as tables.  This module is the build's
+unit of *throughput*:
 :class:`MonlistColumns` and :class:`PulseColumns` are flat, native-endian
 NumPy arrays aligned to the object lists, so hot loops (per-amplifier
 pulse sync during ONP sweeps, reply-size estimation over booter lists)
 run as liveness masks, ``searchsorted`` windows and vectorized estimates
 over contiguous memory instead of chasing ~8.7M Python objects at
-``scale=1.0``.  It also holds the block partition of the host build and
-the concatenate-with-lengths helpers the packed world uses.
+``scale=1.0``.  It also holds the block partition of the host build.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ import numpy as np
 __all__ = [
     "HOST_BLOCKS",
     "balanced_split",
-    "concat_with_lengths",
-    "length_slices",
     "index_ranges",
     "MonlistColumns",
     "PulseColumns",
@@ -41,32 +39,6 @@ def balanced_split(n, blocks):
     counts (earlier blocks absorb the remainder): sums to ``n`` exactly."""
     base, extra = divmod(int(n), int(blocks))
     return [base + (b < extra) for b in range(blocks)]
-
-
-def concat_with_lengths(arrays):
-    """``arrays`` (None entries allowed) as one concatenated array plus
-    per-entry lengths, -1 for None.  The arrays must share a dtype:
-    concatenating would silently convert them otherwise."""
-    present = [array for array in arrays if array is not None]
-    if len({array.dtype for array in present}) > 1:
-        raise TypeError("arrays to concatenate differ in dtype")
-    lengths = np.array([-1 if array is None else len(array) for array in arrays], dtype=np.int64)
-    return (np.concatenate(present) if present else np.empty(0)), lengths
-
-
-def length_slices(lengths):
-    """Consecutive ``slice`` objects for per-entry ``lengths``, None
-    where a length is -1: how to cut :func:`concat_with_lengths`'s
-    array back into its entries."""
-    out = []
-    end = 0
-    for length in lengths.tolist():
-        if length < 0:
-            out.append(None)
-            continue
-        out.append(slice(end, end + length))
-        end += length
-    return out
 
 
 def index_ranges(starts, lengths):

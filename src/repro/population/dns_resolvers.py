@@ -76,11 +76,12 @@ class DnsResolverPool:
             self._series_cache[key] = series
         return series
 
-    def overlap_with_monlist(self, monlist_hosts):
-        """IPs shared between this pool and a monlist host collection.
+    def overlap_with_monlist(self, hosts):
+        """IPs shared between this pool and the monlist amplifiers of a
+        :class:`~repro.population.amplifiers.HostTable`.
 
         The overlap membership is carried on the hosts themselves
         (``also_dns_resolver``), assigned at pool build time with the
         §6.2-calibrated probability.
         """
-        return {h.ip for h in monlist_hosts if h.also_dns_resolver}
+        return set(hosts.ip[hosts.monlist_amplifier & hosts.also_dns_resolver].tolist())

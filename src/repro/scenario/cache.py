@@ -53,8 +53,9 @@ CACHE_ENV_VAR = "REPRO_WORLD_CACHE"
 #: Bumped independently of the package version when the cache file
 #: layout changes (2: envelope and world as two pickles, hosts packed;
 #: 3: the layout prefix; 4: no state manager, interval routing tables,
-#: every ONP sample packed).
-_ENVELOPE_FORMAT = 4
+#: every ONP sample packed; 5: the world keeps its hosts, planted
+#: amplifiers and attacks as columns and pickles them as they are).
+_ENVELOPE_FORMAT = 5
 
 #: The first bytes of every world cache file.
 _WORLD_LAYOUT = b"repro/world:envelope,world\n"

@@ -19,8 +19,9 @@ different params, a different ``repro`` version, a phase sequence that
 no longer matches the current build order, or a truncated file — is a
 *miss* that restarts the build from scratch, never a wrong world,
 decided before the state is unpickled.  The state's host pool, planted
-amplifiers and attacks travel packed
-(:func:`~repro.scenario.world.pack_population`).  Writes are atomic
+amplifiers and attacks travel as the columns a finished world keeps
+(:func:`~repro.scenario.world.pack_population`), and a resume turns
+them back into objects.  Writes are atomic
 (temp file + ``os.replace``), so a build killed mid-save leaves the
 previous checkpoint intact.
 """
@@ -37,8 +38,9 @@ __all__ = ["BuildCheckpoint"]
 #: state as two pickles, population packed; 3: the layout prefix; 4: no
 #: state manager after ``onp``, interval routing tables, every ONP
 #: sample packed; 5: the ``state`` phase keeps the monitor-table feeds,
-#: not the per-host state manager).
-_CHECKPOINT_FORMAT = 5
+#: not the per-host state manager; 6: the population as a host table,
+#: planted-amplifier rows and an attack table).
+_CHECKPOINT_FORMAT = 6
 
 #: The first bytes of every checkpoint file.
 _CHECKPOINT_LAYOUT = b"repro/checkpoint:envelope,state\n"
@@ -146,16 +148,18 @@ def _phase_mismatch(envelope):
 
 
 def _pack_state(state):
-    """The build state with its population packed (once the hosts phase
-    ran; ``attacks`` joins after the campaign)."""
+    """The build state with its population as columns (once the hosts
+    phase ran; ``attacks`` joins after the campaign)."""
     if "hosts" not in state:
         return state
     from repro.scenario.world import pack_population
 
     packed = dict(state)
-    packed["hosts"] = pack_population(state["hosts"], state["local"], state.get("attacks"))
-    del packed["local"]
-    packed.pop("attacks", None)
+    packed["hosts"], packed["local"], attacks = pack_population(
+        state["hosts"], state["local"], state.get("attacks"), state.get("victims")
+    )
+    if attacks is not None:
+        packed["attacks"] = attacks
     return packed
 
 
@@ -163,7 +167,9 @@ def _unpack_state(state):
     if "hosts" in state:
         from repro.scenario.world import unpack_population
 
-        state["hosts"], state["local"], attacks = unpack_population(state["hosts"])
+        state["hosts"], state["local"], attacks = unpack_population(
+            state["hosts"], state["local"], state.get("attacks"), state.get("victims")
+        )
         if attacks is not None:
             state["attacks"] = attacks
     return state

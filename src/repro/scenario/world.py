@@ -16,6 +16,12 @@ synthetic equivalents of the paper's five datasets:
 Every analysis in :mod:`repro.analysis` consumes these dataset objects
 only — never the ground truth — so the pipeline would run unchanged on
 real data with the same schemas.
+
+The ground truth is built as objects and kept as columns: a finished
+world's ``hosts``, ``local_amplifiers`` and ``attacks`` are what
+:func:`pack_population` makes of them, and the world pickles those
+arrays as they are.  :func:`unpack_population` turns them back into
+objects, for a checkpoint resume and for tests.
 """
 
 import math
@@ -37,14 +43,15 @@ from repro.net.pbl import PolicyBlockList
 from repro.net.routing import RoutedBlockTable
 from repro.population.amplifiers import (
     BackgroundClients,
+    FieldColumns,
     HostPool,
+    HostTable,
     NtpHost,
     PoolParams,
     build_host_pool,
-    pack_hosts,
-    unpack_hosts,
+    read_only,
 )
-from repro.population.columns import PulseColumns, concat_with_lengths, length_slices
+from repro.population.columns import PulseColumns
 from repro.population.dns_resolvers import DnsResolverPool
 from repro.population.osmodel import sample_system_attributes
 from repro.population.victims import VictimParams, build_victim_pool
@@ -53,7 +60,7 @@ from repro.util.pool import ShardRunner, summarize_shard_stats
 from repro.util.rng import RngStream
 from repro.util.simtime import DAY, HOUR, date_to_sim
 
-__all__ = ["WorldParams", "PaperWorld"]
+__all__ = ["WorldParams", "PaperWorld", "AttackTable", "pack_population", "unpack_population"]
 
 
 @dataclass(frozen=True)
@@ -98,16 +105,19 @@ class PaperWorld:
     table: object
     pbl: object
     geo: object
+    #: The :class:`~repro.population.amplifiers.HostTable` of every host.
     hosts: object
     victims: object
     sweeps: list
-    attacks: list
+    #: The campaign's :class:`AttackTable`, in start order.
+    attacks: object
     onp: object
     arbor: object
     darknet: object
     darknet_v6: object
     isp: object
     dns_pool: object
+    #: Each site's planted local amplifiers, as rows of ``hosts``.
     local_amplifiers: dict = field(default_factory=dict)
     #: Wall-clock seconds per build phase (see ``build``); purely
     #: observational — never feeds back into the simulation.
@@ -122,29 +132,6 @@ class PaperWorld:
     #: (resumed?, phases loaded, saves) when ``checkpoint_dir`` was set;
     #: None otherwise.
     checkpoint_stats: object = None
-
-    # -- pickling --------------------------------------------------------------------
-
-    def __getstate__(self):
-        # The pool and everything pointing into it travel packed (see
-        # pack_population); the rest pickles as usual, in the same pickle,
-        # so victims stay shared between the pool's attacks and
-        # ``victims``.
-        state = self.__dict__.copy()
-        state["hosts"] = pack_population(self.hosts, self.local_amplifiers, self.attacks)
-        state["local_amplifiers"] = state["attacks"] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self.hosts, self.local_amplifiers, self.attacks = unpack_population(state["hosts"])
-
-    def __copy__(self):
-        # Shallow, as the default copy would be, without the pack/unpack
-        # round trip __getstate__ implies.
-        clone = self.__class__.__new__(self.__class__)
-        clone.__dict__.update(self.__dict__)
-        return clone
 
     # -- reporting -------------------------------------------------------------------
 
@@ -333,23 +320,26 @@ class PaperWorld:
             checkpoint.clear()
 
         env.say("done")
+        hosts, local, attacks = pack_population(
+            state["hosts"], state["local"], state["attacks"], state["victims"]
+        )
         return cls(
             params=params,
             registry=state["registry"],
             table=state["table"],
             pbl=state["pbl"],
             geo=state["geo"],
-            hosts=state["hosts"],
+            hosts=hosts,
             victims=state["victims"],
             sweeps=state["sweeps"],
-            attacks=state["attacks"],
+            attacks=attacks,
             onp=state["onp"],
             arbor=state["arbor"],
             darknet=state["darknet"],
             darknet_v6=state["darknet_v6"],
             isp=state["isp"],
             dns_pool=state["dns_pool"],
-            local_amplifiers=state["local"],
+            local_amplifiers=local,
             build_timings=timings,
             shard_stats=summarize_shard_stats(runner.stats),
             fault_log=state["injector"].log,
@@ -520,75 +510,78 @@ _BUILD_PHASES = (
 # -- packed population -----------------------------------------------------------------
 
 
-def pack_population(pool, local, attacks):
-    """The host pool and what points into it, as one picklable dict.
+#: The :class:`AttackSpec` fields that point into the host and victim pools.
+_ATTACK_LINKS = ("victim", "amplifiers", "amp_ips")
 
-    Hosts are packed by :func:`~repro.population.amplifiers.pack_hosts`;
-    the planted local amplifiers and every attack's legs become indices
-    into the pool, and the attacks' ``amp_ips`` one concatenated array.
-    ``attacks`` is None for a build state saved before the campaign.
+
+class AttackTable(FieldColumns):
+    """Attacks as read-only columns, row ``i`` being attack ``i``.
+
+    One array per scalar :class:`AttackSpec` field (see
+    :class:`~repro.population.amplifiers.FieldColumns`); ``victim`` is
+    each attack's index into the victim pool's ``victims``.  Attack
+    ``i``'s legs are the host rows ``legs[leg_offsets[i]]`` to
+    ``legs[leg_offsets[i + 1]]``, in its ``amplifiers`` order, so its
+    ``amp_ips`` are those rows' ``ip``.
     """
-    position = {id(host): i for i, host in enumerate(pool.hosts)}
-    return {
-        "hosts": pack_hosts(pool.hosts),
-        "params": pool.params,
-        "block_lengths": pool.block_lengths,
-        "local": {
-            name: _pool_indices(position, site) for name, site in local.items()
-        },
-        "attacks": None if attacks is None else _pack_attacks(attacks, position),
-    }
+
+    def __init__(self, attacks, host_rows, victims):
+        super().__init__(attacks, [f for f in fields(AttackSpec) if f.name not in _ATTACK_LINKS])
+        victim_rows = {id(victim): i for i, victim in enumerate(victims.victims)}
+        self.victim = read_only(np.array([victim_rows[id(a.victim)] for a in attacks], np.int64))
+        self.legs = _pool_indices(host_rows, [h for a in attacks for h in a.amplifiers])
+        offsets = np.zeros(len(attacks) + 1, dtype=np.int64)
+        np.cumsum([len(a.amplifiers) for a in attacks], out=offsets[1:])
+        self.leg_offsets = read_only(offsets)
+
+    def leg_attacks(self):
+        """The attack row of every leg."""
+        return np.repeat(np.arange(self.n_rows), np.diff(self.leg_offsets))
+
+    def unpack(self, hosts, victims):
+        """The :class:`AttackSpec` list: legs are the objects of the host
+        list ``hosts``, and victims ``victims``' own.  ``amp_ips`` is left
+        for :meth:`AttackSpec.amplifier_ips` to fill in from the legs."""
+        legs = list(map(hosts.__getitem__, self.legs.tolist()))
+        bounds = self.leg_offsets.tolist()
+        columns = {"amplifiers": [legs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]}
+        columns["victim"] = list(map(victims.victims.__getitem__, self.victim.tolist()))
+        names = [f.name for f in fields(AttackSpec) if f.name != "amp_ips"]
+        rows = zip(*(columns[name] if name in columns else self.decoded(name) for name in names))
+        return [AttackSpec(*row) for row in rows]
 
 
-def unpack_population(packed):
-    """``(pool, local, attacks)`` from :func:`pack_population`'s dict:
-    every planted amplifier and attack leg is the pool's own host."""
-    hosts = unpack_hosts(packed["hosts"])
-    pool = HostPool(hosts, packed["params"], block_lengths=packed["block_lengths"])
-    local = {
-        name: list(map(hosts.__getitem__, indices.tolist()))
-        for name, indices in packed["local"].items()
-    }
-    attacks = packed["attacks"]
+def pack_population(pool, local, attacks, victims):
+    """The host pool and what points into it as columns: ``(hosts, local,
+    attacks)``.
+
+    ``hosts`` is the pool's :class:`~repro.population.amplifiers.HostTable`,
+    ``local`` each site's planted amplifiers as host rows, and
+    ``attacks`` an :class:`AttackTable`, or None for a build state saved
+    before the campaign.  A finished world keeps this form.
+    """
+    host_rows = {id(host): i for i, host in enumerate(pool.hosts)}
+    table = HostTable(pool.hosts, pool.params, pool.block_lengths)
+    local = {name: _pool_indices(host_rows, site) for name, site in local.items()}
     if attacks is not None:
-        attacks = _unpack_attacks(attacks, hosts)
+        attacks = AttackTable(attacks, host_rows, victims)
+    return table, local, attacks
+
+
+def unpack_population(hosts, local, attacks, victims):
+    """``(pool, local, attacks)`` as objects from :func:`pack_population`'s
+    columns: every planted amplifier and attack leg is the pool's own
+    host, and every attack's victim the victim pool's own."""
+    host_list = hosts.unpack()
+    pool = HostPool(host_list, hosts.params, block_lengths=hosts.block_lengths)
+    local = {name: list(map(host_list.__getitem__, rows.tolist())) for name, rows in local.items()}
+    if attacks is not None:
+        attacks = attacks.unpack(host_list, victims)
     return pool, local, attacks
 
 
-def _pool_indices(position, hosts):
-    return np.array([position[id(host)] for host in hosts], dtype=np.int64)
-
-
-def _pack_attacks(attacks, position):
-    """Attacks as per-field lists, legs as pool indices with per-attack
-    counts, and ``amp_ips`` concatenated (-1 length for None)."""
-    columns = {
-        f.name: [getattr(attack, f.name) for attack in attacks]
-        for f in fields(AttackSpec)
-        if f.name not in ("amplifiers", "amp_ips")
-    }
-    amp_ips, amp_ip_lengths = concat_with_lengths([attack.amp_ips for attack in attacks])
-    return {
-        "columns": columns,
-        "legs": _pool_indices(position, [h for a in attacks for h in a.amplifiers]),
-        "leg_counts": np.array([len(a.amplifiers) for a in attacks], dtype=np.int64),
-        "amp_ips": amp_ips,
-        "amp_ip_lengths": amp_ip_lengths,
-    }
-
-
-def _unpack_attacks(packed, hosts):
-    legs = list(map(hosts.__getitem__, packed["legs"].tolist()))
-    amp_ips = packed["amp_ips"]
-    columns = dict(
-        packed["columns"],
-        amplifiers=[legs[part] for part in length_slices(packed["leg_counts"])],
-        amp_ips=[
-            None if part is None else amp_ips[part]
-            for part in length_slices(packed["amp_ip_lengths"])
-        ],
-    )
-    return [AttackSpec(*row) for row in zip(*(columns[f.name] for f in fields(AttackSpec)))]
+def _pool_indices(host_rows, hosts):
+    return read_only(np.array([host_rows[id(host)] for host in hosts], dtype=np.int64))
 
 
 def _plant_local_amplifiers(rng, registry, hosts):

@@ -362,7 +362,8 @@ def check_world_onp_window(record, tolerance):
 )
 def check_world_isp_victims_subset(record, tolerance):
     world = record.world
-    campaign_victims = {attack.victim.ip for attack in world.attacks}
+    victims = world.victims.victims
+    campaign_victims = {victims[row].ip for row in world.attacks.victim.tolist()}
     measured, violations = {}, []
     for name, site in world.isp.sites.items():
         observed = set(site.victim_forensics)
@@ -420,9 +421,7 @@ def check_world_ovh_crossdataset(record, tolerance):
 
     world = record.world
     ovh = world.registry.special["HOSTING-FR-1"]
-    result = validate_ovh_event(
-        world.attacks, record.parsed(), record.concentration(), world.table, ovh.asn
-    )
+    result = validate_ovh_event(world, record.parsed(), record.concentration(), ovh.asn)
     if result.disclosed_asns == 0 or result.onp_asns == 0:
         return None  # nothing to cross-check: no event or an empty corpus
     measured = {
@@ -724,13 +723,13 @@ def check_fault_ground_truth(clean, faulted, tolerance):
             violations.append(f"{label}: clean {a} != {faulted.fault_name} {b}")
     clean_attacks, faulted_attacks = clean.world.attacks, faulted.world.attacks
     if clean_attacks and faulted_attacks:
-        if (
-            clean_attacks[0].start != faulted_attacks[0].start
-            or clean_attacks[-1].start != faulted_attacks[-1].start
-        ):
+        clean_starts, faulted_starts = clean_attacks.start, faulted_attacks.start
+        if clean_starts[0] != faulted_starts[0] or clean_starts[-1] != faulted_starts[-1]:
             violations.append("attack campaign timeline differs between clean and faulted")
-        clean_bps = sum(a.target_bps for a in clean_attacks)
-        faulted_bps = sum(a.target_bps for a in faulted_attacks)
+        # Left to right: a float sum's last digits depend on its order, and
+        # the violation message prints it.
+        clean_bps = sum(clean_attacks.target_bps.tolist())
+        faulted_bps = sum(faulted_attacks.target_bps.tolist())
         if clean_bps != faulted_bps:
             violations.append(
                 f"campaign volume differs: clean {clean_bps:.6g} != faulted {faulted_bps:.6g}"

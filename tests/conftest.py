@@ -14,6 +14,7 @@ import pytest
 from hypothesis import settings
 
 from repro.scenario import PaperWorld
+from repro.scenario.world import unpack_population
 
 settings.register_profile("ci", max_examples=200, derandomize=True, deadline=None)
 settings.register_profile("dev", max_examples=25, deadline=None)
@@ -29,6 +30,17 @@ WORLD_SCALE = 0.001
 @pytest.fixture(scope="session")
 def world():
     return PaperWorld.build(seed=WORLD_SEED, scale=WORLD_SCALE)
+
+
+def population(world):
+    """``(pool, local, attacks)``: a world's hosts, planted amplifiers and
+    attacks as objects (a finished world keeps them as columns)."""
+    return unpack_population(world.hosts, world.local_amplifiers, world.attacks, world.victims)
+
+
+@pytest.fixture(scope="session")
+def world_population(world):
+    return population(world)
 
 
 @pytest.fixture

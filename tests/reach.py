@@ -288,6 +288,14 @@ VERDICTS = {name: reason for reason, *names in [
         "repro.population.amplifiers:_HostBlock.__reduce__",
     ),
     (
+        "path: a host table turned back into hosts, for a host block pickled back from a pool "
+        "worker and on a checkpoint resume; test_build_shards, test_supervision and "
+        "test_packed_world",
+        "repro.population.amplifiers:FieldColumns.decoded",
+        "repro.population.amplifiers:HostTable.decoded",
+        "repro.population.amplifiers:HostTable.unpack",
+    ),
+    (
         "benchmark: mitigation's _dampen_curve reads the curve's span "
         "(benchmarks/test_mitigation_counterfactuals.py); test_property_invariants reads start",
         "repro.population.remediation:SurvivalCurve.end",
@@ -323,11 +331,8 @@ VERDICTS = {name: reason for reason, *names in [
         "test_packed_world",
         "repro.scenario.checkpoint:_phase_mismatch",
         "repro.scenario.checkpoint:_unpack_state",
-    ),
-    (
-        "path: copy.copy(world) stays shallow beside the packing __getstate__; "
-        "test_packed_world::test_shallow_copy_shares_the_population",
-        "repro.scenario.world:PaperWorld.__copy__",
+        "repro.scenario.world:AttackTable.unpack",
+        "repro.scenario.world:unpack_population",
     ),
     (
         "path: names a late or duplicate row when ingest rejects it; test_stream_properties",

@@ -57,7 +57,7 @@ def test_table6_shape(world):
 
 def test_ttl_forensics(world):
     forensics = ttl_forensics(
-        world.sweeps, world.attacks, world.isp.sites["csu"].spec.asns
+        world.sweeps, world.attacks, world.hosts, world.isp.sites["csu"].spec.asns
     )
     assert forensics.scanners_look_linux
     assert forensics.attackers_look_windows
@@ -66,7 +66,7 @@ def test_ttl_forensics(world):
 
 def test_ttl_forensics_requires_data(world):
     with pytest.raises(ValueError):
-        ttl_forensics([], world.attacks, world.isp.sites["csu"].spec.asns)
+        ttl_forensics([], world.attacks, world.hosts, world.isp.sites["csu"].spec.asns)
 
 
 def test_common_scanner_timeline_trickle(world):

@@ -100,7 +100,7 @@ def test_fig10_monlist_falls_fastest(parsed_monlist, world):
 
 def test_dns_overlap(world, parsed_monlist):
     last_ips = parsed_monlist[-1].amplifier_ips()
-    overlap_ips = world.dns_pool.overlap_with_monlist(world.hosts.monlist_hosts)
+    overlap_ips = world.dns_pool.overlap_with_monlist(world.hosts)
     count, fraction = overlap_with_dns(last_ips, overlap_ips)
     assert count >= 1
     assert 0.02 < fraction < 0.2  # paper: ~7K of 107K ≈ 6.5%

@@ -83,8 +83,9 @@ def test_records_deduplicated_by_ip(version_report):
 
 
 def test_world_matches_oracle(world):
-    amplifier_ips = {h.ip for h in world.hosts.monlist_hosts}
-    mega_ips = {h.ip for h in world.hosts.mega_hosts()}
+    hosts = world.hosts
+    amplifier_ips = set(hosts.ip[hosts.monlist_amplifier].tolist())
+    mega_ips = set(hosts.ip[hosts.is_mega].tolist())
     assert_matches_oracle(world.onp.version_samples, (amplifier_ips, mega_ips))
 
 
@@ -105,7 +106,7 @@ def test_all_ntp_distribution_cisco_heavy(version_report):
 
 
 def test_amplifier_subset_linux_heavy(version_report, world):
-    amplifier_ips = {h.ip for h in world.hosts.monlist_hosts}
+    amplifier_ips = set(world.hosts.ip[world.hosts.monlist_amplifier].tolist())
     sub = version_report.restrict_to(amplifier_ips)
     assert len(sub) > 10
     dist = sub.os_distribution()
@@ -114,7 +115,7 @@ def test_amplifier_subset_linux_heavy(version_report, world):
 
 
 def test_mega_subset_includes_junos(version_report, world):
-    mega_ips = {h.ip for h in world.hosts.mega_hosts()}
+    mega_ips = set(world.hosts.ip[world.hosts.is_mega].tolist())
     sub = version_report.restrict_to(mega_ips)
     if len(sub) < 5:
         pytest.skip("too few version-responding megas at this scale")

@@ -10,15 +10,13 @@ one-CPU machines, the partitioner's invariants, and the shape of
 """
 
 import hashlib
-from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 import repro.util.pool as pool_mod
-from repro.population.amplifiers import NtpHost
-from repro.population.columns import HOST_BLOCKS, PulseColumns, balanced_split
+from repro.population.columns import HOST_BLOCKS, balanced_split
 from repro.scenario import PaperWorld, WorldParams
 from repro.scenario.cache import build_world_cached
 from repro.util.pool import ShardRunner, fork_pool_gate
@@ -119,6 +117,13 @@ def _digest_value(digest, value):
     if isinstance(value, np.ndarray):
         digest.update(f"{value.dtype.str}{value.shape}".encode())
         digest.update(np.ascontiguousarray(value).tobytes())
+    elif isinstance(value, dict):
+        for key in sorted(value):
+            digest.update(repr(key).encode())
+            _digest_value(digest, value[key])
+    elif isinstance(value, tuple):
+        for item in value:
+            _digest_value(digest, item)
     else:
         if isinstance(value, frozenset):
             value = sorted(value)
@@ -126,28 +131,19 @@ def _digest_value(digest, value):
 
 
 def _fingerprint(world):
-    """SHA-256 over the world core by value: every ``NtpHost`` field and
-    client array, every ``Victim``, every attack-leg column, and each ONP
-    sample's packed capture arrays and payload blob.
-
-    Values, not pickles: two equal worlds may share equal objects
-    differently (``pack_hosts`` deduplicates by identity, and a serial
-    build keeps module-level frozensets a pooled one re-creates)."""
+    """SHA-256 over the world core by value: every column of the host
+    table (each ``NtpHost`` field with its None mask and distinct values,
+    every client array and their offsets) and of the attack table (each
+    scalar ``AttackSpec`` field, the victim index, the legs and their
+    offsets), the planted amplifiers' rows, every ``Victim``, and each
+    ONP sample's packed capture arrays and payload blob."""
     digest = hashlib.sha256()
     digest.update(world.summary().encode())
-    for host in world.hosts.hosts:
-        for field in fields(NtpHost):
-            value = getattr(host, field.name)
-            if field.name == "clients" and value is not None:
-                for array_field in fields(value):
-                    _digest_value(digest, getattr(value, array_field.name))
-            else:
-                _digest_value(digest, value)
+    for table in (world.hosts, world.attacks):
+        _digest_value(digest, vars(table))
+    _digest_value(digest, world.local_amplifiers)
     for victim in world.victims.victims:
         _digest_value(digest, victim)
-    legs = PulseColumns.from_attacks(world.attacks)
-    for name in PulseColumns.__slots__:
-        _digest_value(digest, getattr(legs, name))
     for sample in world.onp.monlist_samples + world.onp.version_samples:
         digest.update(
             repr((sample.t, sample.mode, sample.outage, sample.coverage, len(sample))).encode()

@@ -1,6 +1,7 @@
 """Tests for the CLI, ASCII figures, presets, summary, and §4.4 validation."""
 
 import pickle
+import types
 
 import pytest
 
@@ -110,9 +111,7 @@ def test_ovh_validation(world, parsed_monlist, victim_report):
 
     concentration = as_concentration(victim_report, world.table)
     ovh = world.registry.special["HOSTING-FR-1"]
-    result = validate_ovh_event(
-        world.attacks, parsed_monlist, concentration, world.table, ovh.asn
-    )
+    result = validate_ovh_event(world, parsed_monlist, concentration, ovh.asn)
     assert result.event_attacks >= 3
     assert result.disclosed_asns > 0
     # Nearly all event amplifier ASes appear in the ONP data (paper: 99.5%).
@@ -124,6 +123,8 @@ def test_ovh_validation(world, parsed_monlist, victim_report):
 def test_ovh_validation_empty():
     from repro.analysis.concentration import ConcentrationReport
     from repro.analysis.validation import validate_ovh_event
+    from repro.population import HostPool, PoolParams, VictimPool
+    from repro.scenario.world import pack_population
 
     empty = ConcentrationReport(victim_as_packets={}, amplifier_as_packets={})
 
@@ -131,7 +132,10 @@ def test_ovh_validation_empty():
         def asn_of(self, ip):
             return None
 
-    result = validate_ovh_event([], [], empty, FakeTable(), target_asn=1)
+    victims = VictimPool([], None)
+    hosts, _, attacks = pack_population(HostPool([], PoolParams()), {}, [], victims)
+    world = types.SimpleNamespace(hosts=hosts, victims=victims, attacks=attacks, table=FakeTable())
+    result = validate_ovh_event(world, [], empty, target_asn=1)
     assert result.event_attacks == 0
     assert result.asn_overlap_fraction == 0.0
     assert result.onp_asns == 0
@@ -148,7 +152,7 @@ def test_ovh_validation_empty_onp_corpus(world, victim_report):
 
     concentration = as_concentration(victim_report, world.table)
     ovh = world.registry.special["HOSTING-FR-1"]
-    result = validate_ovh_event(world.attacks, [], concentration, world.table, ovh.asn)
+    result = validate_ovh_event(world, [], concentration, ovh.asn)
     assert result.disclosed_asns > 0
     assert result.onp_asns == 0
     assert result.overlapping_asns == 0
@@ -164,9 +168,7 @@ def test_ovh_validation_target_as_absent(world, parsed_monlist, victim_report):
 
     concentration = as_concentration(victim_report, world.table)
     absent_asn = max(concentration.victim_as_packets, default=0) + 10_000
-    result = validate_ovh_event(
-        world.attacks, parsed_monlist, concentration, world.table, absent_asn
-    )
+    result = validate_ovh_event(world, parsed_monlist, concentration, absent_asn)
     assert result.event_attacks == 0
     assert result.target_as_rank == 0
     assert result.degraded

@@ -141,7 +141,7 @@ def test_table3_note_when_no_table_is_probe_topped(world, monkeypatch):
 # -- an outage sample: an empty packed store, read as a gap ------------------
 
 
-def test_outage_sample_carries_an_empty_store_through_every_reader(world):
+def test_outage_sample_carries_an_empty_store_through_every_reader(world, world_population):
     """A sweep lost to an apparatus outage is still a sample, holding an
     empty packed store: the corpus decode, the replay, the version parse
     and Fig 4c each read it as a gap."""
@@ -161,7 +161,10 @@ def test_outage_sample_carries_an_empty_store_through_every_reader(world):
     t_monlist = world.onp.monlist_samples[0].t
     t_version = world.onp.version_samples[0].t
     onp = OnpProber(state, faults=faults).run_all(
-        world.hosts, RngStream(1, "onp"), monlist_times=[t_monlist], version_times=[t_version]
+        world_population[0],
+        RngStream(1, "onp"),
+        monlist_times=[t_monlist],
+        version_times=[t_version],
     )
     (monlist,), (version,) = onp.monlist_samples, onp.version_samples
     for sample in (monlist, version):

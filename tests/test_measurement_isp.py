@@ -19,9 +19,9 @@ def test_local_amplifiers_planted(world):
     assert len(csu) == 9
 
 
-def test_csu_amplifiers_secured_jan24(world):
+def test_csu_amplifiers_secured_jan24(world_population):
     jan24 = date_to_sim(2014, 1, 24)
-    for host in world.local_amplifiers["CSU-EDU"]:
+    for host in world_population[1]["CSU-EDU"]:
         assert host.remediation_time == jan24
         assert not host.monlist_active(jan24 + 1)
 
@@ -119,7 +119,7 @@ def test_background_series_protocol_mix(world):
     assert total == pytest.approx(20e9 / 8 * 3600, rel=0.2)
 
 
-def test_site_is_read_compacted(world):
+def test_site_is_read_compacted(world, world_population):
     """The build compacts every site once: its cells and scanner pairs are
     sorted arrays, and a late observation fails loudly instead of landing
     where no reader looks."""
@@ -135,4 +135,4 @@ def test_site_is_read_compacted(world):
     assert merit.scanners_on(-1) == set()
     late = IspMeasurement(world.registry).compact()
     with pytest.raises(TypeError):
-        late.observe_attacks(world.attacks)
+        late.observe_attacks(world_population[2])

@@ -51,23 +51,23 @@ def test_version_captures_decode(world):
         assert b"version=" in packet.data
 
 
-def test_responders_only_answer_probed_implementation(world):
+def test_responders_only_answer_probed_implementation(world, world_population):
     """v1-only amplifiers never appear in the (IMPL_XNTPD) monlist data."""
     from repro.ntp.constants import IMPL_XNTPD
 
     observed = world.onp.monlist_unique_ips()
     v1_only = {
         h.ip
-        for h in world.hosts.monlist_hosts
+        for h in world_population[0].monlist_hosts
         if not h.answers_implementation(IMPL_XNTPD)
     }
     assert not (observed & v1_only)
 
 
-def test_remediated_hosts_stop_responding(world):
+def test_remediated_hosts_stop_responding(world, world_population):
     t_last = world.onp.monlist_samples[-1].t
     for capture in world.onp.monlist_samples[-1].captures[:200]:
-        host = next(h for h in world.hosts.monlist_hosts if h.ip == capture.target_ip)
+        host = next(h for h in world_population[0].monlist_hosts if h.ip == capture.target_ip)
         assert host.monlist_active(t_last)
 
 

@@ -121,16 +121,16 @@ def test_policy_bounds():
         Bcp38Policy(adoption=1.1)
 
 
-def test_zero_and_full_adoption(world):
-    attacks = world.attacks[:200]
+def test_zero_and_full_adoption(world_population):
+    attacks = world_population[2][:200]
     delivered, blocked = filter_attacks(attacks, Bcp38Policy(0.0))
     assert len(delivered) == len(attacks) and not blocked
     delivered, blocked = filter_attacks(attacks, Bcp38Policy(1.0))
     assert len(blocked) == len(attacks) and not delivered
 
 
-def test_adoption_is_monotone(world):
-    attacks = world.attacks[:500]
+def test_adoption_is_monotone(world_population):
+    attacks = world_population[2][:500]
     blocked_counts = []
     for adoption in (0.2, 0.5, 0.8):
         _, blocked = filter_attacks(attacks, Bcp38Policy(adoption))
@@ -140,8 +140,8 @@ def test_adoption_is_monotone(world):
     assert blocked_counts[1] == pytest.approx(250, rel=0.35)
 
 
-def test_blocking_is_deterministic(world):
-    attacks = world.attacks[:100]
+def test_blocking_is_deterministic(world_population):
+    attacks = world_population[2][:100]
     policy = Bcp38Policy(0.5)
     a = [policy.blocks(x) for x in attacks]
     b = [policy.blocks(x) for x in attacks]

@@ -71,8 +71,9 @@ def test_liveness_index_matches_naive_scan(golden_world):
     """The vectorized alive-set equals a literal re-scan of host records,
     in the same (registration) order."""
     from repro.population.amplifiers import _monlist_end, _version_end
+    from tests.conftest import population
 
-    pool = golden_world.hosts
+    pool = population(golden_world)[0]
     for t in (date_to_sim(2014, 1, 10), date_to_sim(2014, 2, 1), date_to_sim(2014, 4, 18)):
         naive_monlist = [h for h in pool.monlist_hosts if h.birth <= t < _monlist_end(h)]
         naive_version = [h for h in pool.version_hosts if h.birth <= t < _version_end(h)]

@@ -212,9 +212,9 @@ def test_background_client_state_scalar_matches_numpy(monkeypatch):
             assert scalar == vectorized
 
 
-def test_liveness_limit_equals_prefix_filter(world):
+def test_liveness_limit_equals_prefix_filter(world, world_population):
     """monlist_alive(t, limit=k) == the first-k-targets-then-filter order."""
-    pool = world.hosts
+    pool = world_population[0]
     t = world.onp.monlist_samples[3].t
     for k in (0, 1, 17, len(pool.monlist_hosts)):
         limited = pool.monlist_alive(t, limit=k)

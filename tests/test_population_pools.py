@@ -4,6 +4,7 @@ import pytest
 
 from repro.net import ASRegistry, PolicyBlockList, RoutedBlockTable
 from repro.ntp.constants import IMPL_XNTPD, IMPL_XNTPD_OLD
+from repro.population.amplifiers import HostTable
 from repro.population import (
     DnsResolverPool,
     PoolParams,
@@ -35,7 +36,7 @@ def test_pool_sizes_scale(world):
     # DHCP chains create several records per logical end-host server).
     jan10 = date_to_sim(2014, 1, 10)
     assert hosts.host_count_alive(jan10) == pytest.approx(6_000_000 * SCALE, rel=0.3)
-    assert len(hosts) >= hosts.host_count_alive(jan10)
+    assert len(hosts.hosts) >= hosts.host_count_alive(jan10)
     assert len(hosts.monlist_alive(jan10)) == pytest.approx(1_405_000 * SCALE, rel=0.15)
     assert len(victims) == pytest.approx(VictimParams().total_victims_full * SCALE, rel=0.25)
 
@@ -105,7 +106,7 @@ def test_implementation_mix(world):
 
 def test_mega_hosts_exist_with_heavy_loops(world):
     _, _, _, hosts, _ = world
-    megas = hosts.mega_hosts()
+    megas = [h for h in hosts.hosts if h.is_mega]
     assert len(megas) >= 10
     loops = sorted((h.loop_factor for h in megas), reverse=True)
     assert loops[0] >= 1_000_000  # the 136 GB-class giga amplifier
@@ -114,7 +115,7 @@ def test_mega_hosts_exist_with_heavy_loops(world):
 
 def test_giga_amplifiers_in_japan(world):
     registry, _, _, hosts, _ = world
-    giga = [h for h in hosts.mega_hosts() if h.loop_factor >= 25_000]
+    giga = [h for h in hosts.hosts if h.is_mega and h.loop_factor >= 25_000]
     assert len(giga) >= 9
     jp_asns = {registry.special[f"JP-NET-{i}"].asn for i in range(1, 8)}
     in_japan = [h for h in giga if h.asn in jp_asns]
@@ -196,6 +197,6 @@ def test_dns_pool_series():
 def test_dns_overlap_fraction(world):
     _, _, _, hosts, _ = world
     pool = DnsResolverPool(RngStream(9, "dns"), scale=0.001)
-    overlap = pool.overlap_with_monlist(hosts.monlist_hosts)
+    overlap = pool.overlap_with_monlist(HostTable(hosts.hosts))
     frac = len(overlap) / len({h.ip for h in hosts.monlist_hosts})
     assert 0.05 < frac < 0.14  # §6.2: 9.2%

@@ -27,9 +27,9 @@ def test_world_has_all_five_datasets(world):
     assert world.isp.sites
 
 
-def test_world_scale_consistency(world):
+def test_world_scale_consistency(world, world_population):
     jan10 = date_to_sim(2014, 1, 10)
-    alive = len(world.hosts.monlist_alive(jan10))
+    alive = len(world_population[0].monlist_alive(jan10))
     observed = len(world.onp.monlist_samples[0])
     # The first scan sees most of the alive, v2-answering pool.
     assert 0.4 * alive < observed <= alive

@@ -150,13 +150,16 @@ def test_fault_ground_truth_violation_names_the_profile(conformance):
     the ground-truth invariant, and the message names the fault profile."""
     import copy
 
+    from repro.scenario.world import pack_population
     from repro.verify.runner import WorldRecord
+    from tests.conftest import population
 
     _, built = conformance
     clean_cell = Cell(SEEDS[0], SCALES[0], "clean")
     paper_cell = Cell(SEEDS[0], SCALES[0], "paper")
     moved = copy.copy(built[paper_cell])
-    moved.attacks = moved.attacks[:-1]
+    pool, _, attacks = population(moved)
+    _, _, moved.attacks = pack_population(pool, {}, attacks[:-1], moved.victims)
     invariant = REGISTRY["fault.ground_truth_invariant"]
     result = invariant.check(
         WorldRecord(clean_cell, built[clean_cell]),
